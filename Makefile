@@ -31,11 +31,14 @@ chaos-smoke:
 
 # The serving layer under the race detector (batching, admission control,
 # TCP transport, serial/parallel and pooled/fresh equivalence, chaos over
-# the wire), then a short verified load-generation pass — every response
-# checked byte-identical to its canonical payload — both fault-free and
-# under an injected-fault schedule.
+# the wire), the transport's Conn/serveConn/protocol tests ten times over
+# (write coalescing and backpressure are concurrent by construction), then
+# a short verified load-generation pass — every response checked
+# byte-identical to its canonical payload — both fault-free and under an
+# injected-fault schedule.
 serve-smoke:
 	go test -race -count=1 ./internal/serve
+	go test -race -count=10 -run '^Test(Conn|ServeConn|ServeTCP|ProtocolRoundTrip|ReadMessage|MessageRoundTrip)' ./internal/serve
 	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema varint -check
 	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema mixed -check -faults 0.02 -fault-seed 7
 

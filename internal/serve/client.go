@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"errors"
 	"fmt"
 	"net"
@@ -42,7 +43,7 @@ func (c *InProc) Do(req Request) (Response, error) {
 	c.id++
 	req.ID = c.id
 	c.mu.Unlock()
-	return <-c.srv.submit(c.client, req), nil
+	return <-c.srv.submit(c.client, req, nil), nil
 }
 
 // Close implements Doer (nothing to release in-process).
@@ -70,7 +71,7 @@ func (c *InProc) DoBatch(reqs []Request) ([]Response, error) {
 		c.id++
 		reqs[i].ID = c.id
 		c.mu.Unlock()
-		p, ok := c.srv.admit(c.client, reqs[i])
+		p, ok := c.srv.admit(c.client, reqs[i], nil)
 		chans[i] = p.resp
 		if !ok {
 			continue
@@ -138,12 +139,20 @@ func (o DialOptions) withDefaults() DialOptions {
 // Conn is a TCP client connection. It multiplexes: many goroutines may Do
 // concurrently, and responses are matched to callers by correlation id as
 // they complete (the server reorders freely across batches).
+//
+// Requests are coalesced: Do frames its request into a shared buffer,
+// and whichever caller finds no flush in progress writes the buffer —
+// plus everything other callers frame meanwhile — one Write per round
+// until it is empty. A failed flush kills the Conn, failing every waiter.
 type Conn struct {
 	conn net.Conn
 	opts DialOptions
 
-	writeMu sync.Mutex
-	nextID  uint64
+	writeMu  sync.Mutex
+	nextID   uint64
+	wbuf     []byte // framed requests waiting for the next flush round
+	spare    []byte // the buffer the last round wrote, reused by the next
+	flushing bool   // a caller is writing; it drains wbuf before it stops
 
 	mu       sync.Mutex
 	pend     map[uint64]chan Response
@@ -165,6 +174,11 @@ func DialWith(addr string, opts DialOptions) (*Conn, error) {
 	if err != nil {
 		return nil, err
 	}
+	return newConn(nc, opts), nil
+}
+
+// newConn starts a Conn over an established transport.
+func newConn(nc net.Conn, opts DialOptions) *Conn {
 	c := &Conn{
 		conn:     nc,
 		opts:     opts.withDefaults(),
@@ -173,7 +187,7 @@ func DialWith(addr string, opts DialOptions) (*Conn, error) {
 		readGone: make(chan struct{}),
 	}
 	go c.readLoop()
-	return c, nil
+	return c
 }
 
 // readLoop routes response messages to waiting callers until the
@@ -181,8 +195,9 @@ func DialWith(addr string, opts DialOptions) (*Conn, error) {
 // waiter already gave up (timeout) are dropped.
 func (c *Conn) readLoop() {
 	defer close(c.readGone)
+	r := bufio.NewReaderSize(c.conn, connBufSize)
 	for {
-		body, _, err := readMessage(c.conn, maxFrame)
+		body, _, err := readMessage(r, maxFrame)
 		if err == nil {
 			var resp Response
 			resp, err = parseResponse(body)
@@ -249,7 +264,8 @@ func (c *Conn) waitBudget(req *Request) time.Duration {
 // Do implements Doer over the wire protocol. The wait is bounded by
 // waitBudget; on expiry the caller gets ErrTimeout and the connection
 // stays usable (a late response to the abandoned id is dropped by the
-// read loop).
+// read loop). A request too large to frame is rejected before any byte
+// of it is written, and the connection stays usable.
 func (c *Conn) Do(req Request) (Response, error) {
 	if c.Broken() {
 		return Response{}, c.brokenErr()
@@ -261,23 +277,21 @@ func (c *Conn) Do(req Request) (Response, error) {
 		c.writeMu.Unlock()
 		return Response{}, c.brokenErr()
 	}
-	c.nextID++
-	req.ID = c.nextID
+	req.ID = c.nextID + 1
+	b, mark := beginMessage(c.wbuf)
+	b, _, err := endMessage(appendRequest(b, &req), mark)
+	c.wbuf = b
+	if err != nil {
+		c.writeMu.Unlock()
+		return Response{}, fmt.Errorf("serve: request not sent: %w", err)
+	}
+	c.nextID = req.ID
 	c.mu.Lock()
 	c.pend[req.ID] = ch
 	c.mu.Unlock()
-	c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
-	_, err := writeMessage(c.conn, appendRequest(nil, &req))
-	c.conn.SetWriteDeadline(time.Time{})
-	c.writeMu.Unlock()
-	if err != nil {
-		c.mu.Lock()
-		delete(c.pend, req.ID)
-		c.mu.Unlock()
-		// A partial request frame desynchronizes the stream: nothing sent
-		// after it can parse. Kill the connection so every other waiter
-		// fails fast instead of hanging on responses that cannot arrive.
-		c.conn.Close()
+	if c.flushing {
+		c.writeMu.Unlock() // the flushing caller writes our request in its next round
+	} else if err := c.flush(); err != nil {
 		return Response{}, fmt.Errorf("serve: request write failed: %w", err)
 	}
 
@@ -311,6 +325,37 @@ func (c *Conn) Do(req Request) (Response, error) {
 		}
 		return Response{}, c.brokenErr()
 	}
+}
+
+// flush writes wbuf, and whatever other callers frame into it while a
+// write is on the socket, one Write per round until wbuf is empty. Each
+// round carries its own write deadline. Called with writeMu held; returns
+// with it released. On a failed write — a partial frame desynchronizes
+// the stream — the transport is closed before writeMu is released, so no
+// later round can write after the partial frame, and flush returns once
+// the read loop has failed every waiter.
+func (c *Conn) flush() error {
+	c.flushing = true
+	for len(c.wbuf) > 0 {
+		out := c.wbuf
+		c.wbuf = c.spare[:0]
+		c.writeMu.Unlock()
+		c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+		_, err := c.conn.Write(out)
+		c.writeMu.Lock()
+		c.spare = reusable(out)
+		if err != nil {
+			c.conn.Close()
+			c.wbuf = c.wbuf[:0]
+			c.flushing = false
+			c.writeMu.Unlock()
+			<-c.readGone
+			return err
+		}
+	}
+	c.flushing = false
+	c.writeMu.Unlock()
+	return nil
 }
 
 // Close implements Doer. It is idempotent and safe to call concurrently

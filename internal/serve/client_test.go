@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bytes"
 	"errors"
 	"io"
 	"net"
@@ -286,5 +287,161 @@ func TestConnBrokenErrClassification(t *testing.T) {
 	conn.Close()
 	if err := conn.brokenErr(); !errors.Is(err, ErrClosed) {
 		t.Errorf("post-Close err = %v, want ErrClosed", err)
+	}
+}
+
+// Regression: Do with a request too large to frame used to close the
+// socket even though no byte had been written, failing every in-flight
+// request on the Conn. Only that request may fail; the next Do succeeds.
+func TestConnOversizedRequestKeepsConn(t *testing.T) {
+	srv, addr := startTCP(t, testOptions())
+	defer srv.Close()
+	conn, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Do(Request{Op: OpDeserialize, Schema: "varint", Payload: make([]byte, maxFrame)}); err == nil {
+		t.Fatal("request over maxFrame accepted")
+	}
+	if conn.Broken() {
+		t.Fatal("an oversized request killed the connection")
+	}
+	payload := srv.Catalog().Lookup("varint").SamplePayload(0)
+	resp, err := conn.Do(Request{Op: OpDeserialize, Schema: "varint", Payload: payload})
+	if err != nil || resp.Status != StatusOK || !bytes.Equal(resp.Payload, payload) {
+		t.Fatalf("Do after an oversized request: %v %v", err, resp.Status)
+	}
+}
+
+// gatedConn wraps a net.Conn: its first Write blocks until release is
+// closed, and it records the bytes of every Write.
+type gatedConn struct {
+	net.Conn
+	entered chan struct{} // closed when the first Write starts
+	release chan struct{}
+
+	mu     sync.Mutex
+	writes [][]byte
+}
+
+func newGatedConn(nc net.Conn) *gatedConn {
+	return &gatedConn{Conn: nc, entered: make(chan struct{}), release: make(chan struct{})}
+}
+
+func (g *gatedConn) Write(b []byte) (int, error) {
+	g.mu.Lock()
+	g.writes = append(g.writes, append([]byte(nil), b...))
+	first := len(g.writes) == 1
+	g.mu.Unlock()
+	if first {
+		close(g.entered)
+		<-g.release
+	}
+	return g.Conn.Write(b)
+}
+
+// recorded returns the bytes of every Write so far.
+func (g *gatedConn) recorded() [][]byte {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return append([][]byte(nil), g.writes...)
+}
+
+// waitEntered waits for the gated first Write to start.
+func (g *gatedConn) waitEntered(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no Write reached the socket")
+	}
+}
+
+// waitPending waits until n requests are registered on conn, i.e. framed.
+func waitPending(t *testing.T, conn *Conn, n int) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for {
+		conn.mu.Lock()
+		got := len(conn.pend)
+		conn.mu.Unlock()
+		if got == n {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d/%d requests registered", got, n)
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// Requests issued while a flush is on the socket must leave together in
+// exactly one more Write, byte-identical to framing each alone and in
+// the order they were issued — chunk trains included.
+func TestConnCoalescesWrites(t *testing.T) {
+	reqs := []Request{
+		{Op: OpDeserialize, Schema: "varint", Payload: []byte{8, 1}},
+		{Op: OpSerialize, Schema: "string", Payload: bytes.Repeat([]byte{'s'}, 300)},
+		{Op: OpDeserialize, Schema: "big", Timeout: time.Minute, Payload: bytes.Repeat([]byte{'b'}, 2*chunkBody+5)},
+		{Op: OpSerialize, Schema: "mixed"},
+	}
+	got := make(chan struct{}, len(reqs))
+	addr := fakeDaemon(t, func(nc net.Conn) {
+		for {
+			if _, _, err := readMessage(nc, maxFrame); err != nil {
+				nc.Close()
+				return
+			}
+			got <- struct{}{}
+		}
+	})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := newGatedConn(nc)
+	conn := newConn(gc, DialOptions{})
+	var wg sync.WaitGroup
+	defer wg.Wait()
+	defer conn.Close()
+	for i, req := range reqs {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			conn.Do(req)
+		}()
+		if i == 0 {
+			gc.waitEntered(t)
+		}
+		waitPending(t, conn, i+1)
+	}
+	close(gc.release)
+	for range reqs {
+		select {
+		case <-got:
+		case <-time.After(10 * time.Second):
+			t.Fatal("daemon did not receive every request")
+		}
+	}
+
+	var want [][]byte
+	for i, req := range reqs {
+		req.ID = uint64(i + 1)
+		msg := legacyMessage(appendRequest(nil, &req))
+		if i < 2 {
+			want = append(want, msg)
+		} else {
+			want[1] = append(want[1], msg...)
+		}
+	}
+	writes := gc.recorded()
+	if len(writes) != len(want) {
+		t.Fatalf("%d Writes, want %d", len(writes), len(want))
+	}
+	for i := range want {
+		if !bytes.Equal(writes[i], want[i]) {
+			t.Errorf("Write %d: %d bytes diverge from the reference framing (%d bytes)", i, len(writes[i]), len(want[i]))
+		}
 	}
 }

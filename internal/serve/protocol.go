@@ -25,10 +25,10 @@ import (
 // Messages whose body exceeds one frame's capacity (chunkBody) are
 // chunked HGum-style: a small header frame announces the total body
 // length, then the body streams as fixed-capacity continuation frames.
-// Interleaving is per-direction only — a writer holds its stream lock
-// for the whole train — so one oversized message never monopolizes a
-// frame slot beyond chunkBody bytes, and the reader can validate every
-// continuation frame against the announced total before trusting it.
+// Each message is framed whole into its connection's write buffer, so a
+// chunk train is contiguous on the wire and the reader can validate
+// every continuation frame against the announced total before trusting
+// it.
 //
 //	chunk header frame: chunkMagic(1) total_len(uvarint)
 //	continuation frame: raw body bytes (chunkBody per frame, last short)
@@ -61,21 +61,69 @@ const (
 	// costs at most one step, not the announced length.
 	allocStep = 1 << 20
 
+	// connBufSize sizes each connection's read buffer: one read system
+	// call takes in many pipelined messages.
+	connBufSize = 32 << 10
+
+	// keepBuf is the largest write buffer kept for reuse after a flush;
+	// one grown past it by an occasional large message is released.
+	keepBuf = 256 << 10
+
 	flagFellBack = 1 << 0
 )
 
-// writeFrame writes one length-prefixed frame.
-func writeFrame(w io.Writer, body []byte) error {
-	if len(body) > maxFrame {
-		return fmt.Errorf("serve: frame of %d bytes exceeds limit %d", len(body), maxFrame)
+// reusable returns b emptied for reuse as a write buffer, or nil when it
+// grew past keepBuf.
+func reusable(b []byte) []byte {
+	if cap(b) > keepBuf {
+		return nil
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(len(body)))
-	if _, err := w.Write(hdr[:]); err != nil {
-		return err
+	return b[:0]
+}
+
+// beginMessage reserves a length prefix at the end of b for a message
+// encoded in place. The caller appends the body and passes the returned
+// mark to endMessage.
+func beginMessage(b []byte) (out []byte, mark int) {
+	return append(b, 0, 0, 0, 0), len(b)
+}
+
+// endMessage frames the body appended to b since beginMessage returned
+// mark. A body of at most chunkBody bytes gets its length prefix
+// back-patched; a larger one is spread in place into a chunk train. A
+// body over maxFrame is cut off — b is returned as it was before
+// beginMessage, so nothing of the message reaches the wire — and
+// reported as an error. Returns whether the message was chunked (for
+// telemetry).
+func endMessage(b []byte, mark int) (out []byte, chunked bool, err error) {
+	n := len(b) - mark - 4
+	if n > maxFrame {
+		return b[:mark], false, fmt.Errorf("serve: message of %d bytes exceeds limit %d", n, maxFrame)
 	}
-	_, err := w.Write(body)
-	return err
+	if n <= chunkBody {
+		binary.BigEndian.PutUint32(b[mark:], uint32(n))
+		return b, false, nil
+	}
+	// Header frame: prefix, chunkMagic, varint total; then one prefix per
+	// chunk. Growing by the difference and moving chunks back to front
+	// never overwrites a chunk before it has moved, because every chunk
+	// moves toward the end.
+	var hdr [1 + binary.MaxVarintLen64]byte
+	hdr[0] = chunkMagic
+	h := len(wire.AppendVarint(hdr[:1], uint64(n)))
+	chunks := (n + chunkBody - 1) / chunkBody
+	body := mark + 4
+	b = append(b, make([]byte, h+4*chunks)...)
+	for i := chunks - 1; i >= 0; i-- {
+		from := body + i*chunkBody
+		size := min(chunkBody, n-i*chunkBody)
+		at := mark + 4 + h + i*(4+chunkBody)
+		copy(b[at+4:], b[from:from+size])
+		binary.BigEndian.PutUint32(b[at:], uint32(size))
+	}
+	binary.BigEndian.PutUint32(b[mark:], uint32(h))
+	copy(b[mark+4:], hdr[:h])
+	return b, true, nil
 }
 
 // readFrame reads one length-prefixed frame body of at most limit bytes.
@@ -108,35 +156,6 @@ func readFrame(r io.Reader, limit int) ([]byte, error) {
 		}
 	}
 	return body, nil
-}
-
-// writeMessage writes one protocol message, chunking bodies larger than
-// chunkBody. Callers must hold their stream's write lock across the call:
-// a chunk train is not interleavable. Returns whether the message was
-// chunked (for telemetry).
-func writeMessage(w io.Writer, body []byte) (chunked bool, err error) {
-	if len(body) <= chunkBody {
-		return false, writeFrame(w, body)
-	}
-	if len(body) > maxFrame {
-		return false, fmt.Errorf("serve: message of %d bytes exceeds limit %d", len(body), maxFrame)
-	}
-	hdr := make([]byte, 0, 1+10)
-	hdr = append(hdr, chunkMagic)
-	hdr = wire.AppendVarint(hdr, uint64(len(body)))
-	if err := writeFrame(w, hdr); err != nil {
-		return true, err
-	}
-	for off := 0; off < len(body); off += chunkBody {
-		end := off + chunkBody
-		if end > len(body) {
-			end = len(body)
-		}
-		if err := writeFrame(w, body[off:end]); err != nil {
-			return true, err
-		}
-	}
-	return true, nil
 }
 
 // readMessage reads one protocol message of at most limit body bytes,

@@ -342,11 +342,11 @@ func TestProtocolRoundTrip(t *testing.T) {
 		t.Error("truncated response accepted")
 	}
 
-	var buf bytes.Buffer
-	if err := writeFrame(&buf, []byte("hello")); err != nil {
+	buf, _, err := appendFramed(nil, []byte("hello"))
+	if err != nil {
 		t.Fatal(err)
 	}
-	body, err := readFrame(&buf, maxFrame)
+	body, err := readFrame(bytes.NewReader(buf), maxFrame)
 	if err != nil || string(body) != "hello" {
 		t.Fatalf("frame round-trip: %q %v", body, err)
 	}

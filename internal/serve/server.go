@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"bufio"
 	"crypto/sha256"
 	"encoding/hex"
 	"errors"
@@ -239,7 +240,8 @@ type pending struct {
 	msg       *dynamic.Message // payload parsed by the software codec at admission
 	deadline  time.Time
 	fromCache bool          // answered from the response cache; respond must not re-fill
-	resp      chan Response // buffered(1); receives exactly one Response
+	resp      chan Response // in-process clients: buffered(1), receives exactly one Response
+	out       *connWriter   // TCP clients: respond frames the response onto this connection instead
 
 	// Observability-only fields; nothing on the serving path branches on
 	// them, so they cannot perturb responses or exact-mode counters.
@@ -277,7 +279,11 @@ type Server struct {
 
 	connMu    sync.Mutex
 	listeners map[net.Listener]struct{}
-	conns     map[net.Conn]struct{}
+	conns     map[net.Conn]*connWriter
+
+	// writeTimeout is the write deadline of each flush to a client
+	// connection (serverWriteTimeout; tests shorten it).
+	writeTimeout time.Duration
 
 	mu    sync.Mutex
 	stats stats
@@ -309,12 +315,13 @@ func NewServer(opts Options) (*Server, error) {
 		}
 	}
 	s := &Server{
-		opts:      opts,
-		cfg:       serveConfig(opts),
-		obs:       newServerObs(opts),
-		elems:     elements.New(opts.Elements, opts.Tiles),
-		listeners: make(map[net.Listener]struct{}),
-		conns:     make(map[net.Conn]struct{}),
+		opts:         opts,
+		cfg:          serveConfig(opts),
+		obs:          newServerObs(opts),
+		elems:        elements.New(opts.Elements, opts.Tiles),
+		listeners:    make(map[net.Listener]struct{}),
+		conns:        make(map[net.Conn]*connWriter),
+		writeTimeout: serverWriteTimeout,
 	}
 	perTile := (opts.Workers + opts.Tiles - 1) / opts.Tiles
 	if perTile < 1 {
@@ -514,11 +521,12 @@ func (s *Server) enqueue(job batchJob) bool {
 	}
 }
 
-// submit admits one request on behalf of client. The returned channel
-// receives exactly one Response; rejected requests (shed, throttled,
-// bad) and cache hits are answered without queueing.
-func (s *Server) submit(client string, req Request) <-chan Response {
-	p, ok := s.admit(client, req)
+// submit admits one request on behalf of client. Its one Response goes
+// to out when that is set, else to the returned channel; rejected
+// requests (shed, throttled, bad) and cache hits are answered without
+// queueing.
+func (s *Server) submit(client string, req Request, out *connWriter) <-chan Response {
+	p, ok := s.admit(client, req, out)
 	if !ok {
 		return p.resp
 	}
@@ -559,9 +567,12 @@ func (s *Server) submitPreformed(pendings []*pending, key batchKey) {
 // admit validates a request from client and runs the element chain's
 // admission-side stages. ok means the pending is ready to queue; on
 // validation failure, throttle, or a cache hit the pending has already
-// been answered.
-func (s *Server) admit(client string, req Request) (p *pending, ok bool) {
-	p = &pending{req: req, resp: make(chan Response, 1), admitAt: time.Now()}
+// been answered. A nil out answers through the pending's channel.
+func (s *Server) admit(client string, req Request, out *connWriter) (p *pending, ok bool) {
+	p = &pending{req: req, out: out, admitAt: time.Now()}
+	if out == nil {
+		p.resp = make(chan Response, 1)
+	}
 	if sp := s.obs.maybeSpan(); sp != nil {
 		sp.Schema, sp.Op = req.Schema, req.Op
 		p.span = sp
@@ -639,6 +650,11 @@ func (s *Server) respond(p *pending, resp Response) {
 			c.Put(p.req.Schema, uint8(p.req.Op), p.req.Payload, resp.Payload, resp.Cycles)
 		}
 	}
+	if p.out != nil {
+		// Framed before it is counted: a TCP response counted under
+		// serve/responses already sits in its connection's buffer.
+		p.out.send(&resp)
+	}
 	s.mu.Lock()
 	switch resp.Status {
 	case StatusOK:
@@ -665,7 +681,9 @@ func (s *Server) respond(p *pending, resp Response) {
 		}
 		s.obs.finish(sp)
 	}
-	p.resp <- resp
+	if p.out == nil {
+		p.resp <- resp
+	}
 }
 
 // CollectTelemetry implements telemetry.Collector for the serving group:
@@ -842,10 +860,11 @@ func (s *Server) Serve(ln net.Listener) error {
 			}
 			return err
 		}
+		w := newConnWriter(s, conn)
 		s.connMu.Lock()
-		s.conns[conn] = struct{}{}
+		s.conns[conn] = w
 		s.connMu.Unlock()
-		go s.serveConn(conn)
+		go s.serveConn(w)
 	}
 }
 
@@ -870,13 +889,22 @@ func (s *Server) noteProtocolError(err error) {
 	s.mu.Unlock()
 }
 
-// serveConn demultiplexes one connection: requests stream in, each is
-// submitted, and a per-connection writer lock serializes the response
-// messages (a chunk train must not interleave). A framing or parse error
-// terminates the connection (the peer is not speaking the protocol) and
-// is counted under serve/protocol/errors.
-func (s *Server) serveConn(conn net.Conn) {
+// serveConn demultiplexes one connection. Requests stream in through a
+// buffered reader and are submitted with the connection's writer as
+// their response sink: respond frames each response straight into the
+// writer's buffer, and the writer flushes whatever has gathered with one
+// Write. Before submitting a request the reader waits while the
+// connection's unflushed response bytes exceed maxUnflushed, so a client
+// that stops reading meets TCP backpressure instead of growing server
+// memory. A framing or parse error terminates the connection (the peer is
+// not speaking the protocol) and is counted under serve/protocol/errors;
+// responses to requests already submitted are still flushed first.
+func (s *Server) serveConn(w *connWriter) {
+	conn := w.conn
+	go w.run()
 	defer func() {
+		w.closeRead()
+		<-w.gone
 		s.connMu.Lock()
 		delete(s.conns, conn)
 		s.connMu.Unlock()
@@ -885,11 +913,9 @@ func (s *Server) serveConn(conn net.Conn) {
 	// The connection's remote address is the admission-control client
 	// identity: one token bucket per client connection.
 	client := conn.RemoteAddr().String()
-	var writeMu sync.Mutex
-	var wg sync.WaitGroup
-	defer wg.Wait()
+	r := bufio.NewReaderSize(conn, connBufSize)
 	for {
-		body, chunked, err := readMessage(conn, s.readLimit())
+		body, chunked, err := readMessage(r, s.readLimit())
 		if err != nil {
 			s.noteProtocolError(err)
 			return
@@ -904,28 +930,141 @@ func (s *Server) serveConn(conn net.Conn) {
 			s.noteProtocolError(err)
 			return
 		}
-		ch := s.submit(client, req)
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			resp := <-ch
-			writeMu.Lock()
-			chunked, err := writeMessage(conn, appendResponse(nil, &resp))
-			writeMu.Unlock()
-			if err != nil {
-				// A partial response frame desynchronizes the stream;
-				// drop the connection rather than risk corrupting the
-				// next message.
-				conn.Close()
-				return
-			}
-			if chunked {
-				s.mu.Lock()
-				s.stats.chunkedOut++
-				s.mu.Unlock()
-			}
-		}()
+		if !w.expect() {
+			return
+		}
+		s.submit(client, req, w)
 	}
+}
+
+const (
+	// maxUnflushed caps a connection's framed-but-unwritten response
+	// bytes before its reader stops taking requests.
+	maxUnflushed = 1 << 20
+
+	// serverWriteTimeout bounds each flush to a client connection. A
+	// client that stops reading would otherwise hold its connection, and
+	// every response buffered for it, forever; on expiry the connection
+	// is dropped and counted under serve/protocol/errors.
+	serverWriteTimeout = 10 * time.Second
+)
+
+// connWriter is the single writer of one server connection. respond
+// frames responses into buf from any goroutine without touching the
+// socket — a tile executor never blocks on a client — and run writes
+// whatever has gathered with one Write per round.
+type connWriter struct {
+	s    *Server
+	conn net.Conn
+
+	mu          sync.Mutex
+	ready       sync.Cond // run waits for: buffered bytes, the reader's exit, or failure
+	room        sync.Cond // the reader waits for: unflushed bytes under maxUnflushed, or failure
+	buf         []byte    // framed responses waiting for the next round
+	spare       []byte    // the buffer the last round wrote, reused by the next
+	writing     int       // bytes of the Write on the socket
+	outstanding int       // submitted requests whose response is not yet framed
+	readDone    bool      // the reader has exited; no request will be submitted
+	err         error     // the failed flush or framing; later responses are dropped
+	gone        chan struct{}
+}
+
+func newConnWriter(s *Server, conn net.Conn) *connWriter {
+	w := &connWriter{s: s, conn: conn, gone: make(chan struct{})}
+	w.ready.L = &w.mu
+	w.room.L = &w.mu
+	return w
+}
+
+// run flushes the connection until it fails, or until the reader has
+// exited and every submitted request's response has been written.
+func (w *connWriter) run() {
+	defer close(w.gone)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for {
+		for len(w.buf) == 0 && w.err == nil && !(w.readDone && w.outstanding == 0) {
+			w.ready.Wait()
+		}
+		if w.err != nil || len(w.buf) == 0 {
+			return
+		}
+		out := w.buf
+		w.buf = w.spare[:0]
+		w.writing = len(out)
+		w.mu.Unlock()
+		w.conn.SetWriteDeadline(time.Now().Add(w.s.writeTimeout))
+		_, err := w.conn.Write(out)
+		w.mu.Lock()
+		w.writing = 0
+		w.spare = reusable(out)
+		if err != nil {
+			var ne net.Error
+			if errors.As(err, &ne) && ne.Timeout() {
+				w.s.noteProtocolError(err)
+			}
+			w.fail(err)
+			return
+		}
+		w.room.Signal()
+	}
+}
+
+// fail records a fatal error and drops the connection — a partial frame
+// desynchronizes the stream — waking the reader and run. Callers hold mu.
+func (w *connWriter) fail(err error) {
+	w.err = err
+	w.conn.Close()
+	w.ready.Signal()
+	w.room.Signal()
+}
+
+// expect waits while the connection's unflushed response bytes exceed
+// maxUnflushed, then counts one more response run must write before it
+// may exit. False once the connection has failed.
+func (w *connWriter) expect() bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	for w.err == nil && len(w.buf)+w.writing > maxUnflushed {
+		w.room.Wait()
+	}
+	if w.err != nil {
+		return false
+	}
+	w.outstanding++
+	return true
+}
+
+// send frames resp for the next flush; after a failure it is dropped.
+func (w *connWriter) send(resp *Response) {
+	chunked := false
+	w.mu.Lock()
+	w.outstanding--
+	if w.err == nil {
+		b, mark := beginMessage(w.buf)
+		var err error
+		b, chunked, err = endMessage(appendResponse(b, resp), mark)
+		w.buf = b
+		if err != nil {
+			w.fail(err)
+		}
+	}
+	w.ready.Signal()
+	w.mu.Unlock()
+	if chunked {
+		w.s.mu.Lock()
+		w.s.stats.chunkedOut++
+		w.s.mu.Unlock()
+	}
+}
+
+// closeRead tells run the reader has exited: it writes the responses
+// still outstanding, then returns.
+func (w *connWriter) closeRead() {
+	w.mu.Lock()
+	w.readDone = true
+	w.ready.Signal()
+	w.mu.Unlock()
 }
 
 // Close drains and stops the server: admission closes (new requests are

@@ -201,7 +201,7 @@ func TestDispatchFlushChunksAtMaxBatch(t *testing.T) {
 	const n = 9
 	var pendings []*pending
 	for i := 0; i < n; i++ {
-		p, ok := srv.admit("test", Request{ID: uint64(i + 1), Op: OpDeserialize, Schema: "varint", Payload: entry.SamplePayload(i)})
+		p, ok := srv.admit("test", Request{ID: uint64(i + 1), Op: OpDeserialize, Schema: "varint", Payload: entry.SamplePayload(i)}, nil)
 		if !ok {
 			t.Fatalf("request %d rejected at admission: %+v", i, <-p.resp)
 		}
@@ -250,7 +250,7 @@ func TestServeWorkStealing(t *testing.T) {
 	const n = 256
 	var pendings []*pending
 	for i := 0; i < n; i++ {
-		p, ok := srv.admit("test", Request{ID: uint64(i + 1), Op: OpDeserialize, Schema: "varint", Payload: entry.SamplePayload(i)})
+		p, ok := srv.admit("test", Request{ID: uint64(i + 1), Op: OpDeserialize, Schema: "varint", Payload: entry.SamplePayload(i)}, nil)
 		if !ok {
 			t.Fatalf("request %d rejected at admission", i)
 		}
