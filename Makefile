@@ -245,9 +245,16 @@ build:
 # Static checks plus the telemetry overhead contract: with tracing and
 # per-op capture off, the observability layer must add zero allocations
 # to the simulation hot paths (internal/telemetry/overhead_test.go).
+# Last, no dead packages: every package under internal/ must be imported
+# by some other package of the module, test imports included.
 vet:
 	go vet ./...
 	go test -run 'Allocs|Amortized' -count=1 ./internal/telemetry
+	@dead=$$(go list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | \
+	  awk '$$1 ~ /^protoacc\/internal\// { pkg[$$1] = 1 } \
+	    { for (i = 2; i <= NF; i++) if ($$i != $$1) used[$$i] = 1 } \
+	    END { for (p in pkg) if (!(p in used)) print p }' | sort); \
+	[ -z "$$dead" ] || { echo "vet: packages under internal/ that nothing imports:"; echo "$$dead"; exit 1; }
 
 test:
 	go test ./...

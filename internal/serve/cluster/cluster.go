@@ -1,8 +1,8 @@
 // Package cluster is the client side of a disaggregated accelerator
 // pool: a balancer holding one TCP connection per protoaccd daemon,
 // routing each request with power-of-two-choices over live in-flight and
-// latency estimates (the tile router's policy, lifted across the
-// network), hedging stragglers against a second node after an adaptive
+// latency estimates (serve.Routing.Pick, the tile router's policy),
+// hedging stragglers against a second node after an adaptive
 // quantile delay, and ejecting sick nodes based on transport errors and
 // each daemon's /healthz admin surface — RPCAcc's "accelerator as a
 // network-attached resource", built from the serving layer this repo
@@ -22,6 +22,7 @@ import (
 	"time"
 
 	"protoacc/internal/serve"
+	"protoacc/internal/serve/elements"
 	"protoacc/internal/telemetry"
 )
 
@@ -70,17 +71,14 @@ func (o HedgeOptions) withDefaults() HedgeOptions {
 	return o
 }
 
-// HealthOptions tunes node ejection and recovery. Two signals feed the
-// state machine: transport errors observed on the data path (always on),
-// and each daemon's /healthz admin document (on when Interval > 0 and
-// the node has an admin address).
+// HealthOptions tunes node ejection and recovery. Two signals feed each
+// node's circuit: transport errors observed on the data path (always
+// on), and each daemon's /healthz admin document (on when Interval > 0
+// and the node has an admin address).
 type HealthOptions struct {
 	// Interval between /healthz polls; 0 (default) disables polling —
 	// transport-error ejection still applies.
 	Interval time.Duration
-
-	// Timeout for one /healthz request (default 1s).
-	Timeout time.Duration
 
 	// ErrorThreshold ejects a node after this many consecutive transport
 	// errors (default 3; < 0 disables error ejection).
@@ -94,19 +92,12 @@ type HealthOptions struct {
 	// healthy polls (default 2).
 	HealthyPolls int
 
-	// DegradedTiles is the number of degraded tiles in a /healthz report
-	// that marks the node sick (default 1: any degraded tile).
-	DegradedTiles int
-
 	// EjectDwell is how long an ejected node sits out before the router
 	// sends it a probe request (default 2s).
 	EjectDwell time.Duration
 }
 
 func (o HealthOptions) withDefaults() HealthOptions {
-	if o.Timeout <= 0 {
-		o.Timeout = time.Second
-	}
 	if o.ErrorThreshold == 0 {
 		o.ErrorThreshold = 3
 	}
@@ -115,9 +106,6 @@ func (o HealthOptions) withDefaults() HealthOptions {
 	}
 	if o.HealthyPolls <= 0 {
 		o.HealthyPolls = 2
-	}
-	if o.DegradedTiles <= 0 {
-		o.DegradedTiles = 1
 	}
 	if o.EjectDwell <= 0 {
 		o.EjectDwell = 2 * time.Second
@@ -149,19 +137,6 @@ type Options struct {
 	Health HealthOptions
 }
 
-// nodeState is the ejection state machine: healthy nodes route, ejected
-// nodes sit out EjectDwell, then the first route that considers one flips
-// it to probing and sends it a single real request — success restores it,
-// failure re-ejects it. /healthz polling can also restore an ejected node
-// without burning a request.
-type nodeState int32
-
-const (
-	stateHealthy nodeState = iota
-	stateEjected
-	stateProbing
-)
-
 // node is one daemon: its connection, live routing estimates, health
 // state, and counters.
 type node struct {
@@ -176,12 +151,14 @@ type node struct {
 	connMu sync.Mutex
 	conn   *serve.Conn
 
-	mu           sync.Mutex
-	state        nodeState
-	ejectedUntil time.Time
-	consecErrs   int
-	consecSick   int
-	consecWell   int
+	// mu guards the node's health: its circuit — closed routes, open
+	// (ejected) sits out EjectDwell, half-open sends one probe request —
+	// and the consecutive signals that trip and restore it.
+	mu         sync.Mutex
+	circuit    elements.Circuit
+	consecErrs int
+	consecSick int
+	consecWell int
 
 	// Counters (atomic: the data path and the poller both write).
 	requests  atomic.Uint64
@@ -233,7 +210,7 @@ func New(opts Options) (*Balancer, error) {
 	b := &Balancer{opts: opts}
 	reachable := 0
 	for i, addr := range opts.Addrs {
-		n := &node{id: i, addr: addr, b: b}
+		n := &node{id: i, addr: addr, b: b, circuit: elements.Circuit{Dwell: opts.Health.EjectDwell, Probes: 1}}
 		if len(opts.AdminAddrs) > 0 {
 			n.adminAddr = opts.AdminAddrs[i]
 		}
@@ -328,7 +305,7 @@ func (n *node) do(req serve.Request) (serve.Response, time.Duration, error) {
 const ewmaAlpha = 0.2
 
 // noteOK folds a successful attempt into the routing estimate and
-// restores a probing node.
+// closes a half-open node's circuit: the probe passed.
 func (n *node) noteOK(lat time.Duration) {
 	n.oks.Add(1)
 	n.b.okLatency.Record(lat)
@@ -344,33 +321,33 @@ func (n *node) noteOK(lat time.Duration) {
 	}
 	n.mu.Lock()
 	n.consecErrs = 0
-	if n.state == stateProbing {
-		n.state = stateHealthy
+	if n.circuit.Passed(1) {
 		n.b.recoveries.Add(1)
 	}
 	n.mu.Unlock()
 }
 
-// finish records a failed attempt: a probing node re-ejects immediately,
-// a healthy one ejects after ErrorThreshold consecutive errors.
+// finish records a failed attempt: a failed probe ejects the node again
+// at once, a closed node ejects after ErrorThreshold consecutive errors.
 func (n *node) finish(err error) {
 	n.errs.Add(1)
 	th := n.b.opts.Health.ErrorThreshold
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.consecErrs++
-	switch {
-	case n.state == stateProbing:
+	switch n.circuit.State() {
+	case elements.StateHalfOpen:
 		n.ejectLocked()
-	case n.state == stateHealthy && th > 0 && n.consecErrs >= th:
-		n.ejectLocked()
+	case elements.StateClosed:
+		if th > 0 && n.consecErrs >= th {
+			n.ejectLocked()
+		}
 	}
 }
 
-// ejectLocked moves the node to ejected for EjectDwell. Callers hold mu.
+// ejectLocked opens the node's circuit for EjectDwell. Callers hold mu.
 func (n *node) ejectLocked() {
-	n.state = stateEjected
-	n.ejectedUntil = time.Now().Add(n.b.opts.Health.EjectDwell)
+	n.circuit.Open(time.Now())
 	n.consecWell = 0
 	n.ejections.Add(1)
 	n.b.ejections.Add(1)
@@ -378,30 +355,20 @@ func (n *node) ejectLocked() {
 
 // restoreLocked returns the node to service. Callers hold mu.
 func (n *node) restoreLocked() {
-	if n.state != stateHealthy {
-		n.state = stateHealthy
+	if n.circuit.Close() {
 		n.b.recoveries.Add(1)
 	}
 	n.consecErrs = 0
 	n.consecSick = 0
 }
 
-// routable reports whether the router may send this node a request now.
-// An ejected node whose dwell has elapsed converts to probing and gets
-// exactly one request; further routes skip it until the probe resolves.
+// routable reports whether the router may send this node a request now
+// (see elements.Circuit.Routable).
 func (n *node) routable(now time.Time) bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
-	switch n.state {
-	case stateHealthy:
-		return true
-	case stateEjected:
-		if now.After(n.ejectedUntil) {
-			n.state = stateProbing
-			return true
-		}
-	}
-	return false
+	ok, _ := n.circuit.Routable(now)
+	return ok
 }
 
 // score is the p2c routing metric: queue pressure times smoothed
@@ -411,72 +378,24 @@ func (n *node) score() uint64 {
 	return uint64(n.inflight.Load()+1) * (n.ewmaNs.Load() + 1)
 }
 
-// splitmix64 is the route-sequence hash (same mixer as the tile router):
-// consecutive sequence numbers map to well-spread candidate pairs.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
-// route picks the next node, skipping exclude (the hedge's primary, or a
-// just-failed node) and unroutable nodes. Round-robin walks the sequence
-// deterministically; p2c hashes it into two candidates and takes the
-// lower score. If nothing is routable the preferred node serves anyway —
-// an all-ejected pool must degrade to "try", not "refuse".
+// route picks the next node through serve.Routing.Pick, never exclude
+// (the hedge's primary, or a just-failed node) while another exists, and
+// spends the pick's probe budget if it is half-open: every route result
+// is sent.
 func (b *Balancer) route(exclude *node) *node {
-	nodes := b.nodes
-	nn := uint64(len(nodes))
-	if nn == 1 {
-		return nodes[0]
+	ex := -1
+	if exclude != nil {
+		ex = exclude.id
 	}
-	seq := b.seq.Add(1)
 	now := time.Now()
-	if b.opts.Routing == serve.RouteRoundRobin {
-		for off := uint64(0); off < nn; off++ {
-			c := nodes[(seq-1+off)%nn]
-			if c == exclude {
-				continue
-			}
-			if c.routable(now) {
-				return c
-			}
-		}
-		if c := nodes[(seq-1)%nn]; c != exclude {
-			return c
-		}
-		return nodes[seq%nn]
-	}
-	r := splitmix64(seq)
-	a, c := nodes[r%nn], nodes[(r>>32)%nn]
-	if a.id > c.id {
-		a, c = c, a
-	}
-	ra := a != exclude && a.routable(now)
-	rc := c != a && c != exclude && c.routable(now)
-	switch {
-	case ra && rc:
-		if c.score() < a.score() {
-			return c
-		}
-		return a
-	case ra:
-		return a
-	case rc:
-		return c
-	}
-	// Neither candidate usable: deterministic forward scan.
-	for off := uint64(1); off <= nn; off++ {
-		cand := nodes[(r+off)%nn]
-		if cand != exclude && cand.routable(now) {
-			return cand
-		}
-	}
-	if a != exclude {
-		return a
-	}
-	return c
+	i, _ := b.opts.Routing.Pick(len(b.nodes), &b.seq, ex,
+		func(i int) bool { return b.nodes[i].routable(now) },
+		func(i int) uint64 { return b.nodes[i].score() })
+	n := b.nodes[i]
+	n.mu.Lock()
+	n.circuit.Routed(1)
+	n.mu.Unlock()
+	return n
 }
 
 // hedgeDelay is how long a request stays outstanding before a hedge
@@ -543,9 +462,6 @@ func (b *Balancer) Do(req serve.Request) (serve.Response, error) {
 		case <-hedgeC:
 			hedgeC = nil
 			nd := b.route(primary)
-			if nd == nil || nd == primary {
-				continue
-			}
 			hedged = true
 			b.hedgesSent.Add(1)
 			nd.hedges.Add(1)
@@ -571,15 +487,12 @@ func (b *Balancer) Do(req serve.Request) (serve.Response, error) {
 				continue // the other copy may still win
 			}
 			if attempts < len(b.nodes) {
-				nd := b.route(lastFailed)
-				if nd != nil && nd != lastFailed {
-					b.retries.Add(1)
-					attempts++
-					outstanding++
-					hedgeC = nil
-					launch(nd, false)
-					continue
-				}
+				b.retries.Add(1)
+				attempts++
+				outstanding++
+				hedgeC = nil
+				launch(b.route(lastFailed), false)
+				continue
 			}
 			return serve.Response{}, fmt.Errorf("cluster: node %d (%s): %w", res.node.id, res.node.addr, res.err)
 		}
@@ -617,7 +530,7 @@ func (b *Balancer) NodeStats() []NodeCounters {
 	out := make([]NodeCounters, len(b.nodes))
 	for i, n := range b.nodes {
 		n.mu.Lock()
-		ejected := n.state != stateHealthy
+		ejected := n.circuit.State() != elements.StateClosed
 		n.mu.Unlock()
 		out[i] = NodeCounters{
 			Addr:      n.addr,

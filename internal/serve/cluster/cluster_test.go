@@ -281,6 +281,54 @@ func TestClusterFailoverEjectRecover(t *testing.T) {
 	}
 }
 
+// An ejected node that p2c considers after its dwell but passes over on
+// score must keep its probe: with health polling off, that probe is the
+// node's only way back into service.
+func TestClusterEjectedNodeKeepsProbe(t *testing.T) {
+	srv, addrA := startServer(t, serverOptions())
+	_, addrB := startServer(t, serverOptions())
+	const dwell = 20 * time.Millisecond
+	b, err := New(Options{
+		Addrs:  []string{addrA, addrB},
+		Health: HealthOptions{EjectDwell: dwell},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	// Node 0 scores worse than node 1, so it loses every p2c comparison
+	// against it; it can only win as the sole candidate of a pair.
+	n0 := b.nodes[0]
+	n0.ewmaNs.Store(uint64(time.Second))
+	b.nodes[1].ewmaNs.Store(uint64(time.Millisecond))
+	n0.mu.Lock()
+	n0.ejectLocked()
+	n0.mu.Unlock()
+	time.Sleep(2 * dwell)
+
+	for i := 0; i < 400; i++ {
+		req := sampleRequest(srv, i)
+		resp, err := b.Do(req)
+		if err != nil {
+			t.Fatalf("request %d: %v", i, err)
+		}
+		if resp.Status != serve.StatusOK || !bytes.Equal(resp.Payload, req.Payload) {
+			t.Fatalf("request %d: bad response %v", i, resp.Status)
+		}
+	}
+	st := b.NodeStats()[0]
+	if st.Requests == 0 {
+		t.Error("ejected node never received a request after its dwell")
+	}
+	if st.Ejected {
+		t.Error("ejected node never recovered")
+	}
+	if got := b.Counters()["serve/cluster/recoveries"]; got < 1 {
+		t.Errorf("serve/cluster/recoveries = %v, want >= 1", got)
+	}
+}
+
 // fakeAdmin serves a controllable /healthz document.
 type fakeAdmin struct {
 	sick atomic.Bool

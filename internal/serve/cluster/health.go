@@ -6,6 +6,8 @@ import (
 	"net/http"
 	"sync"
 	"time"
+
+	"protoacc/internal/serve/elements"
 )
 
 // healthDoc is the slice of a protoaccd /healthz document the balancer
@@ -19,10 +21,17 @@ type healthDoc struct {
 	} `json:"tiles"`
 }
 
+// Fixed /healthz polling parameters: one request's timeout, and how many
+// degraded tiles in a report mark the node sick (any).
+const (
+	healthTimeout = time.Second
+	degradedTiles = 1
+)
+
 // healthPoller polls every node's /healthz on a fixed interval and
-// drives the sick/healthy side of the ejection state machine. Transport
-// errors on the data path drive the other side; both funnel into the
-// same per-node state.
+// drives the sick/healthy side of each node's circuit. Transport errors
+// on the data path drive the other side; both funnel into the same
+// per-node circuit.
 type healthPoller struct {
 	b      *Balancer
 	client *http.Client
@@ -33,7 +42,7 @@ type healthPoller struct {
 func startHealthPoller(b *Balancer) *healthPoller {
 	p := &healthPoller{
 		b:      b,
-		client: &http.Client{Timeout: b.opts.Health.Timeout},
+		client: &http.Client{Timeout: healthTimeout},
 		stopCh: make(chan struct{}),
 	}
 	p.wg.Add(1)
@@ -76,7 +85,7 @@ func (p *healthPoller) poll(n *node) {
 				degraded++
 			}
 		}
-		sick = doc.Status != "ok" || degraded >= p.b.opts.Health.DegradedTiles
+		sick = doc.Status != "ok" || degraded >= degradedTiles
 	}
 	n.notePoll(sick)
 }
@@ -97,10 +106,10 @@ func (p *healthPoller) fetch(adminAddr string) (*healthDoc, error) {
 	return &doc, nil
 }
 
-// notePoll folds one /healthz classification into the node state:
-// SickPolls consecutive sick reports eject a healthy node, HealthyPolls
-// consecutive clean reports restore an ejected or probing one (without
-// burning a probe request on it).
+// notePoll folds one /healthz classification into the node's circuit:
+// SickPolls consecutive sick reports eject a closed node, HealthyPolls
+// consecutive clean reports restore an open or half-open one (without
+// spending a probe request on it).
 func (n *node) notePoll(sick bool) {
 	h := n.b.opts.Health
 	n.mu.Lock()
@@ -108,14 +117,14 @@ func (n *node) notePoll(sick bool) {
 	if sick {
 		n.consecSick++
 		n.consecWell = 0
-		if n.state == stateHealthy && n.consecSick >= h.SickPolls {
+		if n.circuit.State() == elements.StateClosed && n.consecSick >= h.SickPolls {
 			n.ejectLocked()
 		}
 		return
 	}
 	n.consecSick = 0
 	n.consecWell++
-	if n.state != stateHealthy && n.consecWell >= h.HealthyPolls {
+	if n.circuit.State() != elements.StateClosed && n.consecWell >= h.HealthyPolls {
 		n.restoreLocked()
 	}
 }

@@ -5,11 +5,11 @@ import (
 	"time"
 )
 
-// State is one tile's breaker position.
+// State is a Circuit's position.
 type State uint8
 
-// Breaker states, the classic three-state machine: closed (traffic
-// flows, failures are watched), open (the router avoids the tile), and
+// Circuit states, the classic three-state machine: closed (traffic
+// flows, failures are watched), open (the router avoids the target), and
 // half-open (a bounded probe stream tests recovery).
 const (
 	StateClosed State = iota
@@ -26,6 +26,84 @@ func (s State) String() string {
 	default:
 		return "closed"
 	}
+}
+
+// Circuit is the closed/open/half-open recovery machine of one routing
+// target: a tile behind the breaker, or a node of the cluster balancer.
+// The owner decides when to trip it, on its own failure signal, and
+// serializes access under its own lock; Circuit decides when the target
+// may take traffic again. Open sits out Dwell, and the first routing
+// query after that half-opens the target. Half-open admits Probes
+// requests, and only requests actually sent (Routed) spend that budget,
+// so a target the router considers and passes over keeps its probe.
+type Circuit struct {
+	Dwell  time.Duration // how long Open sits out before half-opening
+	Probes int           // half-open budget; this many successes close
+
+	state    State
+	openedAt time.Time
+	sent     int // half-open: probes sent
+	passed   int // half-open: probes that succeeded
+}
+
+// State returns the circuit's position without transitioning it.
+func (c *Circuit) State() State { return c.state }
+
+// Routable reports whether a request may be sent to the target at now.
+// An open circuit whose dwell has elapsed half-opens here, which
+// halfOpened reports; a half-open one stays routable, however often it
+// is asked, until Routed has spent its budget.
+func (c *Circuit) Routable(now time.Time) (ok, halfOpened bool) {
+	switch c.state {
+	case StateClosed:
+		return true, false
+	case StateOpen:
+		if now.Sub(c.openedAt) < c.Dwell {
+			return false, false
+		}
+		c.state, c.sent, c.passed = StateHalfOpen, 0, 0
+		return true, true
+	default: // StateHalfOpen
+		return c.sent < c.Probes, false
+	}
+}
+
+// Routed records n requests sent to the target and returns how many of
+// them were probes: only a half-open circuit spends its budget.
+func (c *Circuit) Routed(n int) (probes int) {
+	if c.state != StateHalfOpen {
+		return 0
+	}
+	c.sent += n
+	return n
+}
+
+// Open trips the circuit at now, from closed or, on a failed probe, from
+// half-open; either way the dwell starts over.
+func (c *Circuit) Open(now time.Time) {
+	c.state, c.openedAt = StateOpen, now
+}
+
+// Passed records n successful requests and reports whether they closed
+// the circuit, which a half-open one does once Probes have passed.
+func (c *Circuit) Passed(n int) (closed bool) {
+	if c.state != StateHalfOpen {
+		return false
+	}
+	c.passed += n
+	if c.passed < c.Probes {
+		return false
+	}
+	c.state = StateClosed
+	return true
+}
+
+// Close restores the target without a probe, on evidence from outside
+// the data path, and reports whether it was not closed already.
+func (c *Circuit) Close() bool {
+	was := c.state
+	c.state = StateClosed
+	return was != StateClosed
 }
 
 // windowBuckets is the rolling window's resolution: failure rates are
@@ -47,7 +125,7 @@ type Event struct {
 
 // brTile is one tile's breaker state.
 type brTile struct {
-	state State
+	c Circuit
 
 	// Rolling failure window: slot i holds the counts of epoch epochs[i];
 	// slots whose epoch has rotated out of the window are ignored (and
@@ -56,11 +134,8 @@ type brTile struct {
 	fails  [windowBuckets]uint64
 	epochs [windowBuckets]int64
 
-	openedAt     time.Time // last transition into StateOpen
-	probesRouted int       // half-open: probe budget consumed by the router
-	probeOK      int       // half-open: successful probe requests observed
-	trips        uint64    // closed→open transitions (reopens excluded)
-	lastTrip     time.Time
+	trips    uint64 // closed→open transitions (reopens excluded)
+	lastTrip time.Time
 }
 
 // Breaker is the per-tile circuit-breaker element. The router asks
@@ -95,7 +170,7 @@ func newBreaker(cfg Config, tiles int) *Breaker {
 		b.bucketDur = time.Millisecond
 	}
 	for i := 0; i < tiles; i++ {
-		b.tiles = append(b.tiles, &brTile{})
+		b.tiles = append(b.tiles, &brTile{c: Circuit{Dwell: cfg.OpenFor, Probes: cfg.Probes}})
 	}
 	return b
 }
@@ -117,29 +192,17 @@ func (b *Breaker) record(tile int, from, to State, now time.Time) {
 	b.evNext = (b.evNext + 1) % eventRingCap
 }
 
-// Routable reports whether the router may place new work on tile. An
-// open breaker whose dwell has expired transitions to half-open here —
-// routing pressure is what drives recovery probing — and then admits
-// probes until the half-open budget is spent.
+// Routable reports whether the router may place new work on tile; see
+// Circuit.Routable. Routing pressure is what drives recovery probing.
 func (b *Breaker) Routable(tile int, now time.Time) bool {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	t := b.tiles[tile]
-	switch t.state {
-	case StateClosed:
-		return true
-	case StateOpen:
-		if now.Sub(t.openedAt) < b.cfg.OpenFor {
-			return false
-		}
-		t.state = StateHalfOpen
-		t.probesRouted, t.probeOK = 0, 0
+	ok, halfOpened := b.tiles[tile].c.Routable(now)
+	if halfOpened {
 		b.halfOpens++
 		b.record(tile, StateOpen, StateHalfOpen, now)
-		return true
-	default: // StateHalfOpen
-		return t.probesRouted < b.cfg.Probes
 	}
+	return ok
 }
 
 // NoteRouted records that n requests were just placed on tile; while
@@ -147,11 +210,7 @@ func (b *Breaker) Routable(tile int, now time.Time) bool {
 func (b *Breaker) NoteRouted(tile, n int, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	t := b.tiles[tile]
-	if t.state == StateHalfOpen {
-		t.probesRouted += n
-		b.probes += uint64(n)
-	}
+	b.probes += uint64(b.tiles[tile].c.Routed(n))
 }
 
 // NoteReroute counts requests the router steered away from their
@@ -182,7 +241,7 @@ func (b *Breaker) Observe(tile int, reqs, fails uint64, now time.Time) {
 	t.reqs[slot] += reqs
 	t.fails[slot] += fails
 
-	switch t.state {
+	switch t.c.State() {
 	case StateClosed:
 		var wr, wf uint64
 		for i := 0; i < windowBuckets; i++ {
@@ -192,23 +251,20 @@ func (b *Breaker) Observe(tile int, reqs, fails uint64, now time.Time) {
 			}
 		}
 		if wr >= uint64(b.cfg.MinVolume) && float64(wf) >= b.cfg.TripRate*float64(wr) {
-			t.state = StateOpen
-			t.openedAt, t.lastTrip = now, now
+			t.c.Open(now)
+			t.lastTrip = now
 			t.trips++
 			b.trips++
 			b.record(tile, StateClosed, StateOpen, now)
 		}
 	case StateHalfOpen:
 		if fails > 0 {
-			t.state = StateOpen
-			t.openedAt = now
+			t.c.Open(now)
 			b.reopens++
 			b.record(tile, StateHalfOpen, StateOpen, now)
 			return
 		}
-		t.probeOK += int(reqs)
-		if t.probeOK >= b.cfg.Probes {
-			t.state = StateClosed
+		if t.c.Passed(int(reqs)) {
 			// A fresh closed window: the failures that tripped the breaker
 			// predate recovery and must not re-trip it instantly.
 			for i := 0; i < windowBuckets; i++ {
@@ -226,7 +282,7 @@ func (b *Breaker) Observe(tile int, reqs, fails uint64, now time.Time) {
 func (b *Breaker) StateOf(tile int) State {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return b.tiles[tile].state
+	return b.tiles[tile].c.State()
 }
 
 // TileBreaker is one tile's breaker summary for /healthz and /statusz.
@@ -247,7 +303,7 @@ func (b *Breaker) TileStates(now time.Time) []TileBreaker {
 	epoch := b.epochAt(now)
 	out := make([]TileBreaker, len(b.tiles))
 	for i, t := range b.tiles {
-		s := TileBreaker{Tile: i, State: t.state.String(), Trips: t.trips}
+		s := TileBreaker{Tile: i, State: t.c.State().String(), Trips: t.trips}
 		if !t.lastTrip.IsZero() {
 			s.LastTripS = t.lastTrip.Sub(b.start).Seconds()
 		}

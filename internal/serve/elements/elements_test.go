@@ -230,6 +230,93 @@ func TestConfigWithDefaultsNaNSafe(t *testing.T) {
 	}
 }
 
+// Circuit transitions step by step, on a fabricated clock, with a 10ms
+// dwell and a two-probe budget. Each step checks the operation's result
+// and the position after it.
+func TestCircuit(t *testing.T) {
+	const ms = time.Millisecond
+	type step struct {
+		op    string        // open, query, routed, passed, close
+		at    time.Duration // clock of open and query
+		n     int           // requests of routed and passed
+		want  bool          // query: routable; passed: closed it; close: was not closed
+		state State
+	}
+	cases := []struct {
+		name  string
+		steps []step
+	}{
+		{"not routable before the dwell", []step{
+			{op: "query", want: true, state: StateClosed},
+			{op: "open", state: StateOpen},
+			{op: "query", at: 9 * ms, state: StateOpen},
+			{op: "query", at: 10 * ms, want: true, state: StateHalfOpen},
+		}},
+		{"half-open keeps its budget until routed", []step{
+			{op: "open", state: StateOpen},
+			{op: "query", at: 10 * ms, want: true, state: StateHalfOpen},
+			{op: "query", at: 11 * ms, want: true, state: StateHalfOpen},
+			{op: "query", at: 12 * ms, want: true, state: StateHalfOpen},
+			{op: "routed", n: 1, state: StateHalfOpen},
+			{op: "query", at: 13 * ms, want: true, state: StateHalfOpen},
+			{op: "routed", n: 1, state: StateHalfOpen},
+			{op: "query", at: 14 * ms, state: StateHalfOpen},
+		}},
+		{"failure re-opens with a fresh dwell", []step{
+			{op: "open", state: StateOpen},
+			{op: "query", at: 10 * ms, want: true, state: StateHalfOpen},
+			{op: "routed", n: 1, state: StateHalfOpen},
+			{op: "open", at: 12 * ms, state: StateOpen},
+			{op: "query", at: 21 * ms, state: StateOpen},
+			{op: "query", at: 22 * ms, want: true, state: StateHalfOpen},
+			{op: "query", at: 23 * ms, want: true, state: StateHalfOpen},
+		}},
+		{"budget successes close", []step{
+			{op: "open", state: StateOpen},
+			{op: "query", at: 10 * ms, want: true, state: StateHalfOpen},
+			{op: "routed", n: 2, state: StateHalfOpen},
+			{op: "passed", n: 1, state: StateHalfOpen},
+			{op: "passed", n: 1, want: true, state: StateClosed},
+			{op: "query", at: 11 * ms, want: true, state: StateClosed},
+		}},
+		{"successes while open do nothing", []step{
+			{op: "open", state: StateOpen},
+			{op: "passed", n: 5, state: StateOpen},
+			{op: "routed", n: 5, state: StateOpen},
+			{op: "query", at: 9 * ms, state: StateOpen},
+		}},
+		{"close restores without a probe", []step{
+			{op: "open", state: StateOpen},
+			{op: "close", want: true, state: StateClosed},
+			{op: "close", state: StateClosed},
+		}},
+	}
+	t0 := time.Unix(0, 0)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			c := Circuit{Dwell: 10 * ms, Probes: 2}
+			for i, s := range tc.steps {
+				var got bool
+				switch s.op {
+				case "open":
+					c.Open(t0.Add(s.at))
+				case "query":
+					got, _ = c.Routable(t0.Add(s.at))
+				case "routed":
+					c.Routed(s.n)
+				case "passed":
+					got = c.Passed(s.n)
+				case "close":
+					got = c.Close()
+				}
+				if got != s.want || c.State() != s.state {
+					t.Fatalf("step %d %s: got %v in %v, want %v in %v", i, s.op, got, c.State(), s.want, s.state)
+				}
+			}
+		})
+	}
+}
+
 // drillBreaker builds a breaker with a fast test config: 80ms window
 // (10ms buckets), trip at 50% over ≥4 requests, 50ms open dwell, 2
 // probes.

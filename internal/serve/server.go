@@ -59,6 +59,96 @@ func ParseRouting(s string) (Routing, error) {
 	}
 }
 
+// Pick is the one placement decision behind both routing levels: jobs
+// onto tiles (Server.pick) and requests onto cluster nodes
+// (cluster.Balancer). It chooses one of n candidates, advancing seq, the
+// caller's routing sequence, once per call. Candidate exclude (-1 for
+// none) is never picked while another exists. routable reports whether
+// a candidate may take work now; score ranks two routable p2c
+// candidates, lower wins.
+//
+// Round-robin takes the first routable candidate at or after
+// (seq-1) mod n. P2c hashes seq into two candidates and takes the
+// routable one with the lower score, ties to the lower index; if
+// neither is routable it scans forward from the hash. When nothing is
+// routable the policy's own choice among the non-excluded candidates
+// serves anyway: a pool that is all down must degrade to "try", not
+// "refuse". rerouted reports that routability moved the pick off that
+// choice. With one candidate Pick returns 0 without advancing seq or
+// querying it.
+func (r Routing) Pick(n int, seq *atomic.Uint64, exclude int, routable func(int) bool, score func(int) uint64) (pick int, rerouted bool) {
+	if n == 1 {
+		return 0, false
+	}
+	s, un := seq.Add(1), uint64(n)
+	if r == RouteRoundRobin {
+		own := -1
+		for off := uint64(0); off < un; off++ {
+			c := int((s - 1 + off) % un)
+			if c == exclude {
+				continue
+			}
+			if own < 0 {
+				own = c
+			}
+			if routable(c) {
+				return c, c != own
+			}
+		}
+		return own, false
+	}
+	h := splitmix64(s)
+	a, b := int(h%un), int((h>>32)%un)
+	if a > b {
+		a, b = b, a
+	}
+	ea, eb := a != exclude, b != a && b != exclude
+	ra, rb := ea && routable(a), eb && routable(b)
+	switch {
+	case ra && rb:
+		return lowerScore(a, b, score), false
+	case ra:
+		return a, eb
+	case rb:
+		return b, ea
+	}
+	for off := uint64(1); off <= un; off++ {
+		c := int((h + off) % un)
+		if c != exclude && routable(c) {
+			return c, true
+		}
+	}
+	switch {
+	case ea && eb:
+		return lowerScore(a, b, score), false
+	case ea:
+		return a, false
+	case eb:
+		return b, false
+	}
+	return (a + 1) % n, false // a is excluded and b is a
+}
+
+// lowerScore is the p2c comparison: b wins only on a strictly lower
+// score, so ties go to a, the lower index.
+func lowerScore(a, b int, score func(int) uint64) int {
+	if score(b) < score(a) {
+		return b
+	}
+	return a
+}
+
+// splitmix64 is the same mixing function the fault scheduler uses: a
+// cheap, high-quality hash of the routing sequence number, so
+// power-of-two-choices candidate picks are reproducible for a given
+// arrival order without any locked RNG state.
+func splitmix64(x uint64) uint64 {
+	x += 0x9e3779b97f4a7c15
+	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
+	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
+	return x ^ (x >> 31)
+}
+
 // CycleMode selects how much cycle-model bookkeeping the serving data
 // plane pays per request.
 type CycleMode uint8
@@ -432,71 +522,21 @@ func (s *Server) ConfigFingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// pick routes one job to a tile. Round-robin walks the routing sequence;
-// power-of-two-choices hashes it into two candidates and takes the one
-// with the shallower queue (ties toward the lower id, so the choice is
-// deterministic for a given arrival order and queue state).
-//
-// With the breaker element on, an open tile is treated like quarantine:
-// round-robin scans deterministically forward to the next routable tile,
-// p2c filters its candidates (falling back to a scan when both are
-// open). If every breaker is open the preferred tile serves anyway —
-// shedding everything on an all-open fleet would turn a partial outage
-// into a total one. With every breaker closed — and always with the
-// chain off — placement is bit-identical to the pre-breaker router,
-// which is what keeps the rr determinism contract intact.
+// pick routes one job to a tile through Routing.Pick, scoring tiles by
+// admission queue depth. With the breaker element on, a tile whose
+// breaker is not routable is skipped like a quarantined one and the
+// reroute is counted; with every breaker closed, and always with the
+// chain off, placement is a pure function of the routing sequence and
+// queue state, which is what keeps the rr determinism contract intact.
 func (s *Server) pick() *tile {
-	n := uint64(len(s.tiles))
-	if n == 1 {
-		return s.tiles[0]
-	}
-	seq := s.routeSeq.Add(1)
 	br := s.breaker()
-	if s.opts.Routing == RouteRoundRobin {
-		t := s.tiles[(seq-1)%n]
-		if br == nil || br.Routable(t.id, time.Now()) {
-			return t
-		}
-		now := time.Now()
-		for off := uint64(1); off < n; off++ {
-			c := s.tiles[(seq-1+off)%n]
-			if br.Routable(c.id, now) {
-				br.NoteReroute(1)
-				return c
-			}
-		}
-		return t
+	i, rerouted := s.opts.Routing.Pick(len(s.tiles), &s.routeSeq, -1,
+		func(i int) bool { return br == nil || br.Routable(i, time.Now()) },
+		func(i int) uint64 { return uint64(len(s.tiles[i].queue)) })
+	if rerouted {
+		br.NoteReroute(1)
 	}
-	r := splitmix64(seq)
-	a, b := s.tiles[r%n], s.tiles[(r>>32)%n]
-	if a.id > b.id {
-		a, b = b, a
-	}
-	if br != nil {
-		now := time.Now()
-		ra, rb := br.Routable(a.id, now), br.Routable(b.id, now)
-		switch {
-		case ra && !rb:
-			br.NoteReroute(1)
-			return a
-		case !ra && rb:
-			br.NoteReroute(1)
-			return b
-		case !ra && !rb:
-			for off := uint64(1); off <= n; off++ {
-				c := s.tiles[(r+off)%n]
-				if br.Routable(c.id, now) {
-					br.NoteReroute(1)
-					return c
-				}
-			}
-			// Every breaker open: fall through to the plain p2c choice.
-		}
-	}
-	if len(b.queue) < len(a.queue) {
-		return b
-	}
-	return a
+	return s.tiles[i]
 }
 
 // enqueue routes one job; false means the chosen tile's queue was full.

@@ -879,14 +879,3 @@ func (t *tile) CollectTelemetry(emit func(name string, value float64)) {
 	emit("cycles/adt_stall", cyc.ADTMiss)
 	emit("cycles/sampled_requests", float64(sampled))
 }
-
-// splitmix64 is the same mixing function the fault scheduler uses: a
-// cheap, high-quality hash of the routing sequence number, so
-// power-of-two-choices candidate picks are reproducible for a given
-// arrival order without any locked RNG state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
