@@ -24,7 +24,6 @@ import (
 
 	"protoacc/internal/serve"
 	"protoacc/internal/serve/cluster"
-	"protoacc/internal/telemetry"
 )
 
 // parseAddrList splits a comma list of host:port entries.
@@ -42,18 +41,14 @@ func parseAddrList(flagName, s string) ([]string, error) {
 
 // clusterOptions assembles the balancer configuration from the -cluster
 // flag family. Health polling turns on iff -cluster-admin is given.
-func clusterOptions(addrs, admins, routing string, hedge bool, quantile float64) (cluster.Options, error) {
+func clusterOptions(addrs, admins string, routing serve.Routing, hedge bool, quantile float64) (cluster.Options, error) {
 	list, err := parseAddrList("-cluster", addrs)
-	if err != nil {
-		return cluster.Options{}, err
-	}
-	route, err := serve.ParseRouting(routing)
 	if err != nil {
 		return cluster.Options{}, err
 	}
 	opts := cluster.Options{
 		Addrs:   list,
-		Routing: route,
+		Routing: routing,
 		// A bounded wait keeps a wedged daemon from pinning loadgen
 		// workers forever; the balancer fails over on the timeout.
 		Dial:  serve.DialOptions{Timeout: 10 * time.Second},
@@ -176,24 +171,6 @@ func stopAll(ds []*daemon) {
 	}
 }
 
-// clusterPoint is one pool size's merged measurement across every
-// (schema, op) pass.
-type clusterPoint struct {
-	nodes    int
-	elapsed  time.Duration
-	ok       uint64
-	fellBack uint64
-	failures uint64
-	latency  telemetry.Histogram
-}
-
-func (p *clusterPoint) rps() float64 {
-	if p.elapsed <= 0 {
-		return 0
-	}
-	return float64(p.ok) / p.elapsed.Seconds()
-}
-
 // hedgeCell is one hedging-off/on pass of the hedge drill.
 type hedgeCell struct {
 	hedged    bool
@@ -227,8 +204,9 @@ func runClusterSweep(bin string, runOpts serve.LoadgenOptions, schemas []string,
 		bin = path
 	}
 
-	var points []*clusterPoint
-	for _, n := range []int{1, 2, 4} {
+	sizes := []int{1, 2, 4}
+	var points []*serve.LoadgenReport
+	for _, n := range sizes {
 		pt, err := runScalingPoint(bin, n, runOpts, schemas, ops)
 		if err != nil {
 			return err
@@ -246,7 +224,7 @@ func runClusterSweep(bin string, runOpts serve.LoadgenOptions, schemas []string,
 	}
 
 	if out != "" {
-		if err := writeClusterMarkdown(out, mode, runOpts, points, hedgeCells, drill); err != nil {
+		if err := writeClusterMarkdown(out, mode, runOpts, sizes, points, hedgeCells, drill); err != nil {
 			return err
 		}
 		fmt.Printf("report written to %s\n", out)
@@ -255,8 +233,8 @@ func runClusterSweep(bin string, runOpts serve.LoadgenOptions, schemas []string,
 }
 
 // runScalingPoint measures one pool size: n fresh daemons, p2c routing,
-// hedging off, every (schema, op) pass merged into one point.
-func runScalingPoint(bin string, n int, runOpts serve.LoadgenOptions, schemas []string, ops []serve.Op) (*clusterPoint, error) {
+// hedging off, every (schema, op) pass merged into one report.
+func runScalingPoint(bin string, n int, runOpts serve.LoadgenOptions, schemas []string, ops []serve.Op) (*serve.LoadgenReport, error) {
 	var ds []*daemon
 	for i := 0; i < n; i++ {
 		d, err := spawnDaemon(bin)
@@ -277,31 +255,15 @@ func runScalingPoint(bin string, n int, runOpts serve.LoadgenOptions, schemas []
 	}
 	defer b.Close()
 
-	pt := &clusterPoint{nodes: n}
-	for _, name := range schemas {
-		for _, op := range ops {
-			ro := runOpts
-			ro.Dial = func() (serve.Doer, error) { return b.Client(), nil }
-			ro.Schema = name
-			ro.Op = op
-			rep, err := serve.RunLoadgen(ro)
-			if err != nil {
-				return nil, err
-			}
-			fmt.Printf("nodes=%d ", n)
-			printReport(os.Stdout, rep)
-			pt.elapsed += rep.Elapsed
-			pt.ok += rep.OK
-			pt.fellBack += rep.FellBack
-			pt.failures += rep.CheckFailures + rep.Errors
-			pt.latency.Merge(&rep.Latency)
-		}
+	_, total, err := runPasses(fmt.Sprintf("nodes=%d ", n), func() (serve.Doer, error) { return b.Client(), nil }, runOpts, schemas, ops)
+	if err != nil {
+		return nil, err
 	}
 	printClusterStats(os.Stdout, b)
-	if pt.failures > 0 {
-		return nil, fmt.Errorf("loadgen: FAILED (%d check failures or transport errors at %d nodes)", pt.failures, n)
+	if failures := total.CheckFailures + total.Errors; failures > 0 {
+		return nil, fmt.Errorf("loadgen: FAILED (%d check failures or transport errors at %d nodes)", failures, n)
 	}
-	return pt, nil
+	return total, nil
 }
 
 // runHedgeDrill measures hedging against a straggler: one healthy node
@@ -522,7 +484,7 @@ func runEjectionDrill(bin string, catalog *serve.Catalog, schema string) (*eject
 
 // writeClusterMarkdown writes the disaggregated-pool report (overwriting
 // path): scaling table, hedge drill, ejection timeline.
-func writeClusterMarkdown(path, mode string, runOpts serve.LoadgenOptions, points []*clusterPoint, hedge [2]hedgeCell, drill *ejectDrill) error {
+func writeClusterMarkdown(path, mode string, runOpts serve.LoadgenOptions, sizes []int, points []*serve.LoadgenReport, hedge [2]hedgeCell, drill *ejectDrill) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -542,16 +504,16 @@ func writeClusterMarkdown(path, mode string, runOpts serve.LoadgenOptions, point
 	fmt.Fprintf(f, "|---:|---:|---:|---:|---:|---:|---:|---:|\n")
 	base := 0.0
 	if len(points) > 0 {
-		base = points[0].rps()
+		base = points[0].RPS()
 	}
-	for _, p := range points {
+	for i, p := range points {
 		speedup := 0.0
 		if base > 0 {
-			speedup = p.rps() / base
+			speedup = p.RPS() / base
 		}
 		fmt.Fprintf(f, "| %d | %.0f | %.2fx | %d | %d | %v | %v | %v |\n",
-			p.nodes, p.rps(), speedup, p.ok, p.fellBack,
-			p.latency.Quantile(0.50), p.latency.Quantile(0.99), p.latency.Quantile(0.999))
+			sizes[i], p.RPS(), speedup, p.OK, p.FellBack,
+			p.Latency.Quantile(0.50), p.Latency.Quantile(0.99), p.Latency.Quantile(0.999))
 	}
 
 	offRep, onRep := hedge[0].report, hedge[1].report

@@ -56,9 +56,10 @@
 // With -addr it dials an already-running daemon over TCP (one connection
 // per worker). Without -addr it starts an in-process server and drives it
 // through the direct client — the zero-network configuration the checked
-// in results/serve_throughput.md is measured with; the -tiles through
-// -stats-out flags configure that in-process server and are rejected with
-// -addr.
+// in results/serve_throughput.md is measured with. The server flags it
+// shares with protoaccd (serve.Options.RegisterFlags), -tile-sweep,
+// -elements-sweep and -stats-out configure that in-process server; -addr
+// rejects each of them when given, even at its default value.
 //
 // -scrape writes an observability report pairing the client-observed
 // latency percentiles with the server-side stage breakdown (queue wait,
@@ -87,7 +88,6 @@ import (
 	"net/http"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strconv"
 	"strings"
 	"time"
@@ -121,79 +121,64 @@ func main() {
 
 	clusterAddrs := flag.String("cluster", "", "comma-separated protoaccd data addresses; drives the pool through the client-side balancer")
 	clusterAdmin := flag.String("cluster-admin", "", "comma-separated admin addresses parallel to -cluster; enables /healthz polling and node ejection")
-	clusterRouting := flag.String("cluster-routing", "p2c", "balancer node placement: p2c (in-flight × latency scoring) or rr (deterministic round-robin)")
+	var clusterRouting serve.Routing
+	flag.Var(&clusterRouting, "cluster-routing", `balancer node placement: p2c (in-flight × latency scoring) or rr (deterministic round-robin) (default "p2c")`)
 	hedge := flag.Bool("hedge", false, "hedge straggler requests against a second node after an adaptive quantile delay (needs ≥2 cluster nodes)")
 	hedgeQuantile := flag.Float64("hedge-quantile", 0.95, "OK-latency quantile the hedge delay adapts to")
 	clusterSweep := flag.Bool("cluster-sweep", false, "spawn local protoaccd daemons and run the disaggregated-pool measurement (1→2→4 scaling, hedge drill, ejection drill); writes -out")
 	protoaccdBin := flag.String("protoaccd-bin", "", "protoaccd binary for -cluster-sweep (empty = find \"protoaccd\" in PATH)")
 
-	tiles := flag.Int("tiles", 0, "in-process server: accelerator tiles behind the router (0 = default 1)")
-	routing := flag.String("routing", "p2c", "in-process server: tile placement policy, p2c or rr")
+	// The in-process server's flags are the set protoaccd binds too;
+	// server keeps their names for the conflict checks below.
+	opts := serve.Options{Catalog: serve.DefaultCatalog()}
+	var server flag.FlagSet
+	opts.RegisterFlags(&server)
+	server.VisitAll(func(f *flag.Flag) { flag.Var(f.Value, f.Name, "in-process server: "+f.Usage) })
 	tileSweep := flag.String("tile-sweep", "", "run every pass once per tile count in this comma list (e.g. 1,2,4) and report scaling; implies in-process servers")
-	elementsSpec := flag.String("elements", "", "in-process server: data-plane element chain (\"all\", \"off\", or comma list of admission,breaker,cache)")
 	elementsSweep := flag.Bool("elements-sweep", false, "run the skewed-traffic element comparison (chain off vs on at several skew levels, plus a breaker trip/recovery drill) and report; implies in-process servers")
-	workers := flag.Int("workers", 0, "in-process server: total batch executors (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("max-batch", 0, "in-process server: max requests per batch")
-	batchWindow := flag.Duration("batch-window", 0, "in-process server: batch coalescing window")
-	queueDepth := flag.Int("queue-depth", 0, "in-process server: per-tile admission queue bound")
-	faultSpec := flag.String("faults", "", "in-process server fault injection: RATE or RATE@site,... (sites: "+strings.Join(faults.SiteNames(), ",")+")")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed of the deterministic fault schedule")
-	faultTiles := flag.String("fault-tiles", "", "comma-separated tile ids the fault schedule applies to (empty = every tile)")
 	statsOut := flag.String("stats-out", "", "in-process server: write merged telemetry counters on exit")
-	cycleMode := flag.String("cycle-mode", "exact", "in-process server cycle accounting: exact (every request) or sampled (1-in-N requests carry full attribution)")
-	cycleSampleN := flag.Int("cycle-sample-n", 0, "in-process server: sampling period for -cycle-mode sampled (0 = default 8)")
-	spanSampleN := flag.Int("span-sample-n", 0, "in-process server: sample every N'th admitted request with a lifecycle span (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the run (loadgen + in-process server) to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file on exit")
 	flag.Parse()
 
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
+	stopProfiles, err := telemetry.StartProfiles(*cpuprofile, *memprofile)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
+	defer func() {
+		if err := stopProfiles(); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+		}
+	}()
 
-	serverFlags := *tiles != 0 || *routing != "p2c" || *tileSweep != "" ||
-		*elementsSpec != "" || *elementsSweep ||
-		*workers != 0 || *maxBatch != 0 || *batchWindow != 0 ||
-		*queueDepth != 0 || *faultSpec != "" || *faultTiles != "" || *statsOut != "" ||
-		*cycleMode != "exact" || *cycleSampleN != 0 || *spanSampleN != 0
-	if *addr != "" && serverFlags {
-		fmt.Fprintln(os.Stderr, "loadgen: -tiles/-routing/-tile-sweep/-elements/-elements-sweep/-workers/-max-batch/-batch-window/-queue-depth/-faults/-fault-tiles/-stats-out/-cycle-mode/-cycle-sample-n/-span-sample-n configure the in-process server and conflict with -addr")
+	var serverFlags, clusterFlags []string
+	flag.Visit(func(f *flag.Flag) {
+		switch f.Name {
+		case "tile-sweep", "elements-sweep", "stats-out":
+			serverFlags = append(serverFlags, "-"+f.Name)
+		case "cluster-admin", "cluster-routing", "hedge", "hedge-quantile", "protoaccd-bin":
+			clusterFlags = append(clusterFlags, "-"+f.Name)
+		default:
+			if server.Lookup(f.Name) != nil {
+				serverFlags = append(serverFlags, "-"+f.Name)
+			}
+		}
+	})
+	if *addr != "" && len(serverFlags) > 0 {
+		fmt.Fprintf(os.Stderr, "loadgen: in-process server flags conflict with -addr: %s\n", strings.Join(serverFlags, " "))
 		os.Exit(2)
 	}
 	clusterMode := *clusterAddrs != "" || *clusterSweep
-	clusterFlags := *clusterAdmin != "" || *clusterRouting != "p2c" || *hedge || *hedgeQuantile != 0.95 || *protoaccdBin != ""
-	if clusterFlags && !clusterMode {
-		fmt.Fprintln(os.Stderr, "loadgen: -cluster-admin/-cluster-routing/-hedge/-hedge-quantile/-protoaccd-bin need -cluster or -cluster-sweep")
+	if len(clusterFlags) > 0 && !clusterMode {
+		fmt.Fprintf(os.Stderr, "loadgen: cluster flags need -cluster or -cluster-sweep: %s\n", strings.Join(clusterFlags, " "))
 		os.Exit(2)
 	}
 	if *clusterAddrs != "" && *clusterSweep {
 		fmt.Fprintln(os.Stderr, "loadgen: -cluster-sweep spawns its own daemons and conflicts with -cluster")
 		os.Exit(2)
 	}
-	if clusterMode && (*addr != "" || serverFlags) {
+	if clusterMode && (*addr != "" || len(serverFlags) > 0) {
 		fmt.Fprintln(os.Stderr, "loadgen: -cluster/-cluster-sweep replace the single -addr target and do not combine with -addr or the in-process server flags")
 		os.Exit(2)
 	}
@@ -225,33 +210,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen: -scrape does not combine with -tile-sweep (one report per server)")
 		os.Exit(2)
 	}
-	cycles, err := serve.ParseCycleMode(*cycleMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	faultCfg, err := faults.ParseFlag(*faultSpec, *faultSeed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	faultTileIDs, err := parseTileList(*faultTiles)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	routePolicy, err := serve.ParseRouting(*routing)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	elemCfg, err := elements.ParseSpec(*elementsSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-
-	catalog := serve.DefaultCatalog()
+	catalog := opts.Catalog
 	var schemas []string
 	if *schema == "all" {
 		schemas = catalog.Names()
@@ -276,20 +235,6 @@ func main() {
 		mode = fmt.Sprintf("open-loop %.0f/s", *rate)
 	}
 
-	opts := serve.Options{
-		Catalog:      catalog,
-		Routing:      routePolicy,
-		FaultTiles:   faultTileIDs,
-		Workers:      *workers,
-		MaxBatch:     *maxBatch,
-		BatchWindow:  *batchWindow,
-		QueueDepth:   *queueDepth,
-		CycleMode:    cycles,
-		CycleSampleN: *cycleSampleN,
-		SpanSampleN:  *spanSampleN,
-		Elements:     elemCfg,
-		Faults:       faultCfg,
-	}
 	runOpts := serve.LoadgenOptions{
 		Catalog:     catalog,
 		Duration:    *duration,
@@ -298,27 +243,6 @@ func main() {
 		ZipfS:       *skew,
 		Timeout:     *timeout,
 		Check:       *check,
-	}
-
-	if *workload != "" {
-		if err := runWorkloads(workloadsRun{
-			mode:     *workload,
-			seed:     *traceSeed,
-			records:  *traceLen,
-			hops:     *hops,
-			workers:  *concurrency,
-			timeout:  *timeout,
-			check:    *check,
-			addr:     *addr,
-			tiles:    *tiles,
-			opts:     opts,
-			out:      *out,
-			statsOut: *statsOut,
-		}); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
 	}
 
 	if *tileSweep != "" {
@@ -357,8 +281,9 @@ func main() {
 	var srv *serve.Server
 	var bal *cluster.Balancer
 	target := *addr
-	if *clusterAddrs != "" {
-		copts, err := clusterOptions(*clusterAddrs, *clusterAdmin, *clusterRouting, *hedge, *hedgeQuantile)
+	switch {
+	case *clusterAddrs != "":
+		copts, err := clusterOptions(*clusterAddrs, *clusterAdmin, clusterRouting, *hedge, *hedgeQuantile)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -369,9 +294,8 @@ func main() {
 			os.Exit(1)
 		}
 		dial = func() (serve.Doer, error) { return bal.Client(), nil }
-		target = fmt.Sprintf("cluster of %d nodes (routing=%s hedge=%v)", bal.Nodes(), *clusterRouting, *hedge)
-	} else if *addr == "" {
-		opts.Tiles = *tiles
+		target = fmt.Sprintf("cluster of %d nodes (routing=%s hedge=%v)", bal.Nodes(), clusterRouting, *hedge)
+	case *addr == "":
 		srv, err = serve.NewServer(opts)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -379,8 +303,47 @@ func main() {
 		}
 		dial = func() (serve.Doer, error) { return srv.InProc(), nil }
 		target = fmt.Sprintf("in-process (tiles=%d routing=%s workers=%d)", srv.Tiles(), srv.Routing(), srv.Workers())
-	} else {
+	default:
 		dial = func() (serve.Doer, error) { return serve.Dial(*addr) }
+	}
+	// closeServer drains the in-process server, if there is one, and
+	// writes its telemetry to -stats-out.
+	closeServer := func() {
+		if srv == nil {
+			return
+		}
+		srv.Close()
+		if *statsOut == "" {
+			return
+		}
+		m := telemetry.NewManifest("loadgen "+strings.Join(os.Args[1:], " "), srv.ConfigFingerprint(), srv.Workers())
+		if err := telemetry.WriteStatsFile(*statsOut, m, srv.TelemetrySnapshot()); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		fmt.Printf("server telemetry written to %s\n", *statsOut)
+	}
+
+	if *workload != "" {
+		err := runWorkloads(workloadsRun{
+			mode:    *workload,
+			seed:    *traceSeed,
+			records: *traceLen,
+			hops:    *hops,
+			workers: *concurrency,
+			timeout: *timeout,
+			check:   *check,
+			catalog: catalog,
+			dial:    dial,
+			target:  target,
+			out:     *out,
+		})
+		closeServer()
+		if err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+		return
 	}
 
 	fmt.Printf("loadgen: target %s, %s, concurrency %d, %v per pass\n", target, mode, *concurrency, *duration)
@@ -390,26 +353,12 @@ func main() {
 		sc = startScraper(*adminURL)
 	}
 
-	var reports []*serve.LoadgenReport
-	failed := false
-	for _, name := range schemas {
-		for _, o := range ops {
-			ro := runOpts
-			ro.Dial = dial
-			ro.Schema = name
-			ro.Op = o
-			rep, err := serve.RunLoadgen(ro)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			printReport(os.Stdout, rep)
-			if rep.CheckFailures > 0 || rep.Errors > 0 {
-				failed = true
-			}
-			reports = append(reports, rep)
-		}
+	reports, total, err := runPasses("", dial, runOpts, schemas, ops)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
 	}
+	failed := total.CheckFailures > 0 || total.Errors > 0
 
 	if sc != nil {
 		sc.stop()
@@ -432,16 +381,7 @@ func main() {
 		}
 		fmt.Printf("report written to %s\n", *out)
 	}
-	if srv != nil {
-		srv.Close()
-		if *statsOut != "" {
-			if err := writeStats(*statsOut, srv); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				os.Exit(1)
-			}
-			fmt.Printf("server telemetry written to %s\n", *statsOut)
-		}
-	}
+	closeServer()
 
 	// Observability artifacts: the server-side view comes from the
 	// in-process server directly, or from the admin scraper's last
@@ -474,6 +414,30 @@ func main() {
 		fmt.Fprintln(os.Stderr, "loadgen: FAILED (check failures, transport errors, or admin scrape errors)")
 		os.Exit(1)
 	}
+}
+
+// runPasses runs one pass per (schema, op) against dial, printing each
+// report after label, and returns the passes and their merged sum.
+func runPasses(label string, dial func() (serve.Doer, error), runOpts serve.LoadgenOptions, schemas []string, ops []serve.Op) ([]*serve.LoadgenReport, *serve.LoadgenReport, error) {
+	var reports []*serve.LoadgenReport
+	total := &serve.LoadgenReport{}
+	for _, name := range schemas {
+		for _, op := range ops {
+			ro := runOpts
+			ro.Dial = dial
+			ro.Schema = name
+			ro.Op = op
+			rep, err := serve.RunLoadgen(ro)
+			if err != nil {
+				return nil, nil, err
+			}
+			fmt.Print(label)
+			printReport(os.Stdout, rep)
+			reports = append(reports, rep)
+			total.Merge(rep)
+		}
+	}
+	return reports, total, nil
 }
 
 // scraper polls a daemon's admin endpoint at ~10Hz for the whole run:
@@ -626,27 +590,6 @@ func writeObsMarkdown(path, mode string, concurrency int, duration time.Duration
 	return nil
 }
 
-// parseTileList parses a comma-separated list of tile ids; empty means
-// nil (every tile).
-func parseTileList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return nil, fmt.Errorf("loadgen: empty tile id in -fault-tiles %q (stray comma?)", s)
-		}
-		id, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("loadgen: bad tile id %q in -fault-tiles: %v", part, err)
-		}
-		out = append(out, id)
-	}
-	return out, nil
-}
-
 // parseSweep parses the -tile-sweep comma list.
 func parseSweep(s string) ([]int, error) {
 	var out []int
@@ -661,28 +604,10 @@ func parseSweep(s string) ([]int, error) {
 	return out, nil
 }
 
-// sweepPoint is one tile count's merged measurement across every pass.
-type sweepPoint struct {
-	tiles    int
-	elapsed  time.Duration
-	ok       uint64
-	shed     uint64
-	fellBack uint64
-	failures uint64
-	latency  telemetry.Histogram
-}
-
-func (p *sweepPoint) rps() float64 {
-	if p.elapsed <= 0 {
-		return 0
-	}
-	return float64(p.ok) / p.elapsed.Seconds()
-}
-
 // runSweep measures each tile count against a fresh in-process server and
 // writes the scaling report.
 func runSweep(counts []int, opts serve.Options, runOpts serve.LoadgenOptions, schemas []string, ops []serve.Op, mode, out string) error {
-	var points []*sweepPoint
+	var totals []*serve.LoadgenReport
 	failed := false
 	for _, n := range counts {
 		o := opts
@@ -691,36 +616,18 @@ func runSweep(counts []int, opts serve.Options, runOpts serve.LoadgenOptions, sc
 		if err != nil {
 			return err
 		}
-		pt := &sweepPoint{tiles: n}
-		for _, name := range schemas {
-			for _, op := range ops {
-				ro := runOpts
-				ro.Dial = func() (serve.Doer, error) { return srv.InProc(), nil }
-				ro.Schema = name
-				ro.Op = op
-				rep, err := serve.RunLoadgen(ro)
-				if err != nil {
-					srv.Close()
-					return err
-				}
-				fmt.Printf("tiles=%d ", n)
-				printReport(os.Stdout, rep)
-				pt.elapsed += rep.Elapsed
-				pt.ok += rep.OK
-				pt.shed += rep.Shed
-				pt.fellBack += rep.FellBack
-				pt.failures += rep.CheckFailures + rep.Errors
-				pt.latency.Merge(&rep.Latency)
-			}
-		}
+		_, total, err := runPasses(fmt.Sprintf("tiles=%d ", n), func() (serve.Doer, error) { return srv.InProc(), nil }, runOpts, schemas, ops)
 		srv.Close()
-		if pt.failures > 0 {
+		if err != nil {
+			return err
+		}
+		if total.CheckFailures > 0 || total.Errors > 0 {
 			failed = true
 		}
-		points = append(points, pt)
+		totals = append(totals, total)
 	}
 	if out != "" {
-		if err := writeSweepMarkdown(out, mode, runOpts.Concurrency, runOpts.Duration, points); err != nil {
+		if err := writeSweepMarkdown(out, mode, runOpts.Concurrency, runOpts.Duration, counts, totals); err != nil {
 			return err
 		}
 		fmt.Printf("report written to %s\n", out)
@@ -733,7 +640,7 @@ func runSweep(counts []int, opts serve.Options, runOpts serve.LoadgenOptions, sc
 
 // writeSweepMarkdown writes the tile-scaling table (overwriting path).
 // Speedup is aggregate req/s relative to the sweep's first entry.
-func writeSweepMarkdown(path, mode string, concurrency int, duration time.Duration, points []*sweepPoint) error {
+func writeSweepMarkdown(path, mode string, concurrency int, duration time.Duration, counts []int, totals []*serve.LoadgenReport) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -749,42 +656,29 @@ func writeSweepMarkdown(path, mode string, concurrency int, duration time.Durati
 	fmt.Fprintf(f, "| tiles | req/s | speedup | ok | shed | fellback | p50 | p99 | p999 |\n")
 	fmt.Fprintf(f, "|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
 	base := 0.0
-	if len(points) > 0 {
-		base = points[0].rps()
+	if len(totals) > 0 {
+		base = totals[0].RPS()
 	}
-	for _, p := range points {
+	for i, p := range totals {
 		speedup := 0.0
 		if base > 0 {
-			speedup = p.rps() / base
+			speedup = p.RPS() / base
 		}
 		fmt.Fprintf(f, "| %d | %.0f | %.2fx | %d | %d | %d | %v | %v | %v |\n",
-			p.tiles, p.rps(), speedup, p.ok, p.shed, p.fellBack,
-			p.latency.Quantile(0.50), p.latency.Quantile(0.99), p.latency.Quantile(0.999))
+			counts[i], p.RPS(), speedup, p.OK, p.Shed, p.FellBack,
+			p.Latency.Quantile(0.50), p.Latency.Quantile(0.99), p.Latency.Quantile(0.999))
 	}
 	return nil
 }
 
-// elemPoint is one (skew, chain on/off) cell of the elements sweep,
-// merged across every (schema, op) pass.
+// elemPoint is one (skew, chain on/off) cell of the elements sweep: its
+// (schema, op) passes merged, plus the cell's cache counters.
 type elemPoint struct {
-	skew      float64
-	elems     string // elements spec of the pass ("off" or the enabled list)
-	elapsed   time.Duration
-	ok        uint64
-	shed      uint64
-	throttled uint64
-	fellBack  uint64
-	failures  uint64
-	hits      uint64 // cache hits (0 with the chain off)
-	lookups   uint64 // cache lookups (0 with the chain off)
-	latency   telemetry.Histogram
-}
-
-func (p *elemPoint) rps() float64 {
-	if p.elapsed <= 0 {
-		return 0
-	}
-	return float64(p.ok) / p.elapsed.Seconds()
+	*serve.LoadgenReport
+	skew    float64
+	elems   string // elements spec of the cell ("off" or the enabled list)
+	hits    uint64 // cache hits (0 with the chain off)
+	lookups uint64 // cache lookups (0 with the chain off)
 }
 
 func (p *elemPoint) hitRate() float64 {
@@ -822,36 +716,19 @@ func runElementsSweep(opts serve.Options, runOpts serve.LoadgenOptions, schemas 
 			if err != nil {
 				return err
 			}
+			ro := runOpts
+			ro.ZipfS = skew
 			pt := &elemPoint{skew: skew, elems: o.Elements.Spec()}
-			for _, name := range schemas {
-				for _, op := range ops {
-					ro := runOpts
-					ro.Dial = func() (serve.Doer, error) { return srv.InProc(), nil }
-					ro.Schema = name
-					ro.Op = op
-					ro.ZipfS = skew
-					rep, err := serve.RunLoadgen(ro)
-					if err != nil {
-						srv.Close()
-						return err
-					}
-					fmt.Printf("skew=%.1f elements=%s ", skew, pt.elems)
-					printReport(os.Stdout, rep)
-					pt.elapsed += rep.Elapsed
-					pt.ok += rep.OK
-					pt.shed += rep.Shed
-					pt.throttled += rep.Throttled
-					pt.fellBack += rep.FellBack
-					pt.failures += rep.CheckFailures + rep.Errors
-					pt.latency.Merge(&rep.Latency)
-				}
+			_, pt.LoadgenReport, err = runPasses(fmt.Sprintf("skew=%.1f elements=%s ", skew, pt.elems), func() (serve.Doer, error) { return srv.InProc(), nil }, ro, schemas, ops)
+			if err != nil {
+				srv.Close()
+				return err
 			}
 			if c := srv.Elements(); c != nil && c.Cache != nil {
-				lookups, hits, _, _, _, _ := c.Cache.Stats()
-				pt.lookups, pt.hits = lookups, hits
+				pt.lookups, pt.hits, _, _, _, _ = c.Cache.Stats()
 			}
 			srv.Close()
-			if pt.failures > 0 {
+			if pt.CheckFailures > 0 || pt.Errors > 0 {
 				failed = true
 			}
 			points = append(points, pt)
@@ -866,11 +743,7 @@ func runElementsSweep(opts serve.Options, runOpts serve.LoadgenOptions, schemas 
 	drill := opts
 	drill.Tiles = 4
 	drill.FaultTiles = []int{1}
-	drillFaults, err := faults.ParseFlag("0.9", 1)
-	if err != nil {
-		return err
-	}
-	drill.Faults = drillFaults
+	drill.Faults = faults.Config{Enabled: true, Seed: 1, Rate: 0.9}
 	drill.Elements = elements.Config{
 		Breaker: true,
 		Window:  250 * time.Millisecond, TripRate: 0.3, MinVolume: 8,
@@ -943,8 +816,8 @@ func writeElementsMarkdown(path, mode string, concurrency int, duration time.Dur
 	fmt.Fprintf(f, "|---:|---|---:|---:|---:|---:|---:|---:|\n")
 	for _, p := range points {
 		fmt.Fprintf(f, "| %.1f | %s | %.0f | %d | %d | %.1f%% | %v | %v |\n",
-			p.skew, p.elems, p.rps(), p.ok, p.hits, p.hitRate()*100,
-			p.latency.Quantile(0.50), p.latency.Quantile(0.99))
+			p.skew, p.elems, p.RPS(), p.OK, p.hits, p.hitRate()*100,
+			p.Latency.Quantile(0.50), p.Latency.Quantile(0.99))
 	}
 	br := drill.Elements.Breaker
 	fmt.Fprintf(f, "\n## Breaker drill: trip and recovery\n\n")
@@ -1003,23 +876,4 @@ func writeMarkdown(path, mode string, concurrency int, duration time.Duration, r
 			r.Latency.Quantile(0.50), r.Latency.Quantile(0.99), r.Latency.Quantile(0.999))
 	}
 	return nil
-}
-
-func writeStats(path string, srv *serve.Server) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	snap := srv.TelemetrySnapshot()
-	if strings.HasSuffix(path, ".prom") {
-		return telemetry.WritePrometheus(f, snap)
-	}
-	m := &telemetry.Manifest{
-		Command:           "loadgen " + strings.Join(os.Args[1:], " "),
-		GoVersion:         runtime.Version(),
-		ConfigFingerprint: srv.ConfigFingerprint(),
-		Parallelism:       srv.Workers(),
-	}
-	return telemetry.WriteStatsJSON(f, m, snap)
 }

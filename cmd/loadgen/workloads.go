@@ -15,18 +15,17 @@ import (
 // workloadsRun bundles everything the -workload modes need from main's
 // flag set.
 type workloadsRun struct {
-	mode     string // "trace", "chain", or "all"
-	seed     int64
-	records  int
-	hops     int
-	workers  int
-	timeout  time.Duration
-	check    bool
-	addr     string // empty = in-process server
-	tiles    int
-	opts     serve.Options // in-process server options (addr == "")
-	out      string
-	statsOut string
+	mode    string // "trace", "chain", or "all"
+	seed    int64
+	records int
+	hops    int
+	workers int
+	timeout time.Duration
+	check   bool
+	catalog *serve.Catalog
+	dial    func() (serve.Doer, error)
+	target  string // the dialed server, for the report
+	out     string
 }
 
 // runWorkloads synthesizes the fleet-shaped trace, replays it and/or
@@ -40,10 +39,7 @@ func runWorkloads(cfg workloadsRun) error {
 	default:
 		return fmt.Errorf("loadgen: unknown -workload %q (want trace, chain, or all)", cfg.mode)
 	}
-	catalog := cfg.opts.Catalog
-	if catalog == nil {
-		catalog = serve.DefaultCatalog()
-	}
+	catalog := cfg.catalog
 	trace, err := workloads.Synthesize(workloads.SynthOptions{
 		Seed:    cfg.seed,
 		Records: cfg.records,
@@ -65,31 +61,15 @@ func runWorkloads(cfg workloadsRun) error {
 		return err
 	}
 
-	var dial func() (serve.Doer, error)
-	var srv *serve.Server
-	target := cfg.addr
-	if cfg.addr == "" {
-		o := cfg.opts
-		o.Tiles = cfg.tiles
-		srv, err = serve.NewServer(o)
-		if err != nil {
-			return err
-		}
-		defer srv.Close()
-		dial = func() (serve.Doer, error) { return srv.InProc(), nil }
-		target = fmt.Sprintf("in-process (tiles=%d routing=%s workers=%d)", srv.Tiles(), srv.Routing(), srv.Workers())
-	} else {
-		dial = func() (serve.Doer, error) { return serve.Dial(cfg.addr) }
-	}
 	fmt.Printf("loadgen: workload %s, target %s, trace seed=%d records=%d (%d deser / %d ser), workers %d\n",
-		cfg.mode, target, trace.Seed, len(trace.Records), deser, ser, cfg.workers)
+		cfg.mode, cfg.target, trace.Seed, len(trace.Records), deser, ser, cfg.workers)
 
 	reg := &telemetry.Registry{}
 	var rrep *workloads.ReplayReport
 	var crep *workloads.ChainReport
 	if cfg.mode == "trace" || cfg.mode == "all" {
 		rrep, err = workloads.Replay(workloads.ReplayOptions{
-			Dial:    dial,
+			Dial:    cfg.dial,
 			Trace:   trace,
 			Catalog: catalog,
 			Workers: cfg.workers,
@@ -105,7 +85,7 @@ func runWorkloads(cfg workloadsRun) error {
 	}
 	if cfg.mode == "chain" || cfg.mode == "all" {
 		crep, err = workloads.RunChain(workloads.ChainOptions{
-			Dial:    dial,
+			Dial:    cfg.dial,
 			Trace:   trace,
 			Catalog: catalog,
 			Hops:    cfg.hops,
@@ -132,14 +112,8 @@ func runWorkloads(cfg workloadsRun) error {
 		fmt.Printf("%s %.0f\n", s.Name, s.Value)
 	}
 
-	if srv != nil && cfg.statsOut != "" {
-		if err := writeStats(cfg.statsOut, srv); err != nil {
-			return err
-		}
-		fmt.Printf("server telemetry written to %s\n", cfg.statsOut)
-	}
 	if cfg.out != "" {
-		if err := writeWorkloadsMarkdown(cfg.out, cfg, target, len(trace.Records), deser, ser, rrep, crep); err != nil {
+		if err := writeWorkloadsMarkdown(cfg.out, cfg, len(trace.Records), deser, ser, rrep, crep); err != nil {
 			return err
 		}
 		fmt.Printf("report written to %s\n", cfg.out)
@@ -190,7 +164,7 @@ func printHop(w io.Writer, kind string, h *workloads.HopStats, elapsed time.Dura
 // (overwriting path): the trace-replay summary and the per-hop +
 // end-to-end service-chain tables, each with the calibrated
 // accelerator-vs-software cycle savings.
-func writeWorkloadsMarkdown(path string, cfg workloadsRun, target string, records, deser, ser int, rrep *workloads.ReplayReport, crep *workloads.ChainReport) error {
+func writeWorkloadsMarkdown(path string, cfg workloadsRun, records, deser, ser int, rrep *workloads.ReplayReport, crep *workloads.ChainReport) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -198,7 +172,7 @@ func writeWorkloadsMarkdown(path string, cfg workloadsRun, target string, record
 	defer f.Close()
 	fmt.Fprintf(f, "# Fleet-shaped workloads (loadgen -workload)\n\n")
 	fmt.Fprintf(f, "Target: %s, workers %d, GOMAXPROCS=%d, %s.\n",
-		target, cfg.workers, runtime.GOMAXPROCS(0), runtime.Version())
+		cfg.target, cfg.workers, runtime.GOMAXPROCS(0), runtime.Version())
 	fmt.Fprintf(f, "Trace: seed %d, %d records (%d deser / %d ser), schema mix weighted by\n",
 		cfg.seed, records, deser, ser)
 	fmt.Fprintf(f, "the fleet field-type distribution, payload sizes drawn from the fleet\n")

@@ -55,118 +55,48 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"runtime"
-	"runtime/debug"
-	"runtime/pprof"
-	"strconv"
 	"strings"
 	"sync"
 	"syscall"
 	"time"
 
-	"protoacc/internal/faults"
 	"protoacc/internal/serve"
-	"protoacc/internal/serve/elements"
 	"protoacc/internal/telemetry"
 )
 
 func main() {
+	var opts serve.Options
+	opts.RegisterFlags(flag.CommandLine)
 	listen := flag.String("listen", "127.0.0.1:7411", "TCP listen address")
 	admin := flag.String("admin", "", "HTTP admin listen address (/metrics, /healthz, /statusz, /spans, /debug/pprof); empty disables")
-	tiles := flag.Int("tiles", 0, "independent accelerator tiles behind the router (0 = default 1)")
-	routing := flag.String("routing", "p2c", "tile placement policy: p2c (power-of-two-choices + work stealing) or rr (deterministic round-robin)")
-	workers := flag.Int("workers", 0, "total batch executors, split across tiles (0 = GOMAXPROCS)")
-	maxBatch := flag.Int("max-batch", 0, "max requests per accelerator batch (0 = default 16)")
-	batchWindow := flag.Duration("batch-window", 0, "how long an under-full batch waits for partners (0 = default 200µs)")
-	queueDepth := flag.Int("queue-depth", 0, "per-tile admission queue bound; requests routed to a full tile are shed (0 = default 1024)")
-	maxPayload := flag.Int("max-payload", 0, "request payload size limit in bytes (0 = default 64KiB)")
-	deadline := flag.Duration("deadline", 0, "default per-request budget (0 = default 1s)")
-	elementsSpec := flag.String("elements", "", "data-plane element chain: \"all\", \"off\", or a comma list of admission,breaker,cache (empty = off)")
-	admitRate := flag.Float64("admit-rate", 0, "admission element: token-bucket fill rate per client, req/s (0 = default 2000)")
-	admitBurst := flag.Float64("admit-burst", 0, "admission element: token-bucket burst capacity (0 = default 2x fill rate)")
-	breakerWindow := flag.Duration("breaker-window", 0, "breaker element: rolling failure-rate window (0 = default 1s)")
-	breakerTripRate := flag.Float64("breaker-trip-rate", 0, "breaker element: failure-rate threshold that opens a tile's breaker (0 = default 0.5)")
-	breakerMinVolume := flag.Int("breaker-min-volume", 0, "breaker element: minimum requests in the window before the trip rate is evaluated (0 = default 16)")
-	breakerOpenFor := flag.Duration("breaker-open-for", 0, "breaker element: open-state dwell before half-open probing (0 = default 500ms)")
-	breakerProbes := flag.Int("breaker-probes", 0, "breaker element: successful half-open probes required to re-close (0 = default 8)")
-	cacheBytes := flag.Int64("cache-bytes", 0, "cache element: response-cache byte budget (0 = default 16MiB)")
-	faultSpec := flag.String("faults", "", "fault injection: RATE or RATE@site,... (sites: "+strings.Join(faults.SiteNames(), ",")+"); empty or \"off\" disables")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed of the deterministic fault schedule")
-	faultTiles := flag.String("fault-tiles", "", "comma-separated tile ids the fault schedule applies to (empty = every tile)")
+	flag.IntVar(&opts.MaxPayload, "max-payload", 0, "request payload size limit in bytes (0 = default 64KiB)")
+	flag.DurationVar(&opts.Deadline, "deadline", 0, "default per-request budget (0 = default 1s)")
+	elem := &opts.Elements
+	flag.Float64Var(&elem.FillRate, "admit-rate", 0, "admission element: token-bucket fill rate per client, req/s (0 = default 2000)")
+	flag.Float64Var(&elem.Burst, "admit-burst", 0, "admission element: token-bucket burst capacity (0 = default 2x fill rate)")
+	flag.DurationVar(&elem.Window, "breaker-window", 0, "breaker element: rolling failure-rate window (0 = default 1s)")
+	flag.Float64Var(&elem.TripRate, "breaker-trip-rate", 0, "breaker element: failure-rate threshold that opens a tile's breaker (0 = default 0.5)")
+	flag.IntVar(&elem.MinVolume, "breaker-min-volume", 0, "breaker element: minimum requests in the window before the trip rate is evaluated (0 = default 16)")
+	flag.DurationVar(&elem.OpenFor, "breaker-open-for", 0, "breaker element: open-state dwell before half-open probing (0 = default 500ms)")
+	flag.IntVar(&elem.Probes, "breaker-probes", 0, "breaker element: successful half-open probes required to re-close (0 = default 8)")
+	flag.Int64Var(&elem.CacheBytes, "cache-bytes", 0, "cache element: response-cache byte budget (0 = default 16MiB)")
 	statsOut := flag.String("stats-out", "", "write merged telemetry counters to this file on shutdown (JSON, or Prometheus text with a .prom suffix)")
-	cycleMode := flag.String("cycle-mode", "exact", "cycle accounting: exact (every request runs the full cycle model) or sampled (1-in-N batches carry attribution, rest run functional-only)")
-	cycleSampleN := flag.Int("cycle-sample-n", 0, "sampling period for -cycle-mode sampled (0 = default 8)")
-	spanSampleN := flag.Int("span-sample-n", 0, "sample every N'th admitted request with a lifecycle span for the admin /spans endpoint (0 = off)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the serving run to this file (stopped at drain)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file after drain")
 	flag.Parse()
 
-	faultCfg, err := faults.ParseFlag(*faultSpec, *faultSeed)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	routePolicy, err := serve.ParseRouting(*routing)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	cycles, err := serve.ParseCycleMode(*cycleMode)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	faultTileIDs, err := parseTileList(*faultTiles)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	elemCfg, err := elements.ParseSpec(*elementsSpec)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
-	}
-	elemCfg.FillRate = *admitRate
-	elemCfg.Burst = *admitBurst
-	elemCfg.Window = *breakerWindow
-	elemCfg.TripRate = *breakerTripRate
-	elemCfg.MinVolume = *breakerMinVolume
-	elemCfg.OpenFor = *breakerOpenFor
-	elemCfg.Probes = *breakerProbes
-	elemCfg.CacheBytes = *cacheBytes
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-	}
-
-	srv, err := serve.NewServer(serve.Options{
-		Tiles:        *tiles,
-		Routing:      routePolicy,
-		FaultTiles:   faultTileIDs,
-		Workers:      *workers,
-		MaxBatch:     *maxBatch,
-		BatchWindow:  *batchWindow,
-		QueueDepth:   *queueDepth,
-		MaxPayload:   *maxPayload,
-		Deadline:     *deadline,
-		CycleMode:    cycles,
-		CycleSampleN: *cycleSampleN,
-		SpanSampleN:  *spanSampleN,
-		Elements:     elemCfg,
-		Faults:       faultCfg,
-	})
+	stopProfiles, err := telemetry.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+
+	srv, err := serve.NewServer(opts)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
+	manifest := telemetry.NewManifest("protoaccd "+strings.Join(os.Args[1:], " "), srv.ConfigFingerprint(), srv.Workers())
 
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
@@ -174,7 +104,7 @@ func main() {
 		os.Exit(1)
 	}
 	fmt.Printf("protoaccd listening on %s (schemas: %s; tiles=%d routing=%s workers=%d elements=%s)\n",
-		ln.Addr(), strings.Join(srv.Catalog().Names(), ","), srv.Tiles(), srv.Routing(), srv.Workers(), elemCfg.Spec())
+		ln.Addr(), strings.Join(srv.Catalog().Names(), ","), srv.Tiles(), srv.Routing(), srv.Workers(), opts.Elements.Spec())
 
 	// flushStats serializes mid-run stats writes (SIGUSR1 and
 	// /statusz?write=1 may race) against the shutdown write.
@@ -182,7 +112,7 @@ func main() {
 	flushStats := func() (string, error) {
 		statsMu.Lock()
 		defer statsMu.Unlock()
-		if err := writeStats(*statsOut, srv); err != nil {
+		if err := telemetry.WriteStatsFile(*statsOut, manifest, srv.TelemetrySnapshot()); err != nil {
 			return "", err
 		}
 		return *statsOut, nil
@@ -195,7 +125,7 @@ func main() {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		adminOpts := serve.AdminOptions{Manifest: buildManifest(srv)}
+		adminOpts := serve.AdminOptions{Manifest: manifest}
 		if *statsOut != "" {
 			adminOpts.FlushStats = flushStats
 		}
@@ -241,22 +171,14 @@ run:
 	}
 	srv.Close()
 	fmt.Printf("protoaccd: drained in %v\n", time.Since(start).Round(time.Millisecond))
+	if err := stopProfiles(); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 	if *cpuprofile != "" {
-		pprof.StopCPUProfile()
 		fmt.Printf("cpu profile written to %s\n", *cpuprofile)
 	}
 	if *memprofile != "" {
-		f, err := os.Create(*memprofile)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		f.Close()
 		fmt.Printf("heap profile written to %s\n", *memprofile)
 	}
 	for i, pc := range srv.TilePoolCounters() {
@@ -271,62 +193,4 @@ run:
 		}
 		fmt.Printf("telemetry counters written to %s\n", *statsOut)
 	}
-}
-
-// parseTileList parses a comma-separated list of tile ids; empty means
-// nil (every tile).
-func parseTileList(s string) ([]int, error) {
-	if s == "" {
-		return nil, nil
-	}
-	var out []int
-	for _, part := range strings.Split(s, ",") {
-		part = strings.TrimSpace(part)
-		if part == "" {
-			return nil, fmt.Errorf("protoaccd: empty tile id in -fault-tiles %q (stray comma?)", s)
-		}
-		id, err := strconv.Atoi(part)
-		if err != nil {
-			return nil, fmt.Errorf("protoaccd: bad tile id %q in -fault-tiles: %v", part, err)
-		}
-		out = append(out, id)
-	}
-	return out, nil
-}
-
-// buildManifest assembles the provenance manifest stats artifacts and
-// /statusz carry.
-func buildManifest(srv *serve.Server) *telemetry.Manifest {
-	m := &telemetry.Manifest{
-		Command:           "protoaccd " + strings.Join(os.Args[1:], " "),
-		GoVersion:         runtime.Version(),
-		ConfigFingerprint: srv.ConfigFingerprint(),
-		Parallelism:       srv.Workers(),
-	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				m.GitRevision = s.Value
-			case "vcs.modified":
-				m.GitDirty = s.Value == "true"
-			}
-		}
-	}
-	return m
-}
-
-// writeStats writes the server's merged telemetry snapshot with a
-// provenance manifest.
-func writeStats(path string, srv *serve.Server) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	snap := srv.TelemetrySnapshot()
-	if strings.HasSuffix(path, ".prom") {
-		return telemetry.WritePrometheus(f, snap)
-	}
-	return telemetry.WriteStatsJSON(f, buildManifest(srv), snap)
 }

@@ -21,13 +21,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"protoacc/internal/bench"
 	"protoacc/internal/core"
 	"protoacc/internal/faults"
+	"protoacc/internal/telemetry"
 )
 
 func main() {
@@ -40,42 +39,20 @@ func main() {
 	statsOut := flag.String("stats-out", "", "write aggregated telemetry counters to this file (JSON, or Prometheus text with a .prom suffix)")
 	traceOp := flag.String("trace-op", "", "capture a cycle trace of this workload on riscv-boom-accel")
 	traceOut := flag.String("trace-out", "trace.json", "write the captured Perfetto trace to this file")
-	faultSpec := flag.String("faults", "", "fault injection: RATE or RATE@site,... (sites: "+strings.Join(faults.SiteNames(), ",")+"); empty or \"off\" disables")
-	faultSeed := flag.Uint64("fault-seed", 1, "seed of the deterministic fault schedule")
+	var faultCfg faults.Config
+	faultCfg.RegisterFlags(flag.CommandLine)
 	flag.Parse()
 
-	faultCfg, err := faults.ParseFlag(*faultSpec, *faultSeed)
+	stopProfiles, err := telemetry.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
-		os.Exit(2)
+		os.Exit(1)
 	}
-
-	if *cpuprofile != "" {
-		f, err := os.Create(*cpuprofile)
-		if err != nil {
+	defer func() {
+		if err := stopProfiles(); err != nil {
 			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
 		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		defer pprof.StopCPUProfile()
-	}
-	if *memprofile != "" {
-		defer func() {
-			f, err := os.Create(*memprofile)
-			if err != nil {
-				fmt.Fprintln(os.Stderr, err)
-				return
-			}
-			defer f.Close()
-			runtime.GC()
-			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, err)
-			}
-		}()
-	}
+	}()
 
 	opts := bench.DefaultOptions()
 	opts.Parallelism = *parallel

@@ -5,10 +5,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"os"
-	"runtime"
-	"runtime/debug"
 	"sort"
-	"strings"
 	"sync"
 
 	"protoacc/internal/core"
@@ -138,16 +135,7 @@ func ConfigFingerprint(opts Options) string {
 // ".prom" suffix selects Prometheus text exposition, anything else the
 // JSON snapshot schema (which embeds the manifest).
 func WriteStatsFile(path string, m *telemetry.Manifest, sink *TelemetrySink) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	total := sink.Total()
-	if strings.HasSuffix(path, ".prom") {
-		return telemetry.WritePrometheus(f, total)
-	}
-	return telemetry.WriteStatsJSON(f, m, total)
+	return telemetry.WriteStatsFile(path, m, sink.Total())
 }
 
 // WriteTraceFile writes the captured events to path as Chrome
@@ -165,21 +153,5 @@ func WriteTraceFile(path string, capture *TraceCapture) error {
 // artifacts: command line, VCS revision from build info, Go version,
 // configuration fingerprint, and harness parallelism.
 func NewManifest(command string, opts Options) *telemetry.Manifest {
-	m := &telemetry.Manifest{
-		Command:           command,
-		GoVersion:         runtime.Version(),
-		ConfigFingerprint: ConfigFingerprint(opts),
-		Parallelism:       opts.parallelism(),
-	}
-	if bi, ok := debug.ReadBuildInfo(); ok {
-		for _, s := range bi.Settings {
-			switch s.Key {
-			case "vcs.revision":
-				m.GitRevision = s.Value
-			case "vcs.modified":
-				m.GitDirty = s.Value == "true"
-			}
-		}
-	}
-	return m
+	return telemetry.NewManifest(command, ConfigFingerprint(opts), opts.parallelism())
 }

@@ -27,6 +27,7 @@ package faults
 
 import (
 	"errors"
+	"flag"
 	"fmt"
 	"math"
 	"strconv"
@@ -222,6 +223,37 @@ func ParseFlag(spec string, seed uint64) (Config, error) {
 		return Config{Seed: seed}, err
 	}
 	return cfg, nil
+}
+
+// RegisterFlags binds -faults (a ParseFlag spec) and -fault-seed
+// (default 1) into c. Each sets only its own fields, so the two may be
+// given in either order.
+func (c *Config) RegisterFlags(fs *flag.FlagSet) {
+	fs.Var((*specFlag)(c), "faults", "fault injection: RATE or RATE@site,... (sites: "+strings.Join(SiteNames(), ",")+"); empty or \"off\" disables")
+	fs.Uint64Var(&c.Seed, "fault-seed", 1, "seed of the deterministic fault schedule")
+}
+
+// specFlag is the -faults flag.Value over a Config.
+type specFlag Config
+
+func (f *specFlag) String() string {
+	if f == nil || !f.Enabled {
+		return ""
+	}
+	spec := strconv.FormatFloat(f.Rate, 'g', -1, 64)
+	if f.Sites != "" {
+		spec += "@" + f.Sites
+	}
+	return spec
+}
+
+func (f *specFlag) Set(spec string) error {
+	cfg, err := ParseFlag(spec, f.Seed)
+	if err != nil {
+		return err
+	}
+	*f = specFlag(cfg)
+	return nil
 }
 
 // Validate checks the config without building an injector.

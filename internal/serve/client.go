@@ -91,8 +91,8 @@ func (c *InProc) DoBatch(reqs []Request) ([]Response, error) {
 	return out, nil
 }
 
-// Sentinel errors a Conn surfaces to callers. Both wrap into the errors
-// returned from Do, so callers test with errors.Is.
+// Sentinel errors a Conn surfaces to callers. Each wraps into the
+// errors returned from Do, so callers test with errors.Is.
 var (
 	// ErrTimeout reports a request whose per-request wait budget expired
 	// with no response. The connection stays usable: the daemon may still
@@ -103,6 +103,11 @@ var (
 	// (or the cluster balancer's) job, so redial policy stays explicit
 	// rather than hidden inside a client that silently re-sends.
 	ErrClosed = errors.New("serve: connection closed")
+	// ErrTooLarge reports a request whose frame would exceed the
+	// protocol's 64 MiB message limit. Do refuses it before writing any
+	// byte, so the connection stays usable and the refusal says nothing
+	// about the peer.
+	ErrTooLarge = errors.New("serve: message exceeds the frame limit")
 )
 
 // DialOptions tunes a Conn. The zero value of any field selects the

@@ -290,12 +290,19 @@ func (n *node) do(req serve.Request) (serve.Response, time.Duration, error) {
 	resp, err := conn.Do(req)
 	lat := time.Since(start)
 	n.inflight.Add(-1)
-	if err == nil {
+	switch {
+	case err == nil:
 		n.noteOK(lat)
 		if resp.FellBack {
 			n.fallbacks.Add(1)
 		}
-	} else {
+	case errors.Is(err, serve.ErrTooLarge):
+		// Refused before any byte was sent: no evidence about the node,
+		// and a half-open node keeps the probe this request was routed as.
+		n.mu.Lock()
+		n.circuit.Routed(-1)
+		n.mu.Unlock()
+	default:
 		n.finish(err)
 	}
 	return resp, lat, err
@@ -481,6 +488,9 @@ func (b *Balancer) Do(req serve.Request) (serve.Response, error) {
 				// A losing attempt still in flight completes on its own
 				// goroutine and is discarded (the channel is buffered).
 				return res.resp, nil
+			}
+			if errors.Is(res.err, serve.ErrTooLarge) {
+				return serve.Response{}, res.err // every node would refuse it
 			}
 			lastFailed = res.node
 			if outstanding > 0 {

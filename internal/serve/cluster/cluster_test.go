@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"net"
@@ -326,6 +327,67 @@ func TestClusterEjectedNodeKeepsProbe(t *testing.T) {
 	}
 	if got := b.Counters()["serve/cluster/recoveries"]; got < 1 {
 		t.Errorf("serve/cluster/recoveries = %v, want >= 1", got)
+	}
+}
+
+// A request too large to frame is refused before any byte of it is
+// written, so it says nothing about the node it was routed to: it must
+// come back as serve.ErrTooLarge with no failover and eject no node.
+func TestClusterOversizedRequestEjectsNoNode(t *testing.T) {
+	_, addrA := startServer(t, serverOptions())
+	_, addrB := startServer(t, serverOptions())
+	b, err := New(Options{Addrs: []string{addrA, addrB}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+
+	req := serve.Request{Op: serve.OpDeserialize, Schema: "varint", Payload: make([]byte, 64<<20)}
+	for i := 0; i < 3; i++ {
+		if _, err := b.Do(req); !errors.Is(err, serve.ErrTooLarge) {
+			t.Errorf("request %d: err = %v, want serve.ErrTooLarge", i, err)
+		}
+	}
+	for i, ns := range b.NodeStats() {
+		if ns.Ejected || ns.Ejections > 0 {
+			t.Errorf("node %d ejected by oversized requests: %+v", i, ns)
+		}
+	}
+	if got := b.Counters()["serve/cluster/retries"]; got != 0 {
+		t.Errorf("serve/cluster/retries = %v, want 0", got)
+	}
+}
+
+// An oversized request routed to a half-open node as its probe was
+// never sent, so the node must keep that probe.
+func TestClusterOversizedRequestKeepsProbe(t *testing.T) {
+	_, addrA := startServer(t, serverOptions())
+	_, addrB := startServer(t, serverOptions())
+	const dwell = 5 * time.Millisecond
+	b, err := New(Options{
+		Addrs:   []string{addrA, addrB},
+		Routing: serve.RouteRoundRobin, // the first request goes to node 0
+		Health:  HealthOptions{EjectDwell: dwell},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer b.Close()
+	n0 := b.nodes[0]
+	n0.mu.Lock()
+	n0.ejectLocked()
+	n0.mu.Unlock()
+	time.Sleep(2 * dwell)
+
+	req := serve.Request{Op: serve.OpDeserialize, Schema: "varint", Payload: make([]byte, 64<<20)}
+	if _, err := b.Do(req); !errors.Is(err, serve.ErrTooLarge) {
+		t.Fatalf("err = %v, want serve.ErrTooLarge", err)
+	}
+	if got := b.NodeStats()[0].Requests; got != 1 {
+		t.Fatalf("node 0 got %d requests, want the oversized one", got)
+	}
+	if !n0.routable(time.Now()) {
+		t.Error("half-open node lost its probe to a request that was never sent")
 	}
 }
 

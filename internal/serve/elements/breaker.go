@@ -69,7 +69,8 @@ func (c *Circuit) Routable(now time.Time) (ok, halfOpened bool) {
 }
 
 // Routed records n requests sent to the target and returns how many of
-// them were probes: only a half-open circuit spends its budget.
+// them were probes: only a half-open circuit spends its budget. A
+// negative n refunds requests routed but refused before being sent.
 func (c *Circuit) Routed(n int) (probes int) {
 	if c.state != StateHalfOpen {
 		return 0

@@ -1,0 +1,80 @@
+package serve
+
+import (
+	"flag"
+	"io"
+	"reflect"
+	"strings"
+	"testing"
+	"time"
+
+	"protoacc/internal/faults"
+	"protoacc/internal/serve/elements"
+)
+
+func TestOptionsRegisterFlags(t *testing.T) {
+	fault := func(rate float64, sites string, seed uint64) faults.Config {
+		return faults.Config{Enabled: true, Rate: rate, Sites: sites, Seed: seed}
+	}
+	cases := []struct {
+		args    string
+		want    Options
+		wantErr bool
+	}{
+		{args: "", want: Options{Faults: faults.Config{Seed: 1}}},
+		{
+			args: "-tiles 4 -routing rr -workers 3 -max-batch 8 -batch-window 50us -queue-depth 32" +
+				" -cycle-mode sampled -cycle-sample-n 4 -span-sample-n 16 -elements admission,cache" +
+				" -faults 0.1@arena -fault-seed 9 -fault-tiles 0,2",
+			want: Options{
+				Tiles: 4, Routing: RouteRoundRobin, Workers: 3, MaxBatch: 8,
+				BatchWindow: 50 * time.Microsecond, QueueDepth: 32,
+				CycleMode: CycleSampled, CycleSampleN: 4, SpanSampleN: 16,
+				Elements:   elements.Config{Admission: true, Cache: true},
+				Faults:     fault(0.1, "arena", 9),
+				FaultTiles: []int{0, 2},
+			},
+		},
+		{args: "-faults 0.02 -fault-seed 7", want: Options{Faults: fault(0.02, "", 7)}},
+		{args: "-fault-seed 7 -faults 0.02", want: Options{Faults: fault(0.02, "", 7)}},
+		{
+			// -admit-rate and -cache-bytes are bound the way protoaccd binds
+			// them; a later -elements must not reset them.
+			args: "-admit-rate 5 -cache-bytes 1024 -elements all",
+			want: Options{
+				Elements: elements.Config{Admission: true, Breaker: true, Cache: true, FillRate: 5, CacheBytes: 1024},
+				Faults:   faults.Config{Seed: 1},
+			},
+		},
+
+		{args: "-routing x", wantErr: true},
+		{args: "-cycle-mode x", wantErr: true},
+		{args: "-elements bogus", wantErr: true},
+		{args: "-faults 2", wantErr: true},
+		{args: "-faults 0.1@", wantErr: true},
+		{args: "-fault-tiles 1,x", wantErr: true},
+		{args: "-fault-tiles 1,,2", wantErr: true},
+	}
+	for _, c := range cases {
+		var got Options
+		fs := flag.NewFlagSet("test", flag.ContinueOnError)
+		fs.SetOutput(io.Discard)
+		got.RegisterFlags(fs)
+		fs.Float64Var(&got.Elements.FillRate, "admit-rate", 0, "")
+		fs.Int64Var(&got.Elements.CacheBytes, "cache-bytes", 0, "")
+		err := fs.Parse(strings.Fields(c.args))
+		if c.wantErr {
+			if err == nil {
+				t.Errorf("%q: want error, got %+v", c.args, got)
+			}
+			continue
+		}
+		if err != nil {
+			t.Errorf("%q: %v", c.args, err)
+			continue
+		}
+		if !reflect.DeepEqual(got, c.want) {
+			t.Errorf("%q:\n got %+v\nwant %+v", c.args, got, c.want)
+		}
+	}
+}

@@ -86,6 +86,24 @@ func (r *LoadgenReport) RPS() float64 {
 	return float64(r.OK) / r.Elapsed.Seconds()
 }
 
+// Merge adds o's counters, Elapsed and latency samples into r, so r
+// summarizes the passes (or workers) merged into it.
+func (r *LoadgenReport) Merge(o *LoadgenReport) {
+	r.Elapsed += o.Elapsed
+	r.Requests += o.Requests
+	r.OK += o.OK
+	r.Shed += o.Shed
+	r.Throttled += o.Throttled
+	r.Deadline += o.Deadline
+	r.Bad += o.Bad
+	r.Errors += o.Errors
+	r.FellBack += o.FellBack
+	r.BytesIn += o.BytesIn
+	r.BytesOut += o.BytesOut
+	r.CheckFailures += o.CheckFailures
+	r.Latency.Merge(&o.Latency)
+}
+
 // Gbps returns the OK-response payload throughput in Gbit/s.
 func (r *LoadgenReport) Gbps() float64 {
 	if r.Elapsed <= 0 {
@@ -242,19 +260,7 @@ func RunLoadgen(opts LoadgenOptions) (*LoadgenReport, error) {
 		if errs[w] != nil {
 			return nil, errs[w]
 		}
-		r := &reports[w]
-		out.Requests += r.Requests
-		out.OK += r.OK
-		out.Shed += r.Shed
-		out.Throttled += r.Throttled
-		out.Deadline += r.Deadline
-		out.Bad += r.Bad
-		out.Errors += r.Errors
-		out.FellBack += r.FellBack
-		out.BytesIn += r.BytesIn
-		out.BytesOut += r.BytesOut
-		out.CheckFailures += r.CheckFailures
-		out.Latency.Merge(&r.Latency)
+		out.Merge(&reports[w]) // worker reports carry no Elapsed
 	}
 	return out, nil
 }

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"reflect"
 	"testing"
 	"time"
 )
@@ -140,5 +141,39 @@ func TestLoadgenClosedLoopLatencyUnchanged(t *testing.T) {
 	}
 	if got := rep.Latency.Quantile(0.50); got > 10*serviceTime {
 		t.Errorf("closed-loop p50 %v is far above the %v service time", got, serviceTime)
+	}
+}
+
+// Merge must sum every counter field (set here by reflection, so a
+// counter added later cannot be missed) and Elapsed, and pool the
+// latency samples.
+func TestLoadgenReportMerge(t *testing.T) {
+	var a, b LoadgenReport
+	av, bv := reflect.ValueOf(&a).Elem(), reflect.ValueOf(&b).Elem()
+	for i := 0; i < av.NumField(); i++ {
+		if av.Field(i).Kind() == reflect.Uint64 {
+			av.Field(i).SetUint(uint64(i + 1))
+			bv.Field(i).SetUint(uint64(100 * (i + 1)))
+		}
+	}
+	a.Elapsed, b.Elapsed = time.Second, 2*time.Second
+	a.Latency.Record(time.Millisecond)
+	b.Latency.Record(2 * time.Millisecond)
+	b.Latency.Record(3 * time.Millisecond)
+
+	a.Merge(&b)
+	for i := 0; i < av.NumField(); i++ {
+		if f := av.Field(i); f.Kind() == reflect.Uint64 && f.Uint() != uint64(101*(i+1)) {
+			t.Errorf("%s = %d, want %d", av.Type().Field(i).Name, f.Uint(), 101*(i+1))
+		}
+	}
+	if a.Elapsed != 3*time.Second {
+		t.Errorf("Elapsed = %v, want 3s", a.Elapsed)
+	}
+	if got := a.Latency.Count(); got != 3 {
+		t.Errorf("Latency.Count() = %d, want 3", got)
+	}
+	if got := time.Duration(a.Latency.Sum()); got != 6*time.Millisecond {
+		t.Errorf("Latency.Sum() = %v, want 6ms", got)
 	}
 }

@@ -98,7 +98,7 @@ func beginMessage(b []byte) (out []byte, mark int) {
 func endMessage(b []byte, mark int) (out []byte, chunked bool, err error) {
 	n := len(b) - mark - 4
 	if n > maxFrame {
-		return b[:mark], false, fmt.Errorf("serve: message of %d bytes exceeds limit %d", n, maxFrame)
+		return b[:mark], false, fmt.Errorf("%w: %d bytes, limit %d", ErrTooLarge, n, maxFrame)
 	}
 	if n <= chunkBody {
 		binary.BigEndian.PutUint32(b[mark:], uint32(n))

@@ -47,16 +47,18 @@ func (r Routing) String() string {
 	return "p2c"
 }
 
-// ParseRouting parses a -routing flag value ("p2c" or "rr").
-func ParseRouting(s string) (Routing, error) {
+// Set parses a -routing flag value ("p2c" or "rr"), making Routing a
+// flag.Value.
+func (r *Routing) Set(s string) error {
 	switch s {
 	case "", "p2c":
-		return RoutePowerOfTwo, nil
+		*r = RoutePowerOfTwo
 	case "rr":
-		return RouteRoundRobin, nil
+		*r = RouteRoundRobin
 	default:
-		return 0, fmt.Errorf("serve: unknown routing policy %q (want p2c or rr)", s)
+		return fmt.Errorf("serve: unknown routing policy %q (want p2c or rr)", s)
 	}
+	return nil
 }
 
 // Pick is the one placement decision behind both routing levels: jobs
@@ -179,16 +181,18 @@ func (m CycleMode) String() string {
 	return "exact"
 }
 
-// ParseCycleMode parses a -cycle-mode flag value ("exact" or "sampled").
-func ParseCycleMode(s string) (CycleMode, error) {
+// Set parses a -cycle-mode flag value ("exact" or "sampled"), making
+// CycleMode a flag.Value.
+func (m *CycleMode) Set(s string) error {
 	switch s {
 	case "", "exact":
-		return CycleExact, nil
+		*m = CycleExact
 	case "sampled":
-		return CycleSampled, nil
+		*m = CycleSampled
 	default:
-		return 0, fmt.Errorf("serve: unknown cycle mode %q (want exact or sampled)", s)
+		return fmt.Errorf("serve: unknown cycle mode %q (want exact or sampled)", s)
 	}
+	return nil
 }
 
 // Options configures a Server. The zero value of any field selects the

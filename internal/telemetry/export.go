@@ -4,6 +4,9 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"os"
+	"runtime"
+	"runtime/debug"
 	"strings"
 )
 
@@ -43,6 +46,47 @@ func WriteStatsJSON(w io.Writer, m *Manifest, s Snapshot) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(doc)
+}
+
+// NewManifest builds the manifest of an artifact the running binary
+// produces: command is its command line, and the VCS revision and Go
+// version come from the build.
+func NewManifest(command, configFingerprint string, parallelism int) *Manifest {
+	m := &Manifest{
+		Command:           command,
+		GoVersion:         runtime.Version(),
+		ConfigFingerprint: configFingerprint,
+		Parallelism:       parallelism,
+	}
+	if bi, ok := debug.ReadBuildInfo(); ok {
+		for _, s := range bi.Settings {
+			switch s.Key {
+			case "vcs.revision":
+				m.GitRevision = s.Value
+			case "vcs.modified":
+				m.GitDirty = s.Value == "true"
+			}
+		}
+	}
+	return m
+}
+
+// WriteStatsFile writes s to path: Prometheus text exposition for a
+// ".prom" suffix, otherwise the JSON snapshot schema with m embedded.
+func WriteStatsFile(path string, m *Manifest, s Snapshot) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if strings.HasSuffix(path, ".prom") {
+		err = WritePrometheus(f, s)
+	} else {
+		err = WriteStatsJSON(f, m, s)
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // ReadStatsJSON parses a document written by WriteStatsJSON back into a

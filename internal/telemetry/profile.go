@@ -1,0 +1,45 @@
+package telemetry
+
+import (
+	"os"
+	"runtime"
+	"runtime/pprof"
+)
+
+// StartProfiles starts a CPU profile into cpuPath, unless it is empty,
+// and returns the function that ends the run's profiling: it stops the
+// CPU profile and, unless memPath is empty, writes a heap profile there
+// after a GC.
+func StartProfiles(cpuPath, memPath string) (stop func() error, err error) {
+	var cpu *os.File
+	if cpuPath != "" {
+		if cpu, err = os.Create(cpuPath); err != nil {
+			return nil, err
+		}
+		if err = pprof.StartCPUProfile(cpu); err != nil {
+			cpu.Close()
+			return nil, err
+		}
+	}
+	return func() error {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				return err
+			}
+		}
+		if memPath == "" {
+			return nil
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			return err
+		}
+		runtime.GC()
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			f.Close()
+			return err
+		}
+		return f.Close()
+	}, nil
+}
