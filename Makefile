@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet race bench bench-smoke fuzz-smoke chaos-smoke serve-smoke serve-fast-smoke serve-report serve-tiles-smoke serve-tiles-report obs-smoke serve-obs-report elements-smoke serve-elements-report workloads-smoke workloads-report cluster-smoke serve-cluster-report figures examples clean
+.PHONY: all build test vet race bench bench-smoke fuzz-smoke chaos-smoke serve-smoke serve-fast-smoke serve-report serve-tiles-smoke serve-tiles-report obs-smoke serve-obs-report elements-smoke serve-elements-report workloads-smoke workloads-report cluster-smoke serve-cluster-report figures results-check examples clean
 
 all: build vet test
 
@@ -265,6 +265,23 @@ figures:
 	go run ./cmd/ubench -fig all -ops -ablation all
 	go run ./cmd/hyperbench -stats
 	go run ./cmd/asicreport -sweep
+
+# Regenerate the paper figures and compare each byte for byte with its
+# checked-in results/ file; any difference fails. ubench prints
+# results/ubench.txt followed by results/ablations.txt.
+results-check:
+	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
+	go run ./cmd/ubench -fig all -ops -ablation all > "$$tmp/ubench.txt"; \
+	cat results/ubench.txt results/ablations.txt | cmp - "$$tmp/ubench.txt"; \
+	go run ./cmd/hyperbench -stats > "$$tmp/hyperbench.txt"; \
+	cmp results/hyperbench.txt "$$tmp/hyperbench.txt"; \
+	go run ./cmd/fleetprofile > "$$tmp/fleetprofile.txt"; \
+	cmp results/fleetprofile.txt "$$tmp/fleetprofile.txt"; \
+	go run ./cmd/asicreport -sweep > "$$tmp/asicreport.txt"; \
+	cmp results/asicreport.txt "$$tmp/asicreport.txt"; \
+	go run ./cmd/hyperbench -dump-proto "$$tmp/hyperprotobench" > /dev/null; \
+	diff -r results/hyperprotobench "$$tmp/hyperprotobench"; \
+	echo "results-check: every paper figure matches results/"
 
 bench:
 	go test -bench=. -benchmem ./...

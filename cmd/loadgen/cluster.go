@@ -267,11 +267,13 @@ func runScalingPoint(bin string, n int, runOpts serve.LoadgenOptions, schemas []
 }
 
 // runHedgeDrill measures hedging against a straggler: one healthy node
-// and one slow one (a 60ms batch window pins every slow-node response
-// behind the coalescing timer), round-robin routing so half the traffic
-// lands on the straggler, hedging off vs on. With hedging on, requests
-// outstanding past the adaptive delay re-issue on the other node and the
-// first response wins — the p999 cut the pool exists for.
+// and one slow one, round-robin routing so half the traffic lands on the
+// straggler, hedging off vs on. The slow node's 60ms batch window holds
+// its batches open only because the drill's closed-loop arrivals per key
+// are far closer together than 60ms: a key arriving further apart than
+// the window is sparse, and its batch would flush at once. With hedging
+// on, requests outstanding past the adaptive delay re-issue on the other
+// node and the first response wins — the p999 cut the pool exists for.
 func runHedgeDrill(bin string, runOpts serve.LoadgenOptions, schema string, op serve.Op) ([2]hedgeCell, error) {
 	var cells [2]hedgeCell
 	fast, err := spawnDaemon(bin)

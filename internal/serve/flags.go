@@ -18,7 +18,7 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.Var(&o.Routing, "routing", `tile placement policy: p2c (power-of-two-choices + work stealing) or rr (deterministic round-robin) (default "p2c")`)
 	fs.IntVar(&o.Workers, "workers", 0, "total batch executors, split across tiles (0 = GOMAXPROCS)")
 	fs.IntVar(&o.MaxBatch, "max-batch", 0, "max requests per accelerator batch (0 = default 16)")
-	fs.DurationVar(&o.BatchWindow, "batch-window", 0, "how long an under-full batch waits for partners (0 = default 200µs)")
+	fs.DurationVar(&o.BatchWindow, "batch-window", 0, "longest an under-full batch waits for partners; a key arriving further apart than this flushes at once (0 = default 200µs)")
 	fs.IntVar(&o.QueueDepth, "queue-depth", 0, "per-tile admission queue bound; requests routed to a full tile are shed (0 = default 1024)")
 	fs.Var(&o.CycleMode, "cycle-mode", `cycle accounting: exact (every request runs the full cycle model) or sampled (1-in-N batches carry attribution, rest run functional-only) (default "exact")`)
 	fs.IntVar(&o.CycleSampleN, "cycle-sample-n", 0, "sampling period for -cycle-mode sampled (0 = default 8)")

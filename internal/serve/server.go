@@ -218,8 +218,12 @@ type Options struct {
 	// MaxBatch caps requests folded into one accelerator batch (default 16).
 	MaxBatch int
 
-	// BatchWindow is how long a tile's dispatcher holds an under-full
-	// batch open waiting for coalescing partners (default 200µs).
+	// BatchWindow is the longest a tile's dispatcher holds an under-full
+	// batch open waiting for coalescing partners (default 200µs). It is
+	// also the sparse threshold: a (schema, op) key with no arrival gap
+	// yet, or whose recent arrivals are on average further apart than
+	// the window, has its batch flushed as soon as the tile's admission
+	// queue is empty.
 	BatchWindow time.Duration
 
 	// QueueDepth bounds each tile's admission queue; requests routed to a

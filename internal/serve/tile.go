@@ -173,16 +173,51 @@ func (t *tile) observeBreaker(reqs, fails uint64) {
 	}
 }
 
+// arrival is one (schema, op) key's arrival record in a tile's
+// dispatcher: when the dispatcher last took a job for the key, and an
+// EWMA (weight 1/8) of the gaps between those takes.
+type arrival struct {
+	last   time.Time
+	gap    time.Duration
+	hasGap bool
+}
+
+// note records the dispatcher taking a job for the key at now.
+func (a *arrival) note(now time.Time) {
+	if !a.last.IsZero() {
+		g := now.Sub(a.last)
+		if a.hasGap {
+			a.gap += (g - a.gap) / 8
+		} else {
+			a.gap, a.hasGap = g, true
+		}
+	}
+	a.last = now
+}
+
+// sparse reports that no partner is expected within window: the key has
+// no gap yet, or its arrivals are on average further apart than window.
+func (a *arrival) sparse(window time.Duration) bool {
+	return !a.hasGap || a.gap > window
+}
+
 // dispatch coalesces this tile's queued singles into per-(schema, op)
 // batches, flushing a batch when it reaches MaxBatch or its window
-// expires; preformed batches pass through untouched. Runs until the queue
-// closes, then flushes every open batch and closes the work channel.
+// expires; preformed batches pass through untouched. A sparse key's open
+// batch (see arrival) is flushed as soon as the admission queue is empty
+// instead of waiting out the window: its partner would rarely arrive in
+// time, and Go rounds a timer under 1 ms up to a 1 ms epoll_wait when the
+// process is idle, so the window would hold it over a millisecond. Runs
+// until the queue closes, then flushes every open batch and closes the
+// work channel.
 //
 // The window is load-bearing for batching efficiency: an "idle executor"
 // signal is NOT a flush trigger, because on a loaded host executors look
 // idle whenever the clients feeding the tile simply haven't been
 // scheduled yet, and flushing on that signal shreds every burst into
 // single-request batches (measured 4-5x throughput loss closed-loop).
+// The sparse rule keeps dense keys on the window, and waits for an empty
+// queue because the jobs still queued may be the open batches' partners.
 func (t *tile) dispatch() {
 	defer t.wg.Done()
 	type openBatch struct {
@@ -190,6 +225,7 @@ func (t *tile) dispatch() {
 		flushAt  time.Time
 	}
 	groups := make(map[batchKey]*openBatch)
+	arrivals := make(map[batchKey]*arrival)
 	var timer *time.Timer
 	var timerC <-chan time.Time
 
@@ -254,6 +290,12 @@ func (t *tile) dispatch() {
 			t.work <- job
 			return
 		}
+		a := arrivals[job.key]
+		if a == nil {
+			a = &arrival{}
+			arrivals[job.key] = a
+		}
+		a.note(now)
 		g := groups[job.key]
 		if g == nil {
 			g = &openBatch{flushAt: time.Now().Add(t.srv.opts.BatchWindow)}
@@ -280,6 +322,13 @@ func (t *tile) dispatch() {
 				return
 			}
 			handle(job)
+			if len(t.queue) == 0 {
+				for k := range groups {
+					if arrivals[k].sparse(t.srv.opts.BatchWindow) {
+						flush(k)
+					}
+				}
+			}
 		case <-timerC:
 			now := time.Now()
 			for k, g := range groups {

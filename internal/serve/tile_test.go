@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"protoacc/internal/faults"
 	"protoacc/internal/pb/dynamic"
@@ -302,6 +304,123 @@ func TestDispatchFlushChunksAtMaxBatch(t *testing.T) {
 	if batches != want {
 		t.Errorf("a %d-pending job at MaxBatch %d ran as %v batches, want %v (MaxBatch-sized chunks)",
 			n, opts.MaxBatch, batches, want)
+	}
+}
+
+// The dispatcher's arrival record, fed fabricated take times. With a
+// weight of 1/8, a 2 ms mean gap falls below a 200µs window after 20
+// gaps of 50µs, not 19.
+func TestArrivalSparse(t *testing.T) {
+	const window = 200 * time.Microsecond
+	repeat := func(n int, d time.Duration) []time.Duration {
+		gaps := make([]time.Duration, n)
+		for i := range gaps {
+			gaps[i] = d
+		}
+		return gaps
+	}
+	cases := []struct {
+		name   string
+		takes  int             // takes before the gaps below
+		gaps   []time.Duration // then one take after each gap
+		sparse bool
+	}{
+		{name: "never taken", sparse: true},
+		{name: "one take, no gap yet", takes: 1, sparse: true},
+		{name: "steady gaps under the window", takes: 1, gaps: repeat(16, 50*time.Microsecond), sparse: false},
+		{name: "one gap just under", takes: 1, gaps: []time.Duration{window - 1}, sparse: false},
+		{name: "one gap equal to the window", takes: 1, gaps: []time.Duration{window}, sparse: false},
+		{name: "steady gaps over the window", takes: 1, gaps: repeat(16, 2*time.Millisecond), sparse: true},
+		{name: "sparse, 19 short gaps", takes: 1, gaps: append(repeat(8, 2*time.Millisecond), repeat(19, 50*time.Microsecond)...), sparse: true},
+		{name: "sparse, 20 short gaps", takes: 1, gaps: append(repeat(8, 2*time.Millisecond), repeat(20, 50*time.Microsecond)...), sparse: false},
+		{name: "dense, one long gap", takes: 1, gaps: append(repeat(8, 50*time.Microsecond), 2*time.Millisecond), sparse: true},
+	}
+	for _, c := range cases {
+		var a arrival
+		now := time.Unix(1000, 0)
+		for i := 0; i < c.takes; i++ {
+			a.note(now)
+		}
+		for _, g := range c.gaps {
+			now = now.Add(g)
+			a.note(now)
+		}
+		if got := a.sparse(window); got != c.sparse {
+			t.Errorf("%s: sparse = %v (mean gap %v, has gap %v), want %v", c.name, got, a.gap, a.hasGap, c.sparse)
+		}
+	}
+}
+
+// On an idle server every key is sparse (no arrival gap yet), so the
+// first request on each (schema, op) is answered without waiting out the
+// window, however long the window is.
+func TestSparseKeyFlushesAtOnce(t *testing.T) {
+	opts := testOptions()
+	opts.BatchWindow = time.Second
+	opts.Deadline = 10 * time.Second
+	srv, err := NewServer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := srv.InProc()
+	for _, name := range srv.Catalog().Names() {
+		payload := srv.Catalog().Lookup(name).SamplePayload(0)
+		for _, op := range []Op{OpDeserialize, OpSerialize} {
+			start := time.Now()
+			resp, err := client.Do(Request{Op: op, Schema: name, Payload: payload})
+			took := time.Since(start)
+			if err != nil || resp.Status != StatusOK {
+				t.Fatalf("%s/%v: status %v, err %v", name, op, resp.Status, err)
+			}
+			if took >= opts.BatchWindow/2 {
+				t.Errorf("%s/%v: first request on an idle server took %v; a sparse key must not wait out the %v window",
+					name, op, took, opts.BatchWindow)
+			}
+		}
+	}
+}
+
+// A dense key keeps the window: once a key's arrivals are closer together
+// than the window, its under-full batch waits for partners even with the
+// queue empty, so MaxBatch requests sent together after the key's first
+// (sparse, unpartnered) request run as one batch, flushed at MaxBatch.
+func TestDenseKeyWaitsForPartners(t *testing.T) {
+	opts := testOptions() // MaxBatch 4
+	opts.BatchWindow = time.Second
+	opts.Deadline = 10 * time.Second
+	srv, err := NewServer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	client := srv.InProc()
+	req := Request{Op: OpDeserialize, Schema: "varint", Payload: srv.Catalog().Lookup("varint").SamplePayload(0)}
+	if resp, err := client.Do(req); err != nil || resp.Status != StatusOK {
+		t.Fatalf("first request: status %v, err %v", resp.Status, err)
+	}
+	start := time.Now()
+	var wg sync.WaitGroup
+	for i := 0; i < opts.MaxBatch; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if resp, err := client.Do(req); err != nil || resp.Status != StatusOK {
+				t.Errorf("partnered request: status %v, err %v", resp.Status, err)
+			}
+		}()
+	}
+	wg.Wait()
+	took := time.Since(start)
+	tl := srv.tiles[0]
+	tl.mu.Lock()
+	batches, reqs := tl.stats.batches, tl.stats.batchRequests
+	tl.mu.Unlock()
+	if batches != 2 || reqs != uint64(1+opts.MaxBatch) {
+		t.Errorf("%d requests ran as %d batches, want 2: the first alone, then one batch of %d", reqs, batches, opts.MaxBatch)
+	}
+	if took >= opts.BatchWindow/2 {
+		t.Errorf("a full batch took %v; it must flush at MaxBatch, not wait out the %v window", took, opts.BatchWindow)
 	}
 }
 
