@@ -18,10 +18,12 @@ bench-smoke:
 # Short live-fuzzing pass over the native targets (seed corpora alone run
 # in `make test`): the deserializers and the serialize round trip, each
 # differentially checked against the reference codec, including a System
-# running under an injected-fault schedule.
+# running under an injected-fault schedule; then the reference codec's own
+# round trip (Size, re-parse, re-encode, Clone and Merge).
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzSerializeRoundTrip -fuzztime 30s ./internal/core
+	go test -run '^$$' -fuzz FuzzUnmarshalRoundTrip -fuzztime 30s ./internal/pb/codec
 
 # The differential chaos harness under the race detector: faulted runs
 # must produce byte-identical output to pure software, and fault-disabled

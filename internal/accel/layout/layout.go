@@ -53,14 +53,15 @@ type Layout struct {
 	HasbitsWords int    // 64-bit words of sparse hasbits
 	MinField     int32
 	MaxField     int32
-	Fields       []FieldLayout // in field-number order
-
-	byNumber map[int32]*FieldLayout
+	Fields       []FieldLayout // parallel to Type.Fields
 }
 
 // FieldByNumber returns the layout of field num, or nil.
 func (l *Layout) FieldByNumber(num int32) *FieldLayout {
-	return l.byNumber[num]
+	if i := l.Type.FieldIndex(num); i >= 0 {
+		return &l.Fields[i]
+	}
+	return nil
 }
 
 // HasbitsBytes returns the size of the hasbits array in bytes.
@@ -112,7 +113,6 @@ func Compute(t *schema.Message) *Layout {
 		Type:     t,
 		MinField: t.MinFieldNumber(),
 		MaxField: t.MaxFieldNumber(),
-		byNumber: make(map[int32]*FieldLayout, len(t.Fields)),
 	}
 	if r := t.FieldNumberRange(); r > 0 {
 		l.HasbitsWords = int((r + 63) / 64)
@@ -125,9 +125,6 @@ func Compute(t *schema.Message) *Layout {
 		off += size
 	}
 	l.Size = (off + 7) &^ 7
-	for i := range l.Fields {
-		l.byNumber[l.Fields[i].Field.Number] = &l.Fields[i]
-	}
 	return l
 }
 

@@ -156,34 +156,23 @@ func appendScalarValue(b []byte, f *schema.Field, bits uint64) []byte {
 func appendField(b []byte, m *dynamic.Message, f *schema.Field) ([]byte, error) {
 	switch {
 	case f.Kind == schema.KindMessage:
-		var subs []*dynamic.Message
-		if f.Repeated() {
-			subs = m.RepeatedMessages(f.Number)
-		} else {
-			sub := m.GetMessage(f.Number)
-			if sub == nil {
-				return b, nil
-			}
-			subs = []*dynamic.Message{sub}
+		if !f.Repeated() {
+			return appendMessage(b, f.Number, m.GetMessage(f.Number))
 		}
-		for _, s := range subs {
-			b = wire.AppendTag(b, f.Number, wire.TypeBytes)
-			b = wire.AppendVarint(b, uint64(Size(s)))
+		for _, s := range m.RepeatedMessages(f.Number) {
 			var err error
-			b, err = MarshalAppend(b, s)
+			b, err = appendMessage(b, f.Number, s)
 			if err != nil {
 				return nil, err
 			}
 		}
 		return b, nil
 	case f.Kind.Class() == schema.ClassBytesLike:
-		var vals [][]byte
-		if f.Repeated() {
-			vals = m.RepeatedBytes(f.Number)
-		} else {
-			vals = [][]byte{m.GetBytes(f.Number)}
+		if !f.Repeated() {
+			b = wire.AppendTag(b, f.Number, wire.TypeBytes)
+			return wire.AppendBytes(b, m.GetBytes(f.Number)), nil
 		}
-		for _, v := range vals {
+		for _, v := range m.RepeatedBytes(f.Number) {
 			b = wire.AppendTag(b, f.Number, wire.TypeBytes)
 			b = wire.AppendBytes(b, v)
 		}
@@ -211,6 +200,17 @@ func appendField(b []byte, m *dynamic.Message, f *schema.Field) ([]byte, error) 
 		b = wire.AppendTag(b, f.Number, f.Kind.WireType())
 		return appendScalarValue(b, f, m.ScalarBits(f.Number)), nil
 	}
+}
+
+// appendMessage appends sub-message s as field num. A nil s (present but
+// unset) writes no bytes.
+func appendMessage(b []byte, num int32, s *dynamic.Message) ([]byte, error) {
+	if s == nil {
+		return b, nil
+	}
+	b = wire.AppendTag(b, num, wire.TypeBytes)
+	b = wire.AppendVarint(b, uint64(Size(s)))
+	return MarshalAppend(b, s)
 }
 
 // Unmarshal deserializes wire bytes into a fresh message of type t.

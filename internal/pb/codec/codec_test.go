@@ -404,6 +404,70 @@ func TestBoolCanonicalization(t *testing.T) {
 	}
 }
 
+// FuzzUnmarshalRoundTrip checks the codec's round-trip properties on
+// every input Unmarshal accepts, over one fixed random schema (seed 25:
+// uint64 field 1, sub-messages four deep, repeated and bytes fields):
+// Size matches the encoding's length, re-parsing the encoding gives back
+// an equal message, re-encoding that gives the same bytes, and Clone and
+// Merge into an empty message both copy it exactly. The seeds include an
+// unknown varint field (98 06 07, field 99) and a wire-type mismatch
+// (0a 01 41, bytes on the uint64 field 1), which are kept as unknown
+// bytes.
+func FuzzUnmarshalRoundTrip(f *testing.F) {
+	rng := rand.New(rand.NewSource(25))
+	typ := pbtest.RandomSchema(rng, pbtest.DefaultSchemaConfig())
+	if fd := typ.FieldByNumber(1); fd == nil || fd.Kind != schema.KindUint64 || typ.FieldByNumber(99) != nil {
+		f.Fatal("schema no longer has uint64 field 1 and no field 99; the seeds below lose their meaning")
+	}
+	// Four typical messages and one with every field set at every depth,
+	// so each kind and label is in the corpus.
+	cfgs := []pbtest.MessageConfig{pbtest.DefaultMessageConfig(), pbtest.DefaultMessageConfig(),
+		pbtest.DefaultMessageConfig(), pbtest.DefaultMessageConfig(), {PresenceProb: 1, MaxRepeat: 2, MaxBlobLen: 8}}
+	for _, cfg := range cfgs {
+		b, err := Marshal(pbtest.RandomPopulated(rng, typ, cfg))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(b)
+		f.Add(append(b, 0x98, 0x06, 0x07))
+	}
+	f.Add([]byte{})
+	f.Add([]byte{0x98, 0x06, 0x07})
+	f.Add([]byte{0x0a, 0x01, 0x41})
+	f.Fuzz(func(t *testing.T, input []byte) {
+		m, err := Unmarshal(typ, input)
+		if err != nil {
+			return
+		}
+		b, err := Marshal(m)
+		if err != nil {
+			t.Fatalf("Marshal: %v", err)
+		}
+		if Size(m) != len(b) {
+			t.Fatalf("Size = %d, Marshal wrote %d bytes", Size(m), len(b))
+		}
+		back, err := Unmarshal(typ, b)
+		if err != nil {
+			t.Fatalf("Unmarshal(Marshal(m)): %v", err)
+		}
+		if !back.Equal(m) {
+			t.Fatalf("Unmarshal(Marshal(m)) differs from m for input %x", input)
+		}
+		again, err := Marshal(back)
+		if err != nil || !bytes.Equal(again, b) {
+			t.Fatalf("Marshal not idempotent: %x then %x (%v)", b, again, err)
+		}
+		if !m.Clone().Equal(m) {
+			t.Fatal("Clone differs from m")
+		}
+		merged := dynamic.New(typ)
+		merged.Merge(m)
+		if !merged.Equal(m) {
+			t.Fatal("New(t).Merge(m) differs from m")
+		}
+	})
+}
+
 func BenchmarkMarshalSmall(b *testing.B) {
 	m := dynamic.New(test1Type())
 	m.SetInt32(1, 150)

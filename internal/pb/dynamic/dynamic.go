@@ -1,8 +1,11 @@
 // Package dynamic provides the host-side in-memory representation of proto2
 // messages: the Go analogue of the C++ objects protoc generates (§2.1.3 of
-// the paper). A Message tracks per-field presence exactly as the C++
-// library's hasbits do, stores scalars as fixed-width bit patterns, strings
-// and bytes as byte slices, and sub-messages as pointers.
+// the paper). Like those objects, a Message has one fixed slot per schema
+// field, parallel to the type's Fields and found through
+// schema.Message.FieldIndex, with a hasbit per slot. Scalars are stored
+// inline as 64-bit patterns, strings and bytes as byte slices and
+// sub-messages as pointers; a repeated field's elements sit behind one
+// pointer. The slots are allocated together when the first field is set.
 //
 // Accessors panic on schema misuse (wrong kind, unknown field number): such
 // errors are programming bugs, matching the behaviour of generated code.
@@ -24,13 +27,25 @@ import (
 	"bytes"
 	"fmt"
 	"math"
+	"slices"
 
 	"protoacc/internal/pb/schema"
 )
 
-// fieldValue holds the value(s) of one present field. Singular fields use
-// index 0 of the relevant slice; repeated fields use the full slice.
-type fieldValue struct {
+// slot holds one field's value; a Message's i'th slot belongs to its
+// type's Fields[i]. Singular values live inline and a repeated field's
+// elements sit behind rep. Only the member the field's kind uses is ever
+// set; the others stay zero.
+type slot struct {
+	has  bool      // the field's hasbit
+	bits uint64    // singular numeric/bool/enum bit pattern
+	blob []byte    // singular string/bytes payload
+	msg  *Message  // singular sub-message; nil with has set is present-but-nil
+	rep  *repeated // repeated elements, allocated by the first Add
+}
+
+// repeated holds the elements of one repeated field.
+type repeated struct {
 	scalars []uint64   // numeric/bool/enum bit patterns
 	blobs   [][]byte   // string/bytes payloads
 	msgs    []*Message // sub-messages
@@ -38,8 +53,8 @@ type fieldValue struct {
 
 // Message is a dynamically-typed proto2 message instance.
 type Message struct {
-	typ    *schema.Message
-	fields map[int32]*fieldValue
+	typ   *schema.Message
+	slots []slot // parallel to typ.Fields; nil until a field is first set
 
 	// Unknown holds wire-format bytes of fields that were not in the
 	// schema when the message was deserialized; proto2 preserves them
@@ -52,19 +67,20 @@ func New(t *schema.Message) *Message {
 	if t == nil {
 		panic("dynamic: nil message type")
 	}
-	return &Message{typ: t, fields: make(map[int32]*fieldValue)}
+	return &Message{typ: t}
 }
 
 // Type returns the message's descriptor.
 func (m *Message) Type() *schema.Message { return m.typ }
 
-// field returns the descriptor for num, panicking if undefined.
-func (m *Message) field(num int32) *schema.Field {
-	f := m.typ.FieldByNumber(num)
-	if f == nil {
+// field returns the slot index and descriptor for num, panicking if
+// undefined.
+func (m *Message) field(num int32) (int, *schema.Field) {
+	i := m.typ.FieldIndex(num)
+	if i < 0 {
 		panic(fmt.Sprintf("dynamic: %s has no field %d", m.typ.Name, num))
 	}
-	return f
+	return i, m.typ.Fields[i]
 }
 
 func (m *Message) checkKind(f *schema.Field, want ...schema.Kind) {
@@ -73,7 +89,15 @@ func (m *Message) checkKind(f *schema.Field, want ...schema.Kind) {
 			return
 		}
 	}
-	panic(fmt.Sprintf("dynamic: %s.%s is %v, not %v", m.typ.Name, f.Name, f.Kind, want))
+	// Format a copy so want does not escape: callers' argument slices
+	// then stay on the stack.
+	panic(fmt.Sprintf("dynamic: %s.%s is %v, not %v", m.typ.Name, f.Name, f.Kind, append([]schema.Kind(nil), want...)))
+}
+
+func (m *Message) checkScalar(f *schema.Field) {
+	if c := f.Kind.Class(); c == schema.ClassBytesLike || c == schema.ClassMessage {
+		panic(fmt.Sprintf("dynamic: %s.%s is not scalar", m.typ.Name, f.Name))
+	}
 }
 
 func (m *Message) checkSingular(f *schema.Field) {
@@ -88,32 +112,56 @@ func (m *Message) checkRepeated(f *schema.Field) {
 	}
 }
 
-func (m *Message) val(num int32) *fieldValue {
-	v, ok := m.fields[num]
-	if !ok {
-		v = &fieldValue{}
-		m.fields[num] = v
+// present reports slot i's hasbit.
+func (m *Message) present(i int) bool { return m.slots != nil && m.slots[i].has }
+
+// set returns slot i for writing, marking the field present. The slots are
+// allocated, all at once, by the first write.
+func (m *Message) set(i int) *slot {
+	if m.slots == nil {
+		m.slots = make([]slot, len(m.typ.Fields))
 	}
-	return v
+	s := &m.slots[i]
+	s.has = true
+	return s
+}
+
+// elems returns slot i's repeated elements, or nil if the field is absent.
+func (m *Message) elems(i int) *repeated {
+	if !m.present(i) {
+		return nil
+	}
+	return m.slots[i].rep
+}
+
+// appendTo returns slot i's repeated elements for appending, marking the
+// field present.
+func (m *Message) appendTo(i int) *repeated {
+	s := m.set(i)
+	if s.rep == nil {
+		s.rep = new(repeated)
+	}
+	return s.rep
 }
 
 // Has reports whether the field is present (set). For repeated fields it
 // reports whether at least one element exists.
 func (m *Message) Has(num int32) bool {
-	m.field(num)
-	_, ok := m.fields[num]
-	return ok
+	i, _ := m.field(num)
+	return m.present(i)
 }
 
 // Clear removes the field's value and presence bit.
 func (m *Message) Clear(num int32) {
-	m.field(num)
-	delete(m.fields, num)
+	i, _ := m.field(num)
+	if m.slots != nil {
+		m.slots[i] = slot{}
+	}
 }
 
 // ClearAll resets the message to empty (the protobuf Clear operation).
 func (m *Message) ClearAll() {
-	m.fields = make(map[int32]*fieldValue)
+	clear(m.slots)
 	m.Unknown = nil
 }
 
@@ -121,9 +169,9 @@ func (m *Message) ClearAll() {
 // ascending order.
 func (m *Message) PresentFieldNumbers() []int32 {
 	var nums []int32
-	for _, f := range m.typ.Fields {
-		if _, ok := m.fields[f.Number]; ok {
-			nums = append(nums, f.Number)
+	for i := range m.slots {
+		if m.slots[i].has {
+			nums = append(nums, m.typ.Fields[i].Number)
 		}
 	}
 	return nums
@@ -135,44 +183,41 @@ func (m *Message) PresentFieldNumbers() []int32 {
 // 64-bit pattern (sign-extended two's complement for signed kinds,
 // IEEE-754 bits for floats, 0/1 for bool).
 func (m *Message) SetScalarBits(num int32, bits uint64) {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkSingular(f)
-	if c := f.Kind.Class(); c == schema.ClassBytesLike || c == schema.ClassMessage {
-		panic(fmt.Sprintf("dynamic: %s.%s is not scalar", m.typ.Name, f.Name))
-	}
-	v := m.val(num)
-	v.scalars = append(v.scalars[:0], bits)
+	m.checkScalar(f)
+	m.set(i).bits = bits
 }
 
 // ScalarBits returns the raw bit pattern of a singular scalar field, or its
 // default if absent.
 func (m *Message) ScalarBits(num int32) uint64 {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkSingular(f)
-	if v, ok := m.fields[num]; ok {
-		return v.scalars[0]
+	m.checkScalar(f)
+	if m.present(i) {
+		return m.slots[i].bits
 	}
 	return f.Default
 }
 
 // AddScalarBits appends to a repeated numeric/bool/enum field.
 func (m *Message) AddScalarBits(num int32, bits uint64) {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkRepeated(f)
-	if c := f.Kind.Class(); c == schema.ClassBytesLike || c == schema.ClassMessage {
-		panic(fmt.Sprintf("dynamic: %s.%s is not scalar", m.typ.Name, f.Name))
-	}
-	v := m.val(num)
-	v.scalars = append(v.scalars, bits)
+	m.checkScalar(f)
+	r := m.appendTo(i)
+	r.scalars = append(r.scalars, bits)
 }
 
 // RepeatedScalarBits returns the elements of a repeated scalar field. The
 // slice aliases internal storage; treat it as read-only.
 func (m *Message) RepeatedScalarBits(num int32) []uint64 {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkRepeated(f)
-	if v, ok := m.fields[num]; ok {
-		return v.scalars
+	m.checkScalar(f)
+	if r := m.elems(i); r != nil {
+		return r.scalars
 	}
 	return nil
 }
@@ -239,20 +284,19 @@ func (m *Message) GetDouble(num int32) float64 {
 
 // SetBytes sets a singular string/bytes field. The slice is not copied.
 func (m *Message) SetBytes(num int32, v []byte) {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkSingular(f)
 	m.checkKind(f, schema.KindString, schema.KindBytes)
-	fv := m.val(num)
-	fv.blobs = append(fv.blobs[:0], v)
+	m.set(i).blob = v
 }
 
 // GetBytes returns a singular string/bytes field's value or default.
 func (m *Message) GetBytes(num int32) []byte {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkSingular(f)
 	m.checkKind(f, schema.KindString, schema.KindBytes)
-	if v, ok := m.fields[num]; ok {
-		return v.blobs[0]
+	if m.present(i) {
+		return m.slots[i].blob
 	}
 	return f.DefaultBytes
 }
@@ -265,11 +309,11 @@ func (m *Message) GetString(num int32) string { return string(m.GetBytes(num)) }
 
 // AddBytes appends to a repeated string/bytes field.
 func (m *Message) AddBytes(num int32, v []byte) {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkRepeated(f)
 	m.checkKind(f, schema.KindString, schema.KindBytes)
-	fv := m.val(num)
-	fv.blobs = append(fv.blobs, v)
+	r := m.appendTo(i)
+	r.blobs = append(r.blobs, v)
 }
 
 // AddString appends to a repeated string field.
@@ -277,36 +321,37 @@ func (m *Message) AddString(num int32, v string) { m.AddBytes(num, []byte(v)) }
 
 // RepeatedBytes returns the elements of a repeated string/bytes field.
 func (m *Message) RepeatedBytes(num int32) [][]byte {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkRepeated(f)
 	m.checkKind(f, schema.KindString, schema.KindBytes)
-	if v, ok := m.fields[num]; ok {
-		return v.blobs
+	if r := m.elems(i); r != nil {
+		return r.blobs
 	}
 	return nil
 }
 
 // --- sub-message accessors ---
 
-// SetMessage sets a singular message field.
+// SetMessage sets a singular message field. A nil v marks the field
+// present with no value, the state an object whose hasbit is set over a
+// null pointer reads back as.
 func (m *Message) SetMessage(num int32, v *Message) {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkSingular(f)
 	m.checkKind(f, schema.KindMessage)
 	if v != nil && v.typ != f.Message {
 		panic(fmt.Sprintf("dynamic: %s.%s wants %s, got %s", m.typ.Name, f.Name, f.Message.Name, v.typ.Name))
 	}
-	fv := m.val(num)
-	fv.msgs = append(fv.msgs[:0], v)
+	m.set(i).msg = v
 }
 
 // GetMessage returns a singular message field's value, or nil if absent.
 func (m *Message) GetMessage(num int32) *Message {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkSingular(f)
 	m.checkKind(f, schema.KindMessage)
-	if v, ok := m.fields[num]; ok {
-		return v.msgs[0]
+	if m.present(i) {
+		return m.slots[i].msg
 	}
 	return nil
 }
@@ -314,150 +359,151 @@ func (m *Message) GetMessage(num int32) *Message {
 // MutableMessage returns the singular sub-message, allocating it if absent
 // (the mutable_foo() accessor of C++ generated code).
 func (m *Message) MutableMessage(num int32) *Message {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkSingular(f)
 	m.checkKind(f, schema.KindMessage)
-	fv := m.val(num)
-	if len(fv.msgs) == 0 || fv.msgs[0] == nil {
-		fv.msgs = append(fv.msgs[:0], New(f.Message))
+	s := m.set(i)
+	if s.msg == nil {
+		s.msg = New(f.Message)
 	}
-	return fv.msgs[0]
+	return s.msg
 }
 
 // AddMessage appends a new empty element to a repeated message field and
 // returns it.
 func (m *Message) AddMessage(num int32) *Message {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkRepeated(f)
 	m.checkKind(f, schema.KindMessage)
-	fv := m.val(num)
 	sub := New(f.Message)
-	fv.msgs = append(fv.msgs, sub)
+	r := m.appendTo(i)
+	r.msgs = append(r.msgs, sub)
 	return sub
 }
 
 // RepeatedMessages returns the elements of a repeated message field.
 func (m *Message) RepeatedMessages(num int32) []*Message {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkRepeated(f)
 	m.checkKind(f, schema.KindMessage)
-	if v, ok := m.fields[num]; ok {
-		return v.msgs
+	if r := m.elems(i); r != nil {
+		return r.msgs
 	}
 	return nil
 }
 
 // Len returns the number of elements in a repeated field (0 if absent).
 func (m *Message) Len(num int32) int {
-	f := m.field(num)
+	i, f := m.field(num)
 	m.checkRepeated(f)
-	v, ok := m.fields[num]
-	if !ok {
-		return 0
-	}
+	r := m.elems(i)
 	switch {
+	case r == nil:
+		return 0
 	case f.Kind == schema.KindMessage:
-		return len(v.msgs)
+		return len(r.msgs)
 	case f.Kind.Class() == schema.ClassBytesLike:
-		return len(v.blobs)
+		return len(r.blobs)
 	default:
-		return len(v.scalars)
+		return len(r.scalars)
 	}
 }
 
 // --- message-level operations (the paper's Figure 2 "other" operators) ---
 
 // Equal reports deep equality of two messages of the same type, comparing
-// presence, values, element order, and unknown bytes.
+// presence, values, element order, and unknown bytes. A sub-message field
+// present with a nil value differs from an absent one.
 func (m *Message) Equal(o *Message) bool {
 	if m == nil || o == nil {
 		return m == o
 	}
-	if m.typ != o.typ || len(m.fields) != len(o.fields) || !bytes.Equal(m.Unknown, o.Unknown) {
+	if m.typ != o.typ || !bytes.Equal(m.Unknown, o.Unknown) {
 		return false
 	}
-	for num, v := range m.fields {
-		ov, ok := o.fields[num]
-		if !ok {
+	for i := range m.typ.Fields {
+		if m.present(i) != o.present(i) {
 			return false
 		}
-		if len(v.scalars) != len(ov.scalars) || len(v.blobs) != len(ov.blobs) || len(v.msgs) != len(ov.msgs) {
+		if m.present(i) && !m.slots[i].equal(&o.slots[i]) {
 			return false
-		}
-		for i := range v.scalars {
-			if v.scalars[i] != ov.scalars[i] {
-				return false
-			}
-		}
-		for i := range v.blobs {
-			if !bytes.Equal(v.blobs[i], ov.blobs[i]) {
-				return false
-			}
-		}
-		for i := range v.msgs {
-			if !v.msgs[i].Equal(ov.msgs[i]) {
-				return false
-			}
 		}
 	}
 	return true
 }
 
-// Clone returns a deep copy of m.
+// equal compares two present slots of one field member by member; the
+// members the field's kind does not use are zero in both.
+func (s *slot) equal(o *slot) bool {
+	return s.bits == o.bits && bytes.Equal(s.blob, o.blob) && s.msg.Equal(o.msg) && s.rep.equal(o.rep)
+}
+
+func (r *repeated) equal(o *repeated) bool {
+	if r == nil || o == nil {
+		return r == o
+	}
+	return slices.Equal(r.scalars, o.scalars) && slices.EqualFunc(r.blobs, o.blobs, bytes.Equal) &&
+		slices.EqualFunc(r.msgs, o.msgs, (*Message).Equal)
+}
+
+// Clone returns a deep copy of m, or nil for a nil m.
 func (m *Message) Clone() *Message {
+	if m == nil {
+		return nil
+	}
 	c := New(m.typ)
-	c.Unknown = append([]byte(nil), m.Unknown...)
-	if len(c.Unknown) == 0 {
-		c.Unknown = nil
-	}
-	for num, v := range m.fields {
-		cv := &fieldValue{}
-		if v.scalars != nil {
-			cv.scalars = append([]uint64(nil), v.scalars...)
-		}
-		for _, b := range v.blobs {
-			cv.blobs = append(cv.blobs, append([]byte(nil), b...))
-		}
-		for _, s := range v.msgs {
-			cv.msgs = append(cv.msgs, s.Clone())
-		}
-		c.fields[num] = cv
-	}
+	c.Merge(m)
 	return c
 }
 
 // Merge merges src into m with proto2 semantics: singular scalars and
 // strings are overwritten if present in src, singular sub-messages are
-// merged recursively, repeated fields are concatenated.
+// merged recursively, repeated fields are concatenated. A sub-message
+// present in src with a nil value marks the field present in m and
+// leaves m's value as it was.
 func (m *Message) Merge(src *Message) {
 	if src.typ != m.typ {
 		panic(fmt.Sprintf("dynamic: cannot merge %s into %s", src.typ.Name, m.typ.Name))
 	}
-	for num, sv := range src.fields {
-		f := m.field(num)
-		dv := m.val(num)
+	for i := range src.slots {
+		s := &src.slots[i]
+		if !s.has {
+			continue
+		}
+		f := m.typ.Fields[i]
 		switch {
 		case f.Repeated():
-			dv.scalars = append(dv.scalars, sv.scalars...)
-			for _, b := range sv.blobs {
-				dv.blobs = append(dv.blobs, append([]byte(nil), b...))
-			}
-			for _, s := range sv.msgs {
-				dv.msgs = append(dv.msgs, s.Clone())
-			}
+			m.appendTo(i).appendCopies(s.rep)
 		case f.Kind == schema.KindMessage:
-			if len(dv.msgs) == 0 || dv.msgs[0] == nil {
-				dv.msgs = append(dv.msgs[:0], New(f.Message))
+			d := m.set(i)
+			if s.msg == nil {
+				continue
 			}
-			dv.msgs[0].Merge(sv.msgs[0])
+			if d.msg == nil {
+				d.msg = New(f.Message)
+			}
+			d.msg.Merge(s.msg)
 		case f.Kind.Class() == schema.ClassBytesLike:
-			dv.blobs = append(dv.blobs[:0], append([]byte(nil), sv.blobs[0]...))
+			m.set(i).blob = cloneBytes(s.blob)
 		default:
-			dv.scalars = append(dv.scalars[:0], sv.scalars[0])
+			m.set(i).bits = s.bits
 		}
 	}
 	m.Unknown = append(m.Unknown, src.Unknown...)
 }
+
+// appendCopies appends deep copies of o's elements to r.
+func (r *repeated) appendCopies(o *repeated) {
+	r.scalars = append(r.scalars, o.scalars...)
+	for _, b := range o.blobs {
+		r.blobs = append(r.blobs, cloneBytes(b))
+	}
+	for _, s := range o.msgs {
+		r.msgs = append(r.msgs, s.Clone())
+	}
+}
+
+func cloneBytes(b []byte) []byte { return append([]byte(nil), b...) }
 
 // IsInitialized reports whether all required fields are present,
 // recursively (proto2 required-field semantics).

@@ -179,6 +179,8 @@ func TestEqualCloneMerge(t *testing.T) {
 		&schema.Field{Name: "s", Number: 2, Kind: schema.KindString},
 		&schema.Field{Name: "sub", Number: 3, Kind: schema.KindMessage, Message: sub},
 		&schema.Field{Name: "r", Number: 4, Kind: schema.KindInt64, Label: schema.LabelRepeated},
+		&schema.Field{Name: "rs", Number: 5, Kind: schema.KindString, Label: schema.LabelRepeated},
+		&schema.Field{Name: "rm", Number: 6, Kind: schema.KindMessage, Label: schema.LabelRepeated, Message: sub},
 	)
 	m := New(typ)
 	m.SetInt32(1, 5)
@@ -186,6 +188,8 @@ func TestEqualCloneMerge(t *testing.T) {
 	m.MutableMessage(3).SetInt32(1, 9)
 	m.AddScalarBits(4, 1)
 	m.AddScalarBits(4, 2)
+	m.AddString(5, "y")
+	m.AddMessage(6).SetInt32(1, 8)
 
 	c := m.Clone()
 	if !m.Equal(c) || !c.Equal(m) {
@@ -198,6 +202,12 @@ func TestEqualCloneMerge(t *testing.T) {
 	}
 	if m.Equal(c) {
 		t.Error("should differ after clone mutation")
+	}
+	c = m.Clone()
+	c.RepeatedBytes(5)[0][0] = 'z'
+	c.RepeatedMessages(6)[0].SetInt32(1, 0)
+	if string(m.RepeatedBytes(5)[0]) != "y" || m.RepeatedMessages(6)[0].GetInt32(1) != 8 {
+		t.Error("clone shares repeated element storage")
 	}
 
 	// Merge semantics.
@@ -222,6 +232,54 @@ func TestEqualCloneMerge(t *testing.T) {
 	}
 	if dst.GetMessage(3).GetInt32(1) != 2 {
 		t.Error("merge should recurse into sub-message")
+	}
+}
+
+// TestPresentNilSubMessage covers a singular sub-message whose hasbit is
+// set over a nil value — what layout.Materializer.Read yields for an
+// object with a set hasbit and a null pointer. Clone and Merge must carry
+// the state without dereferencing the nil.
+func TestPresentNilSubMessage(t *testing.T) {
+	sub := mustMessage("Sub", &schema.Field{Name: "v", Number: 1, Kind: schema.KindInt32})
+	typ := mustMessage("M",
+		&schema.Field{Name: "a", Number: 1, Kind: schema.KindInt32},
+		&schema.Field{Name: "sub", Number: 2, Kind: schema.KindMessage, Message: sub},
+	)
+	m := New(typ)
+	m.SetInt32(1, 3)
+	m.SetMessage(2, nil)
+	if !m.Has(2) || m.GetMessage(2) != nil {
+		t.Fatal("SetMessage(nil) should leave the field present with a nil value")
+	}
+	absent := New(typ)
+	absent.SetInt32(1, 3)
+	if m.Equal(absent) || absent.Equal(m) {
+		t.Error("present-nil should differ from absent")
+	}
+
+	c := m.Clone()
+	if !c.Has(2) || c.GetMessage(2) != nil || !c.Equal(m) {
+		t.Error("Clone should copy the present-nil state")
+	}
+	merged := New(typ)
+	merged.Merge(m)
+	if !merged.Has(2) || merged.GetMessage(2) != nil || !merged.Equal(m) {
+		t.Error("Merge into an empty message should copy the present-nil state")
+	}
+
+	// Merging present-nil over a set sub-message leaves its value alone;
+	// merging a set sub-message over present-nil allocates it.
+	dst := New(typ)
+	dst.MutableMessage(2).SetInt32(1, 7)
+	dst.Merge(m)
+	if dst.GetMessage(2).GetInt32(1) != 7 {
+		t.Error("merging present-nil should keep the destination's sub-message")
+	}
+	src := New(typ)
+	src.MutableMessage(2).SetInt32(1, 9)
+	m.Merge(src)
+	if m.GetMessage(2) == nil || m.GetMessage(2).GetInt32(1) != 9 {
+		t.Error("merging a set sub-message over present-nil should allocate it")
 	}
 }
 

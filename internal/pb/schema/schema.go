@@ -265,8 +265,6 @@ func (f *Field) Validate() error {
 type Message struct {
 	Name   string
 	Fields []*Field // sorted by field number
-
-	byNumber map[int32]*Field
 }
 
 // NewMessage constructs a message descriptor, sorting fields by number and
@@ -285,24 +283,52 @@ func (m *Message) SetFields(fields []*Field) error {
 	sorted := make([]*Field, len(fields))
 	copy(sorted, fields)
 	sort.Slice(sorted, func(i, j int) bool { return sorted[i].Number < sorted[j].Number })
-	byNum := make(map[int32]*Field, len(sorted))
-	for _, f := range sorted {
+	for i, f := range sorted {
 		if err := f.Validate(); err != nil {
 			return fmt.Errorf("%s: %w", m.Name, err)
 		}
-		if _, dup := byNum[f.Number]; dup {
+		if i > 0 && sorted[i-1].Number == f.Number {
 			return fmt.Errorf("schema: %s: duplicate field number %d", m.Name, f.Number)
 		}
-		byNum[f.Number] = f
 	}
 	m.Fields = sorted
-	m.byNumber = byNum
 	return nil
+}
+
+// FieldIndex returns the index in Fields of the field numbered n, or -1.
+// It is the one number-to-field lookup: everything parallel to Fields
+// (dynamic messages' value slots, layout.Layout.Fields) is indexed by it.
+// A densely numbered type resolves with one comparison; any other by a
+// binary search over the sorted Fields.
+func (m *Message) FieldIndex(n int32) int {
+	fs := m.Fields
+	if len(fs) == 0 {
+		return -1
+	}
+	if i := int(n - fs[0].Number); i >= 0 && i < len(fs) && fs[i].Number == n {
+		return i
+	}
+	lo, hi := 0, len(fs)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if fs[mid].Number < n {
+			lo = mid + 1
+		} else {
+			hi = mid
+		}
+	}
+	if lo < len(fs) && fs[lo].Number == n {
+		return lo
+	}
+	return -1
 }
 
 // FieldByNumber returns the field with the given number, or nil.
 func (m *Message) FieldByNumber(n int32) *Field {
-	return m.byNumber[n]
+	if i := m.FieldIndex(n); i >= 0 {
+		return m.Fields[i]
+	}
+	return nil
 }
 
 // FieldByName returns the field with the given name, or nil.

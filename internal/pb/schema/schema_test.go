@@ -1,6 +1,7 @@
 package schema
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -118,6 +119,37 @@ func TestMessageConstruction(t *testing.T) {
 	}
 	if m.FieldByName("zz") != nil {
 		t.Error("FieldByName(zz) should be nil")
+	}
+}
+
+// TestFieldIndex checks the number-to-index lookup on a densely numbered
+// type, a sparse one and an empty one, against a linear scan, including
+// numbers below, between and above the defined ones.
+func TestFieldIndex(t *testing.T) {
+	field := func(n int32) *Field { return &Field{Name: fmt.Sprintf("f%d", n), Number: n, Kind: KindInt32} }
+	var dense, sparse []*Field
+	for n := int32(1); n <= 6; n++ {
+		dense = append(dense, field(n))
+	}
+	for _, n := range []int32{2, 3, 7, 40, 41, 1000, wire.MaxFieldNumber} {
+		sparse = append(sparse, field(n))
+	}
+	for _, fields := range [][]*Field{dense, sparse, nil} {
+		m, err := NewMessage("M", fields...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, n := range []int32{-1, 0, 1, 2, 3, 4, 6, 7, 8, 39, 40, 41, 42, 999, 1000, 1001, wire.MaxFieldNumber, wire.MaxFieldNumber + 1} {
+			want := -1
+			for i, f := range m.Fields {
+				if f.Number == n {
+					want = i
+				}
+			}
+			if got := m.FieldIndex(n); got != want {
+				t.Errorf("%d fields: FieldIndex(%d) = %d, want %d", len(m.Fields), n, got, want)
+			}
+		}
 	}
 }
 

@@ -93,9 +93,9 @@ func (c *CPU) parseMessage(ctx *deserCtx, t *schema.Message, bufAddr, bufLen, ob
 		if num <= 0 || num > wire.MaxFieldNumber || !wt.Valid() {
 			return fmt.Errorf("%w: bad tag %d", ErrMalformed, tag)
 		}
-		f := t.FieldByNumber(num)
+		fi := t.FieldIndex(num)
 		c.charge(c.P.FieldDispatch)
-		if f == nil || !compatible(f, wt) {
+		if fi < 0 || !compatible(t.Fields[fi], wt) {
 			pos, err = c.skipValue(pos, end, num, wt)
 			if err != nil {
 				return err
@@ -115,8 +115,8 @@ func (c *CPU) parseMessage(ctx *deserCtx, t *schema.Message, bufAddr, bufLen, ob
 		}
 		c.charge(1)
 
-		fl := l.FieldByNumber(num)
-		pos, err = c.parseField(ctx, f, fl, wt, pos, end, objAddr, depth)
+		f := t.Fields[fi]
+		pos, err = c.parseField(ctx, f, &l.Fields[fi], wt, pos, end, objAddr, depth)
 		if err != nil {
 			return fmt.Errorf("%s.%s: %w", t.Name, f.Name, err)
 		}

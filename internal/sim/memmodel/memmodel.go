@@ -77,6 +77,7 @@ func (s LevelStats) HitRate() float64 {
 type cache struct {
 	cfg   CacheConfig
 	sets  [][]uint64 // per-set LRU-ordered line tags (front = MRU)
+	used  []uint64   // indices of the non-empty sets; capacity for all, so fills never allocate
 	mask  uint64
 	next  *cache // nil = DRAM behind this level
 	dram  uint64
@@ -91,6 +92,7 @@ func newCache(cfg CacheConfig, next *cache, dram uint64) *cache {
 	return &cache{
 		cfg:  cfg,
 		sets: make([][]uint64, nsets),
+		used: make([]uint64, 0, nsets),
 		mask: uint64(nsets - 1),
 		next: next,
 		dram: dram,
@@ -119,6 +121,9 @@ func (c *cache) access(line uint64) uint64 {
 		below = c.dram
 	}
 	// Fill with LRU eviction.
+	if len(set) == 0 {
+		c.used = append(c.used, idx)
+	}
 	if len(set) < c.cfg.Assoc {
 		set = append(set, 0)
 	}
@@ -129,11 +134,13 @@ func (c *cache) access(line uint64) uint64 {
 }
 
 // reset empties the cache and zeroes its counters, keeping the backing
-// set arrays so a recycled System allocates nothing.
+// set arrays so a recycled System allocates nothing. Only the sets filled
+// since the last reset are visited.
 func (c *cache) reset() {
-	for i := range c.sets {
-		c.sets[i] = c.sets[i][:0]
+	for _, idx := range c.used {
+		c.sets[idx] = c.sets[idx][:0]
 	}
+	c.used = c.used[:0]
 	c.stats = LevelStats{}
 }
 

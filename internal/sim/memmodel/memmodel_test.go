@@ -1,6 +1,9 @@
 package memmodel
 
-import "testing"
+import (
+	"math/rand"
+	"testing"
+)
 
 func testConfig() Config {
 	cfg := DefaultConfig()
@@ -223,5 +226,61 @@ func TestSystemStatAccessors(t *testing.T) {
 	}
 	if counters["l1/cpu/hits"] != 1 || counters["dram/accesses"] != 1 {
 		t.Errorf("counter values off: %v", counters)
+	}
+}
+
+// TestResetMatchesFresh checks Reset's contract: after any access history
+// and a Reset, the hierarchy answers a new sequence with the same
+// per-access latencies and counters as a freshly built one. Addresses
+// span four times the test LLC so sets fill, evict and are re-filled.
+func TestResetMatchesFresh(t *testing.T) {
+	newSys := func() (*System, []*Port) {
+		sys := NewSystem(testConfig())
+		return sys, []*Port{sys.NewPort("cpu"), sys.NewPort("accel")}
+	}
+	// run replays n seeded random accesses on every given hierarchy and
+	// fails on the first latency that differs between them.
+	run := func(seed int64, n int, ports ...[]*Port) {
+		t.Helper()
+		rng := rand.New(rand.NewSource(seed))
+		for i := 0; i < n; i++ {
+			p := rng.Intn(2)
+			addr := uint64(0x10000 + rng.Intn(64<<10))
+			size := uint64(1 + rng.Intn(200))
+			stream := rng.Intn(2) == 0
+			var first uint64
+			for j, ps := range ports {
+				var c uint64
+				if stream {
+					c = ps[p].StreamAccess(addr, size)
+				} else {
+					c = ps[p].Access(addr, size)
+				}
+				if j == 0 {
+					first = c
+				} else if c != first {
+					t.Fatalf("seed %d access %d (port %d, 0x%x+%d): latency %d, want %d", seed, i, p, addr, size, c, first)
+				}
+			}
+		}
+	}
+	counters := func(sys *System) map[string]float64 {
+		m := map[string]float64{}
+		sys.CollectTelemetry(func(name string, v float64) { m[name] = v })
+		return m
+	}
+
+	recycled, rp := newSys()
+	run(1, 5000, rp)
+	for round, seed := range []int64{2, 3} {
+		recycled.Reset()
+		fresh, fp := newSys()
+		run(seed, 5000, fp, rp)
+		want, got := counters(fresh), counters(recycled)
+		for name, v := range want {
+			if got[name] != v {
+				t.Errorf("round %d: %s = %v after Reset, %v fresh", round, name, got[name], v)
+			}
+		}
 	}
 }
