@@ -1,0 +1,53 @@
+package main
+
+import (
+	"flag"
+	"strings"
+	"testing"
+)
+
+// One row per rule in checkFlags, plus command lines that must pass.
+func TestCheckFlags(t *testing.T) {
+	cases := []struct {
+		given []string
+		want  string // substring of the error; empty = accepted
+	}{
+		{nil, ""},
+		{[]string{"tiles", "elements", "stats-out", "schema", "op", "rate", "skew", "trace-out", "span-sample-n"}, ""},
+		{[]string{"addr", "admin-url", "trace-out", "duration", "concurrency", "check"}, ""},
+		{[]string{"cluster", "cluster-admin", "cluster-routing", "hedge", "hedge-quantile", "schema", "duration"}, ""},
+		{[]string{"workload", "trace-seed", "trace-len", "hops", "concurrency", "timeout", "check", "tiles", "stats-out"}, ""},
+		{[]string{"addr", "workload", "trace-len"}, ""},
+
+		{[]string{"addr", "tiles"}, "in-process server flags conflict with -addr: -tiles"},
+		{[]string{"addr", "stats-out", "faults"}, "conflict with -addr: -faults -stats-out"},
+		{[]string{"hedge"}, "cluster flags need -cluster: -hedge"},
+		{[]string{"cluster", "addr"}, "-cluster replaces the single -addr target"},
+		{[]string{"cluster", "workers"}, "-cluster replaces the single -addr target"},
+		{[]string{"cluster", "workload"}, "-cluster does not combine"},
+		{[]string{"trace-len"}, "workload flags need -workload: -trace-len"},
+		{[]string{"workload", "rate", "duration", "skew", "schema"}, "-workload replays its whole trace closed-loop and ignores -schema -duration -rate -skew"},
+		{[]string{"workload", "op"}, "ignores -op"},
+		{[]string{"addr", "workload", "trace-out", "admin-url"}, "ignores -trace-out -admin-url"},
+		{[]string{"admin-url"}, "-admin-url names a remote daemon's admin endpoint and needs -addr"},
+		{[]string{"addr", "trace-out"}, "-trace-out against a remote daemon needs -admin-url"},
+	}
+	for _, c := range cases {
+		given := map[string]bool{}
+		for _, name := range c.given {
+			if flag.Lookup(name) == nil {
+				t.Fatalf("%v: loadgen has no flag -%s", c.given, name)
+			}
+			given[name] = true
+		}
+		err := checkFlags(given)
+		switch {
+		case c.want == "" && err != nil:
+			t.Errorf("%v: rejected: %v", c.given, err)
+		case c.want != "" && err == nil:
+			t.Errorf("%v: accepted, want an error containing %q", c.given, c.want)
+		case c.want != "" && !strings.Contains(err.Error(), c.want):
+			t.Errorf("%v: error %q, want it to contain %q", c.given, err, c.want)
+		}
+	}
+}

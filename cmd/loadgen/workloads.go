@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"runtime"
 	"time"
 
 	"protoacc/internal/serve"
@@ -24,15 +23,13 @@ type workloadsRun struct {
 	check   bool
 	catalog *serve.Catalog
 	dial    func() (serve.Doer, error)
-	target  string // the dialed server, for the report
-	out     string
+	target  string // the dialed server, for the banner line
 }
 
 // runWorkloads synthesizes the fleet-shaped trace, replays it and/or
-// drives the service chain against the target, prints the
+// drives the service chain against the target, and prints the
 // serve/workload/... counter groups (the smoke target greps these
-// lines), and writes the markdown report behind
-// results/serve_workloads.md.
+// lines).
 func runWorkloads(cfg workloadsRun) error {
 	switch cfg.mode {
 	case "trace", "chain", "all":
@@ -112,13 +109,6 @@ func runWorkloads(cfg workloadsRun) error {
 		fmt.Printf("%s %.0f\n", s.Name, s.Value)
 	}
 
-	if cfg.out != "" {
-		if err := writeWorkloadsMarkdown(cfg.out, cfg, len(trace.Records), deser, ser, rrep, crep); err != nil {
-			return err
-		}
-		fmt.Printf("report written to %s\n", cfg.out)
-	}
-
 	failed := false
 	scan := func(h *workloads.HopStats) {
 		if h.Errors > 0 || h.CheckFail > 0 || h.OK == 0 {
@@ -158,63 +148,4 @@ func printHop(w io.Writer, kind string, h *workloads.HopStats, elapsed time.Dura
 	}
 	fmt.Fprintf(w, "\n  latency p50=%v p99=%v p999=%v mean=%v\n",
 		h.Latency.Quantile(0.50), h.Latency.Quantile(0.99), h.Latency.Quantile(0.999), h.Latency.Mean())
-}
-
-// writeWorkloadsMarkdown writes the fleet-shaped workloads report
-// (overwriting path): the trace-replay summary and the per-hop +
-// end-to-end service-chain tables, each with the calibrated
-// accelerator-vs-software cycle savings.
-func writeWorkloadsMarkdown(path string, cfg workloadsRun, records, deser, ser int, rrep *workloads.ReplayReport, crep *workloads.ChainReport) error {
-	f, err := os.Create(path)
-	if err != nil {
-		return err
-	}
-	defer f.Close()
-	fmt.Fprintf(f, "# Fleet-shaped workloads (loadgen -workload)\n\n")
-	fmt.Fprintf(f, "Target: %s, workers %d, GOMAXPROCS=%d, %s.\n",
-		cfg.target, cfg.workers, runtime.GOMAXPROCS(0), runtime.Version())
-	fmt.Fprintf(f, "Trace: seed %d, %d records (%d deser / %d ser), schema mix weighted by\n",
-		cfg.seed, records, deser, ser)
-	fmt.Fprintf(f, "the fleet field-type distribution, payload sizes drawn from the fleet\n")
-	fmt.Fprintf(f, "message-size distribution, Zipf-ranked key popularity. Savings compare\n")
-	fmt.Fprintf(f, "calibrated Xeon software-codec cycles (normalized to the accelerator\n")
-	fmt.Fprintf(f, "clock, so the ratio reads as wall-time) against the accelerator cycles\n")
-	fmt.Fprintf(f, "the server attributed to the same requests; fallback-served responses are\n")
-	fmt.Fprintf(f, "excluded from both sides.\n")
-	hopRow := func(h *workloads.HopStats, rps float64) {
-		fmt.Fprintf(f, "| %s | %.0f | %d | %d | %d | %v | %v | %.0f | %.0f | %.2fx |\n",
-			h.Name, rps, h.OK, h.Rejected, h.FellBack,
-			h.Latency.Quantile(0.50), h.Latency.Quantile(0.99),
-			h.AccelCycles, h.SoftCycles, h.Savings())
-	}
-	header := func() {
-		fmt.Fprintf(f, "| hop | req/s | ok | rejected | fellback | p50 | p99 | accel cycles | software cycles | savings |\n")
-		fmt.Fprintf(f, "|---|---:|---:|---:|---:|---:|---:|---:|---:|---:|\n")
-	}
-	if rrep != nil {
-		fmt.Fprintf(f, "\n## Trace replay\n\n")
-		fmt.Fprintf(f, "The whole trace in record order across %d workers, every OK response\n", cfg.workers)
-		fmt.Fprintf(f, "byte-verified against the canonical sample payload.\n\n")
-		header()
-		hopRow(&rrep.Stats, rrep.RPS())
-	}
-	if crep != nil {
-		fmt.Fprintf(f, "\n## Service chain (%d hops)\n\n", len(crep.Hops))
-		fmt.Fprintf(f, "Each record crosses every hop; a hop is one service-to-service edge\n")
-		fmt.Fprintf(f, "whose sender serializes and receiver deserializes on the accelerated\n")
-		fmt.Fprintf(f, "serving path, so per-hop latency covers the ser+deser pair.\n\n")
-		header()
-		for _, h := range crep.Hops {
-			rps := 0.0
-			if crep.Elapsed > 0 {
-				rps = float64(h.OK) / crep.Elapsed.Seconds()
-			}
-			hopRow(h, rps)
-		}
-		fmt.Fprintf(f, "\nEnd-to-end: %d records completed every hop OK at %.0f chains/s;\n",
-			crep.Records, crep.RPS())
-		fmt.Fprintf(f, "latency p50=%v p99=%v p999=%v mean=%v.\n",
-			crep.E2E.Quantile(0.50), crep.E2E.Quantile(0.99), crep.E2E.Quantile(0.999), crep.E2E.Mean())
-	}
-	return nil
 }

@@ -1,8 +1,8 @@
 // Telemetry aggregation example: exercises the §7 extension operators —
 // copy, merge, clear — through the accelerated system, the pattern of a
 // metrics pipeline that folds per-shard protobuf snapshots into a global
-// view each tick, then exports it as JSON (the jsonformat package) and
-// text format (the textformat package).
+// view each tick, then exports it in text format (the textformat
+// package).
 //
 // Per tick:  global = copy(shard0); merge(global, shard1..N); export;
 // then clear the shard snapshots for the next interval — the operator mix
@@ -16,7 +16,6 @@ import (
 	"protoacc/internal/core"
 	"protoacc/internal/pb/codec"
 	"protoacc/internal/pb/dynamic"
-	"protoacc/internal/pb/jsonformat"
 	"protoacc/internal/pb/protoparse"
 	"protoacc/internal/pb/textformat"
 )
@@ -132,17 +131,12 @@ func main() {
 	fmt.Printf("  riscv-boom:       %9.0f cycles\n", boomCycles)
 	fmt.Printf("  riscv-boom-accel: %9.0f cycles  (%.1fx)\n", accelCycles, boomCycles/accelCycles)
 
-	// Export the final global view in both human-readable formats.
+	// Export the final global view in human-readable text format.
 	m, err := codec.Unmarshal(snap, exported)
 	if err != nil {
 		log.Fatal(err)
 	}
-	js, err := jsonformat.MarshalIndent(m)
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("\nfinal global snapshot as JSON (first 200 bytes):\n%.200s...\n", js)
-	fmt.Printf("\nas text format (first 5 lines):\n")
+	fmt.Printf("\nfinal global snapshot as text format (first 5 lines):\n")
 	lines := 0
 	for _, line := range splitLines(textformat.Marshal(m)) {
 		fmt.Println(" ", line)

@@ -256,8 +256,7 @@ type Statusz struct {
 	StatsWritten  string              `json:"stats_written,omitempty"`
 }
 
-// StatuszSnapshot assembles the /statusz document (also used directly by
-// loadgen's in-process -scrape report).
+// StatuszSnapshot assembles the /statusz document.
 func (s *Server) StatuszSnapshot(manifest *telemetry.Manifest) *Statusz {
 	counters := make(map[string]float64)
 	for _, sm := range s.TelemetrySnapshot().Samples() {

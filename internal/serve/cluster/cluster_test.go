@@ -3,13 +3,11 @@ package cluster
 import (
 	"bytes"
 	"errors"
-	"fmt"
 	"io"
 	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -391,46 +389,34 @@ func TestClusterOversizedRequestKeepsProbe(t *testing.T) {
 	}
 }
 
-// fakeAdmin serves a controllable /healthz document.
-type fakeAdmin struct {
-	sick atomic.Bool
-	srv  *httptest.Server
-}
-
-func newFakeAdmin(t *testing.T) *fakeAdmin {
+// startAdmin serves srv's real admin plane (/healthz, /faultz, ...) and
+// returns its host:port, the form Options.AdminAddrs takes.
+func startAdmin(t *testing.T, srv *serve.Server) string {
 	t.Helper()
-	a := &fakeAdmin{}
-	mux := http.NewServeMux()
-	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
-		if a.sick.Load() {
-			fmt.Fprint(w, `{"status":"ok","tiles":[{"degraded":true},{"degraded":false}]}`)
-			return
-		}
-		fmt.Fprint(w, `{"status":"ok","tiles":[{"degraded":false},{"degraded":false}]}`)
-	})
-	a.srv = httptest.NewServer(mux)
-	t.Cleanup(a.srv.Close)
-	return a
+	hs := httptest.NewServer(serve.NewAdminHandler(srv, serve.AdminOptions{}))
+	t.Cleanup(hs.Close)
+	return strings.TrimPrefix(hs.URL, "http://")
 }
 
-func (a *fakeAdmin) addr() string { return strings.TrimPrefix(a.srv.URL, "http://") }
-
-// /healthz-driven ejection: a node reporting degraded tiles must be
-// ejected without any data-path error, drained of new traffic, and
-// restored by clean polls once it reports healthy again.
+// /healthz-driven ejection against the daemon's own admin handler: a
+// fault schedule switched on live through /faultz marks node 0's tile
+// degraded, polls eject the node without any data-path error, no request
+// reaches it while it is out, and clean polls restore it once /faultz
+// switches injection off. Every response stays OK and byte-identical.
 func TestClusterHealthEjection(t *testing.T) {
 	srvA, addrA := startServer(t, serverOptions())
-	_, addrB := startServer(t, serverOptions())
-	adminA, adminB := newFakeAdmin(t), newFakeAdmin(t)
+	srvB, addrB := startServer(t, serverOptions())
+	adminA := startAdmin(t, srvA)
 	b, err := New(Options{
 		Addrs:      []string{addrA, addrB},
-		AdminAddrs: []string{adminA.addr(), adminB.addr()},
+		AdminAddrs: []string{adminA, startAdmin(t, srvB)},
 		Routing:    serve.RouteRoundRobin,
 		Health: HealthOptions{
-			Interval:     10 * time.Millisecond,
-			SickPolls:    2,
-			HealthyPolls: 2,
-			EjectDwell:   time.Hour, // recovery must come from polling, not a probe
+			Interval:       10 * time.Millisecond,
+			SickPolls:      2,
+			HealthyPolls:   2,
+			EjectDwell:     time.Hour, // recovery must come from polling, not a probe
+			ErrorThreshold: -1,        // and ejection too
 		},
 	})
 	if err != nil {
@@ -438,6 +424,30 @@ func TestClusterHealthEjection(t *testing.T) {
 	}
 	defer b.Close()
 
+	// send issues n requests and returns how many node 0 received.
+	send := func(n int, phase string) uint64 {
+		t.Helper()
+		before := b.NodeStats()[0].Requests
+		for i := 0; i < n; i++ {
+			req := sampleRequest(srvA, i)
+			resp, err := b.Do(req)
+			if err != nil || resp.Status != serve.StatusOK || !bytes.Equal(resp.Payload, req.Payload) {
+				t.Fatalf("%s: request %d: err=%v status=%v, or payload differs", phase, i, err, resp.Status)
+			}
+		}
+		return b.NodeStats()[0].Requests - before
+	}
+	faultz := func(spec string) {
+		t.Helper()
+		resp, err := http.Get("http://" + adminA + "/faultz?tile=0&faults=" + spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("/faultz faults=%s: %s", spec, resp.Status)
+		}
+	}
 	waitState := func(ejected bool, what string) {
 		t.Helper()
 		deadline := time.Now().Add(10 * time.Second)
@@ -449,29 +459,26 @@ func TestClusterHealthEjection(t *testing.T) {
 		}
 	}
 
-	adminA.sick.Store(true)
+	if got := send(8, "healthy"); got == 0 {
+		t.Fatal("node 0 got no traffic before the fault")
+	}
+
+	faultz("0.9")
 	waitState(true, "ejected")
 	if b.Counters()["serve/cluster/ejections"] == 0 {
 		t.Error("health ejection not accounted")
 	}
-
-	// While ejected, traffic flows only to node 1.
-	before := b.NodeStats()[0].Requests
-	for i := 0; i < 8; i++ {
-		req := sampleRequest(srvA, i)
-		resp, err := b.Do(req)
-		if err != nil || resp.Status != serve.StatusOK {
-			t.Fatalf("request %d during ejection: %v %v", i, err, resp.Status)
-		}
-	}
-	if after := b.NodeStats()[0].Requests; after != before {
-		t.Errorf("ejected node received %d requests", after-before)
+	if got := send(8, "ejected"); got != 0 {
+		t.Errorf("ejected node received %d requests", got)
 	}
 
-	adminA.sick.Store(false)
+	faultz("off")
 	waitState(false, "restored")
 	if b.Counters()["serve/cluster/recoveries"] == 0 {
 		t.Error("health recovery not accounted")
+	}
+	if got := send(8, "restored"); got == 0 {
+		t.Error("traffic never returned to the restored node")
 	}
 }
 

@@ -312,8 +312,7 @@ func summarize(name string, h *telemetry.Histogram) StageSummary {
 
 // StageSummaries merges every tile's stage histograms and returns one
 // digest per lifecycle stage (plus the end-to-end and batch-size rows) —
-// the server-side breakdown the loadgen -scrape report and /statusz
-// publish.
+// the server-side breakdown /statusz publishes.
 func (s *Server) StageSummaries() []StageSummary {
 	out := make([]StageSummary, 0, numStages+2)
 	for st := stageID(0); st < numStages; st++ {
