@@ -185,9 +185,9 @@ cluster-smoke:
 build:
 	go build ./...
 
-# Static checks plus the telemetry overhead contract: with tracing and
-# per-op capture off, the observability layer must add zero allocations
-# to the simulation hot paths (internal/telemetry/overhead_test.go).
+# Static checks plus the telemetry overhead contract: with tracing off,
+# the observability layer must add zero allocations to the simulation
+# hot paths (internal/telemetry/overhead_test.go).
 # Last, no dead packages: every package under internal/ must be imported
 # by some other package of the module, test imports included.
 vet:

@@ -62,27 +62,6 @@ type Config struct {
 	// ValidateUTF8 enables UTF-8 validation of string fields — the one
 	// feature the paper lists as needed for proto3 support (§7).
 	ValidateUTF8 bool
-	// Trace, when non-nil, receives one event per field-handler state
-	// transition.
-	//
-	// Deprecated: a Config carrying a Trace func cannot be pooled
-	// (core.Pool refuses it — func values are incomparable), so traced
-	// runs used to pay full System construction. Use the System-owned
-	// telemetry buffer instead: enable the Unit's Tracer (wired to
-	// core.System.Telemetry().Tracer), which buffers the same transitions
-	// as cycle-timestamped telemetry.Events without touching the Config.
-	Trace func(ev TraceEvent)
-}
-
-// TraceEvent describes one field-handler state transition.
-//
-// Deprecated: see Config.Trace; new code consumes telemetry.Event.
-type TraceEvent struct {
-	State string // parseKey, typeInfo, scalarWrite, string, packedRun, subPush, subPop, closeOut, skip
-	Depth int
-	Field int32
-	Pos   uint64 // input stream position
-	Note  string
 }
 
 // DefaultConfig returns the paper's parameters.
@@ -214,19 +193,12 @@ func (u *Unit) Abort() float64 {
 // fsm charges FSM cycles.
 func (u *Unit) fsm(c float64) { u.stats.FSMCycles += c }
 
-// tracing reports whether any trace consumer is attached; emit sites
-// whose arguments allocate (formatted notes) check it first.
-func (u *Unit) tracing() bool {
-	return u.Cfg.Trace != nil || u.Tracer.Enabled()
-}
-
-// trace emits a state-transition event when tracing is enabled: to the
-// deprecated Config.Trace hook and/or the System-owned telemetry stream,
-// timestamped with the unit's cumulative FSM cycle counter.
+// trace emits a state-transition event (parseKey, typeInfo, scalarWrite,
+// string, packedRun, subPush, subPop, closeOut, skip) to the System-owned
+// telemetry stream when tracing is enabled, timestamped with the unit's
+// cumulative FSM cycle counter. Emit sites whose arguments allocate
+// (formatted notes) check u.Tracer.Enabled() first.
 func (u *Unit) trace(state string, depth int, field int32, pos uint64, note string) {
-	if u.Cfg.Trace != nil {
-		u.Cfg.Trace(TraceEvent{State: state, Depth: depth, Field: field, Pos: pos, Note: note})
-	}
 	if u.Tracer.Enabled() {
 		u.Tracer.Emit(telemetry.Event{
 			Unit: "deser", Name: state, Cycle: u.stats.FSMCycles,
@@ -856,7 +828,7 @@ func (u *Unit) closeOpenRegion() error {
 	key := *u.open
 	u.open = nil
 	r := u.openRegions[key]
-	if u.tracing() {
+	if u.Tracer.Enabled() {
 		u.trace("closeOut", 0, key.num, 0, fmt.Sprintf("%d elems", len(r.elems)))
 	}
 

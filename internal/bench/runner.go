@@ -6,7 +6,6 @@ import (
 	"protoacc/internal/core"
 	"protoacc/internal/faults"
 	"protoacc/internal/hyperbench"
-	"protoacc/internal/pb/schema"
 )
 
 // Op selects serialization or deserialization.
@@ -327,6 +326,3 @@ func HyperWorkloads() ([]Workload, error) {
 	}
 	return out, nil
 }
-
-// SchemaOf exposes a workload's root type (tooling convenience).
-func (w Workload) SchemaOf() *schema.Message { return w.Type }

@@ -126,9 +126,9 @@ type Result struct {
 	ObjAddr  uint64 // deserialization destination object
 	WireAddr uint64 // serialization output
 
-	// Telemetry carries the operation's counter delta and cycle
-	// attribution when per-op telemetry is enabled on the System
-	// (Telemetry().EnablePerOp(true)); nil otherwise.
+	// Telemetry carries a batch operation's cycle attribution when
+	// attribution is enabled on the System
+	// (Telemetry().EnableAttribution(true)); nil otherwise.
 	Telemetry *telemetry.OpTelemetry
 
 	// Fault records the operation's fault-recovery history (aborted
@@ -254,9 +254,9 @@ func New(cfg Config) *System {
 }
 
 // Telemetry returns the System's telemetry hub: the counter registry
-// covering every unit, the shared trace buffer, and the per-op Result
-// attachment switch. Tracing and per-op capture are System-local state,
-// not Config state, so enabling them does not fragment the System pool.
+// covering every unit, the shared trace buffer, and the batch attribution
+// switch. Tracing and attribution are System-local state, not Config
+// state, so enabling them does not fragment the System pool.
 func (s *System) Telemetry() *telemetry.Hub { return &s.tel }
 
 // LoadSchema registers message types and builds their ADTs (program-load
@@ -340,26 +340,23 @@ func (s *System) deserializeSoftware(t *schema.Message, bufAddr, bufLen uint64) 
 // Deserialize runs the timed deserialization of bufLen bytes at bufAddr
 // into a fresh top-level object.
 func (s *System) Deserialize(t *schema.Message, bufAddr, bufLen uint64) (Result, error) {
-	began := s.tel.OpBegin()
 	if s.Accel != nil {
 		if s.adts == nil || s.adts.Addr(t) == 0 {
 			return Result{}, fmt.Errorf("core: type %s not loaded", t.Name)
 		}
 		adtAddr := s.adts.Addr(t)
-		var st deser.Stats
 		var heapMark, arenaMark mem.Mark
-		res, err := s.resilient("deser", accelAttempt{
+		return s.resilient("deser", accelAttempt{
 			attempt: func() (Result, error) {
 				heapMark, arenaMark = s.Heap.Mark(), s.Arena.Mark()
 				objAddr, err := s.AllocTopLevel(t)
 				if err != nil {
 					return Result{}, err
 				}
-				busy, stats, err := s.Accel.DeserializeOp(adtAddr, objAddr, bufAddr, bufLen)
+				busy, err := s.Accel.DeserializeOp(adtAddr, objAddr, bufAddr, bufLen)
 				if err != nil {
 					return Result{}, err
 				}
-				st = stats
 				return Result{
 					Cycles:  busy,
 					Seconds: s.accelSeconds(busy),
@@ -376,27 +373,8 @@ func (s *System) Deserialize(t *schema.Message, bufAddr, bufLen uint64) (Result,
 				return s.deserializeSoftware(t, bufAddr, bufLen)
 			},
 		})
-		if err != nil {
-			return Result{}, err
-		}
-		if began {
-			if res.Fault != nil && res.Fault.FellBack {
-				res.Telemetry = s.tel.OpEnd(telemetry.NewAttribution(res.Cycles, 0, 0, 0))
-			} else {
-				res.Telemetry = s.tel.OpEnd(telemetry.NewAttribution(
-					res.Cycles, st.SupplyBoundCycles, st.SpillCycles, st.ADTStallCycles))
-			}
-		}
-		return res, nil
 	}
-	res, err := s.deserializeSoftware(t, bufAddr, bufLen)
-	if err != nil {
-		return Result{}, err
-	}
-	if began {
-		res.Telemetry = s.tel.OpEnd(telemetry.NewAttribution(res.Cycles, 0, 0, 0))
-	}
-	return res, nil
+	return s.deserializeSoftware(t, bufAddr, bufLen)
 }
 
 // serializeSoftware runs one serialization on the host core's software
@@ -418,15 +396,13 @@ func (s *System) serializeSoftware(t *schema.Message, objAddr uint64) (Result, e
 
 // Serialize runs the timed serialization of the object at objAddr.
 func (s *System) Serialize(t *schema.Message, objAddr uint64) (Result, error) {
-	began := s.tel.OpBegin()
 	if s.Accel != nil {
 		if s.adts == nil || s.adts.Addr(t) == 0 {
 			return Result{}, fmt.Errorf("core: type %s not loaded", t.Name)
 		}
 		adtAddr := s.adts.Addr(t)
-		var st ser.Stats
 		var outMark ser.OutMark
-		res, err := s.resilient("ser", accelAttempt{
+		return s.resilient("ser", accelAttempt{
 			attempt: func() (Result, error) {
 				outMark = s.Accel.Ser.Mark()
 				busy, stats, err := s.Accel.SerializeOp(adtAddr, objAddr)
@@ -440,7 +416,6 @@ func (s *System) Serialize(t *schema.Message, objAddr uint64) (Result, error) {
 				if n != stats.BytesProduced {
 					return Result{}, errors.New("core: serializer length bookkeeping mismatch")
 				}
-				st = stats
 				return Result{
 					Cycles:   busy,
 					Seconds:  s.accelSeconds(busy),
@@ -456,27 +431,8 @@ func (s *System) Serialize(t *schema.Message, objAddr uint64) (Result, error) {
 				return s.serializeSoftware(t, objAddr)
 			},
 		})
-		if err != nil {
-			return Result{}, err
-		}
-		if began {
-			if res.Fault != nil && res.Fault.FellBack {
-				res.Telemetry = s.tel.OpEnd(telemetry.NewAttribution(res.Cycles, 0, 0, 0))
-			} else {
-				res.Telemetry = s.tel.OpEnd(telemetry.NewAttribution(
-					res.Cycles, 0, st.SpillCycles, st.ADTStallCycles))
-			}
-		}
-		return res, nil
 	}
-	res, err := s.serializeSoftware(t, objAddr)
-	if err != nil {
-		return Result{}, err
-	}
-	if began {
-		res.Telemetry = s.tel.OpEnd(telemetry.NewAttribution(res.Cycles, 0, 0, 0))
-	}
-	return res, nil
+	return s.serializeSoftware(t, objAddr)
 }
 
 // WireRef locates one serialized buffer in simulated memory.
@@ -491,17 +447,7 @@ type WireRef struct {
 func (s *System) DeserializeBatch(t *schema.Message, refs []WireRef) (Result, []uint64, error) {
 	objs := make([]uint64, len(refs))
 	var total Result
-	// Batches snapshot the registry directly rather than via Hub.OpBegin:
-	// the software path below re-enters Deserialize per item, and the
-	// Hub's single scratch snapshot must stay owned by the innermost op.
-	// Attribution-only mode (EnableAttribution) skips the snapshots and
-	// derives the attribution from unit stat deltas alone.
-	began := s.tel.PerOpEnabled()
 	wantAttr := s.tel.AttributionEnabled()
-	var prev telemetry.Snapshot
-	if began {
-		prev = s.tel.Registry.Snapshot()
-	}
 	if s.Accel == nil {
 		for i, r := range refs {
 			res, err := s.Deserialize(t, r.Addr, r.Len)
@@ -516,9 +462,6 @@ func (s *System) DeserializeBatch(t *schema.Message, refs []WireRef) (Result, []
 		if wantAttr {
 			total.Telemetry = &telemetry.OpTelemetry{
 				Attribution: telemetry.NewAttribution(total.Cycles, 0, 0, 0),
-			}
-			if began {
-				total.Telemetry.Counters = s.tel.Registry.Snapshot().Delta(prev)
 			}
 		}
 		return total, objs, nil
@@ -591,9 +534,6 @@ func (s *System) DeserializeBatch(t *schema.Message, refs []WireRef) (Result, []
 				after.ADTStallCycles-before.ADTStallCycles)
 		}
 		total.Telemetry = &telemetry.OpTelemetry{Attribution: attr}
-		if began {
-			total.Telemetry.Counters = s.tel.Registry.Snapshot().Delta(prev)
-		}
 	}
 	return total, objs, nil
 }
@@ -603,12 +543,7 @@ func (s *System) DeserializeBatch(t *schema.Message, refs []WireRef) (Result, []
 func (s *System) SerializeBatch(t *schema.Message, objAddrs []uint64) (Result, []WireRef, error) {
 	refs := make([]WireRef, len(objAddrs))
 	var total Result
-	began := s.tel.PerOpEnabled()
 	wantAttr := s.tel.AttributionEnabled()
-	var prev telemetry.Snapshot
-	if began {
-		prev = s.tel.Registry.Snapshot()
-	}
 	if s.Accel == nil {
 		for i, obj := range objAddrs {
 			res, err := s.Serialize(t, obj)
@@ -623,9 +558,6 @@ func (s *System) SerializeBatch(t *schema.Message, objAddrs []uint64) (Result, [
 		if wantAttr {
 			total.Telemetry = &telemetry.OpTelemetry{
 				Attribution: telemetry.NewAttribution(total.Cycles, 0, 0, 0),
-			}
-			if began {
-				total.Telemetry.Counters = s.tel.Registry.Snapshot().Delta(prev)
 			}
 		}
 		return total, refs, nil
@@ -698,9 +630,6 @@ func (s *System) SerializeBatch(t *schema.Message, objAddrs []uint64) (Result, [
 				after.ADTStallCycles-before.ADTStallCycles)
 		}
 		total.Telemetry = &telemetry.OpTelemetry{Attribution: attr}
-		if began {
-			total.Telemetry.Counters = s.tel.Registry.Snapshot().Delta(prev)
-		}
 	}
 	return total, refs, nil
 }
@@ -708,10 +637,9 @@ func (s *System) SerializeBatch(t *schema.Message, objAddrs []uint64) (Result, [
 // Clear resets all presence state of the object at objAddr (the §7
 // clear operator).
 func (s *System) Clear(t *schema.Message, objAddr uint64) (Result, error) {
-	began := s.tel.OpBegin()
 	if s.Accel != nil {
 		adtAddr := s.adts.Addr(t)
-		res, err := s.resilient("clear", accelAttempt{
+		return s.resilient("clear", accelAttempt{
 			attempt: func() (Result, error) {
 				busy, err := s.Accel.ClearOp(adtAddr, objAddr)
 				if err != nil {
@@ -734,34 +662,22 @@ func (s *System) Clear(t *schema.Message, objAddr uint64) (Result, error) {
 				return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: objAddr}, nil
 			},
 		})
-		if err != nil {
-			return Result{}, err
-		}
-		if began {
-			res.Telemetry = s.tel.OpEnd(s.opAttribution(res))
-		}
-		return res, nil
 	}
 	start := s.CPU.Cycles()
 	if err := s.CPU.ClearObject(t, objAddr); err != nil {
 		return Result{}, err
 	}
 	cy := s.CPU.Cycles() - start
-	res := Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: objAddr}
-	if began {
-		res.Telemetry = s.tel.OpEnd(telemetry.NewAttribution(cy, 0, 0, 0))
-	}
-	return res, nil
+	return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: objAddr}, nil
 }
 
 // Copy deep-copies the object at srcObj, returning the new object (the §7
 // copy operator).
 func (s *System) Copy(t *schema.Message, srcObj uint64) (Result, error) {
-	began := s.tel.OpBegin()
 	if s.Accel != nil {
 		adtAddr := s.adts.Addr(t)
 		var arenaMark mem.Mark
-		res, err := s.resilient("copy", accelAttempt{
+		return s.resilient("copy", accelAttempt{
 			attempt: func() (Result, error) {
 				arenaMark = s.Arena.Mark()
 				busy, dst, err := s.Accel.CopyOp(adtAddr, srcObj)
@@ -786,13 +702,6 @@ func (s *System) Copy(t *schema.Message, srcObj uint64) (Result, error) {
 				return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dst}, nil
 			},
 		})
-		if err != nil {
-			return Result{}, err
-		}
-		if began {
-			res.Telemetry = s.tel.OpEnd(s.opAttribution(res))
-		}
-		return res, nil
 	}
 	start := s.CPU.Cycles()
 	dst, err := s.CPU.CopyObject(t, srcObj)
@@ -800,20 +709,15 @@ func (s *System) Copy(t *schema.Message, srcObj uint64) (Result, error) {
 		return Result{}, err
 	}
 	cy := s.CPU.Cycles() - start
-	res := Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dst}
-	if began {
-		res.Telemetry = s.tel.OpEnd(telemetry.NewAttribution(cy, 0, 0, 0))
-	}
-	return res, nil
+	return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dst}, nil
 }
 
 // Merge merges srcObj into dstObj with proto2 semantics (the §7 merge
 // operator).
 func (s *System) Merge(t *schema.Message, dstObj, srcObj uint64) (Result, error) {
-	began := s.tel.OpBegin()
 	if s.Accel != nil {
 		adtAddr := s.adts.Addr(t)
-		res, err := s.resilient("merge", accelAttempt{
+		return s.resilient("merge", accelAttempt{
 			attempt: func() (Result, error) {
 				busy, err := s.Accel.MergeOp(adtAddr, dstObj, srcObj)
 				if err != nil {
@@ -838,38 +742,13 @@ func (s *System) Merge(t *schema.Message, dstObj, srcObj uint64) (Result, error)
 				return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dstObj}, nil
 			},
 		})
-		if err != nil {
-			return Result{}, err
-		}
-		if began {
-			res.Telemetry = s.tel.OpEnd(s.opAttribution(res))
-		}
-		return res, nil
 	}
 	start := s.CPU.Cycles()
 	if err := s.CPU.MergeObjects(t, dstObj, srcObj); err != nil {
 		return Result{}, err
 	}
 	cy := s.CPU.Cycles() - start
-	res := Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dstObj}
-	if began {
-		res.Telemetry = s.tel.OpEnd(telemetry.NewAttribution(cy, 0, 0, 0))
-	}
-	return res, nil
-}
-
-// opAttribution builds the cycle attribution for the message-operations
-// op that just completed (its per-op stats are the last MopsOps entry).
-// A fallen-back operation completed in software, where the accelerator's
-// attribution classes do not apply.
-func (s *System) opAttribution(res Result) telemetry.Attribution {
-	if res.Fault == nil || !res.Fault.FellBack {
-		if n := len(s.Accel.MopsOps); n > 0 {
-			st := s.Accel.MopsOps[n-1]
-			return telemetry.NewAttribution(res.Cycles, 0, st.SpillCycles, st.ADTStallCycles)
-		}
-	}
-	return telemetry.NewAttribution(res.Cycles, 0, 0, 0)
+	return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dstObj}, nil
 }
 
 // ResetWork rewinds the resettable allocators (heap, accelerator arena,

@@ -1,17 +1,8 @@
 package core
 
 import (
-	"fmt"
-	"reflect"
 	"runtime"
-	"strings"
 	"sync"
-
-	"protoacc/internal/accel/deser"
-	"protoacc/internal/accel/ser"
-	"protoacc/internal/faults"
-	"protoacc/internal/sim/cpu"
-	"protoacc/internal/sim/memmodel"
 )
 
 // Pool recycles Systems across runs with identical configurations.
@@ -22,12 +13,16 @@ import (
 // freshly constructed one (see System.ResetAll), so pooled execution
 // produces identical measurements to the unpooled path.
 //
+// Config is comparable, so the pool keys on it directly: two Configs
+// built independently from the same values share a key, and distinct
+// configurations never collide.
+//
 // Pool is safe for concurrent use; the benchmark harness's worker pool
 // and the serving layer's batch executors share one.
 type Pool struct {
 	mu    sync.Mutex
 	max   int
-	idle  map[poolKey][]idleEntry
+	idle  map[Config][]idleEntry
 	count int
 	seq   uint64 // stamps idle entries so "oldest" is well defined
 	ctrs  PoolCounters
@@ -35,16 +30,16 @@ type Pool struct {
 
 // PoolCounters is the pool's recycling ledger: how often Get was served
 // from an idle System (Hits) versus building a new one, and what happened
-// to returned Systems (retained, dropped as poisoned/unpoolable, or
-// evicted to make room). The serving layer's per-tile pools expose these
-// in shutdown summaries; they are deliberately not part of telemetry
-// snapshots because hit/miss counts depend on worker scheduling and would
-// break the serial-vs-parallel bitwise-equivalence contract.
+// to returned Systems (retained, dropped as poisoned, or evicted to make
+// room). The serving layer's per-tile pools expose these in shutdown
+// summaries; they are deliberately not part of telemetry snapshots
+// because hit/miss counts depend on worker scheduling and would break the
+// serial-vs-parallel bitwise-equivalence contract.
 type PoolCounters struct {
 	Gets      uint64 // Get calls
 	Hits      uint64 // Gets served by recycling an idle System
 	Puts      uint64 // Systems retained by Put
-	Drops     uint64 // Puts discarded (poisoned or unpoolable config)
+	Drops     uint64 // Puts discarded as poisoned
 	Evictions uint64 // idle Systems evicted to make room
 }
 
@@ -70,150 +65,25 @@ func NewPool(max int) *Pool {
 			max = 16
 		}
 	}
-	return &Pool{max: max, idle: make(map[poolKey][]idleEntry)}
+	return &Pool{max: max, idle: make(map[Config][]idleEntry)}
 }
 
 // DefaultPool is the process-wide pool used by the bench harness.
 var DefaultPool = NewPool(0)
 
-// poolKey is the typed, comparable fingerprint of a Config. It mirrors
-// Config field for field (deser.Config through deserKey, which drops the
-// deprecated incomparable Trace callback), so two Configs built
-// independently from the same values always share a key and distinct
-// configurations never collide. checkPoolKeyCoverage keeps the mirror
-// honest: adding a Config field without extending the key fails at
-// package init, not by silently never (or wrongly) recycling.
-type poolKey struct {
-	kind           Kind
-	mem            memmodel.Config
-	cpu            cpu.Params
-	deser          deserKey
-	ser            ser.Config
-	accelFreqGHz   float64
-	softwareArenas bool
-	faults         faults.Config
-	staticSize     uint64
-	heapSize       uint64
-	arenaSize      uint64
-	outSize        uint64
-}
-
-// deserKey mirrors deser.Config's value fields, omitting the deprecated
-// Trace callback (a Config carrying one is not poolable at all — func
-// values cannot be compared).
-type deserKey struct {
-	memloaderWidth   uint64
-	onChipStackDepth int
-	spillPenalty     float64
-	maxDepth         int
-	hiddenLatency    uint64
-	validateUTF8     bool
-}
-
-// Compile-time guard: poolKey must stay a valid map key. If any embedded
-// type gains an incomparable field this stops compiling.
-var _ = map[poolKey]struct{}{}
-
-func init() {
-	if err := checkPoolKeyCoverage(); err != nil {
-		panic("core: " + err.Error())
-	}
-}
-
-// checkPoolKeyCoverage fails loudly at init when the pool key falls out of
-// sync with Config: every Config field must have a same-named (case
-// folded) comparable counterpart in poolKey, and every deser.Config field
-// except the deprecated Trace callback must be mirrored in deserKey. A
-// panic here means a field was added to a config struct without teaching
-// keyFor how to fingerprint it.
-func checkPoolKeyCoverage() error {
-	if err := mirrors(reflect.TypeOf(Config{}), reflect.TypeOf(poolKey{}), "core.Config", "poolKey", nil); err != nil {
-		return err
-	}
-	return mirrors(reflect.TypeOf(deser.Config{}), reflect.TypeOf(deserKey{}), "deser.Config", "deserKey",
-		map[string]bool{"Trace": true})
-}
-
-// mirrors checks that key has exactly one same-named field per src field
-// (minus the skipped ones) and that every non-skipped src field is
-// comparable (so the key can carry its value, not a lossy projection).
-func mirrors(src, key reflect.Type, srcName, keyName string, skip map[string]bool) error {
-	keyFields := make(map[string]bool, key.NumField())
-	for i := 0; i < key.NumField(); i++ {
-		keyFields[strings.ToLower(key.Field(i).Name)] = true
-	}
-	want := 0
-	for i := 0; i < src.NumField(); i++ {
-		f := src.Field(i)
-		if skip[f.Name] {
-			continue
-		}
-		want++
-		if !keyFields[strings.ToLower(f.Name)] {
-			return fmt.Errorf("pool key out of date: %s.%s has no %s counterpart — extend %s and keyFor", srcName, f.Name, keyName, keyName)
-		}
-		if f.Name != "Deser" && !f.Type.Comparable() {
-			return fmt.Errorf("pool key cannot fingerprint %s.%s: type %s is not comparable — give keyFor an explicit comparable projection (as deserKey does for the Trace callback)", srcName, f.Name, f.Type)
-		}
-	}
-	if len(keyFields) != want {
-		return fmt.Errorf("pool key out of date: %s has %d fields but %s fingerprints %d — remove the stale key fields", srcName, want, keyName, len(keyFields))
-	}
-	return nil
-}
-
-// keyFor fingerprints a Config. Configs carrying the deprecated
-// deser.Config.Trace callback are not poolable (func values cannot be
-// compared); telemetry-based tracing does not have this problem — it is
-// System state enabled after Get via Telemetry().Tracer.Enable(), so
-// traced runs pool normally and ResetAll clears the buffer on recycle.
-func keyFor(cfg Config) (poolKey, bool) {
-	if cfg.Deser.Trace != nil {
-		return poolKey{}, false
-	}
-	return poolKey{
-		kind: cfg.Kind,
-		mem:  cfg.Mem,
-		cpu:  cfg.CPU,
-		deser: deserKey{
-			memloaderWidth:   cfg.Deser.MemloaderWidth,
-			onChipStackDepth: cfg.Deser.OnChipStackDepth,
-			spillPenalty:     cfg.Deser.SpillPenalty,
-			maxDepth:         cfg.Deser.MaxDepth,
-			hiddenLatency:    cfg.Deser.HiddenLatency,
-			validateUTF8:     cfg.Deser.ValidateUTF8,
-		},
-		ser:            cfg.Ser,
-		accelFreqGHz:   cfg.AccelFreqGHz,
-		softwareArenas: cfg.SoftwareArenas,
-		faults:         cfg.Faults,
-		staticSize:     cfg.StaticSize,
-		heapSize:       cfg.HeapSize,
-		arenaSize:      cfg.ArenaSize,
-		outSize:        cfg.OutSize,
-	}, true
-}
-
 // Get returns a System for cfg: a recycled one when an idle System with
 // an identical configuration is available, a new one otherwise.
 func (p *Pool) Get(cfg Config) *System {
-	key, ok := keyFor(cfg)
-	if !ok {
-		p.mu.Lock()
-		p.ctrs.Gets++
-		p.mu.Unlock()
-		return New(cfg)
-	}
 	p.mu.Lock()
 	p.ctrs.Gets++
-	list := p.idle[key]
+	list := p.idle[cfg]
 	if n := len(list); n > 0 {
 		p.ctrs.Hits++
 		s := list[n-1].sys
 		list[n-1] = idleEntry{}
-		p.idle[key] = list[:n-1]
+		p.idle[cfg] = list[:n-1]
 		if n == 1 {
-			delete(p.idle, key)
+			delete(p.idle, cfg)
 		}
 		p.count--
 		p.mu.Unlock()
@@ -224,10 +94,9 @@ func (p *Pool) Get(cfg Config) *System {
 	return New(cfg)
 }
 
-// Put returns a System to the pool for future reuse. Systems whose
-// configuration is not poolable are dropped (the GC reclaims them), as are
-// poisoned Systems — ones an aborted mid-mutation operation left with
-// undefined simulated state. Transactionally-aborted faults do not poison:
+// Put returns a System to the pool for future reuse. Poisoned Systems —
+// ones an aborted mid-mutation operation left with undefined simulated
+// state — are dropped (the GC reclaims them). Transactionally-aborted faults do not poison:
 // a System that rode out injected faults via retry or software fallback
 // pools normally.
 //
@@ -240,27 +109,18 @@ func (p *Pool) Put(s *System) {
 	if s == nil {
 		return
 	}
-	if s.Poisoned() {
-		p.mu.Lock()
-		p.ctrs.Drops++
-		p.mu.Unlock()
-		return
-	}
-	key, ok := keyFor(s.Cfg)
-	if !ok {
-		p.mu.Lock()
-		p.ctrs.Drops++
-		p.mu.Unlock()
-		return
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
+	if s.Poisoned() {
+		p.ctrs.Drops++
+		return
+	}
 	p.ctrs.Puts++
 	if p.count >= p.max {
 		p.evictLocked()
 	}
 	p.seq++
-	p.idle[key] = append(p.idle[key], idleEntry{sys: s, seq: p.seq})
+	p.idle[s.Cfg] = append(p.idle[s.Cfg], idleEntry{sys: s, seq: p.seq})
 	p.count++
 }
 
@@ -269,7 +129,7 @@ func (p *Pool) Put(s *System) {
 // which makes the choice deterministic regardless of map iteration
 // order). Called with p.mu held and p.count > 0.
 func (p *Pool) evictLocked() {
-	var victim poolKey
+	var victim Config
 	best := 0
 	var bestSeq uint64
 	for k, list := range p.idle {
@@ -306,11 +166,7 @@ func (p *Pool) Idle() int {
 // IdleFor returns the number of idle Systems retained for cfg's key (for
 // tests and pool introspection).
 func (p *Pool) IdleFor(cfg Config) int {
-	key, ok := keyFor(cfg)
-	if !ok {
-		return 0
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	return len(p.idle[key])
+	return len(p.idle[cfg])
 }

@@ -81,67 +81,29 @@ func TestTelemetryCoverage(t *testing.T) {
 	}
 }
 
-func TestPerOpResultTelemetry(t *testing.T) {
-	for _, k := range allKinds() {
-		sys, bufAddr, bufLen, objAddr := telemetrySetup(t, k)
-		typ := sys.schemaRoots[0]
-
-		// Off by default: results carry no telemetry.
-		res, err := sys.Deserialize(typ, bufAddr, bufLen)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Telemetry != nil {
-			t.Errorf("%v: Result.Telemetry attached with per-op capture off", k)
-		}
-
-		sys.Telemetry().EnablePerOp(true)
-		for name, run := range map[string]func() (Result, error){
-			"deser": func() (Result, error) { return sys.Deserialize(typ, bufAddr, bufLen) },
-			"ser":   func() (Result, error) { return sys.Serialize(typ, objAddr) },
-			"clear": func() (Result, error) { return sys.Clear(typ, objAddr) },
-			"copy":  func() (Result, error) { return sys.Copy(typ, objAddr) },
-		} {
-			res, err := run()
-			if err != nil {
-				t.Fatalf("%v/%s: %v", k, name, err)
-			}
-			if res.Telemetry == nil {
-				t.Fatalf("%v/%s: no telemetry attached", k, name)
-			}
-			at := res.Telemetry.Attribution
-			if at.Total != res.Cycles {
-				t.Errorf("%v/%s: attribution total %v != op cycles %v", k, name, at.Total, res.Cycles)
-			}
-			if sum := at.FSM + at.Supply + at.Spill + at.ADTMiss; sum != at.Total {
-				t.Errorf("%v/%s: attribution classes sum to %v, total %v", k, name, sum, at.Total)
-			}
-			if res.Telemetry.Counters.Zero() {
-				t.Errorf("%v/%s: empty counter delta for a timed op", k, name)
-			}
-		}
-		// clear ran after ser/copy may reorder (map iteration); re-run a
-		// known op to check a unit-attributed counter moved by exactly one.
-		res, err = sys.Copy(typ, objAddr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		counter := "cpu/copies"
-		if k == KindAccel {
-			counter = "mops/copies"
-		}
-		if v, _ := res.Telemetry.Counters.Get(counter); v != 1 {
-			t.Errorf("%v: %s delta = %v, want 1", k, counter, v)
-		}
-	}
-}
-
+// A batch Result carries a cycle attribution only while attribution is
+// enabled; its total is the batch's cycles and its classes partition the
+// total. The batch's unit counters move in the registry.
 func TestBatchTelemetry(t *testing.T) {
 	for _, k := range []Kind{KindBOOM, KindAccel} {
 		sys, bufAddr, bufLen, _ := telemetrySetup(t, k)
 		typ := sys.schemaRoots[0]
-		sys.Telemetry().EnablePerOp(true)
 		refs := []WireRef{{bufAddr, bufLen}, {bufAddr, bufLen}, {bufAddr, bufLen}}
+		off, _, err := sys.DeserializeBatch(typ, refs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if off.Telemetry != nil {
+			t.Errorf("%v: batch result carries telemetry with attribution off", k)
+		}
+
+		sys.Telemetry().EnableAttribution(true)
+		counter, want := "cpu/deserializes", 3.0
+		if k == KindAccel {
+			// Two commands per item plus the completion barrier.
+			counter, want = "rocc/commands", 7
+		}
+		before, _ := sys.Telemetry().Registry.Snapshot().Get(counter)
 		total, objs, err := sys.DeserializeBatch(typ, refs)
 		if err != nil {
 			t.Fatal(err)
@@ -152,17 +114,16 @@ func TestBatchTelemetry(t *testing.T) {
 		if total.Telemetry == nil {
 			t.Fatalf("%v: batch result has no telemetry", k)
 		}
-		if total.Telemetry.Attribution.Total != total.Cycles {
-			t.Errorf("%v: batch attribution total %v != cycles %v",
-				k, total.Telemetry.Attribution.Total, total.Cycles)
+		at := total.Telemetry.Attribution
+		if at.Total != total.Cycles {
+			t.Errorf("%v: batch attribution total %v != cycles %v", k, at.Total, total.Cycles)
 		}
-		if k == KindAccel {
-			// Two commands per item plus the completion barrier.
-			if v, _ := total.Telemetry.Counters.Get("rocc/commands"); v != 7 {
-				t.Errorf("rocc/commands delta = %v, want 7", v)
-			}
-		} else if v, _ := total.Telemetry.Counters.Get("cpu/deserializes"); v != 3 {
-			t.Errorf("cpu/deserializes delta = %v, want 3", v)
+		if sum := at.FSM + at.Supply + at.Spill + at.ADTMiss; sum != at.Total {
+			t.Errorf("%v: attribution classes sum to %v, total %v", k, sum, at.Total)
+		}
+		after, _ := sys.Telemetry().Registry.Snapshot().Get(counter)
+		if after-before != want {
+			t.Errorf("%v: %s moved by %v over the batch, want %v", k, counter, after-before, want)
 		}
 	}
 }
@@ -172,7 +133,7 @@ func TestResetAllZeroesTelemetry(t *testing.T) {
 	typ := sys.schemaRoots[0]
 	hub := sys.Telemetry()
 	hub.Tracer.Enable()
-	hub.EnablePerOp(true)
+	hub.EnableAttribution(true)
 	if _, err := sys.Deserialize(typ, bufAddr, bufLen); err != nil {
 		t.Fatal(err)
 	}
@@ -194,8 +155,8 @@ func TestResetAllZeroesTelemetry(t *testing.T) {
 	if hub.Tracer.Enabled() || len(hub.Tracer.Events()) != 0 {
 		t.Error("ResetAll left the tracer enabled or non-empty")
 	}
-	if hub.PerOpEnabled() {
-		t.Error("ResetAll left per-op capture enabled")
+	if hub.AttributionEnabled() {
+		t.Error("ResetAll left attribution enabled")
 	}
 	if len(hub.Registry.Groups()) != 8 {
 		t.Errorf("ResetAll dropped registrations: groups = %v", hub.Registry.Groups())

@@ -15,7 +15,6 @@ package codec
 import (
 	"errors"
 	"fmt"
-	"math"
 
 	"protoacc/internal/pb/dynamic"
 	"protoacc/internal/pb/schema"
@@ -382,10 +381,3 @@ func RoundTripEqual(m *dynamic.Message) (bool, error) {
 	}
 	return m.Equal(got), nil
 }
-
-// Float32Bits and Float64Bits re-export the IEEE conversions used when
-// populating scalar bit patterns, so callers don't need package math.
-func Float32Bits(v float32) uint64 { return uint64(math.Float32bits(v)) }
-
-// Float64Bits returns the IEEE-754 bit pattern of v.
-func Float64Bits(v float64) uint64 { return math.Float64bits(v) }

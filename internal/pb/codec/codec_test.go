@@ -2,6 +2,7 @@ package codec
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -213,7 +214,7 @@ func TestPackedFixedWidth(t *testing.T) {
 	m := dynamic.New(typ)
 	m.AddScalarBits(1, 7)
 	m.AddScalarBits(1, 8)
-	m.AddScalarBits(2, Float64Bits(1.5))
+	m.AddScalarBits(2, math.Float64bits(1.5))
 	b, _ := Marshal(m)
 	got, err := Unmarshal(typ, b)
 	if err != nil || !m.Equal(got) {

@@ -67,9 +67,6 @@ func (s *Server) Health() []TileHealth {
 	}
 	out := make([]TileHealth, len(s.tiles))
 	for i, t := range s.tiles {
-		t.mu.Lock()
-		st := t.stats
-		t.mu.Unlock()
 		t.resMu.Lock()
 		residents := t.residentN
 		t.resMu.Unlock()
@@ -81,9 +78,9 @@ func (s *Server) Health() []TileHealth {
 			Residents:       residents,
 			FaultInjected:   t.faultsEnabled(),
 			PoolDrops:       t.pool.Counters().Drops,
-			AccelFallbacks:  st.accelFallbacks,
-			ServerFallbacks: st.serverFallbacks,
-			Retries:         st.retryEvents,
+			AccelFallbacks:  t.accelFallbacks.Load(),
+			ServerFallbacks: t.serverFallbacks.Load(),
+			Retries:         t.retries.Load(),
 		}
 		if brStates != nil {
 			b := brStates[i]
@@ -125,9 +122,11 @@ type healthzDoc struct {
 
 // healthTotals snapshots the admission-side rejection counters.
 func (s *Server) healthTotals() healthTotals {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return healthTotals{Shed: s.stats.shed, Throttled: s.stats.throttled, Deadline: s.stats.deadline}
+	return healthTotals{
+		Shed:      s.responses[StatusShed].Load(),
+		Throttled: s.responses[StatusThrottled].Load(),
+		Deadline:  s.responses[StatusDeadline].Load(),
+	}
 }
 
 // SpanStats summarizes the span sampler for /statusz.

@@ -189,12 +189,10 @@ func TestServeElementsBreakerTripAndRecover(t *testing.T) {
 		if i == faultTile {
 			continue
 		}
-		tile.mu.Lock()
-		st := tile.stats
-		tile.mu.Unlock()
-		if st.accelFallbacks != 0 || st.serverFallbacks != 0 || st.retryEvents != 0 {
+		accelFB, serverFB, retries := tile.accelFallbacks.Load(), tile.serverFallbacks.Load(), tile.retries.Load()
+		if accelFB != 0 || serverFB != 0 || retries != 0 {
 			t.Errorf("healthy tile %d shows fault recovery while tile %d is tripped: accelFB=%d serverFB=%d retries=%d",
-				i, faultTile, st.accelFallbacks, st.serverFallbacks, st.retryEvents)
+				i, faultTile, accelFB, serverFB, retries)
 		}
 	}
 

@@ -586,14 +586,6 @@ func (b *Balancer) CollectTelemetry(emit func(name string, value float64)) {
 	}
 }
 
-// RegisterTelemetry registers the balancer's counter group and
-// histograms into reg under serve/cluster/.
-func (b *Balancer) RegisterTelemetry(reg *telemetry.Registry) {
-	reg.Register("serve/cluster", b)
-	reg.RegisterHistogram("serve/cluster/latency_ok_ns", &b.okLatency)
-	reg.RegisterHistogram("serve/cluster/hedge/win_ns", &b.hedgeWin)
-}
-
 // Counters returns the serve/cluster/ counter group as a map (test and
 // report convenience).
 func (b *Balancer) Counters() map[string]float64 {

@@ -68,6 +68,8 @@ const (
 	// budget (elements chain); distinct from StatusShed so clients can
 	// tell "server full" from "you specifically are over rate".
 	StatusThrottled
+
+	numStatuses // sentinel: the number of statuses above
 )
 
 func (s Status) String() string {

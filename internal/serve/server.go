@@ -383,21 +383,15 @@ type Server struct {
 	// connection (serverWriteTimeout; tests shorten it).
 	writeTimeout time.Duration
 
-	mu    sync.Mutex
-	stats stats
-}
-
-// stats is the admission-side counter group. All counters are
-// integral-valued, so cross-worker accumulation order cannot perturb the
-// totals — a serial run and a parallel run of the same batches snapshot
-// identically.
-type stats struct {
-	reqDeser, reqSer                 uint64
-	ok, shed, deadline, bad, errored uint64
-	throttled                        uint64
-	bytesIn, bytesOut                uint64
-	protoErrs                        uint64 // malformed frames/bodies that terminated a connection
-	chunkedIn, chunkedOut            uint64 // messages that crossed the wire as chunk trains
+	// The admission-side counters, added atomically so no request takes a
+	// server-wide lock to count. All are integral-valued, so the order
+	// concurrent requests add in cannot perturb the totals — a serial run
+	// and a parallel run of the same batches snapshot identically.
+	reqDeser, reqSer      atomic.Uint64
+	responses             [numStatuses]atomic.Uint64 // by Status
+	bytesIn, bytesOut     atomic.Uint64
+	protoErrs             atomic.Uint64 // malformed frames/bodies that terminated a connection
+	chunkedIn, chunkedOut atomic.Uint64 // messages that crossed the wire as chunk trains
 }
 
 // NewServer builds and starts a Server: one router plus Options.Tiles
@@ -625,14 +619,12 @@ func (s *Server) admit(client string, req Request, out *connWriter) (p *pending,
 		sp.Schema, sp.Op = req.Schema, req.Op
 		p.span = sp
 	}
-	s.mu.Lock()
 	if req.Op == OpSerialize {
-		s.stats.reqSer++
+		s.reqSer.Add(1)
 	} else {
-		s.stats.reqDeser++
+		s.reqDeser.Add(1)
 	}
-	s.stats.bytesIn += uint64(len(req.Payload))
-	s.mu.Unlock()
+	s.bytesIn.Add(uint64(len(req.Payload)))
 
 	if req.Op != OpDeserialize && req.Op != OpSerialize {
 		s.respond(p, Response{Status: StatusBadRequest, Payload: []byte(fmt.Sprintf("unknown op %d", req.Op))})
@@ -703,23 +695,10 @@ func (s *Server) respond(p *pending, resp Response) {
 		// serve/responses already sits in its connection's buffer.
 		p.out.send(&resp)
 	}
-	s.mu.Lock()
-	switch resp.Status {
-	case StatusOK:
-		s.stats.ok++
-		s.stats.bytesOut += uint64(len(resp.Payload))
-	case StatusShed:
-		s.stats.shed++
-	case StatusDeadline:
-		s.stats.deadline++
-	case StatusBadRequest:
-		s.stats.bad++
-	case StatusThrottled:
-		s.stats.throttled++
-	default:
-		s.stats.errored++
+	s.responses[resp.Status].Add(1)
+	if resp.Status == StatusOK {
+		s.bytesOut.Add(uint64(len(resp.Payload)))
 	}
-	s.mu.Unlock()
 	s.obs.e2e.Record(time.Since(p.admitAt))
 	if sp := p.span; sp != nil {
 		sp.DoneAt = s.obs.since()
@@ -734,71 +713,33 @@ func (s *Server) respond(p *pending, resp Response) {
 	}
 }
 
-// CollectTelemetry implements telemetry.Collector for the serving group:
-// admission-side counters plus every tile's execution counters summed.
-// The per-tile breakdown lands under serve/tile<i>/ (see
-// TelemetrySnapshot); this group stays the cross-tile aggregate, so its
-// shape and values match the pre-sharding single-pool server whenever the
-// same batches run.
+// CollectTelemetry implements telemetry.Collector for the server's own
+// serve/ counters: admission and transport counts, config echoes, and
+// provenance. The tiles' execution counters reach serve/ through
+// TelemetrySnapshot, which registers every tile there as well as under
+// serve/tile<i>/, so the registry forms their cross-tile totals.
 func (s *Server) CollectTelemetry(emit func(name string, value float64)) {
-	s.mu.Lock()
-	st := s.stats
-	s.mu.Unlock()
-	var ts tileStats
-	var cyc telemetry.Attribution
-	var sampledReqs uint64
-	depth := 0
-	for _, t := range s.tiles {
-		t.mu.Lock()
-		ts.add(t.stats)
-		t.mu.Unlock()
-		a, n := t.cycleTelemetry()
-		cyc.Total += a.Total
-		cyc.FSM += a.FSM
-		cyc.Supply += a.Supply
-		cyc.Spill += a.Spill
-		cyc.ADTMiss += a.ADTMiss
-		sampledReqs += n
-		depth += len(t.queue)
+	emit("requests/deser", float64(s.reqDeser.Load()))
+	emit("requests/ser", float64(s.reqSer.Load()))
+	for st := range s.responses {
+		emit("responses/"+Status(st).String(), float64(s.responses[st].Load()))
 	}
-	emit("requests/deser", float64(st.reqDeser))
-	emit("requests/ser", float64(st.reqSer))
-	emit("responses/ok", float64(st.ok))
-	emit("responses/shed", float64(st.shed))
-	emit("responses/deadline", float64(st.deadline))
-	emit("responses/bad_request", float64(st.bad))
-	emit("responses/error", float64(st.errored))
-	emit("responses/throttled", float64(st.throttled))
-	emit("bytes/in", float64(st.bytesIn))
-	emit("bytes/out", float64(st.bytesOut))
-	emit("protocol/errors", float64(st.protoErrs))
-	emit("protocol/chunked_in", float64(st.chunkedIn))
-	emit("protocol/chunked_out", float64(st.chunkedOut))
-	emit("batches", float64(ts.batches))
-	emit("batch_requests", float64(ts.batchRequests))
-	emit("fallbacks/accel", float64(ts.accelFallbacks))
-	emit("fallbacks/server", float64(ts.serverFallbacks))
-	emit("retries", float64(ts.retryEvents))
-	emit("steals", float64(ts.steals))
-	emit("stolen_requests", float64(ts.stolenRequests))
+	emit("bytes/in", float64(s.bytesIn.Load()))
+	emit("bytes/out", float64(s.bytesOut.Load()))
+	emit("protocol/errors", float64(s.protoErrs.Load()))
+	emit("protocol/chunked_in", float64(s.chunkedIn.Load()))
+	emit("protocol/chunked_out", float64(s.chunkedOut.Load()))
 	emit("tiles", float64(len(s.tiles)))
 	emit("queue/capacity", float64(s.opts.QueueDepth*len(s.tiles)))
-	emit("queue/depth", float64(depth))
-	emit("cycles/accel", cyc.Total)
-	emit("cycles/fsm", cyc.FSM)
-	emit("cycles/supply", cyc.Supply)
-	emit("cycles/spill", cyc.Spill)
-	emit("cycles/adt_stall", cyc.ADTMiss)
-	// Provenance: how the cycles/* values above were obtained. In sampled
-	// mode they are extrapolated from cycle_sampled_requests measured
-	// requests at 1-in-cycle_sample_rate batch cadence; in exact mode
-	// every request was measured (rate 1, extrapolated 0).
+	// Provenance: how the cycles/* totals were obtained. In sampled mode
+	// they are extrapolated from cycle_sampled_requests measured requests
+	// at 1-in-cycle_sample_rate batch cadence; in exact mode every request
+	// was measured (rate 1, extrapolated 0).
 	rate, extrapolated := 1, 0
 	if s.opts.CycleMode == CycleSampled {
 		rate, extrapolated = s.opts.CycleSampleN, 1
 	}
 	emit("cycle_sample_rate", float64(rate))
-	emit("cycle_sampled_requests", float64(sampledReqs))
 	emit("cycle_extrapolated", float64(extrapolated))
 	// Span-sampling provenance: how many requests carried a lifecycle
 	// span, how many spans completed, and how many the bounded ring
@@ -814,16 +755,19 @@ func (s *Server) CollectTelemetry(emit func(name string, value float64)) {
 
 // TelemetrySnapshot merges the serving group, one serve/tile<i> group per
 // tile, and the per-batch System counters aggregated across every tile,
-// sorted by name. At quiescence (no requests in flight) the result is
-// deterministic for a given request set — the basis of the
-// serial-vs-parallel equivalence tests — and, under round-robin routing,
-// the serve/ aggregate is bitwise-identical between a 1-tile and an
-// N-tile server.
+// sorted by name. Each tile registers under serve/ too, in tile order, so
+// the aggregation sums the tiles' execution counters into the serve/
+// totals (the float cycles/* totals in a fixed order). At quiescence (no
+// requests in flight) the result is deterministic for a given request set
+// — the basis of the serial-vs-parallel equivalence tests — and, under
+// round-robin routing, the serve/ aggregate is bitwise-identical between
+// a 1-tile and an N-tile server.
 func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 	var reg telemetry.Registry
 	reg.Register("serve", s)
 	for _, t := range s.tiles {
 		reg.Register(fmt.Sprintf("serve/tile%d", t.id), t)
+		reg.RegisterFunc("serve", t.collectTotals)
 	}
 	// Element groups register only when their element is on, so a
 	// chain-off snapshot is byte-identical to the pre-chain server's.
@@ -932,9 +876,7 @@ func (s *Server) noteProtocolError(err error) {
 	if err == nil || err == io.EOF || errors.Is(err, net.ErrClosed) {
 		return
 	}
-	s.mu.Lock()
-	s.stats.protoErrs++
-	s.mu.Unlock()
+	s.protoErrs.Add(1)
 }
 
 // serveConn demultiplexes one connection. Requests stream in through a
@@ -969,9 +911,7 @@ func (s *Server) serveConn(w *connWriter) {
 			return
 		}
 		if chunked {
-			s.mu.Lock()
-			s.stats.chunkedIn++
-			s.mu.Unlock()
+			s.chunkedIn.Add(1)
 		}
 		req, err := parseRequest(body)
 		if err != nil {
@@ -1100,9 +1040,7 @@ func (w *connWriter) send(resp *Response) {
 	w.ready.Signal()
 	w.mu.Unlock()
 	if chunked {
-		w.s.mu.Lock()
-		w.s.stats.chunkedOut++
-		w.s.mu.Unlock()
+		w.s.chunkedOut.Add(1)
 	}
 }
 

@@ -3,6 +3,7 @@ package serve
 import (
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"protoacc/internal/core"
@@ -47,10 +48,18 @@ type tile struct {
 
 	wg sync.WaitGroup // dispatcher + executors
 
+	// The execution-side counters, added atomically. Like the Server's,
+	// every one is integral-valued, so the order tiles and executors add
+	// in cannot perturb the serve/ totals.
+	batches, batchRequests          atomic.Uint64
+	accelFallbacks, serverFallbacks atomic.Uint64
+	retries                         atomic.Uint64
+	steals, stolenRequests          atomic.Uint64
+
 	mu      sync.Mutex
-	stats   tileStats
-	sysAgg  telemetry.Aggregate // accelerator unit counters across batches
-	sysSnap telemetry.Snapshot  // absorb scratch, guarded by mu
+	cycles  telemetry.Attribution // exact mode's measured cycles, guarded by mu
+	sysAgg  telemetry.Aggregate   // accelerator unit counters across batches
+	sysSnap telemetry.Snapshot    // absorb scratch, guarded by mu
 
 	// residents are warm Systems kept per schema between batches: the
 	// schema registry and built ADTs survive, so a coalesced batch pays
@@ -72,39 +81,11 @@ type tile struct {
 
 // sampleState is one (schema, op) stream's cycle-sampling ledger.
 type sampleState struct {
-	seen           uint64 // batches dispatched (drives the 1-in-N cadence)
-	sampledBatches uint64
-	sampledReqs    uint64                // requests that ran the full cycle model
-	totalReqs      uint64                // all requests (sampled + functional)
-	attr           telemetry.Attribution // accumulated over sampled batches only
-	perReq         float64               // latest sampled per-request cycle estimate
-}
-
-// tileStats is the execution-side counter set, owned per tile. Like the
-// Server's admission stats, every field is integral-valued, so the order
-// tiles and workers accumulate in cannot perturb cross-tile sums.
-type tileStats struct {
-	batches, batchRequests          uint64
-	accelFallbacks, serverFallbacks uint64
-	retryEvents                     uint64
-	steals, stolenRequests          uint64
-	cycles                          telemetry.Attribution
-}
-
-// add folds o into s (for the Server's cross-tile aggregate).
-func (s *tileStats) add(o tileStats) {
-	s.batches += o.batches
-	s.batchRequests += o.batchRequests
-	s.accelFallbacks += o.accelFallbacks
-	s.serverFallbacks += o.serverFallbacks
-	s.retryEvents += o.retryEvents
-	s.steals += o.steals
-	s.stolenRequests += o.stolenRequests
-	s.cycles.Total += o.cycles.Total
-	s.cycles.FSM += o.cycles.FSM
-	s.cycles.Supply += o.cycles.Supply
-	s.cycles.Spill += o.cycles.Spill
-	s.cycles.ADTMiss += o.cycles.ADTMiss
+	seen        uint64                // batches dispatched (drives the 1-in-N cadence)
+	sampledReqs uint64                // requests that ran the full cycle model
+	totalReqs   uint64                // all requests (sampled + functional)
+	attr        telemetry.Attribution // accumulated over sampled batches only
+	perReq      float64               // latest sampled per-request cycle estimate
 }
 
 // newTile builds one tile; start launches its goroutines. Construction
@@ -455,10 +436,8 @@ func (t *tile) trySteal() bool {
 	for _, pendings := range grabbed {
 		stolen += len(pendings)
 	}
-	t.mu.Lock()
-	t.stats.steals++
-	t.stats.stolenRequests += uint64(stolen)
-	t.mu.Unlock()
+	t.steals.Add(1)
+	t.stolenRequests.Add(uint64(stolen))
 	now := time.Now()
 	markStolen := func(pendings []*pending) {
 		for _, p := range pendings {
@@ -534,10 +513,8 @@ func (t *tile) runBatch(job batchJob) {
 			p.span.BatchAt = batchAt
 		}
 	}
-	t.mu.Lock()
-	t.stats.batches++
-	t.stats.batchRequests += uint64(len(live))
-	t.mu.Unlock()
+	t.batches.Add(1)
+	t.batchRequests.Add(uint64(len(live)))
 
 	// In sampled mode, only every CycleSampleN'th batch of each
 	// (schema, op) stream runs the cycle model; the rest answer on the
@@ -784,9 +761,7 @@ func (t *tile) annotateSpans(live []*pending, res core.Result) {
 // the poisoned System that caused it.
 func (t *tile) degrade(live []*pending, cause error) {
 	_ = cause // the per-response FellBack flag and counters carry the signal
-	t.mu.Lock()
-	t.stats.serverFallbacks += uint64(len(live))
-	t.mu.Unlock()
+	t.serverFallbacks.Add(uint64(len(live)))
 	// Every degraded request is a failure event: the accelerator shard
 	// could not serve it, which is exactly what the breaker watches for.
 	t.observeBreaker(uint64(len(live)), uint64(len(live)))
@@ -810,43 +785,30 @@ func (t *tile) degrade(live []*pending, cause error) {
 // into the tile totals; in sampled mode it folds into the stream's
 // sampling ledger, which telemetry later extrapolates.
 func (t *tile) noteBatch(res core.Result, n int, st *sampleState) {
-	t.mu.Lock()
-	if res.Fault != nil {
-		t.stats.retryEvents += uint64(res.Fault.Retries)
-		if res.Fault.FellBack {
-			t.stats.accelFallbacks += uint64(n)
-		}
-	}
-	if st == nil && res.Telemetry != nil {
-		a := res.Telemetry.Attribution
-		t.stats.cycles.Total += a.Total
-		t.stats.cycles.FSM += a.FSM
-		t.stats.cycles.Supply += a.Supply
-		t.stats.cycles.Spill += a.Spill
-		t.stats.cycles.ADTMiss += a.ADTMiss
-	}
-	t.mu.Unlock()
-	if st != nil && res.Telemetry != nil {
-		a := res.Telemetry.Attribution
-		t.sampleMu.Lock()
-		st.sampledBatches++
-		st.sampledReqs += uint64(n)
-		st.attr.Total += a.Total
-		st.attr.FSM += a.FSM
-		st.attr.Supply += a.Supply
-		st.attr.Spill += a.Spill
-		st.attr.ADTMiss += a.ADTMiss
-		st.perReq = res.Cycles / float64(n)
-		t.sampleMu.Unlock()
-	}
 	// Breaker view of the batch: every request completed; retries and
 	// (when the core fell back) every request count as failure events —
 	// the same events the serve/tile<i>/ resilience counters record.
 	var fails uint64
 	if res.Fault != nil {
 		fails = uint64(res.Fault.Retries)
+		t.retries.Add(fails)
 		if res.Fault.FellBack {
+			t.accelFallbacks.Add(uint64(n))
 			fails += uint64(n)
+		}
+	}
+	if res.Telemetry != nil {
+		a := res.Telemetry.Attribution
+		if st == nil {
+			t.mu.Lock()
+			t.cycles.AddScaled(a, 1)
+			t.mu.Unlock()
+		} else {
+			t.sampleMu.Lock()
+			st.sampledReqs += uint64(n)
+			st.attr.AddScaled(a, 1)
+			st.perReq = res.Cycles / float64(n)
+			t.sampleMu.Unlock()
 		}
 	}
 	t.observeBreaker(uint64(n), fails)
@@ -873,10 +835,9 @@ func (t *tile) absorb(sys *core.System) {
 func (t *tile) cycleTelemetry() (attr telemetry.Attribution, sampledReqs uint64) {
 	if t.srv.opts.CycleMode != CycleSampled {
 		t.mu.Lock()
-		attr = t.stats.cycles
-		n := t.stats.batchRequests
+		attr = t.cycles
 		t.mu.Unlock()
-		return attr, n
+		return attr, t.batchRequests.Load()
 	}
 	t.sampleMu.Lock()
 	defer t.sampleMu.Unlock()
@@ -895,30 +856,35 @@ func (t *tile) cycleTelemetry() (attr telemetry.Attribution, sampledReqs uint64)
 		if st.sampledReqs == 0 {
 			continue
 		}
-		scale := float64(st.totalReqs) / float64(st.sampledReqs)
-		attr.Total += st.attr.Total * scale
-		attr.FSM += st.attr.FSM * scale
-		attr.Supply += st.attr.Supply * scale
-		attr.Spill += st.attr.Spill * scale
-		attr.ADTMiss += st.attr.ADTMiss * scale
+		attr.AddScaled(st.attr, float64(st.totalReqs)/float64(st.sampledReqs))
 		sampledReqs += st.sampledReqs
 	}
 	return attr, sampledReqs
 }
 
 // CollectTelemetry implements telemetry.Collector for one serve/tile<i>
-// group: this tile's execution counters plus its queue and pool state.
+// group: this tile's execution counters plus its queue state.
 func (t *tile) CollectTelemetry(emit func(name string, value float64)) {
-	t.mu.Lock()
-	st := t.stats
-	t.mu.Unlock()
-	emit("batches", float64(st.batches))
-	emit("batch_requests", float64(st.batchRequests))
-	emit("fallbacks/accel", float64(st.accelFallbacks))
-	emit("fallbacks/server", float64(st.serverFallbacks))
-	emit("retries", float64(st.retryEvents))
-	emit("steals", float64(st.steals))
-	emit("stolen_requests", float64(st.stolenRequests))
+	t.collect(emit, "cycles/sampled_requests")
+}
+
+// collectTotals is the tile's contribution to the serve/ group, where the
+// registry sums it with the other tiles'. Only the name of the count of
+// requests that ran the cycle model differs from the tile's own group.
+func (t *tile) collectTotals(emit func(name string, value float64)) {
+	t.collect(emit, "cycle_sampled_requests")
+}
+
+// collect emits the tile's execution counters and queue depth, naming
+// the count of requests that ran the cycle model sampledName.
+func (t *tile) collect(emit func(name string, value float64), sampledName string) {
+	emit("batches", float64(t.batches.Load()))
+	emit("batch_requests", float64(t.batchRequests.Load()))
+	emit("fallbacks/accel", float64(t.accelFallbacks.Load()))
+	emit("fallbacks/server", float64(t.serverFallbacks.Load()))
+	emit("retries", float64(t.retries.Load()))
+	emit("steals", float64(t.steals.Load()))
+	emit("stolen_requests", float64(t.stolenRequests.Load()))
 	emit("queue/depth", float64(len(t.queue)))
 	cyc, sampled := t.cycleTelemetry()
 	emit("cycles/accel", cyc.Total)
@@ -926,5 +892,5 @@ func (t *tile) CollectTelemetry(emit func(name string, value float64)) {
 	emit("cycles/supply", cyc.Supply)
 	emit("cycles/spill", cyc.Spill)
 	emit("cycles/adt_stall", cyc.ADTMiss)
-	emit("cycles/sampled_requests", float64(sampled))
+	emit(sampledName, float64(sampled))
 }

@@ -177,7 +177,10 @@ func TestServeTileCountersPartitionAggregate(t *testing.T) {
 	for _, sm := range snap.Samples() {
 		counters[sm.Name] = sm.Value
 	}
-	for _, name := range []string{"batches", "batch_requests", "fallbacks/accel", "fallbacks/server", "retries", "steals"} {
+	for _, name := range []string{
+		"batches", "batch_requests", "fallbacks/accel", "fallbacks/server", "retries", "steals", "stolen_requests",
+		"queue/depth", "cycles/accel", "cycles/fsm", "cycles/supply", "cycles/spill", "cycles/adt_stall",
+	} {
 		var sum float64
 		for i := 0; i < opts.Tiles; i++ {
 			sum += counters[fmt.Sprintf("serve/tile%d/%s", i, name)]
@@ -232,7 +235,6 @@ func TestServeTileFaultQuarantine(t *testing.T) {
 	var faultActivity float64
 	for i, tile := range srv.tiles {
 		tile.mu.Lock()
-		st := tile.stats
 		var injected float64
 		for _, sm := range tile.sysAgg.Snapshot().Samples() {
 			if len(sm.Name) > 7 && sm.Name[:7] == "faults/" {
@@ -240,18 +242,19 @@ func TestServeTileFaultQuarantine(t *testing.T) {
 			}
 		}
 		tile.mu.Unlock()
+		accelFB, serverFB, retries := tile.accelFallbacks.Load(), tile.serverFallbacks.Load(), tile.retries.Load()
 		if i == faultTile {
-			faultActivity = injected + float64(st.retryEvents+st.accelFallbacks+st.serverFallbacks)
+			faultActivity = injected + float64(retries+accelFB+serverFB)
 			continue
 		}
-		if st.accelFallbacks != 0 || st.serverFallbacks != 0 || st.retryEvents != 0 {
+		if accelFB != 0 || serverFB != 0 || retries != 0 {
 			t.Errorf("healthy tile %d shows fault recovery: accelFB=%d serverFB=%d retries=%d",
-				i, st.accelFallbacks, st.serverFallbacks, st.retryEvents)
+				i, accelFB, serverFB, retries)
 		}
 		if injected != 0 {
 			t.Errorf("healthy tile %d injected %v faults", i, injected)
 		}
-		if st.batches == 0 {
+		if tile.batches.Load() == 0 {
 			t.Errorf("healthy tile %d served no batches while tile %d was poisoned", i, faultTile)
 		}
 	}
@@ -413,9 +416,7 @@ func TestDenseKeyWaitsForPartners(t *testing.T) {
 	wg.Wait()
 	took := time.Since(start)
 	tl := srv.tiles[0]
-	tl.mu.Lock()
-	batches, reqs := tl.stats.batches, tl.stats.batchRequests
-	tl.mu.Unlock()
+	batches, reqs := tl.batches.Load(), tl.batchRequests.Load()
 	if batches != 2 || reqs != uint64(1+opts.MaxBatch) {
 		t.Errorf("%d requests ran as %d batches, want 2: the first alone, then one batch of %d", reqs, batches, opts.MaxBatch)
 	}
@@ -456,9 +457,7 @@ func TestServeWorkStealing(t *testing.T) {
 			t.Fatalf("request %d: status %v: %s", i, resp.Status, resp.Payload)
 		}
 	}
-	srv.tiles[1].mu.Lock()
-	steals := srv.tiles[1].stats.steals
-	srv.tiles[1].mu.Unlock()
+	steals := srv.tiles[1].steals.Load()
 	if steals == 0 {
 		t.Errorf("tile 1 stole nothing from a %d-job backlog on tile 0", n)
 	}

@@ -7,7 +7,6 @@ import (
 	"protoacc/internal/accel/layout"
 	"protoacc/internal/pb/schema"
 	"protoacc/internal/pb/wire"
-	"protoacc/internal/sim/mem"
 )
 
 // Deserialization errors.
@@ -474,6 +473,3 @@ func (c *CPU) parseField(ctx *deserCtx, f *schema.Field, fl *layout.FieldLayout,
 func (c *CPU) AllocTopLevel(t *schema.Message) (uint64, error) {
 	return c.allocObject(t)
 }
-
-// HeapAllocator exposes the CPU's heap for test setup.
-func (c *CPU) HeapAllocator() *mem.Allocator { return c.Heap }

@@ -210,9 +210,6 @@ func (s *System) Reset() {
 	}
 }
 
-// L2Stats returns the shared L2's counters.
-func (s *System) L2Stats() LevelStats { return s.l2.stats }
-
 // LLCStats returns the shared LLC's counters.
 func (s *System) LLCStats() LevelStats { return s.llc.stats }
 

@@ -389,18 +389,14 @@ func (a *Accelerator) AssignArenas(deserArena *mem.Allocator, serData, serPtrs *
 
 // DeserializeOp is the convenience pair (deser_info, do_proto_deser)
 // followed by a completion barrier; returns total busy cycles.
-func (a *Accelerator) DeserializeOp(adtAddr, objAddr, bufAddr, bufLen uint64) (float64, deser.Stats, error) {
+func (a *Accelerator) DeserializeOp(adtAddr, objAddr, bufAddr, bufLen uint64) (float64, error) {
 	if _, err := a.Issue(Command{Op: OpDeserInfo, RS1: adtAddr, RS2: objAddr}); err != nil {
-		return 0, deser.Stats{}, err
+		return 0, err
 	}
 	if _, err := a.Issue(Command{Op: OpDoProtoDeser, RS1: bufAddr, RS2: bufLen}); err != nil {
-		return 0, deser.Stats{}, err
+		return 0, err
 	}
-	busy, err := a.Issue(Command{Op: OpBlockForDeserCompletion})
-	if err != nil {
-		return 0, deser.Stats{}, err
-	}
-	return busy, a.DeserOps[len(a.DeserOps)-1], nil
+	return a.Issue(Command{Op: OpBlockForDeserCompletion})
 }
 
 // SerializeOp is the convenience pair (ser_info, do_proto_ser) followed by

@@ -226,7 +226,7 @@ func TestErrorDropsInfoLatches(t *testing.T) {
 		t.Fatalf("stale deser_info survived an error: err = %v, want ErrNoInfo", err)
 	}
 	// A fresh well-formed sequence works and produces the right object.
-	if _, _, err := a.DeserializeOp(set.Addr(typ), obj, in.Base, uint64(len(wire))); err != nil {
+	if _, err := a.DeserializeOp(set.Addr(typ), obj, in.Base, uint64(len(wire))); err != nil {
 		t.Fatalf("recovery sequence rejected: %v", err)
 	}
 	got, err := mat.Read(typ, obj)

@@ -29,8 +29,8 @@ import "sort"
 // Collector is implemented by any unit exposing counters. The unit calls
 // emit once per counter with a name relative to its registration prefix
 // ("stack_spills", "l1/cpu/hits", ...). Implementations must emit the
-// same names in the same order on every call — the determinism and
-// delta semantics rely on a stable shape.
+// same names in the same order on every call — the determinism contracts
+// and the registry's name interning rely on a stable shape.
 type Collector interface {
 	CollectTelemetry(emit func(name string, value float64))
 }
@@ -77,37 +77,6 @@ func (s Snapshot) Zero() bool {
 		}
 	}
 	return true
-}
-
-// Delta returns s minus prev, counter by counter. Snapshots of the same
-// registry share a shape, so the subtraction is positional; a name
-// mismatch (snapshots of different registries) falls back to matching by
-// name, treating counters missing from prev as zero.
-func (s Snapshot) Delta(prev Snapshot) Snapshot {
-	out := Snapshot{samples: make([]Sample, len(s.samples))}
-	aligned := len(prev.samples) == len(s.samples)
-	if aligned {
-		for i := range s.samples {
-			if s.samples[i].Name != prev.samples[i].Name {
-				aligned = false
-				break
-			}
-		}
-	}
-	if aligned {
-		for i, sm := range s.samples {
-			out.samples[i] = Sample{Name: sm.Name, Value: sm.Value - prev.samples[i].Value}
-		}
-		return out
-	}
-	byName := make(map[string]float64, len(prev.samples))
-	for _, sm := range prev.samples {
-		byName[sm.Name] = sm.Value
-	}
-	for i, sm := range s.samples {
-		out.samples[i] = Sample{Name: sm.Name, Value: sm.Value - byName[sm.Name]}
-	}
-	return out
 }
 
 // group is one registered collector with its name prefix. The full
@@ -206,7 +175,8 @@ func (r *Registry) Snapshot() Snapshot {
 }
 
 // SnapshotInto refills s in place, reusing its sample storage so repeated
-// snapshotting (per-op deltas) stops allocating once the shape is known.
+// snapshotting (a tile absorbing each batch) stops allocating once the
+// shape is known.
 func (r *Registry) SnapshotInto(s *Snapshot) {
 	s.samples = s.samples[:0]
 	for gi := range r.groups {
@@ -291,71 +261,47 @@ func NewAttribution(total, supply, spill, adtMiss float64) Attribution {
 	return Attribution{Total: total, FSM: fsm, Supply: supply, Spill: spill, ADTMiss: adtMiss}
 }
 
-// OpTelemetry is the per-operation report a System attaches to a Result
-// when per-op telemetry is enabled: the counter delta the operation caused
-// and its cycle attribution.
+// AddScaled adds o, every class scaled by k, to a.
+func (a *Attribution) AddScaled(o Attribution, k float64) {
+	a.Total += o.Total * k
+	a.FSM += o.FSM * k
+	a.Supply += o.Supply * k
+	a.Spill += o.Spill * k
+	a.ADTMiss += o.ADTMiss * k
+}
+
+// OpTelemetry is the report a System attaches to a batch Result when
+// attribution is enabled: the batch's cycle attribution.
 type OpTelemetry struct {
-	Counters    Snapshot
 	Attribution Attribution
 }
 
 // Hub bundles the per-System telemetry state: the counter registry and
-// the trace buffer, plus the per-op attachment switch. core.System owns
-// exactly one Hub; pooled Systems reset it via Reset.
+// the trace buffer, plus the attribution switch. core.System owns exactly
+// one Hub; pooled Systems reset it via Reset.
 type Hub struct {
 	Registry Registry
 	Tracer   Tracer
 
-	perOp    bool
-	attrOnly bool
-	prev     Snapshot // scratch for per-op deltas
+	attribution bool
 }
 
-// EnablePerOp toggles per-operation Result attachment (counter deltas and
-// cycle attribution). Off by default; costs nothing when off.
-func (h *Hub) EnablePerOp(on bool) { h.perOp = on }
+// EnableAttribution toggles attribution attachment for the batch
+// operations: their Results carry a cycle Attribution, computed from unit
+// stat deltas (a handful of field reads). The serving tiles turn it on for
+// every batch. Off by default.
+func (h *Hub) EnableAttribution(on bool) { h.attribution = on }
 
-// PerOpEnabled reports whether per-op attachment is on.
-func (h *Hub) PerOpEnabled() bool { return h != nil && h.perOp }
-
-// EnableAttribution toggles attribution-only Result attachment for the
-// batch operations: Results carry a cycle Attribution (computed from unit
-// stat deltas, a handful of field reads) but no counter snapshot delta.
-// The serving data plane uses this instead of EnablePerOp — two full
-// registry snapshots plus a positional delta per batch were a measured
-// double-digit share of serving CPU, while the only per-batch consumer
-// was the attribution. Implied by EnablePerOp; off by default.
-func (h *Hub) EnableAttribution(on bool) { h.attrOnly = on }
-
-// AttributionEnabled reports whether batch Results should carry a cycle
-// attribution (with or without the counter delta).
-func (h *Hub) AttributionEnabled() bool { return h != nil && (h.perOp || h.attrOnly) }
-
-// OpBegin snapshots the registry before an operation when per-op
-// telemetry is on, returning false (and doing nothing) otherwise.
-func (h *Hub) OpBegin() bool {
-	if !h.PerOpEnabled() {
-		return false
-	}
-	h.Registry.SnapshotInto(&h.prev)
-	return true
-}
-
-// OpEnd completes a per-op capture started by OpBegin, returning the
-// counter delta attributed to the operation.
-func (h *Hub) OpEnd(attr Attribution) *OpTelemetry {
-	after := h.Registry.Snapshot()
-	return &OpTelemetry{Counters: after.Delta(h.prev), Attribution: attr}
-}
+// AttributionEnabled reports whether batch Results carry a cycle
+// attribution.
+func (h *Hub) AttributionEnabled() bool { return h != nil && h.attribution }
 
 // Reset returns the Hub to its post-construction state: the trace buffer
-// is emptied and disabled and per-op attachment is switched off. Counter
+// is emptied and disabled and attribution is switched off. Counter
 // registrations persist — the counters themselves live in the units,
 // which the owning System resets separately (System.ResetAll zeroes every
 // unit's accumulators, so a snapshot taken after ResetAll is all-zero).
 func (h *Hub) Reset() {
 	h.Tracer.Reset()
-	h.perOp = false
-	h.attrOnly = false
-	h.prev.samples = h.prev.samples[:0]
+	h.attribution = false
 }

@@ -41,30 +41,6 @@ func TestRegistrySnapshotOrderAndNames(t *testing.T) {
 	}
 }
 
-func TestSnapshotDelta(t *testing.T) {
-	var r Registry
-	u := &fakeUnit{hits: 10, misses: 1}
-	r.Register("u", u)
-	before := r.Snapshot()
-	u.hits, u.misses = 25, 4
-	delta := r.Snapshot().Delta(before)
-	if v, _ := delta.Get("u/hits"); v != 15 {
-		t.Errorf("hits delta = %v", v)
-	}
-	if v, _ := delta.Get("u/misses"); v != 3 {
-		t.Errorf("misses delta = %v", v)
-	}
-
-	// Misaligned shapes fall back to by-name matching.
-	var other Registry
-	other.Register("u", &fakeUnit{})
-	odd := other.Snapshot()
-	d2 := r.Snapshot().Delta(Snapshot{samples: odd.samples[:1]})
-	if v, _ := d2.Get("u/misses"); v != 4 {
-		t.Errorf("fallback misses delta = %v", v)
-	}
-}
-
 func TestSnapshotZero(t *testing.T) {
 	var r Registry
 	u := &fakeUnit{}
@@ -152,33 +128,5 @@ func TestTracerLifecycle(t *testing.T) {
 	tr.Reset()
 	if tr.Enabled() || len(tr.Events()) != 0 {
 		t.Error("reset did not disable and empty")
-	}
-}
-
-func TestHubPerOpCapture(t *testing.T) {
-	var h Hub
-	u := &fakeUnit{}
-	h.Registry.Register("u", u)
-	if h.OpBegin() {
-		t.Fatal("OpBegin should be a no-op while per-op is off")
-	}
-	h.EnablePerOp(true)
-	if !h.OpBegin() {
-		t.Fatal("OpBegin should arm after EnablePerOp")
-	}
-	u.hits = 7
-	ot := h.OpEnd(NewAttribution(7, 0, 0, 0))
-	if v, _ := ot.Counters.Get("u/hits"); v != 7 {
-		t.Errorf("op delta = %v", v)
-	}
-	if ot.Attribution.Total != 7 {
-		t.Errorf("attribution total = %v", ot.Attribution.Total)
-	}
-	h.Reset()
-	if h.PerOpEnabled() || h.Tracer.Enabled() {
-		t.Error("reset left per-op or tracer on")
-	}
-	if len(h.Registry.Groups()) != 1 {
-		t.Error("reset must keep registrations")
 	}
 }

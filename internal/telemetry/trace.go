@@ -2,10 +2,9 @@ package telemetry
 
 // Event is one cycle-timestamped trace record — the common structured
 // event the deserializer, serializer, message-operations unit, and RoCC
-// command router all emit, replacing the deserializer's one-off
-// TraceEvent hook. Cycle is the emitting unit's cumulative cycle counter
-// at emission time (each unit is its own "waveform lane"); Dur is nonzero
-// for span events covering a whole operation.
+// command router all emit. Cycle is the emitting unit's cumulative cycle
+// counter at emission time (each unit is its own "waveform lane"); Dur is
+// nonzero for span events covering a whole operation.
 type Event struct {
 	Unit  string  // "deser", "ser", "mops", "rocc"
 	Name  string  // state or instruction name ("parseKey", "do_proto_deser", ...)

@@ -1,12 +1,8 @@
 package workloads
 
 import (
-	"bufio"
 	"fmt"
-	"io"
 	"math/rand"
-	"strconv"
-	"strings"
 
 	"protoacc/internal/fleet"
 	"protoacc/internal/pb/schema"
@@ -24,8 +20,7 @@ type Record struct {
 	Size   int      // encoded payload bytes (informational; pinned by tests)
 }
 
-// Trace is a recorded key/size/op sequence plus the seed that produced
-// it (zero for traces recorded from live traffic).
+// Trace is a key/size/op sequence plus the seed that produced it.
 type Trace struct {
 	Seed    int64
 	Records []Record
@@ -243,86 +238,6 @@ func Synthesize(opts SynthOptions) (*Trace, error) {
 			Op:     op,
 			Size:   len(e.SamplePayload(b.sample)),
 		})
-	}
-	return tr, nil
-}
-
-// traceHeader is the text-format magic line.
-const traceHeader = "protoacc-trace/v1"
-
-// WriteTo writes the trace in its text format: a header line
-// "protoacc-trace/v1 seed=<n>" then one "key schema sample op size"
-// line per record. The format round-trips through ReadTrace.
-func (t *Trace) WriteTo(w io.Writer) (int64, error) {
-	bw := bufio.NewWriter(w)
-	var n int64
-	c, err := fmt.Fprintf(bw, "%s seed=%d\n", traceHeader, t.Seed)
-	n += int64(c)
-	if err != nil {
-		return n, err
-	}
-	for _, r := range t.Records {
-		c, err := fmt.Fprintf(bw, "%d %s %d %s %d\n", r.Key, r.Schema, r.Sample, r.Op, r.Size)
-		n += int64(c)
-		if err != nil {
-			return n, err
-		}
-	}
-	return n, bw.Flush()
-}
-
-// ReadTrace parses the text format WriteTo emits.
-func ReadTrace(r io.Reader) (*Trace, error) {
-	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64<<10), 1<<20)
-	if !sc.Scan() {
-		return nil, fmt.Errorf("workloads: empty trace")
-	}
-	head := strings.Fields(sc.Text())
-	if len(head) != 2 || head[0] != traceHeader || !strings.HasPrefix(head[1], "seed=") {
-		return nil, fmt.Errorf("workloads: bad trace header %q", sc.Text())
-	}
-	seed, err := strconv.ParseInt(strings.TrimPrefix(head[1], "seed="), 10, 64)
-	if err != nil {
-		return nil, fmt.Errorf("workloads: bad trace seed: %v", err)
-	}
-	tr := &Trace{Seed: seed}
-	line := 1
-	for sc.Scan() {
-		line++
-		text := strings.TrimSpace(sc.Text())
-		if text == "" {
-			continue
-		}
-		f := strings.Fields(text)
-		if len(f) != 5 {
-			return nil, fmt.Errorf("workloads: trace line %d: want 5 fields, got %d", line, len(f))
-		}
-		key, err := strconv.ParseUint(f[0], 10, 64)
-		if err != nil {
-			return nil, fmt.Errorf("workloads: trace line %d: key: %v", line, err)
-		}
-		sample, err := strconv.Atoi(f[2])
-		if err != nil || sample < 0 {
-			return nil, fmt.Errorf("workloads: trace line %d: bad sample %q", line, f[2])
-		}
-		var op serve.Op
-		switch f[3] {
-		case "deser":
-			op = serve.OpDeserialize
-		case "ser":
-			op = serve.OpSerialize
-		default:
-			return nil, fmt.Errorf("workloads: trace line %d: bad op %q", line, f[3])
-		}
-		size, err := strconv.Atoi(f[4])
-		if err != nil || size < 0 {
-			return nil, fmt.Errorf("workloads: trace line %d: bad size %q", line, f[4])
-		}
-		tr.Records = append(tr.Records, Record{Key: key, Schema: f[1], Sample: sample, Op: op, Size: size})
-	}
-	if err := sc.Err(); err != nil {
-		return nil, fmt.Errorf("workloads: reading trace: %v", err)
 	}
 	return tr, nil
 }

@@ -1,9 +1,7 @@
 package workloads
 
 import (
-	"bytes"
 	"reflect"
-	"strings"
 	"testing"
 	"time"
 
@@ -109,45 +107,6 @@ func TestSynthesizeEmptySamplerFallsBack(t *testing.T) {
 	}
 	if !reflect.DeepEqual(base.Records, withEmpty.Records) {
 		t.Fatal("an empty sampler changed the synthesized trace (zero-sample shares leaked)")
-	}
-}
-
-// WriteTo/ReadTrace must round-trip exactly.
-func TestTraceRoundTrip(t *testing.T) {
-	tr, err := Synthesize(SynthOptions{Seed: 11, Records: 300, Keys: 40})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var buf bytes.Buffer
-	if _, err := tr.WriteTo(&buf); err != nil {
-		t.Fatal(err)
-	}
-	if !strings.HasPrefix(buf.String(), "protoacc-trace/v1 seed=11\n") {
-		t.Fatalf("bad header: %q", buf.String()[:40])
-	}
-	back, err := ReadTrace(&buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(tr, back) {
-		t.Fatal("trace did not round-trip through the text format")
-	}
-}
-
-func TestReadTraceRejectsMalformed(t *testing.T) {
-	for _, bad := range []string{
-		"",
-		"not-a-trace seed=1\n",
-		"protoacc-trace/v1 seed=x\n",
-		"protoacc-trace/v1 seed=1\n1 varint 0 deser\n",        // 4 fields
-		"protoacc-trace/v1 seed=1\n1 varint 0 merge 10\n",     // bad op
-		"protoacc-trace/v1 seed=1\n1 varint -2 deser 10\n",    // negative sample
-		"protoacc-trace/v1 seed=1\nx varint 0 deser 10\n",     // bad key
-		"protoacc-trace/v1 seed=1\n1 varint 0 deser banana\n", // bad size
-	} {
-		if _, err := ReadTrace(strings.NewReader(bad)); err == nil {
-			t.Errorf("ReadTrace accepted malformed input %q", bad)
-		}
 	}
 }
 
