@@ -12,12 +12,18 @@ race:
 # Short live-fuzzing pass over the native targets (seed corpora alone run
 # in `make test`): the deserializers and the serialize round trip, each
 # differentially checked against the reference codec, including a System
-# running under an injected-fault schedule; then the reference codec's own
-# round trip (Size, re-parse, re-encode, Clone and Merge).
+# running under an injected-fault schedule; the reference codec's own
+# round trip (Size, re-parse, re-encode, Clone and Merge); then the serving
+# wire protocol — message framing and chunk trains, request bodies and
+# response bodies — where nothing may panic and every accepted message
+# must read back equal once encoded again.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzSerializeRoundTrip -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzUnmarshalRoundTrip -fuzztime 30s ./internal/pb/codec
+	go test -run '^$$' -fuzz FuzzReadMessage -fuzztime 15s ./internal/serve
+	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 15s ./internal/serve
+	go test -run '^$$' -fuzz FuzzParseResponse -fuzztime 15s ./internal/serve
 
 # The differential chaos harness under the race detector: faulted runs
 # must produce byte-identical output to pure software, and fault-disabled
@@ -47,10 +53,10 @@ serve-fast-smoke:
 	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema all -check -cycle-mode sampled -cycle-sample-n 8
 	go run ./cmd/loadgen -tiles 4 -routing rr -duration 500ms -concurrency 8 -schema mixed -check -cycle-mode sampled
 
-# Short verified multi-tile passes: the p2c router with work stealing,
-# then deterministic round-robin — every response checked byte-identical
-# to its canonical payload — plus a faulted run where the schedule is
-# quarantined to one tile.
+# Short verified multi-tile passes: the p2c router, then deterministic
+# round-robin — every response checked byte-identical to its canonical
+# payload — plus a faulted run where the schedule is quarantined to one
+# tile.
 serve-tiles-smoke:
 	go run ./cmd/loadgen -tiles 4 -duration 500ms -concurrency 8 -schema varint -check
 	go run ./cmd/loadgen -tiles 4 -routing rr -duration 500ms -concurrency 8 -schema mixed -check

@@ -275,6 +275,12 @@ func (s *System) LoadSchema(roots ...*schema.Message) error {
 	return nil
 }
 
+// holdsOnly reports whether root is the one schema root the System has
+// successfully loaded.
+func (s *System) holdsOnly(root *schema.Message) bool {
+	return s.adts != nil && len(s.schemaRoots) == 1 && s.schemaRoots[0] == root
+}
+
 // ADTAddr exposes a type's ADT address (for tooling).
 func (s *System) ADTAddr(t *schema.Message) uint64 {
 	if s.adts == nil {
@@ -807,10 +813,10 @@ func (s *System) ResetAll() {
 // everything a batch can touch is reset — work allocators rewind and
 // their regions' dirty spans are zeroed, the cache/TLB hierarchy goes
 // cold, the accelerator and CPU cycle accumulators clear, the fault
-// schedule restarts, and the telemetry hub resets. The serving tiles use
-// this to keep per-schema resident Systems across batches: a batch on a
-// ResetBatch-recycled System is bitwise-indistinguishable from one on a
-// freshly pooled-and-loaded System.
+// schedule restarts, and the telemetry hub resets. Pool.GetLoaded uses
+// this to recycle an idle System that already holds the requested schema:
+// a batch on a ResetBatch-recycled System is bitwise-indistinguishable
+// from one on a freshly built-and-loaded System.
 func (s *System) ResetBatch() {
 	s.Static.Reset()
 	s.Heap.Reset()

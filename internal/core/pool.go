@@ -3,6 +3,8 @@ package core
 import (
 	"runtime"
 	"sync"
+
+	"protoacc/internal/pb/schema"
 )
 
 // Pool recycles Systems across runs with identical configurations.
@@ -11,7 +13,9 @@ import (
 // dirty span of each region — proportional to the bytes the previous
 // run touched. Get returns a reset System that is bitwise-equivalent to a
 // freshly constructed one (see System.ResetAll), so pooled execution
-// produces identical measurements to the unpooled path.
+// produces identical measurements to the unpooled path. GetLoaded also
+// hands out a System with a schema loaded, skipping the ADT rebuild when
+// an idle System already holds that schema (see System.ResetBatch).
 //
 // Config is comparable, so the pool keys on it directly: two Configs
 // built independently from the same values share a key, and distinct
@@ -74,24 +78,67 @@ var DefaultPool = NewPool(0)
 // Get returns a System for cfg: a recycled one when an idle System with
 // an identical configuration is available, a new one otherwise.
 func (p *Pool) Get(cfg Config) *System {
-	p.mu.Lock()
-	p.ctrs.Gets++
-	list := p.idle[cfg]
-	if n := len(list); n > 0 {
-		p.ctrs.Hits++
-		s := list[n-1].sys
-		list[n-1] = idleEntry{}
-		p.idle[cfg] = list[:n-1]
-		if n == 1 {
-			delete(p.idle, cfg)
-		}
-		p.count--
-		p.mu.Unlock()
+	if s := p.take(cfg, nil); s != nil {
 		s.ResetAll()
 		return s
 	}
-	p.mu.Unlock()
 	return New(cfg)
+}
+
+// GetLoaded returns a System for cfg with exactly root loaded. An idle
+// System that already holds root is recycled with ResetBatch, which keeps
+// its built ADTs — the paper's protoc builds a type's ADTs once and they
+// stay in memory (§4.2). Failing that, any idle System for cfg is
+// recycled with ResetAll and loaded, and an empty pool builds a new one.
+// Every path is bitwise-equivalent to New(cfg) followed by
+// LoadSchema(root).
+func (p *Pool) GetLoaded(cfg Config, root *schema.Message) (*System, error) {
+	s := p.take(cfg, root)
+	switch {
+	case s != nil && s.holdsOnly(root):
+		s.ResetBatch()
+		return s, nil
+	case s != nil:
+		s.ResetAll()
+	default:
+		s = New(cfg)
+	}
+	if err := s.LoadSchema(root); err != nil {
+		return nil, err
+	}
+	return s, nil
+}
+
+// take counts one Get and removes an idle System for cfg from the pool:
+// the newest one holding exactly root when root is non-nil and one does,
+// else the newest; nil when none is idle.
+func (p *Pool) take(cfg Config, root *schema.Message) *System {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	p.ctrs.Gets++
+	list := p.idle[cfg]
+	n := len(list)
+	if n == 0 {
+		return nil
+	}
+	i := n - 1
+	for j := i; root != nil && j >= 0; j-- {
+		if list[j].sys.holdsOnly(root) {
+			i = j
+			break
+		}
+	}
+	p.ctrs.Hits++
+	s := list[i].sys
+	copy(list[i:], list[i+1:])
+	list[n-1] = idleEntry{}
+	if n == 1 {
+		delete(p.idle, cfg)
+	} else {
+		p.idle[cfg] = list[:n-1]
+	}
+	p.count--
+	return s
 }
 
 // Put returns a System to the pool for future reuse. Poisoned Systems —

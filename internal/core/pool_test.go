@@ -1,9 +1,14 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"protoacc/internal/faults"
+	"protoacc/internal/pb/codec"
+	"protoacc/internal/pb/dynamic"
+	"protoacc/internal/pb/schema"
+	"protoacc/internal/telemetry"
 )
 
 // Two Configs assembled independently from the same values must share a
@@ -168,5 +173,148 @@ func TestPoolMixedConfigNoStarvation(t *testing.T) {
 	}
 	if built != 0 {
 		t.Fatalf("mixed-config workload rebuilt %d Systems; pool starved a key", built)
+	}
+}
+
+// batchPair is what one deser batch and one ser batch of a message expose
+// to their caller: the Results (cycles, attribution, fault history), the
+// addresses the batches wrote, the bytes read back, and the registry
+// snapshot after both.
+type batchPair struct {
+	deser, ser Result
+	objs       []uint64
+	refs       []WireRef
+	out        [][]byte
+	snap       []telemetry.Sample
+}
+
+// runBatchPair runs one two-request deser batch and one two-request ser
+// batch of msg on sys, which must hold msg's type.
+func runBatchPair(t *testing.T, sys *System, msg *dynamic.Message) batchPair {
+	t.Helper()
+	typ := msg.Type()
+	wire, err := codec.Marshal(msg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Telemetry().EnableAttribution(true)
+	var bp batchPair
+	refs := make([]WireRef, 2)
+	objs := make([]uint64, 2)
+	for i := range refs {
+		addr, err := sys.WriteWire(wire)
+		if err != nil {
+			t.Fatal(err)
+		}
+		refs[i] = WireRef{Addr: addr, Len: uint64(len(wire))}
+		if objs[i], err = sys.MaterializeInput(msg); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if bp.deser, bp.objs, err = sys.DeserializeBatch(typ, refs); err != nil {
+		t.Fatal(err)
+	}
+	for _, obj := range bp.objs {
+		m, err := sys.ReadMessage(typ, obj)
+		if err != nil {
+			t.Fatal(err)
+		}
+		b, err := codec.Marshal(m)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.out = append(bp.out, b)
+	}
+	if bp.ser, bp.refs, err = sys.SerializeBatch(typ, objs); err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range bp.refs {
+		b, err := sys.ReadWire(r.Addr, r.Len)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bp.out = append(bp.out, b)
+	}
+	bp.snap = sys.Telemetry().Registry.Snapshot().Samples()
+	return bp
+}
+
+// GetLoaded's three sources — an idle System holding the root (kept ADTs,
+// ResetBatch), an idle System holding another root (ResetAll and reload),
+// and a new System — must each run batches bitwise-identically to
+// New(cfg) followed by LoadSchema(root), fault schedule included: the
+// injector must replay the same episode. The System that holds the root
+// wins over a newer one that does not, and a poisoned System that was Put
+// back never returns.
+func TestPoolGetLoaded(t *testing.T) {
+	root := testType()
+	msg := populate(root)
+	other := mustMessage("Other",
+		&schema.Field{Name: "a", Number: 1, Kind: schema.KindInt32},
+		&schema.Field{Name: "s", Number: 2, Kind: schema.KindString})
+	otherMsg := dynamic.New(other)
+	otherMsg.SetInt32(1, 7)
+	otherMsg.SetString(2, "other root")
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"fault-free", smallConfig(KindAccel)},
+		{"faulted", faultedConfig(77, 0.06)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			loaded := func(r *schema.Message) *System {
+				sys := New(tc.cfg)
+				if err := sys.LoadSchema(r); err != nil {
+					t.Fatal(err)
+				}
+				return sys
+			}
+			refSys := loaded(root)
+			ref := runBatchPair(t, refSys, msg)
+			if tc.cfg.Faults.Enabled && refSys.Inj.TotalInjected() == 0 {
+				t.Fatal("the schedule injected no faults; the faulted case is vacuous")
+			}
+
+			// Both idle Systems have run batches, so a path that skips its
+			// reset shows up as a difference from the reference.
+			holder, stranger := loaded(root), loaded(other)
+			runBatchPair(t, holder, msg)
+			runBatchPair(t, stranger, otherMsg)
+			p := NewPool(4)
+			p.Put(holder)
+			p.Put(stranger) // newer than holder
+
+			check := func(path string, want *System, gets, hits uint64) *System {
+				t.Helper()
+				sys, err := p.GetLoaded(tc.cfg, root)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if want != nil && sys != want {
+					t.Fatalf("%s: GetLoaded returned the wrong System", path)
+				}
+				if want == nil && (sys == holder || sys == stranger) {
+					t.Fatalf("%s: GetLoaded recycled a System it should not have", path)
+				}
+				if c := p.Counters(); c.Gets != gets || c.Hits != hits {
+					t.Errorf("%s: Gets %d Hits %d, want %d %d", path, c.Gets, c.Hits, gets, hits)
+				}
+				if got := runBatchPair(t, sys, msg); !reflect.DeepEqual(got, ref) {
+					t.Errorf("%s: batches diverged from New+LoadSchema:\n got %+v\nwant %+v", path, got, ref)
+				}
+				return sys
+			}
+			check("holds root", holder, 1, 1)
+			check("holds another root", stranger, 2, 2)
+			built := check("empty pool", nil, 3, 2)
+
+			built.poisoned = true
+			p.Put(built)
+			if sys, err := p.GetLoaded(tc.cfg, root); err != nil || sys == built {
+				t.Errorf("a poisoned System came back from the pool (err %v)", err)
+			}
+		})
 	}
 }

@@ -42,7 +42,6 @@ type TileHealth struct {
 	QueueDepth      int    `json:"queue_depth"`
 	QueueCapacity   int    `json:"queue_capacity"`
 	InflightBatches int64  `json:"inflight_batches"`
-	Residents       int    `json:"residents"`
 	FaultInjected   bool   `json:"fault_injected"`
 	PoolDrops       uint64 `json:"pool_drops"`
 	AccelFallbacks  uint64 `json:"accel_fallbacks"`
@@ -67,15 +66,11 @@ func (s *Server) Health() []TileHealth {
 	}
 	out := make([]TileHealth, len(s.tiles))
 	for i, t := range s.tiles {
-		t.resMu.Lock()
-		residents := t.residentN
-		t.resMu.Unlock()
 		h := TileHealth{
 			Tile:            t.id,
 			QueueDepth:      len(t.queue),
 			QueueCapacity:   s.opts.QueueDepth,
 			InflightBatches: t.obs.inflight.Load(),
-			Residents:       residents,
 			FaultInjected:   t.faultsEnabled(),
 			PoolDrops:       t.pool.Counters().Drops,
 			AccelFallbacks:  t.accelFallbacks.Load(),

@@ -69,9 +69,8 @@ type Span struct {
 	Schema    string `json:"schema"`
 	Op        Op     `json:"op"`
 	Status    Status `json:"status"`
-	Tile      int    `json:"tile"` // executing tile (differs from routed tile when stolen)
+	Tile      int    `json:"tile"`
 	BatchSize int    `json:"batch_size"`
-	Stolen    bool   `json:"stolen,omitempty"`
 	Retries   uint64 `json:"retries,omitempty"`
 	FellBack  bool   `json:"fell_back,omitempty"`
 
@@ -135,12 +134,6 @@ func (o *serverObs) registerGauges(s *Server) {
 		t := t
 		o.reg.RegisterGauge(fmt.Sprintf("serve/tile%d/live/queue_depth", t.id), func() float64 {
 			return float64(len(t.queue))
-		})
-		o.reg.RegisterGauge(fmt.Sprintf("serve/tile%d/live/residents", t.id), func() float64 {
-			t.resMu.Lock()
-			n := t.residentN
-			t.resMu.Unlock()
-			return float64(n)
 		})
 		o.reg.RegisterGauge(fmt.Sprintf("serve/tile%d/live/inflight_batches", t.id), func() float64 {
 			return float64(t.obs.inflight.Load())
@@ -245,9 +238,6 @@ func spanEvents(spans []*Span) []telemetry.Event {
 			unit = fmt.Sprintf("tile%d", sp.Tile)
 		}
 		note := fmt.Sprintf("id=%d status=%s batch=%d", sp.ID, sp.Status, sp.BatchSize)
-		if sp.Stolen {
-			note += " stolen"
-		}
 		if sp.Retries > 0 {
 			note += fmt.Sprintf(" retries=%d", sp.Retries)
 		}

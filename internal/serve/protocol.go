@@ -214,13 +214,14 @@ func allocStepOf(n int) int {
 	return n
 }
 
-// appendRequest encodes req onto b.
+// appendRequest encodes req onto b. A negative Timeout is sent as 0,
+// which the server reads as "use the default", like a zero Timeout.
 func appendRequest(b []byte, req *Request) []byte {
 	b = append(b, protocolVersion, byte(req.Op))
 	b = wire.AppendVarint(b, req.ID)
 	b = wire.AppendVarint(b, uint64(len(req.Schema)))
 	b = append(b, req.Schema...)
-	b = wire.AppendVarint(b, uint64(req.Timeout.Microseconds()))
+	b = wire.AppendVarint(b, uint64(max(req.Timeout.Microseconds(), 0)))
 	return append(b, req.Payload...)
 }
 
@@ -257,6 +258,9 @@ func parseRequest(b []byte) (Request, error) {
 	us, n, err := wire.ReadVarint(b)
 	if err != nil {
 		return req, fmt.Errorf("serve: bad timeout: %w", err)
+	}
+	if us > math.MaxInt64/uint64(time.Microsecond) {
+		return req, fmt.Errorf("serve: bad timeout: %d µs overflows a time.Duration", us)
 	}
 	req.Timeout = time.Duration(us) * time.Microsecond
 	req.Payload = b[n:]

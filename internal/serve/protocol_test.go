@@ -6,6 +6,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"net"
 	"runtime"
@@ -52,18 +53,21 @@ func rawFrame(announce uint32, body []byte) []byte {
 	return append(hdr[:], body...)
 }
 
-// A corrupt or hostile stream must produce a clean error from readMessage
-// — never a hang, a huge trusted allocation, or a silently wrong body.
-func TestReadMessageHostileInput(t *testing.T) {
+// hostileMessage is one input readMessage must reject, or read exactly.
+type hostileMessage struct {
+	name    string
+	input   []byte
+	wantErr bool
+	want    []byte
+}
+
+// hostileMessages are the corrupt and hostile streams of
+// TestReadMessageHostileInput, which also seed the wire fuzz targets.
+func hostileMessages() []hostileMessage {
 	chunkHeader := func(total uint64) []byte {
 		return frame(wire.AppendVarint([]byte{chunkMagic}, total))
 	}
-	cases := []struct {
-		name    string
-		input   []byte
-		wantErr bool
-		want    []byte
-	}{
+	return []hostileMessage{
 		{name: "empty frame", input: frame(nil), want: []byte{}},
 		{name: "plain frame", input: frame([]byte{protocolVersion, 9, 9}), want: []byte{protocolVersion, 9, 9}},
 		{name: "truncated header", input: []byte{0, 0}, wantErr: true},
@@ -84,7 +88,12 @@ func TestReadMessageHostileInput(t *testing.T) {
 			wantErr: true,
 		},
 	}
-	for _, tc := range cases {
+}
+
+// A corrupt or hostile stream must produce a clean error from readMessage
+// — never a hang, a huge trusted allocation, or a silently wrong body.
+func TestReadMessageHostileInput(t *testing.T) {
+	for _, tc := range hostileMessages() {
 		t.Run(tc.name, func(t *testing.T) {
 			// Plain and buffered readers (the transports read through a
 			// bufio.Reader; 16 bytes forces refills mid-frame).
@@ -188,6 +197,58 @@ func TestMessageRoundTrip(t *testing.T) {
 		}
 		if n, _ := r.Read(make([]byte, 1)); n != 0 {
 			t.Errorf("%T: trailing bytes after the coalesced messages", r)
+		}
+	}
+}
+
+// A request's timeout must never wrap: parseRequest rejects a timeout_us
+// past what a time.Duration holds, and appendRequest sends a negative
+// Timeout as 0, which the server reads as "use the default".
+func TestRequestTimeoutBounds(t *testing.T) {
+	const maxUS = math.MaxInt64 / uint64(time.Microsecond)
+	body := func(us uint64) []byte {
+		b := []byte{protocolVersion, byte(OpDeserialize)}
+		b = wire.AppendVarint(b, 7)
+		b = wire.AppendVarint(b, uint64(len("varint")))
+		b = append(b, "varint"...)
+		b = wire.AppendVarint(b, us)
+		return append(b, 0x08, 0x01)
+	}
+	for _, tc := range []struct {
+		name    string
+		us      uint64
+		wantErr bool
+	}{
+		{name: "zero", us: 0},
+		{name: "one second", us: 1e6},
+		{name: "largest Duration", us: maxUS},
+		{name: "one past the largest", us: maxUS + 1, wantErr: true},
+		{name: "wraps to 384ns", us: 18446744073709552, wantErr: true},
+		{name: "max uint64", us: math.MaxUint64, wantErr: true},
+	} {
+		req, err := parseRequest(body(tc.us))
+		switch {
+		case tc.wantErr && err == nil:
+			t.Errorf("parse %s: timeout_us %d accepted as %v", tc.name, tc.us, req.Timeout)
+		case !tc.wantErr && (err != nil || req.Timeout != time.Duration(tc.us)*time.Microsecond):
+			t.Errorf("parse %s: timeout %v, err %v", tc.name, req.Timeout, err)
+		}
+	}
+	for _, tc := range []struct {
+		name          string
+		timeout, want time.Duration
+	}{
+		{"zero", 0, 0},
+		{"sub-microsecond", 999, 0},
+		{"1.5µs", 1500, time.Microsecond},
+		{"minus one nanosecond", -1, 0},
+		{"minus one second", -time.Second, 0},
+		{"most negative", math.MinInt64, 0},
+		{"largest", math.MaxInt64, time.Duration(maxUS) * time.Microsecond},
+	} {
+		req, err := parseRequest(appendRequest(nil, &Request{Op: OpSerialize, Schema: "varint", Timeout: tc.timeout}))
+		if err != nil || req.Timeout != tc.want {
+			t.Errorf("encode %s: timeout %v parsed back as %v, err %v; want %v", tc.name, tc.timeout, req.Timeout, err, tc.want)
 		}
 	}
 }

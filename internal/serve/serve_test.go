@@ -159,7 +159,7 @@ func TestServePooledVsFreshEquivalence(t *testing.T) {
 	pooled.Workers = 1
 	fresh := testOptions()
 	fresh.Workers = 1
-	fresh.Fresh = true
+	fresh.fresh = true
 	sa, ca := runBatched(t, pooled, reqs)
 	sb, cb := runBatched(t, fresh, reqs)
 	compareRuns(t, "pooled", "fresh", sa, sb, ca, cb)

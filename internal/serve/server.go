@@ -29,14 +29,13 @@ const (
 	// RoutePowerOfTwo (default) picks two candidate tiles from a hashed
 	// routing sequence and enqueues on the one with the shallower
 	// admission queue — the classic load-balancing sweet spot between a
-	// global queue and blind round-robin. Idle tiles additionally steal
-	// from the deepest queue.
+	// global queue and blind round-robin.
 	RoutePowerOfTwo Routing = iota
-	// RouteRoundRobin places jobs strictly in submission order and
-	// disables work stealing, so batch→tile placement is a pure function
-	// of the request sequence. This is the determinism mode the
-	// equivalence tests run in: a 1-tile and an N-tile server produce
-	// bitwise-identical responses and aggregated counters.
+	// RouteRoundRobin places jobs strictly in submission order, so
+	// batch→tile placement is a pure function of the request sequence.
+	// This is the determinism mode the equivalence tests run in: a 1-tile
+	// and an N-tile server produce bitwise-identical responses and
+	// aggregated counters.
 	RouteRoundRobin
 )
 
@@ -253,9 +252,9 @@ type Options struct {
 
 	// SpanSampleN samples every N'th admitted request with a lifecycle
 	// span (admit → route → queue → coalesce → dispatch → execute →
-	// respond, annotated with tile id, batch size, and steal/retry/
-	// fallback events), buffered for the admin /spans endpoint and the
-	// Perfetto exporters. 0 (default) disables span sampling.
+	// respond, annotated with tile id, batch size, and retry/fallback
+	// events), buffered for the admin /spans endpoint and the Perfetto
+	// exporters. 0 (default) disables span sampling.
 	SpanSampleN int
 
 	// Elements selects and tunes the data-plane element chain every
@@ -269,10 +268,10 @@ type Options struct {
 	// accelerator Systems (the chaos tests drive this).
 	Faults faults.Config
 
-	// Fresh builds a fresh System per batch instead of recycling through
+	// fresh builds a new System per batch instead of recycling through
 	// the tile pools — the reference arm of the pooled-vs-fresh
-	// equivalence tests.
-	Fresh bool
+	// equivalence test.
+	fresh bool
 }
 
 func (o Options) withDefaults() Options {
@@ -304,6 +303,12 @@ func (o Options) withDefaults() Options {
 		o.CycleSampleN = 8
 	}
 	return o
+}
+
+// tileWorkers is each tile's executor count: Workers divided evenly
+// across Tiles, rounded up, with a floor of one.
+func (o Options) tileWorkers() int {
+	return max(1, (o.Workers+o.Tiles-1)/o.Tiles)
 }
 
 // serveConfig sizes the accelerated System a batch executor runs on. The
@@ -415,17 +420,10 @@ func NewServer(opts Options) (*Server, error) {
 		conns:        make(map[net.Conn]*connWriter),
 		writeTimeout: serverWriteTimeout,
 	}
-	perTile := (opts.Workers + opts.Tiles - 1) / opts.Tiles
-	if perTile < 1 {
-		perTile = 1
-	}
 	for i := 0; i < opts.Tiles; i++ {
 		s.tiles = append(s.tiles, newTile(s, i))
 	}
 	s.obs.registerGauges(s)
-	for _, t := range s.tiles {
-		t.start(perTile)
-	}
 	return s, nil
 }
 
@@ -435,11 +433,7 @@ func (s *Server) Catalog() *Catalog { return s.opts.Catalog }
 // Workers returns the total number of batch executors across tiles (for
 // stats manifests).
 func (s *Server) Workers() int {
-	perTile := (s.opts.Workers + s.opts.Tiles - 1) / s.opts.Tiles
-	if perTile < 1 {
-		perTile = 1
-	}
-	return perTile * s.opts.Tiles
+	return s.opts.tileWorkers() * s.opts.Tiles
 }
 
 // Tiles returns the number of tiles.
@@ -471,10 +465,9 @@ func (s *Server) cache() *elements.Cache {
 // SetTileFaults replaces tile id's fault-injection schedule at runtime —
 // the control the chaos drills and the /faultz admin endpoint use to
 // start or stop injection on a live tile and watch the breaker trip and
-// recover. Warm resident Systems were built under the old schedule, so
-// they are dropped (abandoned to the GC); pooled Systems need no flush
-// because the pool keys on the full config — a checkout under the new
-// schedule can never return an old-schedule System.
+// recover. The tile's pool needs no flush: it keys on the full config,
+// so a checkout under the new schedule can never return an old-schedule
+// System.
 func (s *Server) SetTileFaults(id int, cfg faults.Config) error {
 	if id < 0 || id >= len(s.tiles) {
 		return fmt.Errorf("serve: tile %d out of range [0,%d)", id, len(s.tiles))
@@ -486,10 +479,6 @@ func (s *Server) SetTileFaults(id int, cfg faults.Config) error {
 	t.cfgMu.Lock()
 	t.cfg.Faults = cfg
 	t.cfgMu.Unlock()
-	t.resMu.Lock()
-	t.residents = make(map[string][]*core.System)
-	t.residentN = 0
-	t.resMu.Unlock()
 	return nil
 }
 
@@ -1054,9 +1043,8 @@ func (w *connWriter) closeRead() {
 }
 
 // Close drains and stops the server: admission closes (new requests are
-// shed), every tile's queued work completes — steal-capable tiles help
-// drain their neighbours' backlogs — dispatchers and executors exit, and
-// open listeners and connections are closed.
+// shed), every tile's queued work completes, dispatchers and executors
+// exit, and open listeners and connections are closed.
 func (s *Server) Close() {
 	s.admitMu.Lock()
 	if s.closed {

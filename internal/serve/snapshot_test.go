@@ -16,11 +16,10 @@ var update = flag.Bool("update", false, "rewrite testdata/snapshot.golden")
 
 // The quiescent counter view of five deterministic servers, pinned byte
 // for byte: every TelemetrySnapshot sample, the /healthz totals, and each
-// tile's resilience counters in /healthz. The live gauges (residents,
-// inflight batches, queue depth) are left out; residents depends on how
-// many executors got scheduled. The sampled-mode server runs one executor
-// per tile, because with more, which batch of a stream gets sampled
-// depends on scheduling.
+// tile's resilience counters in /healthz. The live gauges (inflight
+// batches, queue depth) are left out. The sampled-mode server runs one
+// executor per tile, because with more, which batch of a stream gets
+// sampled depends on scheduling.
 func TestServeSnapshotGolden(t *testing.T) {
 	cases := []struct {
 		name string

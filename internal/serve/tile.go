@@ -40,12 +40,6 @@ type tile struct {
 	queue chan batchJob // admission → dispatcher (bounded, routed by Server)
 	work  chan batchJob // dispatcher → executors (MaxBatch-sized chunks)
 
-	// canSteal allows this tile's idle executors to drain the deepest
-	// other queue. Off in deterministic routing mode (stealing would make
-	// batch→tile placement scheduling-dependent) and on fault-injected
-	// tiles (a faulty tile must not pull work routed to healthy ones).
-	canSteal bool
-
 	wg sync.WaitGroup // dispatcher + executors
 
 	// The execution-side counters, added atomically. Like the Server's,
@@ -54,22 +48,11 @@ type tile struct {
 	batches, batchRequests          atomic.Uint64
 	accelFallbacks, serverFallbacks atomic.Uint64
 	retries                         atomic.Uint64
-	steals, stolenRequests          atomic.Uint64
 
 	mu      sync.Mutex
 	cycles  telemetry.Attribution // exact mode's measured cycles, guarded by mu
 	sysAgg  telemetry.Aggregate   // accelerator unit counters across batches
 	sysSnap telemetry.Snapshot    // absorb scratch, guarded by mu
-
-	// residents are warm Systems kept per schema between batches: the
-	// schema registry and built ADTs survive, so a coalesced batch pays
-	// only a ResetBatch (proportional scrub + stat reset) instead of a
-	// pool checkout plus LoadSchema. Capped at the tile's executor count —
-	// beyond that the extra Systems overflow into the pool.
-	resMu       sync.Mutex
-	residents   map[string][]*core.System
-	residentN   int
-	residentCap int
 
 	// samples tracks per-(schema, op) sampling state in CycleSampled mode:
 	// the batch cadence, the sampled-vs-total request populations the
@@ -88,38 +71,29 @@ type sampleState struct {
 	perReq      float64               // latest sampled per-request cycle estimate
 }
 
-// newTile builds one tile; start launches its goroutines. Construction
-// and start are separate so the Server can publish the full tile slice
-// before any worker begins iterating it for steal victims.
+// newTile builds one tile and starts its dispatcher and executors.
 func newTile(s *Server, id int) *tile {
 	cfg := s.cfg
 	if s.opts.FaultTiles != nil && !containsInt(s.opts.FaultTiles, id) {
 		cfg.Faults = faults.Config{}
 	}
 	t := &tile{
-		id:        id,
-		srv:       s,
-		cfg:       cfg,
-		obs:       s.obs.tiles[id],
-		pool:      core.NewPool(0),
-		queue:     make(chan batchJob, s.opts.QueueDepth),
-		work:      make(chan batchJob),
-		residents: make(map[string][]*core.System),
-		samples:   make(map[batchKey]*sampleState),
+		id:      id,
+		srv:     s,
+		cfg:     cfg,
+		obs:     s.obs.tiles[id],
+		pool:    core.NewPool(0),
+		queue:   make(chan batchJob, s.opts.QueueDepth),
+		work:    make(chan batchJob),
+		samples: make(map[batchKey]*sampleState),
 	}
-	t.canSteal = s.opts.Routing == RoutePowerOfTwo && s.opts.Tiles > 1 && !cfg.Faults.Enabled
-	return t
-}
-
-// start launches the tile's dispatcher and executors.
-func (t *tile) start(workers int) {
-	t.residentCap = workers
 	t.wg.Add(1)
 	go t.dispatch()
-	for i := 0; i < workers; i++ {
+	for i := 0; i < s.opts.tileWorkers(); i++ {
 		t.wg.Add(1)
 		go t.workerLoop()
 	}
+	return t
 }
 
 func containsInt(list []int, x int) bool {
@@ -279,7 +253,7 @@ func (t *tile) dispatch() {
 		a.note(now)
 		g := groups[job.key]
 		if g == nil {
-			g = &openBatch{flushAt: time.Now().Add(t.srv.opts.BatchWindow)}
+			g = &openBatch{flushAt: now.Add(t.srv.opts.BatchWindow)}
 			groups[job.key] = g
 		}
 		g.pendings = append(g.pendings, job.pendings...)
@@ -321,156 +295,12 @@ func (t *tile) dispatch() {
 	}
 }
 
-// workerLoop executes batches for this tile. Steal-capable tiles poll:
-// when the local work channel is empty they drain one job from the
-// deepest other queue before parking briefly; tiles that cannot steal
-// block on their channel exactly like the single-pool server did.
+// workerLoop executes the batches this tile's dispatcher hands out.
 func (t *tile) workerLoop() {
 	defer t.wg.Done()
-	if !t.canSteal {
-		for job := range t.work {
-			t.runBatch(job)
-		}
-		return
-	}
-	var park *time.Timer
-	defer func() {
-		if park != nil {
-			park.Stop()
-		}
-	}()
-	for {
-		select {
-		case job, ok := <-t.work:
-			if !ok {
-				return
-			}
-			t.runBatch(job)
-			continue
-		default:
-		}
-		if t.trySteal() {
-			continue
-		}
-		if park == nil {
-			park = time.NewTimer(t.srv.opts.BatchWindow)
-		} else {
-			park.Reset(t.srv.opts.BatchWindow)
-		}
-		select {
-		case job, ok := <-t.work:
-			if !park.Stop() {
-				select {
-				case <-park.C:
-				default:
-				}
-			}
-			if !ok {
-				return
-			}
-			t.runBatch(job)
-		case <-park.C:
-		}
-	}
-}
-
-// trySteal drains up to a batch's worth of jobs from the deepest
-// admission queue of the other tiles and runs them here, re-coalesced by
-// (schema, op). Two rules keep stealing from destroying the batching it
-// is meant to help: it only fires when the victim's backlog exceeds a
-// full batch (below that, the victim's dispatcher is about to coalesce
-// those jobs into far cheaper MaxBatch-sized executions), and it grabs a
-// whole batch of singles rather than one — a stolen single would execute
-// as a batch of one, paying a full System checkout for one request.
-func (t *tile) trySteal() bool {
-	// canSteal is fixed at construction; two dynamic conditions also veto:
-	// a fault schedule enabled after construction (SetTileFaults), and an
-	// open/exhausted breaker — a tile the router is avoiding must not
-	// pull in work routed to healthy tiles through the back door.
-	if t.faultsEnabled() {
-		return false
-	}
-	if br := t.srv.breaker(); br != nil && !br.Routable(t.id, time.Now()) {
-		return false
-	}
-	var victim *tile
-	best := t.srv.opts.MaxBatch // steal only past a batch's worth of backlog
-	for _, v := range t.srv.tiles {
-		if v == t {
-			continue
-		}
-		if n := len(v.queue); n > best {
-			best, victim = n, v
-		}
-	}
-	if victim == nil {
-		return false
-	}
-	var preformed []batchJob
-	grabbed := make(map[batchKey][]*pending)
-	total := 0
-	for total < t.srv.opts.MaxBatch {
-		select {
-		case job, ok := <-victim.queue:
-			if !ok {
-				total = t.srv.opts.MaxBatch // closed: run what we hold
-				break
-			}
-			if job.preformed {
-				preformed = append(preformed, job)
-			} else {
-				grabbed[job.key] = append(grabbed[job.key], job.pendings...)
-			}
-			total += len(job.pendings)
-		default:
-			total = t.srv.opts.MaxBatch // drained: run what we hold
-		}
-	}
-	if len(preformed) == 0 && len(grabbed) == 0 {
-		return false
-	}
-	stolen := 0
-	for _, job := range preformed {
-		stolen += len(job.pendings)
-	}
-	for _, pendings := range grabbed {
-		stolen += len(pendings)
-	}
-	t.steals.Add(1)
-	t.stolenRequests.Add(uint64(stolen))
-	now := time.Now()
-	markStolen := func(pendings []*pending) {
-		for _, p := range pendings {
-			if !p.enqueuedAt.IsZero() {
-				t.obs.record(stageQueueWait, now.Sub(p.enqueuedAt))
-			}
-			p.joinedAt = now
-			if p.span != nil {
-				p.span.Stolen = true
-				p.span.DequeueAt = t.srv.obs.since()
-			}
-		}
-	}
-	for _, job := range preformed {
-		markStolen(job.pendings)
-	}
-	for _, pendings := range grabbed {
-		markStolen(pendings)
-	}
-	for _, job := range preformed {
+	for job := range t.work {
 		t.runBatch(job)
 	}
-	for k, pendings := range grabbed {
-		for len(pendings) > 0 {
-			n := len(pendings)
-			if n > t.srv.opts.MaxBatch {
-				n = t.srv.opts.MaxBatch
-			}
-			t.runBatch(batchJob{key: k, pendings: pendings[:n:n]})
-			pendings = pendings[n:]
-		}
-	}
-	return true
 }
 
 // runBatch executes one batch on this tile's accelerator shard: expire
@@ -508,7 +338,6 @@ func (t *tile) runBatch(job batchJob) {
 			t.obs.record(stageCoalesceWait, now.Sub(p.joinedAt))
 		}
 		if p.span != nil {
-			p.span.Tile = t.id // executing tile; differs from routed on steals
 			p.span.BatchSize = len(live)
 			p.span.BatchAt = batchAt
 		}
@@ -537,9 +366,9 @@ func (t *tile) runBatch(job batchJob) {
 	}
 
 	buildStart := time.Now()
-	sys, err := t.checkout(job.key.schema, live[0].entry)
+	sys, err := t.checkout(live[0].entry)
 	if err != nil {
-		t.degrade(live, err)
+		t.degrade(live)
 		return
 	}
 	sys.Telemetry().EnableAttribution(true)
@@ -550,7 +379,9 @@ func (t *tile) runBatch(job batchJob) {
 		t.runDeserialize(sys, live, st, buildStart)
 	}
 	t.absorb(sys)
-	t.checkin(job.key.schema, sys)
+	if !t.srv.opts.fresh {
+		t.pool.Put(sys) // Put drops a poisoned System
+	}
 }
 
 // execMarks records the build→execute stage boundary on every sampled
@@ -582,58 +413,19 @@ func (t *tile) sampleState(k batchKey) *sampleState {
 	return st
 }
 
-// checkout acquires a System with the batch's schema loaded: a fresh one
-// when Options.Fresh demands it, a ResetBatch-recycled resident when one
-// is warm for this schema, or a pool checkout plus LoadSchema otherwise.
-func (t *tile) checkout(schema string, entry *Entry) (*core.System, error) {
-	if !t.srv.opts.Fresh {
-		t.resMu.Lock()
-		if list := t.residents[schema]; len(list) > 0 {
-			sys := list[len(list)-1]
-			list[len(list)-1] = nil
-			t.residents[schema] = list[:len(list)-1]
-			t.residentN--
-			t.resMu.Unlock()
-			sys.ResetBatch()
-			return sys, nil
-		}
-		t.resMu.Unlock()
-	}
+// checkout acquires a System with the batch's schema loaded: from the
+// tile's pool, or built new when the fresh reference arm of the
+// pooled-vs-fresh equivalence test asks for one per batch.
+func (t *tile) checkout(entry *Entry) (*core.System, error) {
 	cfg := t.config()
-	var sys *core.System
-	if t.srv.opts.Fresh {
-		sys = core.New(cfg)
-	} else {
-		sys = t.pool.Get(cfg)
+	if !t.srv.opts.fresh {
+		return t.pool.GetLoaded(cfg, entry.Type)
 	}
+	sys := core.New(cfg)
 	if err := sys.LoadSchema(entry.Type); err != nil {
 		return nil, err
 	}
 	return sys, nil
-}
-
-// checkin retires a batch System: fresh Systems are dropped, poisoned
-// ones are routed through the pool (which drops and counts them), and
-// healthy ones become residents for their schema — or overflow into the
-// pool when the resident cap is reached. Residents are reset on the next
-// checkout, mirroring the pool's reset-on-Get discipline.
-func (t *tile) checkin(schema string, sys *core.System) {
-	if t.srv.opts.Fresh {
-		return
-	}
-	if sys.Poisoned() {
-		t.pool.Put(sys)
-		return
-	}
-	t.resMu.Lock()
-	if t.residentN < t.residentCap {
-		t.residents[schema] = append(t.residents[schema], sys)
-		t.residentN++
-		t.resMu.Unlock()
-		return
-	}
-	t.resMu.Unlock()
-	t.pool.Put(sys)
 }
 
 // runFunctional answers a non-sampled batch in fast functional mode: the
@@ -664,7 +456,7 @@ func (t *tile) runDeserialize(sys *core.System, live []*pending, st *sampleState
 	for i, p := range live {
 		addr, err := sys.WriteWire(p.req.Payload)
 		if err != nil {
-			t.degrade(live, err)
+			t.degrade(live)
 			return
 		}
 		refs[i] = core.WireRef{Addr: addr, Len: uint64(len(p.req.Payload))}
@@ -674,7 +466,7 @@ func (t *tile) runDeserialize(sys *core.System, live []*pending, st *sampleState
 	t.execMarks(live, t.srv.obs.since(), false)
 	res, objs, err := sys.DeserializeBatch(mt, refs)
 	if err != nil {
-		t.degrade(live, err)
+		t.degrade(live)
 		return
 	}
 	execEnd := time.Now()
@@ -708,7 +500,7 @@ func (t *tile) runSerialize(sys *core.System, live []*pending, st *sampleState, 
 	for i, p := range live {
 		addr, err := sys.MaterializeInput(p.msg)
 		if err != nil {
-			t.degrade(live, err)
+			t.degrade(live)
 			return
 		}
 		objs[i] = addr
@@ -718,7 +510,7 @@ func (t *tile) runSerialize(sys *core.System, live []*pending, st *sampleState, 
 	t.execMarks(live, t.srv.obs.since(), false)
 	res, refs, err := sys.SerializeBatch(mt, objs)
 	if err != nil {
-		t.degrade(live, err)
+		t.degrade(live)
 		return
 	}
 	execEnd := time.Now()
@@ -759,8 +551,7 @@ func (t *tile) annotateSpans(live []*pending, res core.Result) {
 // except through the FellBack flag. Degradation is a per-tile event: only
 // this tile's fallback counter moves, and only this tile's pool can hold
 // the poisoned System that caused it.
-func (t *tile) degrade(live []*pending, cause error) {
-	_ = cause // the per-response FellBack flag and counters carry the signal
+func (t *tile) degrade(live []*pending) {
 	t.serverFallbacks.Add(uint64(len(live)))
 	// Every degraded request is a failure event: the accelerator shard
 	// could not serve it, which is exactly what the breaker watches for.
@@ -883,8 +674,6 @@ func (t *tile) collect(emit func(name string, value float64), sampledName string
 	emit("fallbacks/accel", float64(t.accelFallbacks.Load()))
 	emit("fallbacks/server", float64(t.serverFallbacks.Load()))
 	emit("retries", float64(t.retries.Load()))
-	emit("steals", float64(t.steals.Load()))
-	emit("stolen_requests", float64(t.stolenRequests.Load()))
 	emit("queue/depth", float64(len(t.queue)))
 	cyc, sampled := t.cycleTelemetry()
 	emit("cycles/accel", cyc.Total)

@@ -178,7 +178,7 @@ func TestServeTileCountersPartitionAggregate(t *testing.T) {
 		counters[sm.Name] = sm.Value
 	}
 	for _, name := range []string{
-		"batches", "batch_requests", "fallbacks/accel", "fallbacks/server", "retries", "steals", "stolen_requests",
+		"batches", "batch_requests", "fallbacks/accel", "fallbacks/server", "retries",
 		"queue/depth", "cycles/accel", "cycles/fsm", "cycles/supply", "cycles/spill", "cycles/adt_stall",
 	} {
 		var sum float64
@@ -193,9 +193,6 @@ func TestServeTileCountersPartitionAggregate(t *testing.T) {
 		if counters[fmt.Sprintf("serve/tile%d/batches", i)] == 0 {
 			t.Errorf("tile %d ran no batches under round-robin routing", i)
 		}
-	}
-	if counters["serve/steals"] != 0 {
-		t.Errorf("work stealing fired in deterministic round-robin mode: %v steals", counters["serve/steals"])
 	}
 }
 
@@ -422,44 +419,6 @@ func TestDenseKeyWaitsForPartners(t *testing.T) {
 	}
 	if took >= opts.BatchWindow/2 {
 		t.Errorf("a full batch took %v; it must flush at MaxBatch, not wait out the %v window", took, opts.BatchWindow)
-	}
-}
-
-// Under power-of-two-choices routing an idle tile must drain a deep
-// neighbour: with every job forced onto tile 0 and tile 0 given a single
-// executor, tile 1's executor has nothing of its own and must steal.
-func TestServeWorkStealing(t *testing.T) {
-	opts := testOptions()
-	opts.Tiles = 2
-	opts.Routing = RoutePowerOfTwo
-	opts.Workers = 2 // one executor per tile
-	srv, err := NewServer(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	entry := srv.Catalog().Lookup("varint")
-	const n = 256
-	var pendings []*pending
-	for i := 0; i < n; i++ {
-		p, ok := srv.admit("test", Request{ID: uint64(i + 1), Op: OpDeserialize, Schema: "varint", Payload: entry.SamplePayload(i)}, nil)
-		if !ok {
-			t.Fatalf("request %d rejected at admission", i)
-		}
-		pendings = append(pendings, p)
-		// Bypass the router: pile everything onto tile 0 as preformed
-		// singles so its queue stays deep while tile 1 sits idle.
-		srv.tiles[0].queue <- batchJob{key: batchKey{schema: "varint", op: OpDeserialize}, pendings: []*pending{p}, preformed: true}
-	}
-	for i, p := range pendings {
-		resp := <-p.resp
-		if resp.Status != StatusOK {
-			t.Fatalf("request %d: status %v: %s", i, resp.Status, resp.Payload)
-		}
-	}
-	steals := srv.tiles[1].steals.Load()
-	if steals == 0 {
-		t.Errorf("tile 1 stole nothing from a %d-job backlog on tile 0", n)
 	}
 }
 
