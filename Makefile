@@ -217,7 +217,10 @@ figures:
 
 # Regenerate the paper figures and compare each byte for byte with its
 # checked-in results/ file; any difference fails. ubench prints
-# results/ubench.txt followed by results/ablations.txt.
+# results/ubench.txt followed by results/ablations.txt. The telemetry
+# reference artifacts are regenerated too: the cycle trace must match
+# byte for byte, and the counter export every line but the manifest's
+# "command" (its output paths) and "go_version".
 results-check:
 	@set -e; tmp=$$(mktemp -d); trap 'rm -rf "$$tmp"' EXIT; \
 	go run ./cmd/ubench -fig all -ops -ablation all > "$$tmp/ubench.txt"; \
@@ -230,7 +233,12 @@ results-check:
 	cmp results/asicreport.txt "$$tmp/asicreport.txt"; \
 	go run ./cmd/hyperbench -dump-proto "$$tmp/hyperprotobench" > /dev/null; \
 	diff -r results/hyperprotobench "$$tmp/hyperprotobench"; \
-	echo "results-check: every paper figure matches results/"
+	go run ./cmd/ubench -fig 11a -parallel 1 -stats-out "$$tmp/telemetry_stats.json" \
+	  -trace-op varint-5 -trace-out "$$tmp/telemetry_trace.json" > /dev/null; \
+	cmp results/telemetry_trace.json "$$tmp/telemetry_trace.json"; \
+	grep -v -e '"command":' -e '"go_version":' results/telemetry_stats.json > "$$tmp/stats.want"; \
+	grep -v -e '"command":' -e '"go_version":' "$$tmp/telemetry_stats.json" | cmp "$$tmp/stats.want" -; \
+	echo "results-check: every paper figure and telemetry artifact matches results/"
 
 bench:
 	go test -bench=. -benchmem ./...

@@ -4,7 +4,8 @@
 // workers). Open-loop latency is coordinated-omission-free: samples are
 // measured from the scheduled send time, so queueing delay under
 // overload lands in the tail percentiles instead of being silently
-// dropped.
+// dropped. Every mode runs through one driver, workloads.Run: a pass
+// reads a catalog walk, -workload a synthesized trace.
 //
 // Usage:
 //
@@ -30,10 +31,12 @@
 // workloads from internal/workloads: "trace" replays a seeded,
 // deterministic key/size/op trace (schema mix and payload sizes shaped
 // by the fleet study, Zipf-ranked key popularity), "chain" drives a
-// 2–3 hop service chain (frontend → kv → backend [→ store]) where every
+// 1–3 hop service chain (frontend → kv → backend [→ store]) where every
 // hop's serialize and deserialize runs on the accelerated serving path,
 // and "all" does both. -trace-seed, -trace-len, and -hops tune it; both
 // modes work against an in-process server or a live daemon via -addr.
+// A transport error is counted and the run goes on, in every mode;
+// loadgen then exits 1.
 //
 // -cluster drives a pool of already-running protoaccd daemons through
 // the client-side balancer (internal/serve/cluster): p2c or rr node
@@ -58,7 +61,8 @@
 // response == request for both operations, even under -faults).
 //
 // A flag the chosen mode would ignore is an error, even at its default
-// value; checkFlags holds the rules.
+// value, and so is a -duration, -concurrency or -hops out of range;
+// checkFlags holds the rules.
 package main
 
 import (
@@ -75,6 +79,7 @@ import (
 	"protoacc/internal/serve"
 	"protoacc/internal/serve/cluster"
 	"protoacc/internal/telemetry"
+	"protoacc/internal/workloads"
 )
 
 var (
@@ -90,7 +95,7 @@ var (
 	adminURL    = flag.String("admin-url", "", "admin endpoint base URL of the -addr daemon (e.g. http://127.0.0.1:7412); scraped at ~10Hz during passes")
 	traceOut    = flag.String("trace-out", "", "write sampled lifecycle spans as Perfetto trace JSON to this file (in-process: enable -span-sample-n; with -addr: fetched from -admin-url /spans)")
 
-	workload  = flag.String("workload", "", "fleet-shaped workload mode: trace (replay a synthesized trace), chain (2–3 hop service chain), or all")
+	workload  = flag.String("workload", "", "fleet-shaped workload mode: trace (replay a synthesized trace), chain (1–3 hop service chain), or all")
 	traceSeed = flag.Int64("trace-seed", 1, "seed of the synthesized workload trace (same seed = same trace)")
 	traceLen  = flag.Int("trace-len", 0, "records in the synthesized workload trace (0 = default 4096)")
 	hops      = flag.Int("hops", 2, "service-chain length in edges for -workload chain (1..3: frontend→kv→backend→store)")
@@ -132,7 +137,8 @@ var (
 )
 
 // checkFlags applies loadgen's rules on which flags combine to the set
-// of flags given on the command line, by name.
+// of flags given on the command line, by name, and range-checks the
+// values that size the run.
 func checkFlags(given map[string]bool) error {
 	var server []string
 	for name := range given {
@@ -169,6 +175,12 @@ func checkFlags(given map[string]bool) error {
 		return fmt.Errorf("loadgen: -admin-url names a remote daemon's admin endpoint and needs -addr")
 	case given["addr"] && given["trace-out"] && !given["admin-url"]:
 		return fmt.Errorf("loadgen: -trace-out against a remote daemon needs -admin-url")
+	case *duration <= 0:
+		return fmt.Errorf("loadgen: -duration %v must be positive", *duration)
+	case *concurrency < 1:
+		return fmt.Errorf("loadgen: -concurrency %d must be at least 1", *concurrency)
+	case *hops < 1 || *hops > workloads.MaxHops:
+		return fmt.Errorf("loadgen: -hops %d out of range [1, %d]", *hops, workloads.MaxHops)
 	}
 	return nil
 }
@@ -219,16 +231,6 @@ func main() {
 		mode = fmt.Sprintf("open-loop %.0f/s", *rate)
 	}
 
-	runOpts := serve.LoadgenOptions{
-		Catalog:     catalog,
-		Duration:    *duration,
-		Concurrency: *concurrency,
-		RatePerSec:  *rate,
-		ZipfS:       *skew,
-		Timeout:     *timeout,
-		Check:       *check,
-	}
-
 	var dial func() (serve.Doer, error)
 	var srv *serve.Server
 	var bal *cluster.Balancer
@@ -276,19 +278,15 @@ func main() {
 		fmt.Printf("server telemetry written to %s\n", *statsOut)
 	}
 
+	base := workloads.LoadOptions{
+		Dial:    dial,
+		Catalog: catalog,
+		Workers: *concurrency,
+		Timeout: *timeout,
+		Check:   *check,
+	}
 	if *workload != "" {
-		err := runWorkloads(workloadsRun{
-			mode:    *workload,
-			seed:    *traceSeed,
-			records: *traceLen,
-			hops:    *hops,
-			workers: *concurrency,
-			timeout: *timeout,
-			check:   *check,
-			catalog: catalog,
-			dial:    dial,
-			target:  target,
-		})
+		err := runWorkloads(base, *workload, *traceSeed, *traceLen, *hops, target)
 		closeServer()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -304,7 +302,8 @@ func main() {
 		sc = startScraper(*adminURL)
 	}
 
-	total, err := runPasses(dial, runOpts, schemas, ops)
+	base.Duration, base.RatePerSec = *duration, *rate
+	total, err := runPasses(base, schemas, ops, *skew)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
@@ -339,22 +338,20 @@ func main() {
 	}
 }
 
-// runPasses runs one pass per (schema, op) against dial, printing each
-// pass's report, and returns their merged sum.
-func runPasses(dial func() (serve.Doer, error), runOpts serve.LoadgenOptions, schemas []string, ops []serve.Op) (*serve.LoadgenReport, error) {
-	total := &serve.LoadgenReport{}
+// runPasses runs one pass per (schema, op) with the base options, each
+// walking the schema's samples (Zipf-skewed when skew > 1), prints each
+// pass's tally, and returns their merged sum.
+func runPasses(base workloads.LoadOptions, schemas []string, ops []serve.Op, skew float64) (*workloads.Tally, error) {
+	total := &workloads.Tally{}
 	for _, name := range schemas {
 		for _, op := range ops {
-			ro := runOpts
-			ro.Dial = dial
-			ro.Schema = name
-			ro.Op = op
-			rep, err := serve.RunLoadgen(ro)
+			base.Source = workloads.CatalogSource(base.Catalog, name, op, skew)
+			rep, err := workloads.Run(base)
 			if err != nil {
 				return nil, err
 			}
-			printReport(os.Stdout, rep)
-			total.Merge(rep)
+			printTally(os.Stdout, fmt.Sprintf("%-8s %-5s", name, op), rep.Streams[0], rep.Elapsed)
+			total.Merge(rep.Streams[0])
 		}
 	}
 	return total, nil
@@ -452,18 +449,28 @@ func writeTrace(path string, srv *serve.Server, adminURL string) error {
 	return err
 }
 
-func printReport(w io.Writer, r *serve.LoadgenReport) {
-	fmt.Fprintf(w, "%-8s %-5s  %7.0f req/s  %6.3f Gbit/s  ok=%d shed=%d deadline=%d fellback=%d",
-		r.Schema, r.Op, r.RPS(), r.Gbps(), r.OK, r.Shed, r.Deadline, r.FellBack)
-	if r.Throttled > 0 {
-		fmt.Fprintf(w, " throttled=%d", r.Throttled)
+// printTally prints one stream's summary line pair: OK throughput over
+// elapsed, outcome counters, savings when calibrated, and latency.
+func printTally(w io.Writer, label string, t *workloads.Tally, elapsed time.Duration) {
+	var rps, gbps float64
+	if elapsed > 0 {
+		rps = float64(t.OK) / elapsed.Seconds()
+		gbps = float64(t.BytesOut) * 8 / elapsed.Seconds() / 1e9
 	}
-	if r.Errors > 0 || r.Bad > 0 {
-		fmt.Fprintf(w, " errors=%d bad=%d", r.Errors, r.Bad)
+	fmt.Fprintf(w, "%s  %7.0f req/s  %6.3f Gbit/s  ok=%d shed=%d deadline=%d fellback=%d",
+		label, rps, gbps, t.OK, t.Shed, t.Deadline, t.FellBack)
+	if t.Throttled > 0 {
+		fmt.Fprintf(w, " throttled=%d", t.Throttled)
 	}
-	if r.CheckFailures > 0 {
-		fmt.Fprintf(w, " CHECK-FAILURES=%d", r.CheckFailures)
+	if t.Errors > 0 || t.Bad > 0 {
+		fmt.Fprintf(w, " errors=%d bad=%d", t.Errors, t.Bad)
+	}
+	if t.CheckFailures > 0 {
+		fmt.Fprintf(w, " CHECK-FAILURES=%d", t.CheckFailures)
+	}
+	if s := t.Savings(); s > 0 {
+		fmt.Fprintf(w, "  savings=%.2fx", s)
 	}
 	fmt.Fprintf(w, "\n  latency p50=%v p99=%v p999=%v mean=%v\n",
-		r.Latency.Quantile(0.50), r.Latency.Quantile(0.99), r.Latency.Quantile(0.999), r.Latency.Mean())
+		t.Latency.Quantile(0.50), t.Latency.Quantile(0.99), t.Latency.Quantile(0.999), t.Latency.Mean())
 }

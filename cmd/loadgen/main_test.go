@@ -6,7 +6,8 @@ import (
 	"testing"
 )
 
-// One row per rule in checkFlags, plus command lines that must pass.
+// One row per rule in checkFlags, plus command lines that must pass. A
+// "name=value" entry also sets the flag's value for its row.
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
 		given []string
@@ -18,6 +19,8 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"cluster", "cluster-admin", "cluster-routing", "hedge", "hedge-quantile", "schema", "duration"}, ""},
 		{[]string{"workload", "trace-seed", "trace-len", "hops", "concurrency", "timeout", "check", "tiles", "stats-out"}, ""},
 		{[]string{"addr", "workload", "trace-len"}, ""},
+		{[]string{"workload", "hops=1", "concurrency=1"}, ""},
+		{[]string{"workload", "hops=3"}, ""},
 
 		{[]string{"addr", "tiles"}, "in-process server flags conflict with -addr: -tiles"},
 		{[]string{"addr", "stats-out", "faults"}, "conflict with -addr: -faults -stats-out"},
@@ -31,16 +34,33 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"addr", "workload", "trace-out", "admin-url"}, "ignores -trace-out -admin-url"},
 		{[]string{"admin-url"}, "-admin-url names a remote daemon's admin endpoint and needs -addr"},
 		{[]string{"addr", "trace-out"}, "-trace-out against a remote daemon needs -admin-url"},
+		{[]string{"duration=0s"}, "-duration 0s must be positive"},
+		{[]string{"concurrency=0"}, "-concurrency 0 must be at least 1"},
+		{[]string{"workload", "concurrency=-3"}, "-concurrency -3 must be at least 1"},
+		{[]string{"workload", "hops=0"}, "-hops 0 out of range [1, 3]"},
+		{[]string{"workload", "hops=4"}, "-hops 4 out of range [1, 3]"},
 	}
 	for _, c := range cases {
 		given := map[string]bool{}
-		for _, name := range c.given {
-			if flag.Lookup(name) == nil {
+		var set []*flag.Flag
+		for _, arg := range c.given {
+			name, value, hasValue := strings.Cut(arg, "=")
+			f := flag.Lookup(name)
+			if f == nil {
 				t.Fatalf("%v: loadgen has no flag -%s", c.given, name)
+			}
+			if hasValue {
+				if err := f.Value.Set(value); err != nil {
+					t.Fatalf("%v: -%s: %v", c.given, name, err)
+				}
+				set = append(set, f)
 			}
 			given[name] = true
 		}
 		err := checkFlags(given)
+		for _, f := range set {
+			f.Value.Set(f.DefValue)
+		}
 		switch {
 		case c.want == "" && err != nil:
 			t.Errorf("%v: rejected: %v", c.given, err)

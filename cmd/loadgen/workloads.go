@@ -2,45 +2,27 @@ package main
 
 import (
 	"fmt"
-	"io"
 	"os"
-	"time"
 
 	"protoacc/internal/serve"
 	"protoacc/internal/telemetry"
 	"protoacc/internal/workloads"
 )
 
-// workloadsRun bundles everything the -workload modes need from main's
-// flag set.
-type workloadsRun struct {
-	mode    string // "trace", "chain", or "all"
-	seed    int64
-	records int
-	hops    int
-	workers int
-	timeout time.Duration
-	check   bool
-	catalog *serve.Catalog
-	dial    func() (serve.Doer, error)
-	target  string // the dialed server, for the banner line
-}
-
 // runWorkloads synthesizes the fleet-shaped trace, replays it and/or
-// drives the service chain against the target, and prints the
-// serve/workload/... counter groups (the smoke target greps these
-// lines).
-func runWorkloads(cfg workloadsRun) error {
-	switch cfg.mode {
+// drives the hops-long service chain with it under the base options,
+// and prints the serve/workload/... counter groups (the smoke target
+// greps these lines). target names the dialed server for the banner.
+func runWorkloads(base workloads.LoadOptions, mode string, seed int64, records, hops int, target string) error {
+	switch mode {
 	case "trace", "chain", "all":
 	default:
-		return fmt.Errorf("loadgen: unknown -workload %q (want trace, chain, or all)", cfg.mode)
+		return fmt.Errorf("loadgen: unknown -workload %q (want trace, chain, or all)", mode)
 	}
-	catalog := cfg.catalog
 	trace, err := workloads.Synthesize(workloads.SynthOptions{
-		Seed:    cfg.seed,
-		Records: cfg.records,
-		Catalog: catalog,
+		Seed:    seed,
+		Records: records,
+		Catalog: base.Catalog,
 	})
 	if err != nil {
 		return err
@@ -53,54 +35,46 @@ func runWorkloads(cfg workloadsRun) error {
 			deser++
 		}
 	}
-	costs, err := workloads.CalibrateCosts(catalog)
-	if err != nil {
+	if base.Costs, err = workloads.CalibrateCosts(base.Catalog); err != nil {
 		return err
 	}
+	base.Source = trace.Source(base.Catalog)
 
 	fmt.Printf("loadgen: workload %s, target %s, trace seed=%d records=%d (%d deser / %d ser), workers %d\n",
-		cfg.mode, cfg.target, trace.Seed, len(trace.Records), deser, ser, cfg.workers)
+		mode, target, trace.Seed, len(trace.Records), deser, ser, base.Workers)
 
 	reg := &telemetry.Registry{}
-	var rrep *workloads.ReplayReport
-	var crep *workloads.ChainReport
-	if cfg.mode == "trace" || cfg.mode == "all" {
-		rrep, err = workloads.Replay(workloads.ReplayOptions{
-			Dial:    cfg.dial,
-			Trace:   trace,
-			Catalog: catalog,
-			Workers: cfg.workers,
-			Timeout: cfg.timeout,
-			Check:   cfg.check,
-			Costs:   costs,
-		})
+	var streams []*workloads.Tally
+	failed := false
+	if mode == "trace" || mode == "all" {
+		rep, err := workloads.Run(base)
 		if err != nil {
 			return err
 		}
-		printHop(os.Stdout, "replay", &rrep.Stats, rrep.Elapsed)
-		reg.Register("serve/workload/trace", &rrep.Stats)
+		st := rep.Streams[0]
+		printTally(os.Stdout, fmt.Sprintf("%-8s %-15s", "replay", "trace"), st, rep.Elapsed)
+		reg.Register("serve/workload/trace", st)
+		streams = append(streams, st)
 	}
-	if cfg.mode == "chain" || cfg.mode == "all" {
-		crep, err = workloads.RunChain(workloads.ChainOptions{
-			Dial:    cfg.dial,
-			Trace:   trace,
-			Catalog: catalog,
-			Hops:    cfg.hops,
-			Workers: cfg.workers,
-			Timeout: cfg.timeout,
-			Check:   cfg.check,
-			Costs:   costs,
-		})
+	if mode == "chain" || mode == "all" {
+		base.Hops = hops
+		rep, err := workloads.Run(base)
 		if err != nil {
 			return err
 		}
-		for _, h := range crep.Hops {
-			printHop(os.Stdout, "chain", h, crep.Elapsed)
+		for i, st := range rep.Streams {
+			printTally(os.Stdout, fmt.Sprintf("%-8s %-15s", "chain", st.Name), st, rep.Elapsed)
+			reg.Register(fmt.Sprintf("serve/workload/hop%d", i), st)
+		}
+		streams = append(streams, rep.Streams...)
+		var cps float64
+		if rep.Elapsed > 0 {
+			cps = float64(rep.Records) / rep.Elapsed.Seconds()
 		}
 		fmt.Printf("chain    e2e             %7.0f chains/s  completed=%d\n  latency p50=%v p99=%v p999=%v mean=%v\n",
-			crep.RPS(), crep.Records,
-			crep.E2E.Quantile(0.50), crep.E2E.Quantile(0.99), crep.E2E.Quantile(0.999), crep.E2E.Mean())
-		crep.RegisterHops(reg)
+			cps, rep.Records,
+			rep.E2E.Quantile(0.50), rep.E2E.Quantile(0.99), rep.E2E.Quantile(0.999), rep.E2E.Mean())
+		failed = rep.Records == 0
 	}
 
 	// The counter groups, named exactly as server-side telemetry names
@@ -109,20 +83,8 @@ func runWorkloads(cfg workloadsRun) error {
 		fmt.Printf("%s %.0f\n", s.Name, s.Value)
 	}
 
-	failed := false
-	scan := func(h *workloads.HopStats) {
-		if h.Errors > 0 || h.CheckFail > 0 || h.OK == 0 {
-			failed = true
-		}
-	}
-	if rrep != nil {
-		scan(&rrep.Stats)
-	}
-	if crep != nil {
-		for _, h := range crep.Hops {
-			scan(h)
-		}
-		if crep.Records == 0 {
+	for _, st := range streams {
+		if st.Errors > 0 || st.CheckFailures > 0 || st.OK == 0 {
 			failed = true
 		}
 	}
@@ -130,22 +92,4 @@ func runWorkloads(cfg workloadsRun) error {
 		return fmt.Errorf("loadgen: workload FAILED (errors, check failures, or zero completions)")
 	}
 	return nil
-}
-
-// printHop prints one hop's (or the whole replay's) summary line pair.
-func printHop(w io.Writer, kind string, h *workloads.HopStats, elapsed time.Duration) {
-	rps := 0.0
-	if elapsed > 0 {
-		rps = float64(h.OK) / elapsed.Seconds()
-	}
-	fmt.Fprintf(w, "%-8s %-15s %7.0f req/s  ok=%d rejected=%d fellback=%d errors=%d",
-		kind, h.Name, rps, h.OK, h.Rejected, h.FellBack, h.Errors)
-	if h.CheckFail > 0 {
-		fmt.Fprintf(w, " CHECK-FAILURES=%d", h.CheckFail)
-	}
-	if s := h.Savings(); s > 0 {
-		fmt.Fprintf(w, "  savings=%.2fx", s)
-	}
-	fmt.Fprintf(w, "\n  latency p50=%v p99=%v p999=%v mean=%v\n",
-		h.Latency.Quantile(0.50), h.Latency.Quantile(0.99), h.Latency.Quantile(0.999), h.Latency.Mean())
 }

@@ -66,6 +66,29 @@ func (e *Entry) SamplePayload(i int) []byte {
 // NumSamples reports how many distinct sample payloads the entry carries.
 func (e *Entry) NumSamples() int { return len(e.payloads) }
 
+// SampleOrder returns load worker w's sequence of sample indices. With
+// zipfS 0 or below it walks the samples from w*7919. With zipfS > 1 it
+// draws Zipf(zipfS)-skewed indices — hot-key traffic, where a handful of
+// payloads dominate (the distribution the response cache exists for) —
+// from a source seeded with w+1, so runs are reproducible for a given
+// worker count; rank 0, the hottest, is sample 0 on every worker, so the
+// workers' hot sets overlap. A single sample needs no draw. An entry
+// with no samples has no sequence (the walk's modulo, and the Zipf imax
+// NumSamples-1, would break), and a zipfS in (0, 1] is no Zipf.
+func (e *Entry) SampleOrder(w int, zipfS float64) (func(i int) int, error) {
+	n := len(e.payloads)
+	switch {
+	case zipfS > 0 && zipfS <= 1:
+		return nil, fmt.Errorf("serve: skew %g invalid (Zipf needs s > 1, or 0 for uniform)", zipfS)
+	case n == 0:
+		return nil, fmt.Errorf("serve: schema %q has no sample payloads", e.Name)
+	case zipfS > 1 && n > 1:
+		zipf := rand.NewZipf(rand.New(rand.NewSource(int64(w)+1)), zipfS, 1, uint64(n-1))
+		return func(int) int { return int(zipf.Uint64()) }, nil
+	}
+	return func(i int) int { return (w*7919 + i) % n }, nil
+}
+
 // samplesPerEntry is the number of deterministic payloads generated per
 // default-catalog entry; enough variety to spread message sizes without
 // bloating server start-up.

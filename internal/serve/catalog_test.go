@@ -64,3 +64,68 @@ func TestCatalogCodecAllocs(t *testing.T) {
 		t.Logf("%s: codec.Unmarshal %.2f allocs per message", name, got)
 	}
 }
+
+// A load worker's sample order over sample-count edge cases, uniform and
+// skewed. A zero-sample entry used to reach the load worker loop, where
+// SamplePayload's modulo panicked (uniform) or NumSamples-1 wrapped to
+// 2^64-1 as the Zipf imax (skewed); a single-sample entry spent a Zipf
+// source on a distribution with one outcome. Zero samples must be
+// rejected up front; one and many must give each of two workers indices
+// of the entry's own samples in both modes: the uniform walk from
+// w*7919, and a skewed order whose hottest sample is sample 0.
+func TestLoadgenSampleCountEdgeCases(t *testing.T) {
+	payloadsOf := func(e *Entry, n int) [][]byte {
+		var out [][]byte
+		for i := 0; i < n; i++ {
+			out = append(out, e.SamplePayload(i))
+		}
+		return out
+	}
+	full := DefaultCatalog().Lookup("varint")
+	cases := []struct {
+		name    string
+		samples int
+		skew    float64
+		wantErr bool
+	}{
+		{"zero-uniform", 0, 0, true},
+		{"zero-skewed", 0, 1.2, true},
+		{"one-uniform", 1, 0, false},
+		{"one-skewed", 1, 1.2, false},
+		{"many-uniform", 8, 0, false},
+		{"many-skewed", 8, 1.2, false},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			e := &Entry{Name: "varint", Type: full.Type, payloads: payloadsOf(full, tc.samples)}
+			for w := 0; w < 2; w++ {
+				order, err := e.SampleOrder(w, tc.skew)
+				if tc.wantErr {
+					if err == nil {
+						t.Fatalf("%d samples accepted; want an error, not a worker panic", tc.samples)
+					}
+					continue
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				hits := make([]int, tc.samples)
+				for i := 0; i < 256; i++ {
+					s := order(i)
+					if s < 0 || s >= tc.samples {
+						t.Fatalf("worker %d step %d: sample %d of %d", w, i, s, tc.samples)
+					}
+					if tc.skew == 0 && s != (w*7919+i)%tc.samples {
+						t.Fatalf("worker %d step %d: uniform walk took sample %d, want %d", w, i, s, (w*7919+i)%tc.samples)
+					}
+					hits[s]++
+				}
+				for s, n := range hits {
+					if tc.skew > 0 && n > hits[0] {
+						t.Fatalf("worker %d: sample %d drawn %d times, more than hottest sample 0 (%d)", w, s, n, hits[0])
+					}
+				}
+			}
+		})
+	}
+}

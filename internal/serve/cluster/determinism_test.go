@@ -33,12 +33,14 @@ func replayCluster(t *testing.T, nodes int, trace *workloads.Trace) []observed {
 	defer b.Close()
 
 	var got []observed
-	_, err = workloads.Replay(workloads.ReplayOptions{
+	cat := serve.DefaultCatalog()
+	rep, err := workloads.Run(workloads.LoadOptions{
 		Dial:    func() (serve.Doer, error) { return b.Client(), nil },
-		Trace:   trace,
+		Catalog: cat,
+		Source:  trace.Source(cat),
 		Workers: 1,
 		Check:   true,
-		Observe: func(worker int, rec workloads.Record, resp serve.Response) {
+		Observe: func(worker, hop int, rec workloads.Record, resp serve.Response) {
 			got = append(got, observed{
 				status:   resp.Status,
 				fellBack: resp.FellBack,
@@ -49,6 +51,9 @@ func replayCluster(t *testing.T, nodes int, trace *workloads.Trace) []observed {
 	})
 	if err != nil {
 		t.Fatal(err)
+	}
+	if n := rep.Streams[0].Errors; n != 0 {
+		t.Fatalf("%d-node replay: %d transport errors", nodes, n)
 	}
 	c := b.Counters()
 	if c["serve/cluster/hedges"] != 0 || c["serve/cluster/retries"] != 0 || c["serve/cluster/ejections"] != 0 {

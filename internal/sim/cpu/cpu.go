@@ -322,18 +322,6 @@ func (c *CPU) readSlot(addr, slot uint64, k schema.Kind) (uint64, error) {
 	}
 }
 
-func slotWidth(f *schema.Field) uint64 {
-	switch f.Kind {
-	case schema.KindBool:
-		return 1
-	case schema.KindInt32, schema.KindUint32, schema.KindSint32,
-		schema.KindFixed32, schema.KindSfixed32, schema.KindFloat, schema.KindEnum:
-		return 4
-	default:
-		return 8
-	}
-}
-
 func (c *CPU) fieldSize(objAddr uint64, l *layout.Layout, fl layout.FieldLayout, sizes map[uint64]uint64) (uint64, error) {
 	f := fl.Field
 	slotAddr := objAddr + fl.Offset

@@ -30,46 +30,25 @@ func deterministicOptions(tiles int) serve.Options {
 	return o
 }
 
-// replayOnce replays tr on a fresh server and returns the ordered
-// response stream plus the tile-count-independent aggregated counters.
-func replayOnce(t *testing.T, tiles int, tr *Trace) ([]respRecord, map[string]float64) {
+// runOnce runs tr over hops hops (0: a replay) on a fresh server and
+// returns the ordered response stream plus the tile-count-independent
+// aggregated counters. No stream may count a transport error: an error
+// is counted and skipped, so it would drop a response from the stream.
+func runOnce(t *testing.T, tiles, hops int, tr *Trace) ([]respRecord, map[string]float64) {
 	t.Helper()
 	srv, err := serve.NewServer(deterministicOptions(tiles))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var seen []respRecord
-	_, err = Replay(ReplayOptions{
-		Dial:  func() (serve.Doer, error) { return srv.InProc(), nil },
-		Trace: tr,
+	rep, err := Run(LoadOptions{
+		Dial:    func() (serve.Doer, error) { return srv.InProc(), nil },
+		Catalog: srv.Catalog(),
+		Source:  tr.Source(srv.Catalog()),
+		Hops:    hops,
 		// One worker: the trace replays strictly in record order, so the
 		// request stream — and under rr routing the batch→tile placement —
 		// is a pure function of the trace.
-		Workers: 1,
-		Check:   true,
-		Observe: func(w int, rec Record, resp serve.Response) {
-			seen = append(seen, respRecord{resp.Status, resp.FellBack, resp.Cycles, resp.Payload})
-		},
-	})
-	srv.Close()
-	if err != nil {
-		t.Fatal(err)
-	}
-	return seen, srv.AggregatedCounters()
-}
-
-// chainOnce runs the 2-hop chain on a fresh server, same contract.
-func chainOnce(t *testing.T, tiles int, tr *Trace) ([]respRecord, map[string]float64) {
-	t.Helper()
-	srv, err := serve.NewServer(deterministicOptions(tiles))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var seen []respRecord
-	_, err = RunChain(ChainOptions{
-		Dial:    func() (serve.Doer, error) { return srv.InProc(), nil },
-		Trace:   tr,
-		Hops:    2,
 		Workers: 1,
 		Check:   true,
 		Observe: func(w, h int, rec Record, resp serve.Response) {
@@ -79,6 +58,11 @@ func chainOnce(t *testing.T, tiles int, tr *Trace) ([]respRecord, map[string]flo
 	srv.Close()
 	if err != nil {
 		t.Fatal(err)
+	}
+	for _, st := range rep.Streams {
+		if st.Errors != 0 {
+			t.Fatalf("%d-tile run, stream %q: %d transport errors", tiles, st.Name, st.Errors)
+		}
 	}
 	return seen, srv.AggregatedCounters()
 }
@@ -124,8 +108,8 @@ func TestTraceReplayTileDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, ca := replayOnce(t, 1, tr)
-	rb, cb := replayOnce(t, 4, tr)
+	ra, ca := runOnce(t, 1, 0, tr)
+	rb, cb := runOnce(t, 4, 0, tr)
 	compareRuns(t, "replay", ra, rb, ca, cb)
 }
 
@@ -136,7 +120,7 @@ func TestChainTileDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, ca := chainOnce(t, 1, tr)
-	rb, cb := chainOnce(t, 4, tr)
+	ra, ca := runOnce(t, 1, 2, tr)
+	rb, cb := runOnce(t, 4, 2, tr)
 	compareRuns(t, "chain", ra, rb, ca, cb)
 }

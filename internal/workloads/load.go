@@ -1,0 +1,445 @@
+// Package workloads turns the fleet study (internal/fleet, paper §3)
+// into a first-class traffic generator: instead of loadgen's synthetic
+// per-(schema, op) passes, it synthesizes and replays
+// application-shaped traces — fleet-shaped message sizes, fleet-shaped
+// schema and operation mixes, Zipf popularity skew over a stable key
+// space — and models a small service chain (frontend → kv → backend)
+// where every hop's serialize and deserialize runs on the accelerated
+// serving path. It also holds the one load driver every one of those
+// runs, loadgen's passes included, goes through.
+//
+// Three pieces:
+//
+//   - Trace synthesis (Synthesize): a deterministic, seeded key/size/op
+//     trace. Each key is assigned a schema and a sample payload once,
+//     with the schema mix weighted by the fleet field-type distribution
+//     (Figure 4a) and the payload size drawn from the fleet message-size
+//     distribution (Figure 3, or a live fleet.Sampler's observed
+//     shares); record keys follow a Zipf popularity ranking, the same
+//     hot-key machinery loadgen's -skew mode uses.
+//   - Request sources (Source): a catalog walk (CatalogSource, uniform
+//     or Zipf-skewed over one schema's samples — a loadgen pass) or a
+//     trace sharded contiguously over workers (Trace.Source).
+//   - One driver (Run) and one tally (Tally): Run drives a serve.Doer —
+//     the in-process client or a live protoaccd connection — with the
+//     source's records, closed-loop or paced, byte-verifying responses
+//     and attributing accelerator cycles per request. A record is sent
+//     once with its own op, or crosses a 1–3 hop service chain: a hop is
+//     one service-to-service edge whose sender serializes and receiver
+//     deserializes on the accelerated path. Each stream (the whole run,
+//     or one hop) is one Tally: outcome counters, latency, and
+//     accelerator-vs-software cycle savings against a Xeon
+//     software-codec calibration (CostTable), exported as its own
+//     serve/workload/trace/ or serve/workload/hop<i>/ telemetry group.
+//
+// Determinism mirrors the serving layer's contracts: with one worker and
+// round-robin routing, a trace replay or chain run produces
+// bitwise-identical responses and identical aggregated serve/ counters
+// on a 1-tile and an N-tile server (see the package tests).
+package workloads
+
+import (
+	"bytes"
+	"errors"
+	"fmt"
+	"sync"
+	"time"
+
+	"protoacc/internal/serve"
+	"protoacc/internal/telemetry"
+)
+
+// serviceNames are the chain's service roles in order; a chain of H hops
+// crosses services[0..H] (frontend → kv → backend → store).
+var serviceNames = []string{"frontend", "kv", "backend", "store"}
+
+// MaxHops bounds the chain length to the named topology.
+const MaxHops = 3
+
+// HopName labels hop i (0-based) as "frontend→kv" etc.
+func HopName(i int) string {
+	if i < 0 || i >= MaxHops {
+		return fmt.Sprintf("hop%d", i)
+	}
+	return serviceNames[i] + "→" + serviceNames[i+1]
+}
+
+// Tally counts one stream's outcomes: a whole run that sends each record
+// once, or one hop of a chain. It structurally satisfies
+// telemetry.Collector, so each stream registers as its own
+// serve/workload/trace/ or serve/workload/hop<i>/ counter group. A Tally
+// takes no lock: each worker owns its own, and Run merges them once the
+// workers are done.
+type Tally struct {
+	Name string // hop label, e.g. "frontend→kv"; empty for a one-stream run
+
+	Requests      uint64 // serving calls issued
+	OK            uint64
+	Shed          uint64
+	Throttled     uint64 // rejected by the admission-control element
+	Deadline      uint64
+	Bad           uint64
+	Errors        uint64 // transport errors and StatusError responses
+	FellBack      uint64 // OK responses served by a software path
+	CheckFailures uint64 // OK responses that diverged from the bytes sent
+	BytesIn       uint64 // payload bytes sent
+	BytesOut      uint64 // payload bytes received on OK responses
+
+	AccelCycles float64 // accelerator cycles attributed by the server
+	SoftCycles  float64 // Xeon software-codec cycles for the same work (calibrated)
+	SoftReqs    uint64  // requests with a software calibration entry
+
+	// Latency is the stream's latency distribution over records that were
+	// OK on it: per request for a one-stream run, the ser+deser pair for a
+	// chain hop.
+	Latency telemetry.Histogram
+}
+
+// note records one serving call's outcome; soft is the request's
+// calibrated software cost (0 if uncalibrated), and check compares an OK
+// response with the payload sent.
+func (t *Tally) note(resp serve.Response, err error, payload []byte, soft float64, check bool) {
+	t.Requests++
+	t.BytesIn += uint64(len(payload))
+	if err != nil {
+		t.Errors++
+		return
+	}
+	switch resp.Status {
+	case serve.StatusOK:
+		t.OK++
+		t.BytesOut += uint64(len(resp.Payload))
+		if resp.FellBack {
+			t.FellBack++
+		} else {
+			// Cycle savings compare accelerator-path work only: a
+			// fallback's Cycles mix clock domains (or are zero), so both
+			// sides of the ratio skip it.
+			t.AccelCycles += resp.Cycles
+			if soft > 0 {
+				t.SoftCycles += soft
+				t.SoftReqs++
+			}
+		}
+		if check && !bytes.Equal(resp.Payload, payload) {
+			t.CheckFailures++
+		}
+	case serve.StatusShed:
+		t.Shed++
+	case serve.StatusThrottled:
+		t.Throttled++
+	case serve.StatusDeadline:
+		t.Deadline++
+	case serve.StatusBadRequest:
+		t.Bad++
+	default:
+		t.Errors++
+	}
+}
+
+// Merge adds o's counters and latency samples into t, so t summarizes
+// the workers (or passes) merged into it.
+func (t *Tally) Merge(o *Tally) {
+	t.Requests += o.Requests
+	t.OK += o.OK
+	t.Shed += o.Shed
+	t.Throttled += o.Throttled
+	t.Deadline += o.Deadline
+	t.Bad += o.Bad
+	t.Errors += o.Errors
+	t.FellBack += o.FellBack
+	t.CheckFailures += o.CheckFailures
+	t.BytesIn += o.BytesIn
+	t.BytesOut += o.BytesOut
+	t.AccelCycles += o.AccelCycles
+	t.SoftCycles += o.SoftCycles
+	t.SoftReqs += o.SoftReqs
+	t.Latency.Merge(&o.Latency)
+}
+
+// Rejected counts the requests the server turned away: shed, throttled,
+// past their deadline, or bad.
+func (t *Tally) Rejected() uint64 { return t.Shed + t.Throttled + t.Deadline + t.Bad }
+
+// Savings returns the stream's accelerator-vs-software cycle savings as
+// a time ratio: calibrated Xeon software cycles (normalized to the
+// accelerator clock) divided by the accelerator cycles spent on the same
+// requests. 0 means no calibrated accelerator-path requests completed.
+func (t *Tally) Savings() float64 {
+	if t.AccelCycles <= 0 || t.SoftCycles <= 0 {
+		return 0
+	}
+	return t.SoftCycles / t.AccelCycles
+}
+
+// CollectTelemetry emits the stream's counter group (structurally a
+// telemetry.Collector; registered as serve/workload/hop<i>/ or
+// serve/workload/trace/).
+func (t *Tally) CollectTelemetry(emit func(name string, value float64)) {
+	emit("requests", float64(t.Requests))
+	emit("ok", float64(t.OK))
+	emit("errors", float64(t.Errors))
+	emit("rejected", float64(t.Rejected()))
+	emit("fellback", float64(t.FellBack))
+	emit("check_failures", float64(t.CheckFailures))
+	emit("bytes/in", float64(t.BytesIn))
+	emit("bytes/out", float64(t.BytesOut))
+	emit("cycles/accel", t.AccelCycles)
+	emit("cycles/software", t.SoftCycles)
+	emit("cycles/calibrated_requests", float64(t.SoftReqs))
+}
+
+// A Source hands worker w of workers its record sequence: next(i)
+// returns the worker's i'th record, false once the sequence ends.
+type Source func(w, workers int) (next func(i int) (Record, bool), err error)
+
+// CatalogSource sends one catalog schema's sample payloads under op: the
+// load of one loadgen pass. Each worker walks the samples, or draws them
+// Zipf(zipfS)-skewed when zipfS > 1, in serve.Entry.SampleOrder's
+// sequence. The walk never ends, so a run over it needs a Duration.
+func CatalogSource(cat *serve.Catalog, schema string, op serve.Op, zipfS float64) Source {
+	return func(w, _ int) (func(int) (Record, bool), error) {
+		e := cat.Lookup(schema)
+		if e == nil {
+			return nil, fmt.Errorf("workloads: unknown schema %q", schema)
+		}
+		sample, err := e.SampleOrder(w, zipfS)
+		if err != nil {
+			return nil, err
+		}
+		return func(i int) (Record, bool) {
+			return Record{Schema: schema, Sample: sample(i), Op: op}, true
+		}, nil
+	}
+}
+
+// Source shards the trace into contiguous slices, one per worker, each
+// sent in record order, so one worker replays the whole trace in record
+// order (the deterministic mode). It fails if a record names a schema
+// cat does not host; cat must be the catalog the trace was synthesized
+// against.
+func (t *Trace) Source(cat *serve.Catalog) Source {
+	var bad error
+	for _, r := range t.Records {
+		if cat.Lookup(r.Schema) == nil {
+			bad = fmt.Errorf("workloads: trace names schema %q not in catalog", r.Schema)
+			break
+		}
+	}
+	return func(w, workers int) (func(int) (Record, bool), error) {
+		if bad != nil {
+			return nil, bad
+		}
+		n := len(t.Records)
+		shard := t.Records[w*n/workers : (w+1)*n/workers]
+		return func(i int) (Record, bool) {
+			if i >= len(shard) {
+				return Record{}, false
+			}
+			return shard[i], true
+		}, nil
+	}
+}
+
+// LoadOptions configures one Run.
+type LoadOptions struct {
+	// Dial builds one client per worker and hop (TCP Conn, in-process
+	// client, or cluster balancer).
+	Dial func() (serve.Doer, error)
+
+	// Catalog resolves each record's (schema, sample) to payload bytes.
+	// It must be the catalog the Source was built against, and match the
+	// server's for Check to hold.
+	Catalog *serve.Catalog
+
+	// Source supplies each worker's records.
+	Source Source
+
+	// Workers is the number of concurrent workers (default 1).
+	Workers int
+
+	// Hops is 0 to send each record once with its own op, or the chain
+	// length in edges, 1..MaxHops: 2 = frontend→kv→backend, 3 adds
+	// backend→store.
+	Hops int
+
+	// Duration bounds the run; 0 runs until every worker's source ends.
+	Duration time.Duration
+
+	// RatePerSec switches to open-loop: workers pace their records to
+	// this aggregate rate instead of saturating. 0 means closed-loop.
+	RatePerSec float64
+
+	// Timeout is the per-request deadline passed to the server (0
+	// inherits the server default).
+	Timeout time.Duration
+
+	// Check verifies every OK response is byte-identical to the payload
+	// sent (sample payloads are canonical, so the serving contract makes
+	// the two equal for both ops).
+	Check bool
+
+	// Costs attributes a calibrated Xeon software cost to each request,
+	// enabling the savings columns. Nil skips them.
+	Costs *CostTable
+
+	// Observe, when non-nil, sees every response in send order within a
+	// worker, on that worker's goroutine (test hook for determinism
+	// checks). Transport errors have no response and skip it.
+	Observe func(worker, hop int, rec Record, resp serve.Response)
+}
+
+// LoadReport is one Run's outcome.
+type LoadReport struct {
+	Streams []*Tally            // one per hop in chain order; one when Hops is 0
+	E2E     telemetry.Histogram // per-record latency over all hops, for records OK on every hop
+	Elapsed time.Duration
+	Records uint64 // records that were OK on every hop
+}
+
+// Run drives the source's records through the serving path with
+// opts.Workers workers and returns the merged report. Each worker owns
+// one client per hop. A transport error is counted under Errors and the
+// worker goes on; only bad options, a source error or a failed dial fail
+// the run.
+//
+// With Hops ≥ 1, each record crosses the chain: on each hop the sending
+// service serializes the record's object through the accelerated path
+// and the receiving service deserializes the resulting bytes — both
+// directions of one RPC edge on the accelerator, the end-to-end shape
+// RPCAcc evaluates. Responses are canonical bytes, so each hop's output
+// equals its input and the whole chain stays byte-verifiable.
+func Run(o LoadOptions) (*LoadReport, error) {
+	if o.Dial == nil || o.Catalog == nil || o.Source == nil {
+		return nil, errors.New("workloads: Run needs Dial, Catalog and Source")
+	}
+	if o.Hops < 0 || o.Hops > MaxHops {
+		return nil, fmt.Errorf("workloads: hops %d out of range [0, %d]", o.Hops, MaxHops)
+	}
+	workers, lanes := max(1, o.Workers), max(1, o.Hops)
+	nexts := make([]func(int) (Record, bool), workers)
+	for w := range nexts {
+		var err error
+		if nexts[w], err = o.Source(w, workers); err != nil {
+			return nil, err
+		}
+	}
+	// One client per (worker, hop): each hop edge keeps its own
+	// connection and admission identity, like distinct services would.
+	var clients []serve.Doer
+	defer func() {
+		for _, c := range clients {
+			c.Close()
+		}
+	}()
+	for i := 0; i < workers*lanes; i++ {
+		c, err := o.Dial()
+		if err != nil {
+			return nil, fmt.Errorf("workloads: dial client %d: %w", i, err)
+		}
+		clients = append(clients, c)
+	}
+
+	tallies := make([][]Tally, workers) // [worker][stream], merged after Wait
+	e2e := make([]telemetry.Histogram, workers)
+	var interval time.Duration
+	if o.RatePerSec > 0 {
+		interval = time.Duration(float64(workers) / o.RatePerSec * float64(time.Second))
+	}
+	var wg sync.WaitGroup
+	start := time.Now()
+	for w := range tallies {
+		tallies[w] = make([]Tally, lanes)
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			st, cs := tallies[w], clients[w*lanes:(w+1)*lanes]
+			// send issues one request on hop h and tallies it; ok reports
+			// an OK response.
+			send := func(h int, rec Record, op serve.Op, payload []byte) (resp serve.Response, ok bool) {
+				resp, err := cs[h].Do(serve.Request{Op: op, Schema: rec.Schema, Timeout: o.Timeout, Payload: payload})
+				st[h].note(resp, err, payload, o.Costs.Cycles(rec.Schema, rec.Sample, op), o.Check)
+				if err != nil {
+					return resp, false
+				}
+				if o.Observe != nil {
+					o.Observe(w, h, rec, resp)
+				}
+				return resp, resp.Status == serve.StatusOK
+			}
+			// Paced workers start staggered across one interval.
+			next := start.Add(time.Duration(w) * interval / time.Duration(workers))
+			for i := 0; ; i++ {
+				now := time.Now()
+				if o.Duration > 0 && now.Sub(start) >= o.Duration {
+					return
+				}
+				rec, more := nexts[w](i)
+				if !more {
+					return
+				}
+				payload := o.Catalog.Lookup(rec.Schema).SamplePayload(rec.Sample)
+				// Open-loop latency is measured from the *scheduled* send
+				// time, not from when the pacing sleep returned: under
+				// overload the schedule falls behind, and measuring from
+				// the post-sleep instant would silently drop exactly the
+				// queueing delay the open-loop mode exists to expose
+				// (coordinated omission, underreporting p99/p999).
+				t0 := time.Now()
+				if interval > 0 {
+					if d := next.Sub(now); d > 0 {
+						time.Sleep(d)
+					}
+					t0, next = next, next.Add(interval)
+				}
+				allOK, hopStart := true, t0
+				for h := range st {
+					if h > 0 {
+						hopStart = time.Now()
+					}
+					var ok bool
+					if o.Hops == 0 {
+						_, ok = send(h, rec, rec.Op, payload)
+					} else {
+						// The receiver deserializes the bytes that
+						// arrived: the serializer's output, or the
+						// record's payload if the serialize failed.
+						resp, serOK := send(h, rec, serve.OpSerialize, payload)
+						wire := payload
+						if serOK {
+							wire = resp.Payload
+						}
+						_, ok = send(h, rec, serve.OpDeserialize, wire)
+						ok = ok && serOK
+					}
+					if ok {
+						st[h].Latency.Record(time.Since(hopStart))
+					} else {
+						allOK = false
+					}
+				}
+				if allOK {
+					e2e[w].Record(time.Since(t0))
+				}
+			}
+		}()
+	}
+	wg.Wait()
+
+	rep := &LoadReport{Elapsed: time.Since(start)}
+	for h := 0; h < lanes; h++ {
+		t := &Tally{}
+		if o.Hops > 0 {
+			t.Name = HopName(h)
+		}
+		for w := range tallies {
+			t.Merge(&tallies[w][h])
+		}
+		rep.Streams = append(rep.Streams, t)
+	}
+	for w := range e2e {
+		rep.E2E.Merge(&e2e[w])
+	}
+	rep.Records = rep.E2E.Count()
+	return rep, nil
+}

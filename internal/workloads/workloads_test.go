@@ -1,6 +1,7 @@
 package workloads
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 	"time"
@@ -161,25 +162,22 @@ func TestReplayInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rep, err := Replay(ReplayOptions{
-		Dial:  func() (serve.Doer, error) { return srv.InProc(), nil },
-		Trace: tr, Workers: 2, Check: true, Costs: costs,
+	rep, err := Run(LoadOptions{
+		Dial:    func() (serve.Doer, error) { return srv.InProc(), nil },
+		Catalog: srv.Catalog(), Source: tr.Source(srv.Catalog()), Workers: 2, Check: true, Costs: costs,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := &rep.Stats
+	st := rep.Streams[0]
 	if st.Requests != uint64(len(tr.Records)) {
 		t.Fatalf("replayed %d of %d records", st.Requests, len(tr.Records))
 	}
 	if st.OK != st.Requests {
-		t.Fatalf("%d of %d requests not OK (errors=%d rejected=%d)", st.Requests-st.OK, st.Requests, st.Errors, st.Rejected)
+		t.Fatalf("%d of %d requests not OK (errors=%d rejected=%d)", st.Requests-st.OK, st.Requests, st.Errors, st.Rejected())
 	}
-	if st.CheckFail != 0 {
-		t.Fatalf("%d byte-verification failures", st.CheckFail)
-	}
-	if rep.Deser+rep.Ser != st.Requests {
-		t.Errorf("op split %d+%d != %d", rep.Deser, rep.Ser, st.Requests)
+	if st.CheckFailures != 0 {
+		t.Fatalf("%d byte-verification failures", st.CheckFailures)
 	}
 	if st.Latency.Count() != st.OK {
 		t.Errorf("latency samples %d != OK %d", st.Latency.Count(), st.OK)
@@ -197,10 +195,10 @@ func TestReplayInProcess(t *testing.T) {
 // (schema, op) run as one batch (split at MaxBatch), so the batches and
 // their cycles are a pure function of the trace and chunk. A chunk no
 // longer than the queue depth never sheds: each batch takes one slot.
-func batchedStats(t *testing.T, srv *serve.Server, tr *Trace, costs *CostTable, chunk int) *HopStats {
+func batchedStats(t *testing.T, srv *serve.Server, tr *Trace, costs *CostTable, chunk int) *Tally {
 	t.Helper()
 	client := srv.InProc()
-	st := &HopStats{}
+	st := &Tally{}
 	for lo := 0; lo < len(tr.Records); lo += chunk {
 		recs := tr.Records[lo:min(lo+chunk, len(tr.Records))]
 		reqs := make([]serve.Request, len(recs))
@@ -215,8 +213,8 @@ func batchedStats(t *testing.T, srv *serve.Server, tr *Trace, costs *CostTable, 
 			st.note(resps[i], nil, reqs[i].Payload, costs.Cycles(r.Schema, r.Sample, r.Op), true)
 		}
 	}
-	if st.OK != st.Requests || st.CheckFail != 0 {
-		t.Fatalf("batched pass: %d of %d OK, %d byte-verification failures", st.OK, st.Requests, st.CheckFail)
+	if st.OK != st.Requests || st.CheckFailures != 0 {
+		t.Fatalf("batched pass: %d of %d OK, %d byte-verification failures", st.OK, st.Requests, st.CheckFailures)
 	}
 	return st
 }
@@ -234,15 +232,15 @@ func TestRunChainInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer srv.Close()
-	rep, err := RunChain(ChainOptions{
-		Dial:  func() (serve.Doer, error) { return srv.InProc(), nil },
-		Trace: tr, Hops: 2, Workers: 2, Check: true,
+	rep, err := Run(LoadOptions{
+		Dial:    func() (serve.Doer, error) { return srv.InProc(), nil },
+		Catalog: srv.Catalog(), Source: tr.Source(srv.Catalog()), Hops: 2, Workers: 2, Check: true,
 	})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(rep.Hops) != 2 {
-		t.Fatalf("got %d hops, want 2", len(rep.Hops))
+	if len(rep.Streams) != 2 {
+		t.Fatalf("got %d hops, want 2", len(rep.Streams))
 	}
 	if rep.Records != uint64(len(tr.Records)) {
 		t.Fatalf("%d of %d records completed the chain", rep.Records, len(tr.Records))
@@ -250,13 +248,13 @@ func TestRunChainInProcess(t *testing.T) {
 	if rep.E2E.Count() != rep.Records {
 		t.Errorf("e2e samples %d != completed records %d", rep.E2E.Count(), rep.Records)
 	}
-	for i, h := range rep.Hops {
+	for i, h := range rep.Streams {
 		// Each hop runs one serialize + one deserialize per record.
 		if want := uint64(2 * len(tr.Records)); h.Requests != want {
 			t.Errorf("hop %d: %d requests, want %d", i, h.Requests, want)
 		}
-		if h.OK != h.Requests || h.CheckFail != 0 {
-			t.Errorf("hop %d: ok=%d/%d checkfail=%d", i, h.OK, h.Requests, h.CheckFail)
+		if h.OK != h.Requests || h.CheckFailures != 0 {
+			t.Errorf("hop %d: ok=%d/%d checkfail=%d", i, h.OK, h.Requests, h.CheckFailures)
 		}
 		if h.Latency.Count() == 0 {
 			t.Errorf("hop %d: empty latency histogram", i)
@@ -266,9 +264,11 @@ func TestRunChainInProcess(t *testing.T) {
 		}
 	}
 	reg := &telemetry.Registry{}
-	rep.RegisterHops(reg)
+	for i, h := range rep.Streams {
+		reg.Register(fmt.Sprintf("serve/workload/hop%d", i), h)
+	}
 	snap := reg.Snapshot()
-	for i := range rep.Hops {
+	for i := range rep.Streams {
 		name := "serve/workload/hop" + string(rune('0'+i)) + "/requests"
 		v, ok := snap.Get(name)
 		if !ok || v == 0 {
@@ -287,14 +287,15 @@ func TestHopNames(t *testing.T) {
 	}
 }
 
-// Chain rejects out-of-range hop counts.
+// Run rejects out-of-range hop counts.
 func TestRunChainRejectsBadHops(t *testing.T) {
+	cat := serve.DefaultCatalog()
 	tr := &Trace{Records: []Record{{Schema: "varint", Op: serve.OpDeserialize}}}
-	_, err := RunChain(ChainOptions{
-		Dial:  func() (serve.Doer, error) { return nil, nil },
-		Trace: tr, Hops: MaxHops + 1,
+	_, err := Run(LoadOptions{
+		Dial:    func() (serve.Doer, error) { return nil, nil },
+		Catalog: cat, Source: tr.Source(cat), Hops: MaxHops + 1,
 	})
 	if err == nil {
-		t.Fatal("RunChain accepted hops beyond the topology")
+		t.Fatal("Run accepted hops beyond the topology")
 	}
 }
