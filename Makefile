@@ -191,14 +191,16 @@ cluster-smoke:
 build:
 	go build ./...
 
-# Static checks plus the telemetry overhead contract: with tracing off,
-# the observability layer must add zero allocations to the simulation
-# hot paths (internal/telemetry/overhead_test.go).
+# Static checks plus the allocation contracts: with tracing off, the
+# observability layer must add zero allocations to the simulation hot
+# paths (internal/telemetry/overhead_test.go), and a warmed serving tile
+# must add a batch's unit counters without allocating (internal/serve;
+# this line also runs the catalog's codec allocation check there).
 # Last, no dead packages: every package under internal/ must be imported
 # by some other package of the module, test imports included.
 vet:
 	go vet ./...
-	go test -run 'Allocs|Amortized' -count=1 ./internal/telemetry
+	go test -run 'Allocs|Amortized' -count=1 ./internal/telemetry ./internal/serve
 	@dead=$$(go list -f '{{.ImportPath}} {{join .Imports " "}} {{join .TestImports " "}} {{join .XTestImports " "}}' ./... | \
 	  awk '$$1 ~ /^protoacc\/internal\// { pkg[$$1] = 1 } \
 	    { for (i = 2; i <= NF; i++) if ($$i != $$1) used[$$i] = 1 } \

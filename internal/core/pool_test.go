@@ -318,3 +318,44 @@ func TestPoolGetLoaded(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkPoolGetLoaded prices one checkout on each of GetLoaded's
+// recycling paths: a hit, where the idle System holds the batch's schema
+// (ResetBatch keeps its ADTs), and a reload, where the only idle System
+// holds another schema (ResetAll, then LoadSchema). No batch runs between
+// checkouts, so the regions stay clean and the figures are each path's
+// fixed cost.
+func BenchmarkPoolGetLoaded(b *testing.B) {
+	cfg := smallConfig(KindAccel)
+	roots := [2]*schema.Message{testType(), mustMessage("Other",
+		&schema.Field{Name: "a", Number: 1, Kind: schema.KindInt32},
+		&schema.Field{Name: "s", Number: 2, Kind: schema.KindString})}
+	for _, bc := range []struct {
+		name   string
+		reload bool
+	}{{"hit", false}, {"reload", true}} {
+		b.Run(bc.name, func(b *testing.B) {
+			p := NewPool(4)
+			sys, err := p.GetLoaded(cfg, roots[0])
+			if err != nil {
+				b.Fatal(err)
+			}
+			p.Put(sys)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				root := roots[0]
+				if bc.reload {
+					root = roots[(i+1)%2]
+				}
+				sys, err := p.GetLoaded(cfg, root)
+				if err != nil {
+					b.Fatal(err)
+				}
+				p.Put(sys)
+			}
+			if c := p.Counters(); c.Gets-c.Hits != 1 {
+				b.Fatalf("built %d Systems, want 1: every timed checkout must recycle it", c.Gets-c.Hits)
+			}
+		})
+	}
+}

@@ -71,6 +71,15 @@ var siteNames = [NumSites]string{
 	"wire_corrupt",
 }
 
+// siteCounterNames holds each site's two telemetry counter names,
+// "<site>/trials" and "<site>/injected", built once for CollectTelemetry.
+var siteCounterNames = func() (names [NumSites][2]string) {
+	for i, s := range siteNames {
+		names[i] = [2]string{s + "/trials", s + "/injected"}
+	}
+	return names
+}()
+
 // String returns the stable lower_snake name of the site (used in
 // telemetry counter names and the -faults site list).
 func (s Site) String() string {
@@ -421,7 +430,7 @@ func (inj *Injector) Reset() {
 // injector is enabled.
 func (inj *Injector) CollectTelemetry(emit func(name string, value float64)) {
 	for i := 0; i < NumSites; i++ {
-		emit(siteNames[i]+"/trials", float64(inj.trials[i]))
-		emit(siteNames[i]+"/injected", float64(inj.injected[i]))
+		emit(siteCounterNames[i][0], float64(inj.trials[i]))
+		emit(siteCounterNames[i][1], float64(inj.injected[i]))
 	}
 }

@@ -172,6 +172,10 @@ func (o *serverObs) registerGauges(s *Server) {
 // since returns the monotonic offset used for span timestamps.
 func (o *serverObs) since() time.Duration { return time.Since(o.start) }
 
+// at returns the span offset of a time already read, so a stage that has
+// read the clock does not read it again for its spans.
+func (o *serverObs) at(t time.Time) time.Duration { return t.Sub(o.start) }
+
 // maybeSpan returns a fresh span for every spanEvery'th admitted request
 // (the first admitted request always starts one, so short runs still
 // produce spans), nil otherwise.

@@ -773,12 +773,12 @@ func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 	}
 	var agg telemetry.Aggregate
 	agg.Add(reg.Snapshot())
-	// Tiles absorb System snapshots in batch-completion order, which is
+	// Tiles add System counters in batch-completion order, which is
 	// scheduling-dependent — but every counter is integral-valued, so the
 	// cross-tile sum is exact and order cannot perturb it.
 	for _, t := range s.tiles {
 		t.mu.Lock()
-		agg.Add(t.sysAgg.Snapshot())
+		agg.Add(t.sysSum.Snapshot())
 		t.mu.Unlock()
 	}
 	return agg.Snapshot()

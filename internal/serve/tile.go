@@ -49,10 +49,9 @@ type tile struct {
 	accelFallbacks, serverFallbacks atomic.Uint64
 	retries                         atomic.Uint64
 
-	mu      sync.Mutex
-	cycles  telemetry.Attribution // exact mode's measured cycles, guarded by mu
-	sysAgg  telemetry.Aggregate   // accelerator unit counters across batches
-	sysSnap telemetry.Snapshot    // absorb scratch, guarded by mu
+	mu     sync.Mutex
+	cycles telemetry.Attribution // exact mode's measured cycles, guarded by mu
+	sysSum telemetry.Sum         // accelerator unit counters across batches, guarded by mu
 
 	// samples tracks per-(schema, op) sampling state in CycleSampled mode:
 	// the batch cadence, the sampled-vs-total request populations the
@@ -173,6 +172,12 @@ func (a *arrival) sparse(window time.Duration) bool {
 // single-request batches (measured 4-5x throughput loss closed-loop).
 // The sparse rule keeps dense keys on the window, and waits for an empty
 // queue because the jobs still queued may be the open batches' partners.
+//
+// The window timer is re-armed only when the earliest open deadline can
+// have moved: a group opened or a group flushed. A fired timer always
+// flushes the group it was armed for, so its re-arm comes from that
+// flush. Every other job leaves the timer alone; a Stop and Reset per job
+// was a measured cost on the path every request takes.
 func (t *tile) dispatch() {
 	defer t.wg.Done()
 	type openBatch struct {
@@ -183,6 +188,7 @@ func (t *tile) dispatch() {
 	arrivals := make(map[batchKey]*arrival)
 	var timer *time.Timer
 	var timerC <-chan time.Time
+	rearmDue := false // a group opened or flushed since the last rearm
 
 	rearm := func() {
 		var earliest time.Time
@@ -220,6 +226,7 @@ func (t *tile) dispatch() {
 	flush := func(k batchKey) {
 		g := groups[k]
 		delete(groups, k)
+		rearmDue = true
 		pendings := g.pendings
 		for len(pendings) > 0 {
 			n := len(pendings)
@@ -238,7 +245,7 @@ func (t *tile) dispatch() {
 			}
 			p.joinedAt = now
 			if p.span != nil {
-				p.span.DequeueAt = t.srv.obs.since()
+				p.span.DequeueAt = t.srv.obs.at(now)
 			}
 		}
 		if job.preformed {
@@ -255,6 +262,7 @@ func (t *tile) dispatch() {
 		if g == nil {
 			g = &openBatch{flushAt: now.Add(t.srv.opts.BatchWindow)}
 			groups[job.key] = g
+			rearmDue = true
 		}
 		g.pendings = append(g.pendings, job.pendings...)
 		if len(g.pendings) >= t.srv.opts.MaxBatch {
@@ -269,7 +277,10 @@ func (t *tile) dispatch() {
 	}
 
 	for {
-		rearm()
+		if rearmDue {
+			rearm()
+			rearmDue = false
+		}
 		select {
 		case job, ok := <-t.queue:
 			if !ok {
@@ -332,7 +343,7 @@ func (t *tile) runBatch(job batchJob) {
 	t.obs.inflight.Add(1)
 	defer t.obs.inflight.Add(-1)
 	t.obs.batchSize.RecordValue(uint64(len(live)))
-	batchAt := t.srv.obs.since()
+	batchAt := t.srv.obs.at(now)
 	for _, p := range live {
 		if !p.joinedAt.IsZero() {
 			t.obs.record(stageCoalesceWait, now.Sub(p.joinedAt))
@@ -365,7 +376,6 @@ func (t *tile) runBatch(job batchJob) {
 		}
 	}
 
-	buildStart := time.Now()
 	sys, err := t.checkout(live[0].entry)
 	if err != nil {
 		t.degrade(live)
@@ -374,9 +384,9 @@ func (t *tile) runBatch(job batchJob) {
 	sys.Telemetry().EnableAttribution(true)
 	switch job.key.op {
 	case OpSerialize:
-		t.runSerialize(sys, live, st, buildStart)
+		t.runSerialize(sys, live, st, now)
 	default:
-		t.runDeserialize(sys, live, st, buildStart)
+		t.runDeserialize(sys, live, st, now)
 	}
 	t.absorb(sys)
 	if !t.srv.opts.fresh {
@@ -463,7 +473,7 @@ func (t *tile) runDeserialize(sys *core.System, live []*pending, st *sampleState
 	}
 	execStart := time.Now()
 	t.obs.record(stageBatchBuild, execStart.Sub(buildStart))
-	t.execMarks(live, t.srv.obs.since(), false)
+	t.execMarks(live, t.srv.obs.at(execStart), false)
 	res, objs, err := sys.DeserializeBatch(mt, refs)
 	if err != nil {
 		t.degrade(live)
@@ -471,7 +481,7 @@ func (t *tile) runDeserialize(sys *core.System, live []*pending, st *sampleState
 	}
 	execEnd := time.Now()
 	t.obs.record(stageExecute, execEnd.Sub(execStart))
-	t.execMarks(live, t.srv.obs.since(), true)
+	t.execMarks(live, t.srv.obs.at(execEnd), true)
 	t.noteBatch(res, len(live), st)
 	t.annotateSpans(live, res)
 	perReq := res.Cycles / float64(len(live))
@@ -507,7 +517,7 @@ func (t *tile) runSerialize(sys *core.System, live []*pending, st *sampleState, 
 	}
 	execStart := time.Now()
 	t.obs.record(stageBatchBuild, execStart.Sub(buildStart))
-	t.execMarks(live, t.srv.obs.since(), false)
+	t.execMarks(live, t.srv.obs.at(execStart), false)
 	res, refs, err := sys.SerializeBatch(mt, objs)
 	if err != nil {
 		t.degrade(live)
@@ -515,7 +525,7 @@ func (t *tile) runSerialize(sys *core.System, live []*pending, st *sampleState, 
 	}
 	execEnd := time.Now()
 	t.obs.record(stageExecute, execEnd.Sub(execStart))
-	t.execMarks(live, t.srv.obs.since(), true)
+	t.execMarks(live, t.srv.obs.at(execEnd), true)
 	t.noteBatch(res, len(live), st)
 	t.annotateSpans(live, res)
 	perReq := res.Cycles / float64(len(live))
@@ -605,15 +615,14 @@ func (t *tile) noteBatch(res core.Result, n int, st *sampleState) {
 	t.observeBreaker(uint64(n), fails)
 }
 
-// absorb folds a batch System's counters into the tile aggregate. The
-// System came out of checkout freshly reset, so its registry snapshot is
-// exactly this batch's delta. The snapshot lands in a scratch buffer
-// under the tile lock — per-batch snapshot allocation was a measured
-// serving-path cost.
+// absorb adds a batch System's counters into the tile's sum. The System
+// came out of checkout freshly reset, so its counters are exactly this
+// batch's. Every System a tile checks out has one shape, so the sum adds
+// them by position: no name is built or looked up per batch, and nothing
+// is allocated once the first batch has fixed the shape.
 func (t *tile) absorb(sys *core.System) {
 	t.mu.Lock()
-	sys.Telemetry().Registry.SnapshotInto(&t.sysSnap)
-	t.sysAgg.Add(t.sysSnap)
+	sys.Telemetry().Registry.AddInto(&t.sysSum)
 	t.mu.Unlock()
 }
 

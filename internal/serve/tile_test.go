@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"fmt"
 	"math/rand"
+	"reflect"
+	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -12,6 +15,7 @@ import (
 	"protoacc/internal/faults"
 	"protoacc/internal/pb/dynamic"
 	"protoacc/internal/pb/schema"
+	"protoacc/internal/telemetry"
 )
 
 // Routing.Pick over a fixed candidate set. The p2c cases run at seq 4 →
@@ -233,7 +237,7 @@ func TestServeTileFaultQuarantine(t *testing.T) {
 	for i, tile := range srv.tiles {
 		tile.mu.Lock()
 		var injected float64
-		for _, sm := range tile.sysAgg.Snapshot().Samples() {
+		for _, sm := range tile.sysSum.Snapshot().Samples() {
 			if len(sm.Name) > 7 && sm.Name[:7] == "faults/" {
 				injected += sm.Value
 			}
@@ -257,6 +261,122 @@ func TestServeTileFaultQuarantine(t *testing.T) {
 	}
 	if faultActivity == 0 {
 		t.Errorf("fault schedule at rate 0.2 never fired on tile %d", faultTile)
+	}
+}
+
+// runBatchSnapshot runs one exact-mode batch on tl the way runBatch does,
+// and returns the batch System's counter snapshot taken just before the
+// tile adds the System into its sum.
+func runBatchSnapshot(t *testing.T, srv *Server, tl *tile, reqs []Request) telemetry.Snapshot {
+	t.Helper()
+	live := make([]*pending, len(reqs))
+	for i, r := range reqs {
+		p, ok := srv.admit("test", r, nil)
+		if !ok {
+			t.Fatalf("request %d rejected at admission: %+v", i, <-p.resp)
+		}
+		live[i] = p
+	}
+	sys, err := tl.checkout(live[0].entry)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sys.Telemetry().EnableAttribution(true)
+	if reqs[0].Op == OpSerialize {
+		tl.runSerialize(sys, live, nil, time.Now())
+	} else {
+		tl.runDeserialize(sys, live, nil, time.Now())
+	}
+	snap := sys.Telemetry().Registry.Snapshot()
+	tl.absorb(sys)
+	tl.pool.Put(sys)
+	for i, p := range live {
+		if resp := <-p.resp; resp.Status != StatusOK || !bytes.Equal(resp.Payload, reqs[i].Payload) {
+			t.Fatalf("request %d: status %v, payload equal %v", i, resp.Status, bytes.Equal(resp.Payload, reqs[i].Payload))
+		}
+	}
+	return snap
+}
+
+// A tile adds its batch Systems' counters by position. That must equal
+// the by-name Aggregate of the batches' snapshots, sample for sample, also
+// across a SetTileFaults swap mid-run: Systems built under the new fault
+// schedule have the old Systems' counter shape.
+func TestTileSumMatchesAggregate(t *testing.T) {
+	opts := testOptions() // MaxBatch 4
+	opts.Workers = 1
+	srv, err := NewServer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	tl := srv.tiles[0]
+	reqs := sampleRequests(srv.Catalog(), 8)
+	var agg telemetry.Aggregate
+	var shapes [2][]string
+	for pass := 0; pass < 2; pass++ {
+		if pass == 1 {
+			if err := srv.SetTileFaults(0, faults.Config{Enabled: true, Seed: 7, Rate: 0.2}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < len(reqs); {
+			j := i + 1
+			for j < len(reqs) && j-i < opts.MaxBatch && reqs[j].Schema == reqs[i].Schema && reqs[j].Op == reqs[i].Op {
+				j++
+			}
+			snap := runBatchSnapshot(t, srv, tl, reqs[i:j])
+			agg.Add(snap)
+			if shapes[pass] == nil {
+				for _, sm := range snap.Samples() {
+					shapes[pass] = append(shapes[pass], sm.Name)
+				}
+			}
+			i = j
+		}
+	}
+	if !reflect.DeepEqual(shapes[0], shapes[1]) {
+		t.Fatalf("Systems changed counter shape across the fault swap:\n%v\n%v", shapes[0], shapes[1])
+	}
+	tl.mu.Lock()
+	got := tl.sysSum.Snapshot().Samples()
+	tl.mu.Unlock()
+	sort.Slice(got, func(i, j int) bool { return got[i].Name < got[j].Name })
+	want := agg.Snapshot().Samples()
+	if !reflect.DeepEqual(got, want) {
+		t.Errorf("tile sum differs from the aggregate of its batches:\n got %v\nwant %v", got, want)
+	}
+	var trials float64
+	for _, sm := range want {
+		if strings.HasPrefix(sm.Name, "faults/") && strings.HasSuffix(sm.Name, "/trials") {
+			trials += sm.Value
+		}
+	}
+	if trials == 0 {
+		t.Error("no fault trials after the swap: the batches never ran on the new schedule")
+	}
+}
+
+// Absorbing a batch on a warmed tile allocates nothing: the tile's sum
+// holds the Systems' counter shape after the first batch, and adding a
+// System by position builds no counter name.
+func TestTileAbsorbAllocs(t *testing.T) {
+	srv, err := NewServer(testOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	if _, err := srv.InProc().DoBatch(sampleRequests(srv.Catalog(), 4)); err != nil {
+		t.Fatal(err)
+	}
+	tl := srv.tiles[0]
+	sys, err := tl.checkout(srv.Catalog().Lookup("mixed"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tl.pool.Put(sys)
+	if n := testing.AllocsPerRun(100, func() { tl.absorb(sys) }); n != 0 {
+		t.Errorf("absorb allocates %v per batch on a warmed tile, want 0", n)
 	}
 }
 
@@ -419,6 +539,79 @@ func TestDenseKeyWaitsForPartners(t *testing.T) {
 	}
 	if took >= opts.BatchWindow/2 {
 		t.Errorf("a full batch took %v; it must flush at MaxBatch, not wait out the %v window", took, opts.BatchWindow)
+	}
+}
+
+// The dispatcher re-arms its window timer only when a group opens or
+// flushes, so every flush must re-arm it for the next open deadline.
+// Three dense keys share a 300 ms window: C's group opens first, then A's,
+// then B fills to MaxBatch and flushes at once. When C's window expires,
+// the timer fires and flushes C, and that flush must re-arm the timer for
+// A: A's request comes back about one window after it arrived, not at the
+// next unrelated event (here there is none until the server closes).
+func TestDispatchRearmsAfterFlush(t *testing.T) {
+	const window = 300 * time.Millisecond
+	opts := testOptions() // MaxBatch 4
+	opts.Workers = 1
+	opts.BatchWindow = window
+	opts.Deadline = time.Minute
+	srv, err := NewServer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	req := func(schema string, op Op) Request {
+		return Request{Op: op, Schema: schema, Payload: srv.Catalog().Lookup(schema).SamplePayload(0)}
+	}
+	a, b, c := req("varint", OpDeserialize), req("string", OpDeserialize), req("mixed", OpSerialize)
+	// A key's first request is sparse (no arrival gap yet) and answered at
+	// once; the next one, a gap well under the window later, is dense.
+	client := srv.InProc()
+	for _, r := range []Request{c, a, b} {
+		if resp, err := client.Do(r); err != nil || resp.Status != StatusOK {
+			t.Fatalf("%s/%v first request: status %v, err %v", r.Schema, r.Op, resp.Status, err)
+		}
+	}
+	wait := func(name string, ch <-chan Response, sent time.Time) time.Duration {
+		t.Helper()
+		select {
+		case resp := <-ch:
+			if resp.Status != StatusOK {
+				t.Fatalf("%s: status %v: %s", name, resp.Status, resp.Payload)
+			}
+			return time.Since(sent)
+		case <-time.After(5 * window):
+			t.Fatalf("%s: no response %v after it arrived; a %v window must flush it (was the timer re-armed after the last flush?)",
+				name, time.Since(sent), window)
+			return 0
+		}
+	}
+
+	cSent := time.Now()
+	cResp := srv.submit("test", c, nil)
+	time.Sleep(window / 6) // C's window ends 50 ms before A's
+	aSent := time.Now()
+	aResp := srv.submit("test", a, nil)
+	bSent := time.Now()
+	bResps := make([]<-chan Response, opts.MaxBatch)
+	for i := range bResps {
+		bResps[i] = srv.submit("test", b, nil)
+	}
+	for i, ch := range bResps {
+		if took := wait(fmt.Sprintf("B %d", i), ch, bSent); took >= window/2 {
+			t.Errorf("B request %d took %v; a full batch must flush at MaxBatch, not wait out the %v window", i, took, window)
+		}
+	}
+	if took := wait("C", cResp, cSent); took < window/2 {
+		t.Errorf("C came back after %v; a dense key's under-full batch must wait for its %v window", took, window)
+	}
+	took := wait("A", aResp, aSent)
+	if took < window/2 || took >= 2*window {
+		t.Errorf("A came back %v after it arrived, want about one %v window", took, window)
+	}
+	tl := srv.tiles[0]
+	if batches := tl.batches.Load(); batches != 6 {
+		t.Errorf("ran %d batches, want 6: three first requests, then C, B and A", batches)
 	}
 }
 

@@ -13,7 +13,6 @@ package mem
 import (
 	"errors"
 	"fmt"
-	"sort"
 )
 
 // PageSize is the VM page size assumed by the TLB model.
@@ -92,6 +91,7 @@ func (r *Region) ResetDirty() {
 // Memory is the simulated physical memory.
 type Memory struct {
 	regions []*Region // sorted by Base
+	last    *Region   // region of the last successful find; nil before it
 	next    uint64    // next allocation base
 }
 
@@ -128,18 +128,32 @@ func (m *Memory) MappedBytes() uint64 {
 	return n
 }
 
-// find returns the region containing [addr, addr+n), or an error.
+// find returns the region containing [addr, addr+n), or an error. It
+// tries the region it found last, since a unit streams through one
+// buffer at a time, then scans the regions in address order: a System
+// maps four to seven, too few for a binary search to pay. The scan stops
+// at the first region ending past addr, which holds addr or lies beyond
+// it, so the errors are those of a search over sorted bases.
 func (m *Memory) find(addr, n uint64) (*Region, error) {
-	// Binary search over sorted region bases.
-	i := sort.Search(len(m.regions), func(i int) bool { return m.regions[i].End() > addr })
-	if i == len(m.regions) || addr < m.regions[i].Base {
-		return nil, fmt.Errorf("%w: 0x%x (+%d)", ErrUnmapped, addr, n)
+	if r := m.last; r != nil {
+		if off := addr - r.Base; off < r.Size() && n <= r.Size()-off {
+			return r, nil
+		}
 	}
-	r := m.regions[i]
-	if !r.Contains(addr, n) {
-		return nil, fmt.Errorf("%w: 0x%x (+%d) in %s", ErrSpansRegion, addr, n, r.Name)
+	for _, r := range m.regions {
+		if addr >= r.End() {
+			continue
+		}
+		if addr < r.Base {
+			break
+		}
+		if !r.Contains(addr, n) {
+			return nil, fmt.Errorf("%w: 0x%x (+%d) in %s", ErrSpansRegion, addr, n, r.Name)
+		}
+		m.last = r
+		return r, nil
 	}
-	return r, nil
+	return nil, fmt.Errorf("%w: 0x%x (+%d)", ErrUnmapped, addr, n)
 }
 
 // Slice returns a slice aliasing simulated memory at [addr, addr+n). The

@@ -2,6 +2,8 @@ package mem
 
 import (
 	"errors"
+	"fmt"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -341,15 +343,114 @@ func TestViewRejectsOutOfBounds(t *testing.T) {
 	}
 }
 
-func BenchmarkRead64(b *testing.B) {
+// searchFind is the binary search over sorted region bases that find
+// replaced, kept as the reference its answers must match.
+func searchFind(m *Memory, addr, n uint64) (*Region, error) {
+	i := sort.Search(len(m.regions), func(i int) bool { return m.regions[i].End() > addr })
+	if i == len(m.regions) || addr < m.regions[i].Base {
+		return nil, fmt.Errorf("%w: 0x%x (+%d)", ErrUnmapped, addr, n)
+	}
+	r := m.regions[i]
+	if !r.Contains(addr, n) {
+		return nil, fmt.Errorf("%w: 0x%x (+%d) in %s", ErrSpansRegion, addr, n, r.Name)
+	}
+	return r, nil
+}
+
+// find must answer every access as the binary search did: the same
+// region, or the same error. The accesses cover each region's first
+// byte, last byte and one-past-end byte, the guard gaps, zero-length
+// accesses and accesses spanning two regions, and they alternate
+// between regions so the last-hit check both hits and misses.
+func TestFindMatchesBinarySearch(t *testing.T) {
 	m := New()
-	r := m.Map("x", 4096)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := m.Read64(r.Base + uint64(i%512)*8); err != nil {
-			b.Fatal(err)
+	for _, size := range []uint64{1, 100, PageSize, 3*PageSize + 5, 64} {
+		m.Map(fmt.Sprintf("r%d", size), size)
+	}
+	type access struct{ addr, n uint64 }
+	var perRegion [][]access
+	for i, r := range m.regions {
+		as := []access{
+			{r.Base, 1}, {r.End() - 1, 1}, {r.End(), 1}, // first, last, one past the end
+			{r.Base, r.Size()}, {r.Base, r.Size() + 1}, // whole region, one byte over
+			{r.End() - 1, 2}, {r.End() - 4, 8}, // straddling the end
+			{r.Base - 1, 1}, {r.Base - 1, 2}, // guard gap below, and into the region
+			{r.Base, 0}, {r.End() - 1, 0}, {r.End(), 0}, {r.Base - 1, 0}, // zero length
+			{r.End() + 1, 1}, // inside the guard gap above
+		}
+		if i+1 < len(m.regions) {
+			next := m.regions[i+1]
+			as = append(as, access{r.Base, next.End() - r.Base}, access{r.End() - 1, next.Base - r.End() + 2})
+		}
+		perRegion = append(perRegion, as)
+	}
+	// Each access runs twice: right after its own region's first byte, so
+	// the last-hit check sees its own region, and right after the next
+	// region's first byte, so it sees another.
+	var order []access
+	for k := 0; k < len(perRegion[0]); k++ {
+		for i, as := range perRegion {
+			if k < len(as) {
+				other := perRegion[(i+1)%len(perRegion)][0]
+				order = append(order, as[0], as[k], other, as[k])
+			}
 		}
 	}
+	order = append(order, access{0, 1}, access{baseAddr - 1, 1}, access{^uint64(0), 1}, access{^uint64(0) - 3, 8}, access{m.next + PageSize, 1})
+	var hits, misses int
+	for _, a := range order {
+		last := m.last
+		got, gotErr := m.find(a.addr, a.n)
+		want, wantErr := searchFind(m, a.addr, a.n)
+		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
+			name := func(r *Region) string {
+				if r == nil {
+					return "no region"
+				}
+				return r.Name
+			}
+			t.Errorf("find(0x%x, %d) = %s, %v; binary search = %s, %v", a.addr, a.n, name(got), gotErr, name(want), wantErr)
+		}
+		if last != nil && got == last {
+			hits++
+		} else {
+			misses++
+		}
+	}
+	if hits == 0 || misses == 0 {
+		t.Errorf("last-hit check hit %d and missed %d times; the order must exercise both", hits, misses)
+	}
+}
+
+func BenchmarkRead64(b *testing.B) {
+	b.Run("one region", func(b *testing.B) {
+		m := New()
+		r := m.Map("x", 4096)
+		for i := 0; i < b.N; i++ {
+			if _, err := m.Read64(r.Base + uint64(i%512)*8); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	// Alternating between the first and the last of a System's seven
+	// regions misses the last-hit check on every access.
+	b.Run("alternating regions", func(b *testing.B) {
+		m := New()
+		var rs []*Region
+		for i := 0; i < 7; i++ {
+			rs = append(rs, m.Map(fmt.Sprintf("r%d", i), 4096))
+		}
+		first, last := rs[0], rs[len(rs)-1]
+		for i := 0; i < b.N; i++ {
+			r := first
+			if i%2 == 1 {
+				r = last
+			}
+			if _, err := m.Read64(r.Base + uint64(i%512)*8); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 func TestAllocatorTruncateScrubs(t *testing.T) {

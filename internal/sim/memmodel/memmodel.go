@@ -257,10 +257,10 @@ func (s *System) CollectTelemetry(emit func(name string, value float64)) {
 	emit("llc/misses", float64(s.llc.stats.Misses))
 	emit("dram/accesses", float64(s.llc.stats.Misses))
 	for _, p := range s.ports {
-		emit("l1/"+p.name+"/hits", float64(p.l1.stats.Hits))
-		emit("l1/"+p.name+"/misses", float64(p.l1.stats.Misses))
-		emit("tlb/"+p.name+"/hits", float64(p.tlb.stats.Hits))
-		emit("tlb/"+p.name+"/misses", float64(p.tlb.stats.Misses))
+		emit(p.counterNames[0], float64(p.l1.stats.Hits))
+		emit(p.counterNames[1], float64(p.l1.stats.Misses))
+		emit(p.counterNames[2], float64(p.tlb.stats.Hits))
+		emit(p.counterNames[3], float64(p.tlb.stats.Misses))
 	}
 }
 
@@ -273,6 +273,10 @@ type Port struct {
 	l1      *cache
 	tlb     *tlb
 	overlap uint64 // stream overlap override; 0 = system default
+
+	// counterNames are the port's four telemetry counter names (L1 hits
+	// and misses, TLB hits and misses), built once by NewPort.
+	counterNames [4]string
 }
 
 // SetStreamOverlap overrides the streaming overlap factor for this port,
@@ -288,6 +292,10 @@ func (s *System) NewPort(name string) *Port {
 		sys:  s,
 		l1:   newCache(s.cfg.L1, s.l2, 0),
 		tlb:  &tlb{max: s.cfg.TLBEntries, ptw: s.cfg.PTWLatency},
+		counterNames: [4]string{
+			"l1/" + name + "/hits", "l1/" + name + "/misses",
+			"tlb/" + name + "/hits", "tlb/" + name + "/misses",
+		},
 	}
 	s.ports = append(s.ports, p)
 	return p

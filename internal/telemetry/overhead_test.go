@@ -25,8 +25,8 @@ func TestNilTracerEmitAllocsNothing(t *testing.T) {
 }
 
 // Enabled steady-state emission must not allocate per event once the
-// buffer has grown (append reuses capacity), and repeated SnapshotInto
-// reuses sample storage. These are amortized paths, checked loosely.
+// buffer has grown (append reuses capacity). This is an amortized path,
+// checked loosely.
 func TestEnabledTracerAmortizedAppend(t *testing.T) {
 	tr := &Tracer{}
 	tr.Enable()
@@ -39,5 +39,19 @@ func TestEnabledTracerAmortizedAppend(t *testing.T) {
 		tr.events = tr.events[:0]
 	}); n != 0 {
 		t.Errorf("steady-state Emit allocates %v/op, want 0", n)
+	}
+}
+
+// Once a Sum holds a registry's shape, adding the registry again builds
+// no name and allocates nothing: the serving tiles add one System
+// registry per batch.
+func TestSumAddIntoAllocsNothing(t *testing.T) {
+	var r Registry
+	r.Register("l1", &fakeUnit{hits: 1})
+	r.Register("tlb", &fakeUnit{misses: 2})
+	var s Sum
+	r.AddInto(&s)
+	if n := testing.AllocsPerRun(1000, func() { r.AddInto(&s) }); n != 0 {
+		t.Errorf("AddInto allocates %v/op, want 0", n)
 	}
 }

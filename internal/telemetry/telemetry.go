@@ -24,13 +24,16 @@
 //     runs sums in sorted key order.
 package telemetry
 
-import "sort"
+import (
+	"fmt"
+	"sort"
+)
 
 // Collector is implemented by any unit exposing counters. The unit calls
 // emit once per counter with a name relative to its registration prefix
 // ("stack_spills", "l1/cpu/hits", ...). Implementations must emit the
 // same names in the same order on every call — the determinism contracts
-// and the registry's name interning rely on a stable shape.
+// and Sum's by-position adding rely on a stable shape.
 type Collector interface {
 	CollectTelemetry(emit func(name string, value float64))
 }
@@ -79,15 +82,10 @@ func (s Snapshot) Zero() bool {
 	return true
 }
 
-// group is one registered collector with its name prefix. The full
-// "<prefix>/<name>" strings are interned on first enumeration and reused
-// afterwards — the Collector contract guarantees a stable shape, and
-// snapshotting is on the serving hot path (once per batch), where
-// rebuilding a couple hundred concatenated names dominated the cost.
+// group is one registered collector with its name prefix.
 type group struct {
 	prefix string
 	c      Collector
-	names  []string // cached full names, built on first enumeration
 }
 
 // Registry is an ordered set of named counter groups, plus first-class
@@ -167,40 +165,79 @@ func (r *Registry) Groups() []string {
 	return out
 }
 
-// Snapshot enumerates every registered counter.
+// Snapshot enumerates every registered counter: a Sum with one add.
 func (r *Registry) Snapshot() Snapshot {
-	var s Snapshot
-	r.SnapshotInto(&s)
-	return s
+	var s Sum
+	r.AddInto(&s)
+	return s.Snapshot()
 }
 
-// SnapshotInto refills s in place, reusing its sample storage so repeated
-// snapshotting (a tile absorbing each batch) stops allocating once the
-// shape is known.
-func (r *Registry) SnapshotInto(s *Snapshot) {
-	s.samples = s.samples[:0]
-	for gi := range r.groups {
-		g := &r.groups[gi]
-		if g.names == nil {
-			g.c.CollectTelemetry(func(name string, value float64) {
-				full := g.prefix + "/" + name
-				g.names = append(g.names, full)
-				s.samples = append(s.samples, Sample{Name: full, Value: value})
-			})
-			continue
-		}
-		i := 0
-		g.c.CollectTelemetry(func(name string, value float64) {
-			// Interned fast path; fall back to concatenation if a collector
-			// ever emits more counters than its first enumeration did.
-			if i < len(g.names) {
-				s.samples = append(s.samples, Sample{Name: g.names[i], Value: value})
-			} else {
-				s.samples = append(s.samples, Sample{Name: g.prefix + "/" + name, Value: value})
-			}
-			i++
-		})
+// AddInto adds every registered counter into s, by position (see Sum).
+// It builds no strings, and once s holds the registry's shape it
+// allocates nothing.
+func (r *Registry) AddInto(s *Sum) {
+	if s.emit == nil {
+		s.emit = s.add
 	}
+	s.recording = s.slots == nil
+	s.pos = 0
+	for i := range r.groups {
+		s.prefix = r.groups[i].prefix
+		r.groups[i].c.CollectTelemetry(s.emit)
+	}
+	if s.slots == nil {
+		s.slots = []sumSlot{} // an empty registry still fixes the shape
+	}
+	if !s.recording && s.pos != len(s.slots) {
+		panic(fmt.Sprintf("telemetry: Sum holds %d counters, registry emitted %d", len(s.slots), s.pos))
+	}
+}
+
+// Sum adds registries of one shape counter by counter, by position. The
+// first AddInto records each counter's group prefix and name; later ones
+// only add each value into its slot, so summing a registry looks up no
+// name and builds no string. Names are joined only by Snapshot.
+//
+// Every registry added must have the shape the first one fixed: the same
+// groups emitting the same counters in the same order. The Collector
+// contract gives one System that shape on every call, and the Systems of
+// one core.Kind share it whatever their other config. AddInto panics when
+// the number of counters differs. The zero value is ready to use. A Sum
+// is not safe for concurrent use and must not be copied after its first
+// AddInto.
+type Sum struct {
+	slots     []sumSlot
+	emit      func(name string, value float64) // s.add, bound once
+	recording bool                             // the add in progress fixes the shape
+	prefix    string                           // group of the counters being emitted
+	pos       int                              // next slot of the add in progress
+}
+
+// sumSlot is one counter of a Sum.
+type sumSlot struct {
+	prefix, name string
+	value        float64
+}
+
+func (s *Sum) add(name string, value float64) {
+	if s.recording {
+		s.slots = append(s.slots, sumSlot{prefix: s.prefix, name: name, value: value})
+		return
+	}
+	if s.pos < len(s.slots) {
+		s.slots[s.pos].value += value
+	}
+	s.pos++
+}
+
+// Snapshot returns the summed counters in registration order, each named
+// "<prefix>/<name>".
+func (s *Sum) Snapshot() Snapshot {
+	out := Snapshot{samples: make([]Sample, len(s.slots))}
+	for i, sl := range s.slots {
+		out.samples[i] = Sample{Name: sl.prefix + "/" + sl.name, Value: sl.value}
+	}
+	return out
 }
 
 // Aggregate accumulates snapshots from many runs into one by-name total.

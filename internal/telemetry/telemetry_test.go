@@ -2,6 +2,7 @@ package telemetry
 
 import (
 	"reflect"
+	"sort"
 	"testing"
 )
 
@@ -72,6 +73,54 @@ func TestAggregateSortedDeterminism(t *testing.T) {
 	s := a.Snapshot()
 	if v, _ := s.Get("x"); v != 4 {
 		t.Errorf("x total = %v", v)
+	}
+}
+
+// A Sum over registries of one shape must equal the by-name Aggregate of
+// their snapshots, sample for sample, once both are sorted by name; and
+// a Sum of one registry is that registry's snapshot.
+func TestSumMatchesAggregate(t *testing.T) {
+	var sum Sum
+	var agg Aggregate
+	for i := 0; i < 5; i++ {
+		var r Registry
+		r.Register("l1", &fakeUnit{hits: float64(i), misses: float64(3 * i)})
+		r.Register("tlb", &fakeUnit{hits: float64(i * i)})
+		r.RegisterFunc("empty", func(func(string, float64)) {})
+		r.AddInto(&sum)
+		agg.Add(r.Snapshot())
+		if i == 0 && !reflect.DeepEqual(sum.Snapshot().Samples(), r.Snapshot().Samples()) {
+			t.Errorf("sum of one registry = %+v, want its snapshot %+v", sum.Snapshot().Samples(), r.Snapshot().Samples())
+		}
+	}
+	got := sum.Snapshot().Samples()
+	sort.Slice(got, func(i, j int) bool { return got[i].Name < got[j].Name })
+	if want := agg.Snapshot().Samples(); !reflect.DeepEqual(got, want) {
+		t.Errorf("sum = %+v, want aggregate %+v", got, want)
+	}
+}
+
+// Adding a registry of another shape is a broken Collector contract, and
+// AddInto says so rather than adding counters into the wrong slots.
+func TestSumPanicsOnShapeChange(t *testing.T) {
+	var one, two Registry
+	one.Register("a", &fakeUnit{})
+	two.Register("a", &fakeUnit{})
+	two.Register("b", &fakeUnit{})
+	for _, c := range []struct {
+		name        string
+		first, then *Registry
+	}{{"more counters", &one, &two}, {"fewer counters", &two, &one}} {
+		var s Sum
+		c.first.AddInto(&s)
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: AddInto did not panic", c.name)
+				}
+			}()
+			c.then.AddInto(&s)
+		}()
 	}
 }
 
