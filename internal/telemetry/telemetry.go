@@ -27,6 +27,7 @@ package telemetry
 import (
 	"fmt"
 	"sort"
+	"strings"
 )
 
 // Collector is implemented by any unit exposing counters. The unit calls
@@ -195,8 +196,9 @@ func (r *Registry) AddInto(s *Sum) {
 
 // Sum adds registries of one shape counter by counter, by position. The
 // first AddInto records each counter's group prefix and name; later ones
-// only add each value into its slot, so summing a registry looks up no
-// name and builds no string. Names are joined only by Snapshot.
+// only add each value into its slot (a high-water mark keeps the larger,
+// see highWater), so summing a registry looks up no name and builds no
+// string. Names are joined only by Snapshot.
 //
 // Every registry added must have the shape the first one fixed: the same
 // groups emitting the same counters in the same order. The Collector
@@ -216,16 +218,18 @@ type Sum struct {
 // sumSlot is one counter of a Sum.
 type sumSlot struct {
 	prefix, name string
+	keepMax      bool // a high-water mark (see highWater)
 	value        float64
 }
 
 func (s *Sum) add(name string, value float64) {
 	if s.recording {
-		s.slots = append(s.slots, sumSlot{prefix: s.prefix, name: name, value: value})
+		s.slots = append(s.slots, sumSlot{prefix: s.prefix, name: name, keepMax: highWater(name), value: value})
 		return
 	}
 	if s.pos < len(s.slots) {
-		s.slots[s.pos].value += value
+		sl := &s.slots[s.pos]
+		sl.value = combine(sl.keepMax, sl.value, value)
 	}
 	s.pos++
 }
@@ -240,10 +244,34 @@ func (s *Sum) Snapshot() Snapshot {
 	return out
 }
 
-// Aggregate accumulates snapshots from many runs into one by-name total.
-// Callers must Add in a deterministic order (the harness sorts runs by
-// key first) so float summation order — and therefore the result — is
-// identical between serial and parallel executions.
+// highWater reports whether the named counter is a high-water mark, a
+// maximum rather than a count: its last path element starts with "max_"
+// or ends in "_high_water" (deser/max_depth_seen, ser/max_depth_seen,
+// rocc/queue_high_water). Sum and Aggregate combine a high-water mark
+// across Systems, batches or runs by keeping the larger value, and add
+// every other counter.
+func highWater(name string) bool {
+	leaf := name[strings.LastIndexByte(name, '/')+1:]
+	return strings.HasPrefix(leaf, "max_") || strings.HasSuffix(leaf, "_high_water")
+}
+
+// combine folds v into acc: the larger of the two for a high-water mark,
+// their sum for any other counter.
+func combine(keepMax bool, acc, v float64) float64 {
+	if !keepMax {
+		return acc + v
+	}
+	if v > acc {
+		return v
+	}
+	return acc
+}
+
+// Aggregate accumulates snapshots from many runs into one by-name total,
+// combining each counter as highWater says. Callers must Add in a
+// deterministic order (the harness sorts runs by key first) so float
+// summation order — and therefore the result — is identical between
+// serial and parallel executions.
 type Aggregate struct {
 	values map[string]float64
 	order  []string // first-seen order, for stable iteration before sort
@@ -255,10 +283,13 @@ func (a *Aggregate) Add(s Snapshot) {
 		a.values = make(map[string]float64)
 	}
 	for _, sm := range s.samples {
-		if _, ok := a.values[sm.Name]; !ok {
+		acc, ok := a.values[sm.Name]
+		if !ok {
 			a.order = append(a.order, sm.Name)
+			a.values[sm.Name] = sm.Value
+			continue
 		}
-		a.values[sm.Name] += sm.Value
+		a.values[sm.Name] = combine(highWater(sm.Name), acc, sm.Value)
 	}
 }
 

@@ -100,6 +100,46 @@ func TestSumMatchesAggregate(t *testing.T) {
 	}
 }
 
+// High-water marks are maxima: Sum and Aggregate keep the largest value
+// of each across registries, and add every other counter.
+func TestHighWaterCombinesByMax(t *testing.T) {
+	for name, want := range map[string]bool{
+		"deser/max_depth_seen":  true,
+		"ser/max_depth_seen":    true,
+		"rocc/queue_high_water": true,
+		"queue_high_water":      true,
+		"deser/cycles":          false,
+		"serve/queue/depth":     false,
+		"max_x/hits":            false,
+	} {
+		if got := highWater(name); got != want {
+			t.Errorf("highWater(%q) = %v, want %v", name, got, want)
+		}
+	}
+	unit := func(count, depth, queue float64) CollectorFunc {
+		return func(emit func(string, float64)) {
+			emit("count", count)
+			emit("max_depth_seen", depth)
+			emit("queue_high_water", queue)
+		}
+	}
+	var sum Sum
+	var agg Aggregate
+	for _, v := range [][3]float64{{1, 4, 2}, {2, 9, 1}, {3, 5, 7}} {
+		var r Registry
+		r.Register("u", unit(v[0], v[1], v[2]))
+		r.AddInto(&sum)
+		agg.Add(r.Snapshot())
+	}
+	want := []Sample{{"u/count", 6}, {"u/max_depth_seen", 9}, {"u/queue_high_water", 7}}
+	if got := sum.Snapshot().Samples(); !reflect.DeepEqual(got, want) {
+		t.Errorf("sum = %+v, want %+v", got, want)
+	}
+	if got := agg.Snapshot().Samples(); !reflect.DeepEqual(got, want) {
+		t.Errorf("aggregate = %+v, want %+v", got, want)
+	}
+}
+
 // Adding a registry of another shape is a broken Collector contract, and
 // AddInto says so rather than adding counters into the wrong slots.
 func TestSumPanicsOnShapeChange(t *testing.T) {
