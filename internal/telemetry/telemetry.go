@@ -9,10 +9,10 @@
 //
 //   - Counters live inside the units that own them (their existing Stats
 //     structs); the registry holds only Collector callbacks enumerated on
-//     demand by Snapshot. Incrementing a counter is a plain field add and
-//     collection costs nothing until somebody asks, so the hot simulation
-//     paths pay zero allocations and zero extra work when no snapshot is
-//     taken.
+//     demand by Snapshot or AddInto. Incrementing a counter is a plain
+//     field add and collection costs nothing until somebody asks, so the
+//     hot simulation paths pay zero allocations and zero extra work when
+//     no snapshot is taken.
 //   - Tracing is opt-in per System. A disabled (or nil) Tracer makes every
 //     emit site a single predictable branch; callers must check Enabled()
 //     before building events whose construction itself would allocate
@@ -186,19 +186,16 @@ func (r *Registry) AddInto(s *Sum) {
 		s.prefix = r.groups[i].prefix
 		r.groups[i].c.CollectTelemetry(s.emit)
 	}
-	if s.slots == nil {
-		s.slots = []sumSlot{} // an empty registry still fixes the shape
-	}
 	if !s.recording && s.pos != len(s.slots) {
 		panic(fmt.Sprintf("telemetry: Sum holds %d counters, registry emitted %d", len(s.slots), s.pos))
 	}
 }
 
 // Sum adds registries of one shape counter by counter, by position. The
-// first AddInto records each counter's group prefix and name; later ones
-// only add each value into its slot (a high-water mark keeps the larger,
-// see highWater), so summing a registry looks up no name and builds no
-// string. Names are joined only by Snapshot.
+// first AddInto that finds counters records each one's group prefix and
+// name; later ones only add each value into its slot (a high-water mark
+// keeps the larger, see highWater), so summing a registry looks up no
+// name and builds no string. Names are joined only by Snapshot.
 //
 // Every registry added must have the shape the first one fixed: the same
 // groups emitting the same counters in the same order. The Collector
