@@ -60,7 +60,8 @@ func (t *TelemetrySink) Run(key string) (telemetry.Snapshot, bool) {
 	return s, ok
 }
 
-// Total aggregates every recorded run, summing in sorted key order.
+// Total aggregates every recorded run in sorted key order: counts add,
+// high-water marks keep the largest run's value.
 func (t *TelemetrySink) Total() telemetry.Snapshot {
 	t.mu.Lock()
 	defer t.mu.Unlock()

@@ -426,6 +426,7 @@ func BenchmarkRead64(b *testing.B) {
 	b.Run("one region", func(b *testing.B) {
 		m := New()
 		r := m.Map("x", 4096)
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			if _, err := m.Read64(r.Base + uint64(i%512)*8); err != nil {
 				b.Fatal(err)
@@ -441,6 +442,7 @@ func BenchmarkRead64(b *testing.B) {
 			rs = append(rs, m.Map(fmt.Sprintf("r%d", i), 4096))
 		}
 		first, last := rs[0], rs[len(rs)-1]
+		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			r := first
 			if i%2 == 1 {
