@@ -176,8 +176,9 @@ func (a *arrival) sparse(window time.Duration) bool {
 // The window timer is re-armed only when the earliest open deadline can
 // have moved: a group opened or a group flushed. A fired timer always
 // flushes the group it was armed for, so its re-arm comes from that
-// flush. Every other job leaves the timer alone; a Stop and Reset per job
-// was a measured cost on the path every request takes.
+// flush. Every other job leaves the timer alone (a Stop and Reset per job
+// was a measured cost on the path every request takes), so a fired timer
+// stays ready until the select takes it, even while jobs keep arriving.
 func (t *tile) dispatch() {
 	defer t.wg.Done()
 	type openBatch struct {

@@ -136,6 +136,8 @@ func (m *Memory) MappedBytes() uint64 {
 // it, so the errors are those of a search over sorted bases.
 func (m *Memory) find(addr, n uint64) (*Region, error) {
 	if r := m.last; r != nil {
+		// Not r.Contains: it accepts a zero-length access one past the
+		// end, which the scan reports as unmapped.
 		if off := addr - r.Base; off < r.Size() && n <= r.Size()-off {
 			return r, nil
 		}
