@@ -91,7 +91,6 @@ func (r *Region) ResetDirty() {
 // Memory is the simulated physical memory.
 type Memory struct {
 	regions []*Region // sorted by Base
-	last    *Region   // region of the last successful find; nil before it
 	next    uint64    // next allocation base
 }
 
@@ -129,19 +128,11 @@ func (m *Memory) MappedBytes() uint64 {
 }
 
 // find returns the region containing [addr, addr+n), or an error. It
-// tries the region it found last, since a unit streams through one
-// buffer at a time, then scans the regions in address order: a System
-// maps four to seven, too few for a binary search to pay. The scan stops
-// at the first region ending past addr, which holds addr or lies beyond
-// it, so the errors are those of a search over sorted bases.
+// scans the regions in address order: a System maps four to seven, too
+// few for a binary search to pay. The scan stops at the first region
+// ending past addr, which holds addr or lies beyond it, so the errors
+// are those of a search over sorted bases.
 func (m *Memory) find(addr, n uint64) (*Region, error) {
-	if r := m.last; r != nil {
-		// Not r.Contains: it accepts a zero-length access one past the
-		// end, which the scan reports as unmapped.
-		if off := addr - r.Base; off < r.Size() && n <= r.Size()-off {
-			return r, nil
-		}
-	}
 	for _, r := range m.regions {
 		if addr >= r.End() {
 			continue
@@ -152,7 +143,6 @@ func (m *Memory) find(addr, n uint64) (*Region, error) {
 		if !r.Contains(addr, n) {
 			return nil, fmt.Errorf("%w: 0x%x (+%d) in %s", ErrSpansRegion, addr, n, r.Name)
 		}
-		m.last = r
 		return r, nil
 	}
 	return nil, fmt.Errorf("%w: 0x%x (+%d)", ErrUnmapped, addr, n)

@@ -360,46 +360,30 @@ func searchFind(m *Memory, addr, n uint64) (*Region, error) {
 // find must answer every access as the binary search did: the same
 // region, or the same error. The accesses cover each region's first
 // byte, last byte and one-past-end byte, the guard gaps, zero-length
-// accesses and accesses spanning two regions, and they alternate
-// between regions so the last-hit check both hits and misses.
+// accesses and accesses spanning two regions.
 func TestFindMatchesBinarySearch(t *testing.T) {
 	m := New()
 	for _, size := range []uint64{1, 100, PageSize, 3*PageSize + 5, 64} {
 		m.Map(fmt.Sprintf("r%d", size), size)
 	}
 	type access struct{ addr, n uint64 }
-	var perRegion [][]access
+	var as []access
 	for i, r := range m.regions {
-		as := []access{
+		as = append(as, []access{
 			{r.Base, 1}, {r.End() - 1, 1}, {r.End(), 1}, // first, last, one past the end
 			{r.Base, r.Size()}, {r.Base, r.Size() + 1}, // whole region, one byte over
 			{r.End() - 1, 2}, {r.End() - 4, 8}, // straddling the end
 			{r.Base - 1, 1}, {r.Base - 1, 2}, // guard gap below, and into the region
 			{r.Base, 0}, {r.End() - 1, 0}, {r.End(), 0}, {r.Base - 1, 0}, // zero length
 			{r.End() + 1, 1}, // inside the guard gap above
-		}
+		}...)
 		if i+1 < len(m.regions) {
 			next := m.regions[i+1]
 			as = append(as, access{r.Base, next.End() - r.Base}, access{r.End() - 1, next.Base - r.End() + 2})
 		}
-		perRegion = append(perRegion, as)
 	}
-	// Each access runs twice: right after its own region's first byte, so
-	// the last-hit check sees its own region, and right after the next
-	// region's first byte, so it sees another.
-	var order []access
-	for k := 0; k < len(perRegion[0]); k++ {
-		for i, as := range perRegion {
-			if k < len(as) {
-				other := perRegion[(i+1)%len(perRegion)][0]
-				order = append(order, as[0], as[k], other, as[k])
-			}
-		}
-	}
-	order = append(order, access{0, 1}, access{baseAddr - 1, 1}, access{^uint64(0), 1}, access{^uint64(0) - 3, 8}, access{m.next + PageSize, 1})
-	var hits, misses int
-	for _, a := range order {
-		last := m.last
+	as = append(as, access{0, 1}, access{baseAddr - 1, 1}, access{^uint64(0), 1}, access{^uint64(0) - 3, 8}, access{m.next + PageSize, 1})
+	for _, a := range as {
 		got, gotErr := m.find(a.addr, a.n)
 		want, wantErr := searchFind(m, a.addr, a.n)
 		if got != want || fmt.Sprint(gotErr) != fmt.Sprint(wantErr) {
@@ -411,14 +395,6 @@ func TestFindMatchesBinarySearch(t *testing.T) {
 			}
 			t.Errorf("find(0x%x, %d) = %s, %v; binary search = %s, %v", a.addr, a.n, name(got), gotErr, name(want), wantErr)
 		}
-		if last != nil && got == last {
-			hits++
-		} else {
-			misses++
-		}
-	}
-	if hits == 0 || misses == 0 {
-		t.Errorf("last-hit check hit %d and missed %d times; the order must exercise both", hits, misses)
 	}
 }
 
@@ -434,7 +410,7 @@ func BenchmarkRead64(b *testing.B) {
 		}
 	})
 	// Alternating between the first and the last of a System's seven
-	// regions misses the last-hit check on every access.
+	// regions: the scan's shortest and longest walks.
 	b.Run("alternating regions", func(b *testing.B) {
 		m := New()
 		var rs []*Region
