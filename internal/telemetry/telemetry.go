@@ -192,10 +192,10 @@ func (r *Registry) AddInto(s *Sum) {
 }
 
 // Sum adds registries of one shape counter by counter, by position. The
-// first AddInto that finds counters records each one's group prefix and
-// name; later ones only add each value into its slot (a high-water mark
-// keeps the larger, see highWater), so summing a registry looks up no
-// name and builds no string. Names are joined only by Snapshot.
+// first AddInto that finds counters records each one's "<prefix>/<name>";
+// later ones only add each value into its slot (a high-water mark keeps
+// the larger, see highWater), so summing a registry looks up no name and
+// builds no string.
 //
 // Every registry added must have the shape the first one fixed: the same
 // groups emitting the same counters in the same order. The Collector
@@ -214,14 +214,15 @@ type Sum struct {
 
 // sumSlot is one counter of a Sum.
 type sumSlot struct {
-	prefix, name string
-	keepMax      bool // a high-water mark (see highWater)
-	value        float64
+	name    string // "<prefix>/<name>"
+	keepMax bool   // a high-water mark (see highWater)
+	value   float64
 }
 
 func (s *Sum) add(name string, value float64) {
 	if s.recording {
-		s.slots = append(s.slots, sumSlot{prefix: s.prefix, name: name, keepMax: highWater(name), value: value})
+		name = s.prefix + "/" + name
+		s.slots = append(s.slots, sumSlot{name: name, keepMax: highWater(name), value: value})
 		return
 	}
 	if s.pos < len(s.slots) {
@@ -231,12 +232,11 @@ func (s *Sum) add(name string, value float64) {
 	s.pos++
 }
 
-// Snapshot returns the summed counters in registration order, each named
-// "<prefix>/<name>".
+// Snapshot returns the summed counters in registration order.
 func (s *Sum) Snapshot() Snapshot {
 	out := Snapshot{samples: make([]Sample, len(s.slots))}
 	for i, sl := range s.slots {
-		out.samples[i] = Sample{Name: sl.prefix + "/" + sl.name, Value: sl.value}
+		out.samples[i] = Sample{Name: sl.name, Value: sl.value}
 	}
 	return out
 }
