@@ -377,6 +377,7 @@ func (t *tile) runBatch(job batchJob) {
 		}
 	}
 
+	buildStart := time.Now()
 	sys, err := t.checkout(live[0].entry)
 	if err != nil {
 		t.degrade(live)
@@ -385,9 +386,9 @@ func (t *tile) runBatch(job batchJob) {
 	sys.Telemetry().EnableAttribution(true)
 	switch job.key.op {
 	case OpSerialize:
-		t.runSerialize(sys, live, st, now)
+		t.runSerialize(sys, live, st, buildStart)
 	default:
-		t.runDeserialize(sys, live, st, now)
+		t.runDeserialize(sys, live, st, buildStart)
 	}
 	t.absorb(sys)
 	if !t.srv.opts.fresh {
