@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet race bench fuzz-smoke chaos-smoke serve-smoke serve-fast-smoke serve-tiles-smoke obs-smoke elements-smoke workloads-smoke cluster-smoke figures results-check examples clean
+.PHONY: all build test vet race bench fuzz-smoke chaos-smoke serve-smoke serve-tiles-smoke obs-smoke elements-smoke workloads-smoke cluster-smoke figures results-check examples clean
 
 all: build vet test
 
@@ -41,17 +41,8 @@ chaos-smoke:
 serve-smoke:
 	go test -race -count=1 ./internal/serve
 	go test -race -count=10 -run '^Test(Conn|ServeConn|ServeTCP|ProtocolRoundTrip|ReadMessage|MessageRoundTrip)' ./internal/serve
-	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema varint -check
+	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema all -check
 	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema mixed -check -faults 0.02 -fault-seed 7
-
-# Both cycle modes under byte verification: an exact pass and a sampled
-# pass (1-in-8 batches run the full cycle model, the rest serve
-# functional bytes) must both answer byte-identical to the canonical
-# codec, single- and multi-tile.
-serve-fast-smoke:
-	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema all -check -cycle-mode exact
-	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema all -check -cycle-mode sampled -cycle-sample-n 8
-	go run ./cmd/loadgen -tiles 4 -routing rr -duration 500ms -concurrency 8 -schema mixed -check -cycle-mode sampled
 
 # Short verified multi-tile passes: the p2c router, then deterministic
 # round-robin — every response checked byte-identical to its canonical

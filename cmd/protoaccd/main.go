@@ -10,7 +10,6 @@
 //	protoaccd [-listen addr] [-admin addr] [-tiles n] [-routing p2c|rr]
 //	          [-workers n] [-max-batch n] [-batch-window d] [-queue-depth n]
 //	          [-max-payload n] [-deadline d]
-//	          [-cycle-mode exact|sampled] [-cycle-sample-n n]
 //	          [-span-sample-n n]
 //	          [-elements all|off|admission,breaker,cache]
 //	          [-admit-rate r] [-admit-burst b]
@@ -34,7 +33,7 @@
 // (JSON snapshot; ?write=1 flushes -stats-out mid-run), /spans (sampled
 // lifecycle spans as Perfetto trace JSON), and /debug/pprof. All admin
 // handlers are read-passive: scraping them perturbs neither responses
-// nor exact-mode counters.
+// nor counters.
 //
 // -span-sample-n N samples every N'th admitted request with a lifecycle
 // span (admit → queue → coalesce → execute → respond) for /spans.

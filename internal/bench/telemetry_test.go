@@ -111,7 +111,7 @@ func TestTraceCaptureMatches(t *testing.T) {
 func TestWriteStatsFileFormats(t *testing.T) {
 	sink := &TelemetrySink{}
 	var r telemetry.Registry
-	r.RegisterFunc("deser", func(emit func(string, float64)) { emit("cycles", 42) })
+	r.Register("deser", telemetry.CollectorFunc(func(emit func(string, float64)) { emit("cycles", 42) }))
 	sink.Record("w", core.KindAccel, Deserialize, r.Snapshot())
 
 	dir := t.TempDir()

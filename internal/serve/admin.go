@@ -18,7 +18,7 @@ import (
 // and reads histogram shards, but never takes a lock the serving path
 // holds across a batch and never writes serving state. The admin
 // determinism test pins that contract: a scraper polling these handlers
-// at 10Hz changes neither responses nor exact-mode counters.
+// at 10Hz changes neither responses nor counters.
 
 // AdminOptions configures the admin handler.
 type AdminOptions struct {
@@ -142,8 +142,6 @@ type StatuszConfig struct {
 	BatchWindowNS int64  `json:"batch_window_ns"`
 	QueueDepth    int    `json:"queue_depth"`
 	MaxPayload    int    `json:"max_payload"`
-	CycleMode     string `json:"cycle_mode"`
-	CycleSampleN  int    `json:"cycle_sample_n"`
 	SpanSampleN   int    `json:"span_sample_n"`
 	Fingerprint   string `json:"config_fingerprint"`
 }
@@ -275,8 +273,6 @@ func (s *Server) StatuszSnapshot(manifest *telemetry.Manifest) *Statusz {
 			BatchWindowNS: int64(s.opts.BatchWindow),
 			QueueDepth:    s.opts.QueueDepth,
 			MaxPayload:    s.opts.MaxPayload,
-			CycleMode:     s.opts.CycleMode.String(),
-			CycleSampleN:  s.opts.CycleSampleN,
 			SpanSampleN:   s.opts.SpanSampleN,
 			Fingerprint:   s.ConfigFingerprint(),
 		},

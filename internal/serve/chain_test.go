@@ -277,6 +277,49 @@ func TestServeElementsBreakerTripAndRecover(t *testing.T) {
 	}
 }
 
+// A request shed at a full queue never runs, so no outcome grades it: it
+// must not spend the probe budget of the half-open tile it was routed
+// to, or that tile stays unroutable while any other tile is routable.
+func TestShedRequestKeepsHalfOpenProbe(t *testing.T) {
+	opts := testOptions()
+	opts.Tiles = 2
+	opts.Routing = RouteRoundRobin
+	opts.Elements = elements.Config{Breaker: true, MinVolume: 1, Probes: 1}
+	// Two tiles with full queues and no dispatcher, so every job is shed.
+	s := &Server{opts: opts.withDefaults()}
+	s.elems = elements.New(s.opts.Elements, s.opts.Tiles)
+	for id := 0; id < s.opts.Tiles; id++ {
+		q := make(chan batchJob, 1)
+		q <- batchJob{}
+		s.tiles = append(s.tiles, &tile{id: id, srv: s, queue: q})
+	}
+	br := s.breaker()
+	br.Observe(1, 1, 1, time.Now())
+	if !br.Routable(1, time.Now().Add(time.Hour)) || br.StateOf(1) != elements.StateHalfOpen {
+		t.Fatalf("tile 1 breaker %v after a failure and a dwell, want half-open", br.StateOf(1))
+	}
+
+	// Round robin routes the first job to tile 0 and the second to tile
+	// 1, which takes it as its one probe.
+	for i := 0; i < 2; i++ {
+		if s.enqueue(batchJob{pendings: []*pending{{}}}) {
+			t.Fatalf("job %d queued on a full tile", i)
+		}
+	}
+	if !br.Routable(1, time.Now()) {
+		t.Error("tile 1 is unroutable: the shed job spent its probe")
+	}
+	var probes float64
+	br.CollectTelemetry(func(name string, v float64) {
+		if name == "probes" {
+			probes = v
+		}
+	})
+	if probes != 0 {
+		t.Errorf("breaker probes = %v, want 0: no probe was sent", probes)
+	}
+}
+
 func adminGet(t *testing.T, ts *httptest.Server, path string) []byte {
 	t.Helper()
 	resp, err := http.Get(ts.URL + path)

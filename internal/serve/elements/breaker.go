@@ -207,7 +207,10 @@ func (b *Breaker) Routable(tile int, now time.Time) bool {
 }
 
 // NoteRouted records that n requests were just placed on tile; while
-// half-open they consume the probe budget.
+// half-open they consume the probe budget. A negative n gives back
+// requests that were routed but refused before they were sent (see
+// Circuit.Routed); the probes counter falls by as many, through uint64
+// wraparound.
 func (b *Breaker) NoteRouted(tile, n int, now time.Time) {
 	b.mu.Lock()
 	defer b.mu.Unlock()

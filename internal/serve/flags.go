@@ -20,8 +20,6 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.MaxBatch, "max-batch", 0, "max requests per accelerator batch (0 = default 16)")
 	fs.DurationVar(&o.BatchWindow, "batch-window", 0, "longest an under-full batch waits for partners; a key arriving further apart than this flushes at once (0 = default 200µs)")
 	fs.IntVar(&o.QueueDepth, "queue-depth", 0, "per-tile admission queue bound; requests routed to a full tile are shed (0 = default 1024)")
-	fs.Var(&o.CycleMode, "cycle-mode", `cycle accounting: exact (every request runs the full cycle model) or sampled (1-in-N batches carry attribution, rest run functional-only) (default "exact")`)
-	fs.IntVar(&o.CycleSampleN, "cycle-sample-n", 0, "sampling period for -cycle-mode sampled (0 = default 8)")
 	fs.IntVar(&o.SpanSampleN, "span-sample-n", 0, "sample every N'th admitted request with a lifecycle span (/spans, -trace-out) (0 = off)")
 	fs.Var((*elementsFlag)(&o.Elements), "elements", `data-plane element chain: "all", "off", or a comma list of admission,breaker,cache (empty = off)`)
 	o.Faults.RegisterFlags(fs)

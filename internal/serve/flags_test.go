@@ -24,15 +24,15 @@ func TestOptionsRegisterFlags(t *testing.T) {
 		{args: "", want: Options{Faults: faults.Config{Seed: 1}}},
 		{
 			args: "-tiles 4 -routing rr -workers 3 -max-batch 8 -batch-window 50us -queue-depth 32" +
-				" -cycle-mode sampled -cycle-sample-n 4 -span-sample-n 16 -elements admission,cache" +
+				" -span-sample-n 16 -elements admission,cache" +
 				" -faults 0.1@arena -fault-seed 9 -fault-tiles 0,2",
 			want: Options{
 				Tiles: 4, Routing: RouteRoundRobin, Workers: 3, MaxBatch: 8,
 				BatchWindow: 50 * time.Microsecond, QueueDepth: 32,
-				CycleMode: CycleSampled, CycleSampleN: 4, SpanSampleN: 16,
-				Elements:   elements.Config{Admission: true, Cache: true},
-				Faults:     fault(0.1, "arena", 9),
-				FaultTiles: []int{0, 2},
+				SpanSampleN: 16,
+				Elements:    elements.Config{Admission: true, Cache: true},
+				Faults:      fault(0.1, "arena", 9),
+				FaultTiles:  []int{0, 2},
 			},
 		},
 		{args: "-faults 0.02 -fault-seed 7", want: Options{Faults: fault(0.02, "", 7)}},
@@ -48,7 +48,9 @@ func TestOptionsRegisterFlags(t *testing.T) {
 		},
 
 		{args: "-routing x", wantErr: true},
-		{args: "-cycle-mode x", wantErr: true},
+		// Every batch runs the cycle model; no flag turns it off.
+		{args: "-cycle-mode sampled", wantErr: true},
+		{args: "-cycle-sample-n 8", wantErr: true},
 		{args: "-elements bogus", wantErr: true},
 		{args: "-faults 2", wantErr: true},
 		{args: "-faults 0.1@", wantErr: true},

@@ -16,7 +16,7 @@ import (
 // spans exported on the Perfetto timeline. Everything here is
 // read-passive: recording is lock-free (atomic histogram adds), gauges
 // are evaluated only when a scraper asks, and nothing in this file feeds
-// back into admission, routing, batching, or the exact-mode counters —
+// back into admission, routing, batching, or the counters —
 // the admin determinism test pins that an active scraper perturbs
 // neither responses nor serve/ counters.
 

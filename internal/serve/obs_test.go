@@ -231,6 +231,17 @@ func TestAdminEndpoints(t *testing.T) {
 			t.Errorf("/metrics missing %q", want)
 		}
 	}
+	// A counter only rises. The live queue depth is the gauge above, and
+	// the tile count and queue bound are configuration (/statusz config).
+	for _, bad := range []string{
+		"# TYPE protoacc_serve_queue_depth counter",
+		"# TYPE protoacc_serve_queue_capacity counter",
+		"# TYPE protoacc_serve_tiles counter",
+	} {
+		if strings.Contains(string(metrics), bad) {
+			t.Errorf("/metrics has %q", bad)
+		}
+	}
 
 	code, health := get("/healthz")
 	if code != http.StatusOK {
@@ -329,7 +340,7 @@ func TestAdminEndpoints(t *testing.T) {
 // The determinism guard for the whole observability plane: a scraper
 // hammering every admin endpoint (well above the 10Hz acceptance bar)
 // while the server executes must change neither the responses nor the
-// aggregated exact-mode counters relative to an unscraped run.
+// aggregated counters relative to an unscraped run.
 func TestAdminScrapeDeterminism(t *testing.T) {
 	reqs := sampleRequests(DefaultCatalog(), 8)
 	const rounds = 10

@@ -127,9 +127,6 @@ func compareRuns(t *testing.T, labelA, labelB string, a, b []Response, ca, cb ma
 			t.Errorf("counter %s present in %s, missing in %s", name, labelA, labelB)
 			continue
 		}
-		if name == "serve/queue/capacity" {
-			continue // config echo, not a measurement
-		}
 		if va != vb {
 			t.Errorf("counter %s: %s=%v %s=%v", name, labelA, va, labelB, vb)
 		}

@@ -150,50 +150,6 @@ func splitmix64(x uint64) uint64 {
 	return x ^ (x >> 31)
 }
 
-// CycleMode selects how much cycle-model bookkeeping the serving data
-// plane pays per request.
-type CycleMode uint8
-
-// Cycle accounting modes.
-const (
-	// CycleExact (default) runs the full cycle model — pooled System
-	// checkout, simulated memory, cache/TLB timing — for every batch.
-	// Every response carries its measured per-request cycle share, and
-	// counters are exact; this is the mode all determinism and
-	// bitwise-equivalence tests run in.
-	CycleExact CycleMode = iota
-	// CycleSampled decouples the data path from cycle attribution
-	// (RPCAcc's split, PAPERS.md): most batches run only the functional
-	// serializer — bytes in, bytes out, bit-identical to exact mode — and
-	// 1-in-N batches per (schema, op) additionally run the full cycle
-	// model. Telemetry extrapolates the sampled cycle counters to the
-	// full request population and tags the snapshot with provenance
-	// counters (serve/cycle_sample_rate, serve/cycle_sampled_requests,
-	// serve/cycle_extrapolated).
-	CycleSampled
-)
-
-func (m CycleMode) String() string {
-	if m == CycleSampled {
-		return "sampled"
-	}
-	return "exact"
-}
-
-// Set parses a -cycle-mode flag value ("exact" or "sampled"), making
-// CycleMode a flag.Value.
-func (m *CycleMode) Set(s string) error {
-	switch s {
-	case "", "exact":
-		*m = CycleExact
-	case "sampled":
-		*m = CycleSampled
-	default:
-		return fmt.Errorf("serve: unknown cycle mode %q (want exact or sampled)", s)
-	}
-	return nil
-}
-
 // Options configures a Server. The zero value of any field selects the
 // default noted on it.
 type Options struct {
@@ -240,15 +196,6 @@ type Options struct {
 	// Deadline is the default per-request budget when Request.Timeout is
 	// zero (default 1s).
 	Deadline time.Duration
-
-	// CycleMode selects exact (default) or sampled cycle accounting; see
-	// the CycleMode constants.
-	CycleMode CycleMode
-
-	// CycleSampleN is the sampling period in CycleSampled mode: per
-	// (schema, op) stream on each tile, every N'th batch runs the full
-	// cycle model (default 8). Ignored in CycleExact mode.
-	CycleSampleN int
 
 	// SpanSampleN samples every N'th admitted request with a lifecycle
 	// span (admit → route → queue → coalesce → dispatch → execute →
@@ -299,9 +246,6 @@ func (o Options) withDefaults() Options {
 	if o.Deadline <= 0 {
 		o.Deadline = time.Second
 	}
-	if o.CycleSampleN <= 0 {
-		o.CycleSampleN = 8
-	}
 	return o
 }
 
@@ -347,7 +291,7 @@ type pending struct {
 	out       *connWriter   // TCP clients: respond frames the response onto this connection instead
 
 	// Observability-only fields; nothing on the serving path branches on
-	// them, so they cannot perturb responses or exact-mode counters.
+	// them, so they cannot perturb responses or counters.
 	admitAt    time.Time // admission entry (e2e histogram origin)
 	enqueuedAt time.Time // admission end / queue entry (queue-wait origin)
 	joinedAt   time.Time // dispatcher pickup (coalesce-wait origin)
@@ -535,7 +479,8 @@ func (s *Server) pick() *tile {
 // queues cannot close mid-send.
 func (s *Server) enqueue(job batchJob) bool {
 	t := s.pick()
-	if br := s.breaker(); br != nil {
+	br := s.breaker()
+	if br != nil {
 		br.NoteRouted(t.id, len(job.pendings), time.Now())
 	}
 	for _, p := range job.pendings {
@@ -548,6 +493,11 @@ func (s *Server) enqueue(job batchJob) bool {
 	case t.queue <- job:
 		return true
 	default:
+		// A shed job never runs, so no outcome will grade it: give back
+		// the half-open probes it took, or the tile stays unroutable.
+		if br != nil {
+			br.NoteRouted(t.id, -len(job.pendings), time.Now())
+		}
 		return false
 	}
 }
@@ -703,10 +653,10 @@ func (s *Server) respond(p *pending, resp Response) {
 }
 
 // CollectTelemetry implements telemetry.Collector for the server's own
-// serve/ counters: admission and transport counts, config echoes, and
-// provenance. The tiles' execution counters reach serve/ through
-// TelemetrySnapshot, which registers every tile there as well as under
-// serve/tile<i>/, so the registry forms their cross-tile totals.
+// serve/ counters: admission and transport counts and span provenance.
+// The tiles' execution counters reach serve/ through TelemetrySnapshot,
+// which registers every tile there as well as under serve/tile<i>/, so
+// the registry forms their cross-tile totals.
 func (s *Server) CollectTelemetry(emit func(name string, value float64)) {
 	emit("requests/deser", float64(s.reqDeser.Load()))
 	emit("requests/ser", float64(s.reqSer.Load()))
@@ -718,18 +668,6 @@ func (s *Server) CollectTelemetry(emit func(name string, value float64)) {
 	emit("protocol/errors", float64(s.protoErrs.Load()))
 	emit("protocol/chunked_in", float64(s.chunkedIn.Load()))
 	emit("protocol/chunked_out", float64(s.chunkedOut.Load()))
-	emit("tiles", float64(len(s.tiles)))
-	emit("queue/capacity", float64(s.opts.QueueDepth*len(s.tiles)))
-	// Provenance: how the cycles/* totals were obtained. In sampled mode
-	// they are extrapolated from cycle_sampled_requests measured requests
-	// at 1-in-cycle_sample_rate batch cadence; in exact mode every request
-	// was measured (rate 1, extrapolated 0).
-	rate, extrapolated := 1, 0
-	if s.opts.CycleMode == CycleSampled {
-		rate, extrapolated = s.opts.CycleSampleN, 1
-	}
-	emit("cycle_sample_rate", float64(rate))
-	emit("cycle_extrapolated", float64(extrapolated))
 	// Span-sampling provenance: how many requests carried a lifecycle
 	// span, how many spans completed, and how many the bounded ring
 	// overwrote. All zero with SpanSampleN=0, so the pre-existing
@@ -756,7 +694,7 @@ func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 	reg.Register("serve", s)
 	for _, t := range s.tiles {
 		reg.Register(fmt.Sprintf("serve/tile%d", t.id), t)
-		reg.RegisterFunc("serve", t.collectTotals)
+		reg.Register("serve", t)
 	}
 	// Element groups register only when their element is on, so a
 	// chain-off snapshot is byte-identical to the pre-chain server's.
@@ -786,22 +724,14 @@ func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 
 // AggregatedCounters returns the quiescent snapshot with the per-tile
 // serve/tile<i>/ groups stripped — the tile-count-independent view the
-// 1-tile-vs-N-tile equivalence tests compare. Config echoes
-// (serve/tiles, serve/queue/capacity, serve/cycle_sample_rate,
-// serve/cycle_extrapolated) are also dropped: they describe the server's
-// shape and mode, not its measurements.
+// 1-tile-vs-N-tile equivalence tests compare.
 func (s *Server) AggregatedCounters() map[string]float64 {
 	snap := s.TelemetrySnapshot()
 	out := make(map[string]float64, snap.Len())
 	for _, sm := range snap.Samples() {
-		switch {
-		case isTileCounter(sm.Name):
-			continue
-		case sm.Name == "serve/tiles", sm.Name == "serve/queue/capacity",
-			sm.Name == "serve/cycle_sample_rate", sm.Name == "serve/cycle_extrapolated":
-			continue
+		if !isTileCounter(sm.Name) {
+			out[sm.Name] = sm.Value
 		}
-		out[sm.Name] = sm.Value
 	}
 	return out
 }

@@ -14,12 +14,10 @@ import (
 
 var update = flag.Bool("update", false, "rewrite testdata/snapshot.golden")
 
-// The quiescent counter view of five deterministic servers, pinned byte
+// The quiescent counter view of four deterministic servers, pinned byte
 // for byte: every TelemetrySnapshot sample, the /healthz totals, and each
 // tile's resilience counters in /healthz. The live gauges (inflight
-// batches, queue depth) are left out. The sampled-mode server runs one
-// executor per tile, because with more, which batch of a stream gets
-// sampled depends on scheduling.
+// batches, queue depth) are left out.
 func TestServeSnapshotGolden(t *testing.T) {
 	cases := []struct {
 		name string
@@ -30,10 +28,6 @@ func TestServeSnapshotGolden(t *testing.T) {
 		{"4 tiles, element chain", func(o *Options) {
 			o.Tiles, o.Workers = 4, 4
 			o.Elements = allElements()
-		}},
-		{"2 tiles, sampled cycles", func(o *Options) {
-			o.Tiles, o.Workers = 2, 2
-			o.CycleMode = CycleSampled
 		}},
 		{"4 tiles, faults on tile 1", func(o *Options) {
 			o.Tiles, o.Workers = 4, 4

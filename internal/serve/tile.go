@@ -1,7 +1,6 @@
 package serve
 
 import (
-	"sort"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -50,24 +49,8 @@ type tile struct {
 	retries                         atomic.Uint64
 
 	mu     sync.Mutex
-	cycles telemetry.Attribution // exact mode's measured cycles, guarded by mu
+	cycles telemetry.Attribution // measured cycles across batches, guarded by mu
 	sysSum telemetry.Sum         // accelerator unit counters across batches, guarded by mu
-
-	// samples tracks per-(schema, op) sampling state in CycleSampled mode:
-	// the batch cadence, the sampled-vs-total request populations the
-	// telemetry extrapolation scales by, and the latest per-request cycle
-	// estimate carried by functional responses.
-	sampleMu sync.Mutex
-	samples  map[batchKey]*sampleState
-}
-
-// sampleState is one (schema, op) stream's cycle-sampling ledger.
-type sampleState struct {
-	seen        uint64                // batches dispatched (drives the 1-in-N cadence)
-	sampledReqs uint64                // requests that ran the full cycle model
-	totalReqs   uint64                // all requests (sampled + functional)
-	attr        telemetry.Attribution // accumulated over sampled batches only
-	perReq      float64               // latest sampled per-request cycle estimate
 }
 
 // newTile builds one tile and starts its dispatcher and executors.
@@ -77,14 +60,13 @@ func newTile(s *Server, id int) *tile {
 		cfg.Faults = faults.Config{}
 	}
 	t := &tile{
-		id:      id,
-		srv:     s,
-		cfg:     cfg,
-		obs:     s.obs.tiles[id],
-		pool:    core.NewPool(0),
-		queue:   make(chan batchJob, s.opts.QueueDepth),
-		work:    make(chan batchJob),
-		samples: make(map[batchKey]*sampleState),
+		id:    id,
+		srv:   s,
+		cfg:   cfg,
+		obs:   s.obs.tiles[id],
+		pool:  core.NewPool(0),
+		queue: make(chan batchJob, s.opts.QueueDepth),
+		work:  make(chan batchJob),
 	}
 	t.wg.Add(1)
 	go t.dispatch()
@@ -316,11 +298,8 @@ func (t *tile) workerLoop() {
 }
 
 // runBatch executes one batch on this tile's accelerator shard: expire
-// overdue requests, then either run the §4.4.1 batch operation on a
-// checked-out System (exact mode, and the sampled batches of sampled
-// mode) or answer functionally with no System at all (the non-sampled
-// batches of sampled mode). The accelerator path degrades to the
-// software codec when it errors out.
+// overdue requests, then run the §4.4.1 batch operation on a checked-out
+// System, degrading to the software codec when it errors out.
 func (t *tile) runBatch(job batchJob) {
 	live := job.pendings[:0:0]
 	now := time.Now()
@@ -357,26 +336,6 @@ func (t *tile) runBatch(job batchJob) {
 	t.batches.Add(1)
 	t.batchRequests.Add(uint64(len(live)))
 
-	// In sampled mode, only every CycleSampleN'th batch of each
-	// (schema, op) stream runs the cycle model; the rest answer on the
-	// functional path, carrying the stream's latest per-request estimate.
-	// The first batch of every stream is always sampled, so estimates
-	// exist from the start.
-	var st *sampleState
-	if t.srv.opts.CycleMode == CycleSampled {
-		st = t.sampleState(job.key)
-		t.sampleMu.Lock()
-		seq := st.seen
-		st.seen++
-		st.totalReqs += uint64(len(live))
-		est := st.perReq
-		t.sampleMu.Unlock()
-		if seq%uint64(t.srv.opts.CycleSampleN) != 0 {
-			t.runFunctional(live, est)
-			return
-		}
-	}
-
 	buildStart := time.Now()
 	sys, err := t.checkout(live[0].entry)
 	if err != nil {
@@ -386,9 +345,9 @@ func (t *tile) runBatch(job batchJob) {
 	sys.Telemetry().EnableAttribution(true)
 	switch job.key.op {
 	case OpSerialize:
-		t.runSerialize(sys, live, st, buildStart)
+		t.runSerialize(sys, live, buildStart)
 	default:
-		t.runDeserialize(sys, live, st, buildStart)
+		t.runDeserialize(sys, live, buildStart)
 	}
 	t.absorb(sys)
 	if !t.srv.opts.fresh {
@@ -412,19 +371,6 @@ func (t *tile) execMarks(live []*pending, at time.Duration, end bool) {
 	}
 }
 
-// sampleState returns (creating on demand) the sampling ledger for one
-// (schema, op) stream.
-func (t *tile) sampleState(k batchKey) *sampleState {
-	t.sampleMu.Lock()
-	defer t.sampleMu.Unlock()
-	st := t.samples[k]
-	if st == nil {
-		st = &sampleState{}
-		t.samples[k] = st
-	}
-	return st
-}
-
 // checkout acquires a System with the batch's schema loaded: from the
 // tile's pool, or built new when the fresh reference arm of the
 // pooled-vs-fresh equivalence test asks for one per batch.
@@ -440,29 +386,9 @@ func (t *tile) checkout(entry *Entry) (*core.System, error) {
 	return sys, nil
 }
 
-// runFunctional answers a non-sampled batch in fast functional mode: the
-// response payload is the canonical serialization of the admission-parsed
-// message, which is byte-identical to what the exact path returns for
-// both operations (the same contract the degrade path and the loadgen
-// -check verifier rely on). No System is checked out and no cycle model
-// runs; Cycles carries the stream's latest sampled per-request estimate.
-func (t *tile) runFunctional(live []*pending, estCycles float64) {
-	t0 := time.Now()
-	for _, p := range live {
-		out, err := codec.Marshal(p.msg)
-		if err != nil {
-			t.srv.respond(p, Response{Status: StatusError, Payload: []byte("functional codec: " + err.Error())})
-			continue
-		}
-		t.srv.respond(p, Response{Status: StatusOK, Cycles: estCycles, Payload: out})
-	}
-	t.observeBreaker(uint64(len(live)), 0)
-	t.obs.record(stageRespondWrite, time.Since(t0))
-}
-
 // runDeserialize answers each request with the canonical re-serialization
 // of the object the accelerator materialized from its payload.
-func (t *tile) runDeserialize(sys *core.System, live []*pending, st *sampleState, buildStart time.Time) {
+func (t *tile) runDeserialize(sys *core.System, live []*pending, buildStart time.Time) {
 	mt := live[0].entry.Type
 	refs := make([]core.WireRef, len(live))
 	for i, p := range live {
@@ -484,7 +410,7 @@ func (t *tile) runDeserialize(sys *core.System, live []*pending, st *sampleState
 	execEnd := time.Now()
 	t.obs.record(stageExecute, execEnd.Sub(execStart))
 	t.execMarks(live, t.srv.obs.at(execEnd), true)
-	t.noteBatch(res, len(live), st)
+	t.noteBatch(res, len(live))
 	t.annotateSpans(live, res)
 	perReq := res.Cycles / float64(len(live))
 	fellBack := res.Fault != nil && res.Fault.FellBack
@@ -506,7 +432,7 @@ func (t *tile) runDeserialize(sys *core.System, live []*pending, st *sampleState
 
 // runSerialize answers each request with the wire bytes the accelerator's
 // serializer produced for its (pre-parsed) object.
-func (t *tile) runSerialize(sys *core.System, live []*pending, st *sampleState, buildStart time.Time) {
+func (t *tile) runSerialize(sys *core.System, live []*pending, buildStart time.Time) {
 	mt := live[0].entry.Type
 	objs := make([]uint64, len(live))
 	for i, p := range live {
@@ -528,7 +454,7 @@ func (t *tile) runSerialize(sys *core.System, live []*pending, st *sampleState, 
 	execEnd := time.Now()
 	t.obs.record(stageExecute, execEnd.Sub(execStart))
 	t.execMarks(live, t.srv.obs.at(execEnd), true)
-	t.noteBatch(res, len(live), st)
+	t.noteBatch(res, len(live))
 	t.annotateSpans(live, res)
 	perReq := res.Cycles / float64(len(live))
 	fellBack := res.Fault != nil && res.Fault.FellBack
@@ -584,10 +510,8 @@ func (t *tile) degrade(live []*pending) {
 }
 
 // noteBatch records a completed accelerator batch's resilience and cycle
-// attribution counters. In exact mode (st == nil) the attribution folds
-// into the tile totals; in sampled mode it folds into the stream's
-// sampling ledger, which telemetry later extrapolates.
-func (t *tile) noteBatch(res core.Result, n int, st *sampleState) {
+// attribution counters.
+func (t *tile) noteBatch(res core.Result, n int) {
 	// Breaker view of the batch: every request completed; retries and
 	// (when the core fell back) every request count as failure events —
 	// the same events the serve/tile<i>/ resilience counters record.
@@ -601,18 +525,9 @@ func (t *tile) noteBatch(res core.Result, n int, st *sampleState) {
 		}
 	}
 	if res.Telemetry != nil {
-		a := res.Telemetry.Attribution
-		if st == nil {
-			t.mu.Lock()
-			t.cycles.AddScaled(a, 1)
-			t.mu.Unlock()
-		} else {
-			t.sampleMu.Lock()
-			st.sampledReqs += uint64(n)
-			st.attr.AddScaled(a, 1)
-			st.perReq = res.Cycles / float64(n)
-			t.sampleMu.Unlock()
-		}
+		t.mu.Lock()
+		t.cycles.Add(res.Telemetry.Attribution)
+		t.mu.Unlock()
 	}
 	t.observeBreaker(uint64(n), fails)
 }
@@ -628,69 +543,22 @@ func (t *tile) absorb(sys *core.System) {
 	t.mu.Unlock()
 }
 
-// cycleTelemetry returns the tile's cycle attribution for telemetry and
-// the number of requests that actually ran the cycle model. Exact mode
-// reports the measured totals; sampled mode extrapolates each
-// (schema, op) stream's sampled cycles to its full request population
-// (measured × total/sampled requests), summing streams in sorted key
-// order so the float accumulation is deterministic.
-func (t *tile) cycleTelemetry() (attr telemetry.Attribution, sampledReqs uint64) {
-	if t.srv.opts.CycleMode != CycleSampled {
-		t.mu.Lock()
-		attr = t.cycles
-		t.mu.Unlock()
-		return attr, t.batchRequests.Load()
-	}
-	t.sampleMu.Lock()
-	defer t.sampleMu.Unlock()
-	keys := make([]batchKey, 0, len(t.samples))
-	for k := range t.samples {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool {
-		if keys[i].schema != keys[j].schema {
-			return keys[i].schema < keys[j].schema
-		}
-		return keys[i].op < keys[j].op
-	})
-	for _, k := range keys {
-		st := t.samples[k]
-		if st.sampledReqs == 0 {
-			continue
-		}
-		attr.AddScaled(st.attr, float64(st.totalReqs)/float64(st.sampledReqs))
-		sampledReqs += st.sampledReqs
-	}
-	return attr, sampledReqs
-}
-
-// CollectTelemetry implements telemetry.Collector for one serve/tile<i>
-// group: this tile's execution counters plus its queue state.
+// CollectTelemetry implements telemetry.Collector for the tile's
+// execution counters. TelemetrySnapshot registers a tile twice: under
+// serve/tile<i>/ as its own group, and under serve/, where the registry
+// sums it with the other tiles'.
 func (t *tile) CollectTelemetry(emit func(name string, value float64)) {
-	t.collect(emit, "cycles/sampled_requests")
-}
-
-// collectTotals is the tile's contribution to the serve/ group, where the
-// registry sums it with the other tiles'. Only the name of the count of
-// requests that ran the cycle model differs from the tile's own group.
-func (t *tile) collectTotals(emit func(name string, value float64)) {
-	t.collect(emit, "cycle_sampled_requests")
-}
-
-// collect emits the tile's execution counters and queue depth, naming
-// the count of requests that ran the cycle model sampledName.
-func (t *tile) collect(emit func(name string, value float64), sampledName string) {
 	emit("batches", float64(t.batches.Load()))
 	emit("batch_requests", float64(t.batchRequests.Load()))
 	emit("fallbacks/accel", float64(t.accelFallbacks.Load()))
 	emit("fallbacks/server", float64(t.serverFallbacks.Load()))
 	emit("retries", float64(t.retries.Load()))
-	emit("queue/depth", float64(len(t.queue)))
-	cyc, sampled := t.cycleTelemetry()
+	t.mu.Lock()
+	cyc := t.cycles
+	t.mu.Unlock()
 	emit("cycles/accel", cyc.Total)
 	emit("cycles/fsm", cyc.FSM)
 	emit("cycles/supply", cyc.Supply)
 	emit("cycles/spill", cyc.Spill)
 	emit("cycles/adt_stall", cyc.ADTMiss)
-	emit(sampledName, float64(sampled))
 }

@@ -183,7 +183,7 @@ func TestServeTileCountersPartitionAggregate(t *testing.T) {
 	}
 	for _, name := range []string{
 		"batches", "batch_requests", "fallbacks/accel", "fallbacks/server", "retries",
-		"queue/depth", "cycles/accel", "cycles/fsm", "cycles/supply", "cycles/spill", "cycles/adt_stall",
+		"cycles/accel", "cycles/fsm", "cycles/supply", "cycles/spill", "cycles/adt_stall",
 	} {
 		var sum float64
 		for i := 0; i < opts.Tiles; i++ {
@@ -264,9 +264,9 @@ func TestServeTileFaultQuarantine(t *testing.T) {
 	}
 }
 
-// runBatchSnapshot runs one exact-mode batch on tl the way runBatch does,
-// and returns the batch System's counter snapshot taken just before the
-// tile adds the System into its sum.
+// runBatchSnapshot runs one batch on tl the way runBatch does, and
+// returns the batch System's counter snapshot taken just before the tile
+// adds the System into its sum.
 func runBatchSnapshot(t *testing.T, srv *Server, tl *tile, reqs []Request) telemetry.Snapshot {
 	t.Helper()
 	live := make([]*pending, len(reqs))
@@ -283,9 +283,9 @@ func runBatchSnapshot(t *testing.T, srv *Server, tl *tile, reqs []Request) telem
 	}
 	sys.Telemetry().EnableAttribution(true)
 	if reqs[0].Op == OpSerialize {
-		tl.runSerialize(sys, live, nil, time.Now())
+		tl.runSerialize(sys, live, time.Now())
 	} else {
-		tl.runDeserialize(sys, live, nil, time.Now())
+		tl.runDeserialize(sys, live, time.Now())
 	}
 	snap := sys.Telemetry().Registry.Snapshot()
 	tl.absorb(sys)

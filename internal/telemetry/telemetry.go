@@ -124,11 +124,6 @@ func (r *Registry) Register(prefix string, c Collector) {
 	r.groups = append(r.groups, group{prefix: prefix, c: c})
 }
 
-// RegisterFunc is Register for a bare function.
-func (r *Registry) RegisterFunc(prefix string, fn CollectorFunc) {
-	r.Register(prefix, fn)
-}
-
 // RegisterHistogram adds a histogram under a full path name
 // ("serve/tile0/stage/execute_ns", ...). Several shards may register
 // under distinct names and be merged by the consumer; a name may also be
@@ -326,13 +321,13 @@ func NewAttribution(total, supply, spill, adtMiss float64) Attribution {
 	return Attribution{Total: total, FSM: fsm, Supply: supply, Spill: spill, ADTMiss: adtMiss}
 }
 
-// AddScaled adds o, every class scaled by k, to a.
-func (a *Attribution) AddScaled(o Attribution, k float64) {
-	a.Total += o.Total * k
-	a.FSM += o.FSM * k
-	a.Supply += o.Supply * k
-	a.Spill += o.Spill * k
-	a.ADTMiss += o.ADTMiss * k
+// Add adds o to a, class by class.
+func (a *Attribution) Add(o Attribution) {
+	a.Total += o.Total
+	a.FSM += o.FSM
+	a.Supply += o.Supply
+	a.Spill += o.Spill
+	a.ADTMiss += o.ADTMiss
 }
 
 // OpTelemetry is the report a System attaches to a batch Result when

@@ -86,7 +86,7 @@ func TestSumMatchesAggregate(t *testing.T) {
 		var r Registry
 		r.Register("l1", &fakeUnit{hits: float64(i), misses: float64(3 * i)})
 		r.Register("tlb", &fakeUnit{hits: float64(i * i)})
-		r.RegisterFunc("empty", func(func(string, float64)) {})
+		r.Register("empty", CollectorFunc(func(func(string, float64)) {}))
 		r.AddInto(&sum)
 		agg.Add(r.Snapshot())
 		if i == 0 && !reflect.DeepEqual(sum.Snapshot().Samples(), r.Snapshot().Samples()) {
