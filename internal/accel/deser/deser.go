@@ -27,6 +27,7 @@ import (
 	"unicode/utf8"
 
 	"protoacc/internal/accel/adt"
+	"protoacc/internal/accel/layout"
 	"protoacc/internal/faults"
 	"protoacc/internal/pb/schema"
 	"protoacc/internal/pb/wire"
@@ -356,7 +357,7 @@ func (u *Unit) parseMessage(adtAddr, objAddr, bufAddr, bufLen uint64, depth int)
 				lastNum = -1
 			}
 		}
-		if entryErr != nil || !wireTypeCompatible(entry, wt) {
+		if entryErr != nil || !entry.Kind.AcceptsWireType(wt, entry.Repeated) {
 			// Unknown field: skip its value.
 			if !errors.Is(entryErr, adt.ErrNoEntry) && entryErr != nil {
 				return entryErr
@@ -406,17 +407,6 @@ func (u *Unit) parseMessage(adtAddr, objAddr, bufAddr, bufLen uint64, depth int)
 	return nil
 }
 
-func wireTypeCompatible(e adt.Entry, wt wire.Type) bool {
-	natural := e.Kind.WireType()
-	if wt == natural {
-		return true
-	}
-	if e.Repeated && e.Kind != schema.KindMessage && e.Kind.Class() != schema.ClassBytesLike {
-		return wt == wire.TypeBytes
-	}
-	return false
-}
-
 func (u *Unit) skipValue(pos, end uint64, wt wire.Type) (uint64, error) {
 	u.fsm(1)
 	switch wt {
@@ -448,70 +438,27 @@ func (u *Unit) skipValue(pos, end uint64, wt wire.Type) (uint64, error) {
 	}
 }
 
-// decodeScalar decodes one scalar value at pos, returning the stored bit
-// pattern (sign-extended where the layout requires).
+// decodeScalar decodes one scalar value at pos, returning its stored bit
+// pattern.
 func (u *Unit) decodeScalar(e adt.Entry, pos, end uint64) (uint64, uint64, error) {
-	switch e.Kind.WireType() {
-	case wire.TypeFixed32:
-		if pos+4 > end {
+	if n := uint64(e.Kind.FixedWireSize()); n > 0 {
+		if pos+n > end {
 			return 0, 0, ErrMalformed
 		}
-		v, err := u.Mem.Read32(pos)
+		v, err := u.Mem.ReadUint(pos, n)
 		if err != nil {
 			return 0, 0, err
 		}
-		u.overlapped(pos, 4)
-		if e.Kind == schema.KindSfixed32 {
-			return uint64(int64(int32(v))), 4, nil
-		}
-		return uint64(v), 4, nil
-	case wire.TypeFixed64:
-		if pos+8 > end {
-			return 0, 0, ErrMalformed
-		}
-		v, err := u.Mem.Read64(pos)
-		if err != nil {
-			return 0, 0, err
-		}
-		u.overlapped(pos, 8)
-		return v, 8, nil
-	default:
-		v, n, err := u.readVarint(pos, end)
-		if err != nil {
-			return 0, 0, err
-		}
-		// Zig-zag decode is an additional combinational stage (§4.4.6),
-		// not an extra cycle.
-		switch e.Kind {
-		case schema.KindSint32:
-			return uint64(int64(wire.DecodeZigZag32(v))), n, nil
-		case schema.KindSint64:
-			return uint64(wire.DecodeZigZag64(v)), n, nil
-		case schema.KindInt32, schema.KindEnum:
-			return uint64(int64(int32(v))), n, nil
-		case schema.KindUint32:
-			return uint64(uint32(v)), n, nil
-		case schema.KindBool:
-			if v != 0 {
-				return 1, n, nil
-			}
-			return 0, n, nil
-		default:
-			return v, n, nil
-		}
+		u.overlapped(pos, n)
+		return e.Kind.Stored(v), n, nil
 	}
-}
-
-func scalarSlotSize(k schema.Kind) uint64 {
-	switch k {
-	case schema.KindBool:
-		return 1
-	case schema.KindInt32, schema.KindUint32, schema.KindSint32,
-		schema.KindFixed32, schema.KindSfixed32, schema.KindFloat, schema.KindEnum:
-		return 4
-	default:
-		return 8
+	v, n, err := u.readVarint(pos, end)
+	if err != nil {
+		return 0, 0, err
 	}
+	// Zig-zag decode is an additional combinational stage (§4.4.6), not
+	// an extra cycle.
+	return e.Kind.Stored(v), n, nil
 }
 
 // writeSlot is a fire-and-forget store by the field data writer.
@@ -520,14 +467,7 @@ func (u *Unit) writeSlot(addr, size, bits uint64) error {
 		return err
 	}
 	u.overlapped(addr, size)
-	switch size {
-	case 1:
-		return u.Mem.Write8(addr, byte(bits))
-	case 4:
-		return u.Mem.Write32(addr, uint32(bits))
-	default:
-		return u.Mem.Write64(addr, bits)
-	}
+	return u.Mem.WriteUint(addr, size, bits)
 }
 
 // arenaAlloc is a single-cycle pointer bump (§4.3).
@@ -580,7 +520,7 @@ func (u *Unit) parseFieldValue(e adt.Entry, num int32, wt wire.Type, pos, end, o
 			return 0, err
 		}
 		u.fsm(1)
-		u.appendOpen(objAddr, num, slotAddr, scalarSlotSize(e.Kind), bits)
+		u.appendOpen(objAddr, num, slotAddr, layout.ScalarSlot(e.Kind), bits)
 		return pos + n, nil
 	default:
 		// Final write state for scalars (§4.4.6): single cycle; the
@@ -591,7 +531,7 @@ func (u *Unit) parseFieldValue(e adt.Entry, num int32, wt wire.Type, pos, end, o
 		}
 		u.trace("scalarWrite", depth, num, pos, e.Kind.String())
 		u.fsm(1)
-		if err := u.writeSlot(slotAddr, scalarSlotSize(e.Kind), bits); err != nil {
+		if err := u.writeSlot(slotAddr, layout.ScalarSlot(e.Kind), bits); err != nil {
 			return 0, err
 		}
 		return pos + n, nil
@@ -665,7 +605,7 @@ func (u *Unit) parsePackedRun(e adt.Entry, num int32, objAddr, pos, end, slotAdd
 		return 0, ErrMalformed
 	}
 	runEnd := pos + n
-	es := scalarSlotSize(e.Kind)
+	es := layout.ScalarSlot(e.Kind)
 	for pos < runEnd {
 		bits, sn, err := u.decodeScalar(e, pos, runEnd)
 		if err != nil {

@@ -75,28 +75,15 @@ func slotFor(f *schema.Field) (uint64, uint64) {
 	if f.Repeated() {
 		return RepeatedHeaderSize, PtrSize
 	}
-	switch f.Kind {
-	case schema.KindMessage:
-		return PtrSize, PtrSize
-	case schema.KindString, schema.KindBytes:
-		return StringHeaderSize, PtrSize
-	case schema.KindBool:
-		return 1, 1
-	case schema.KindInt32, schema.KindUint32, schema.KindSint32,
-		schema.KindFixed32, schema.KindSfixed32, schema.KindFloat, schema.KindEnum:
-		return 4, 4
-	default:
-		return 8, 8
-	}
+	size := ElemSize(f.Kind) // naturally aligned, at most to a pointer
+	return size, min(size, PtrSize)
 }
 
-// elemSize returns the per-element size within a repeated field's buffer.
-func elemSize(f *schema.Field) uint64 {
-	switch f.Kind {
-	case schema.KindMessage:
-		return PtrSize
-	case schema.KindString, schema.KindBytes:
-		return StringHeaderSize
+// ScalarSlot returns the width of a scalar slot of kind k, the C++ type's
+// size: 1 byte for bool, 4 for the 32-bit kinds (float and enum
+// included), 8 for the rest.
+func ScalarSlot(k schema.Kind) uint64 {
+	switch k {
 	case schema.KindBool:
 		return 1
 	case schema.KindInt32, schema.KindUint32, schema.KindSint32,
@@ -104,6 +91,33 @@ func elemSize(f *schema.Field) uint64 {
 		return 4
 	default:
 		return 8
+	}
+}
+
+// ElemSize returns the width of one element of a repeated field of kind
+// k, which is also the inline slot of a singular field of that kind: a
+// pointer for sub-messages, a string header for string and bytes, else
+// the scalar slot.
+func ElemSize(k schema.Kind) uint64 {
+	switch k {
+	case schema.KindMessage:
+		return PtrSize
+	case schema.KindString, schema.KindBytes:
+		return StringHeaderSize
+	default:
+		return ScalarSlot(k)
+	}
+}
+
+// SlotBits returns the stored bits of a scalar of kind k from its slot as
+// loaded, zero-extended: the 4-byte slots of the signed 32-bit kinds
+// (int32, sint32, sfixed32, enum) hold them sign-extended.
+func SlotBits(k schema.Kind, v uint64) uint64 {
+	switch k {
+	case schema.KindInt32, schema.KindSint32, schema.KindSfixed32, schema.KindEnum:
+		return uint64(int64(int32(v)))
+	default:
+		return v
 	}
 }
 
@@ -290,45 +304,13 @@ func (ma *Materializer) WriteInto(m *dynamic.Message, addr uint64) error {
 		case f.Kind.Class() == schema.ClassBytesLike:
 			err = ma.writeString(slotAddr, m.GetBytes(f.Number))
 		default:
-			err = ma.writeScalarSlot(slotAddr, fl.Slot, m.ScalarBits(f.Number))
+			err = ma.Mem.WriteUint(slotAddr, fl.Slot, m.ScalarBits(f.Number))
 		}
 		if err != nil {
 			return fmt.Errorf("layout: %s.%s: %w", m.Type().Name, f.Name, err)
 		}
 	}
 	return nil
-}
-
-func (ma *Materializer) writeScalarSlot(addr, slot, bits uint64) error {
-	switch slot {
-	case 1:
-		return ma.Mem.Write8(addr, byte(bits))
-	case 4:
-		return ma.Mem.Write32(addr, uint32(bits))
-	default:
-		return ma.Mem.Write64(addr, bits)
-	}
-}
-
-func (ma *Materializer) readScalarSlot(addr, slot uint64, k schema.Kind) (uint64, error) {
-	switch slot {
-	case 1:
-		b, err := ma.Mem.Read8(addr)
-		return uint64(b), err
-	case 4:
-		v, err := ma.Mem.Read32(addr)
-		if err != nil {
-			return 0, err
-		}
-		// Signed 32-bit kinds are stored sign-extended in dynamic messages.
-		switch k {
-		case schema.KindInt32, schema.KindSint32, schema.KindSfixed32, schema.KindEnum:
-			return uint64(int64(int32(v))), nil
-		}
-		return uint64(v), nil
-	default:
-		return ma.Mem.Read64(addr)
-	}
 }
 
 // writeString allocates the payload and fills a {ptr, len} header.
@@ -369,7 +351,7 @@ func (ma *Materializer) readString(headerAddr uint64) ([]byte, error) {
 
 func (ma *Materializer) writeRepeated(m *dynamic.Message, f *schema.Field, slotAddr uint64) error {
 	n := uint64(m.Len(f.Number))
-	es := elemSize(f)
+	es := ElemSize(f.Kind)
 	var bufAddr uint64
 	if n > 0 {
 		var err error
@@ -396,7 +378,7 @@ func (ma *Materializer) writeRepeated(m *dynamic.Message, f *schema.Field, slotA
 			}
 		default:
 			for i, bits := range m.RepeatedScalarBits(f.Number) {
-				if err := ma.writeScalarSlot(bufAddr+uint64(i)*es, es, bits); err != nil {
+				if err := ma.Mem.WriteUint(bufAddr+uint64(i)*es, es, bits); err != nil {
 					return err
 				}
 			}
@@ -459,11 +441,11 @@ func (ma *Materializer) Read(t *schema.Message, addr uint64) (*dynamic.Message, 
 			}
 			m.SetBytes(f.Number, b)
 		default:
-			bits, err := ma.readScalarSlot(slotAddr, fl.Slot, f.Kind)
+			v, err := ma.Mem.ReadUint(slotAddr, fl.Slot)
 			if err != nil {
 				return nil, err
 			}
-			m.SetScalarBits(f.Number, bits)
+			m.SetScalarBits(f.Number, SlotBits(f.Kind, v))
 		}
 	}
 	return m, nil
@@ -478,7 +460,7 @@ func (ma *Materializer) readRepeated(m *dynamic.Message, f *schema.Field, slotAd
 	if err != nil {
 		return err
 	}
-	es := elemSize(f)
+	es := ElemSize(f.Kind)
 	for i := uint64(0); i < n; i++ {
 		elemAddr := bufAddr + i*es
 		switch {
@@ -499,16 +481,12 @@ func (ma *Materializer) readRepeated(m *dynamic.Message, f *schema.Field, slotAd
 			}
 			m.AddBytes(f.Number, b)
 		default:
-			bits, err := ma.readScalarSlot(elemAddr, es, f.Kind)
+			v, err := ma.Mem.ReadUint(elemAddr, es)
 			if err != nil {
 				return err
 			}
-			m.AddScalarBits(f.Number, bits)
+			m.AddScalarBits(f.Number, SlotBits(f.Kind, v))
 		}
 	}
 	return nil
 }
-
-// ElemSize exposes the repeated-element width for the accelerator and CPU
-// models.
-func ElemSize(f *schema.Field) uint64 { return elemSize(f) }

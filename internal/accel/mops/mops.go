@@ -391,24 +391,6 @@ func (u *Unit) copyString(srcHdr, dstHdr uint64) error {
 	return u.Mem.Write64(dstHdr+8, n)
 }
 
-func elemSize(e adt.Entry) uint64 {
-	switch {
-	case e.Kind == schema.KindMessage:
-		return 8
-	case e.Kind.Class() == schema.ClassBytesLike:
-		return layout.StringHeaderSize
-	case e.Kind == schema.KindBool:
-		return 1
-	case e.Kind == schema.KindInt32 || e.Kind == schema.KindUint32 ||
-		e.Kind == schema.KindSint32 || e.Kind == schema.KindFixed32 ||
-		e.Kind == schema.KindSfixed32 || e.Kind == schema.KindFloat ||
-		e.Kind == schema.KindEnum:
-		return 4
-	default:
-		return 8
-	}
-}
-
 // fixupRepeated duplicates a repeated field's buffer (and, for pointer
 // element types, the elements behind it).
 func (u *Unit) fixupRepeated(e adt.Entry, srcSlot, dstSlot uint64, depth int) error {
@@ -423,7 +405,7 @@ func (u *Unit) fixupRepeated(e adt.Entry, srcSlot, dstSlot uint64, depth int) er
 	if n == 0 {
 		return nil
 	}
-	es := elemSize(e)
+	es := layout.ElemSize(e.Kind)
 	newBuf, err := u.arenaAlloc(n * es)
 	if err != nil {
 		return err
@@ -559,21 +541,9 @@ func (u *Unit) mergeTree(adtAddr, dstObj, srcObj uint64, depth int) error {
 		default:
 			// Scalar overwrite: copy the slot image.
 			u.fsm(1)
-			return u.streamCopy(dstSlot, srcSlot, scalarSlot(e.Kind))
+			return u.streamCopy(dstSlot, srcSlot, layout.ScalarSlot(e.Kind))
 		}
 	})
-}
-
-func scalarSlot(k schema.Kind) uint64 {
-	switch k {
-	case schema.KindBool:
-		return 1
-	case schema.KindInt32, schema.KindUint32, schema.KindSint32,
-		schema.KindFixed32, schema.KindSfixed32, schema.KindFloat, schema.KindEnum:
-		return 4
-	default:
-		return 8
-	}
 }
 
 // mergeRepeated concatenates src's elements after dst's.
@@ -598,7 +568,7 @@ func (u *Unit) mergeRepeated(e adt.Entry, dstSlot, srcSlot uint64, dstHad bool, 
 			return err
 		}
 	}
-	es := elemSize(e)
+	es := layout.ElemSize(e.Kind)
 	newBuf, err := u.arenaAlloc((dstN + srcN) * es)
 	if err != nil {
 		return err

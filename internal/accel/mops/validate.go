@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"protoacc/internal/accel/adt"
+	"protoacc/internal/accel/layout"
 	"protoacc/internal/faults"
 	"protoacc/internal/pb/schema"
 )
@@ -218,7 +219,7 @@ func (u *Unit) validateCopyRepeated(e adt.Entry, srcSlot uint64, depth int) (uin
 	if n == 0 {
 		return 0, nil
 	}
-	es := elemSize(e)
+	es := layout.ElemSize(e.Kind)
 	if err := u.inject(faults.SiteArena); err != nil {
 		return 0, err
 	}
@@ -270,7 +271,7 @@ func (u *Unit) validateMergeRepeated(e adt.Entry, dstSlot, srcSlot uint64, dstHa
 			return 0, err
 		}
 	}
-	es := elemSize(e)
+	es := layout.ElemSize(e.Kind)
 	if err := u.inject(faults.SiteArena); err != nil {
 		return 0, err
 	}

@@ -255,62 +255,9 @@ func (s *Serializer) serializeTable(tab Table, end uint64, depth int) (uint64, e
 	return pos, nil
 }
 
-func scalarSlotSize(k schema.Kind) uint64 {
-	switch k {
-	case schema.KindBool:
-		return 1
-	case schema.KindInt32, schema.KindUint32, schema.KindSint32,
-		schema.KindFixed32, schema.KindSfixed32, schema.KindFloat, schema.KindEnum:
-		return 4
-	default:
-		return 8
-	}
-}
-
-func encodeScalar(k schema.Kind, bits uint64) []byte {
-	switch k {
-	case schema.KindFloat, schema.KindFixed32, schema.KindSfixed32:
-		return wire.AppendFixed32(nil, uint32(bits))
-	case schema.KindDouble, schema.KindFixed64, schema.KindSfixed64:
-		return wire.AppendFixed64(nil, bits)
-	case schema.KindSint32:
-		return wire.AppendVarint(nil, wire.EncodeZigZag32(int32(bits)))
-	case schema.KindSint64:
-		return wire.AppendVarint(nil, wire.EncodeZigZag64(int64(bits)))
-	case schema.KindUint32:
-		return wire.AppendVarint(nil, uint64(uint32(bits)))
-	case schema.KindInt32, schema.KindEnum:
-		return wire.AppendVarint(nil, uint64(int64(int32(bits))))
-	case schema.KindBool:
-		if bits != 0 {
-			return []byte{1}
-		}
-		return []byte{0}
-	default:
-		return wire.AppendVarint(nil, bits)
-	}
-}
-
-func sign32(k schema.Kind, v uint64) uint64 {
-	switch k {
-	case schema.KindInt32, schema.KindSint32, schema.KindSfixed32, schema.KindEnum:
-		return uint64(int64(int32(v)))
-	}
-	return v
-}
-
 func (s *Serializer) readSlot(addr, size uint64) (uint64, error) {
 	s.load(addr, size)
-	switch size {
-	case 1:
-		b, err := s.Mem.Read8(addr)
-		return uint64(b), err
-	case 4:
-		v, err := s.Mem.Read32(addr)
-		return uint64(v), err
-	default:
-		return s.Mem.Read64(addr)
-	}
+	return s.Mem.ReadUint(addr, size)
 }
 
 func (s *Serializer) serializeField(kind schema.Kind, repeated, packed bool, num int32, slotAddr, w2, pos uint64, depth int) (uint64, error) {
@@ -342,17 +289,17 @@ func (s *Serializer) serializeField(kind schema.Kind, repeated, packed bool, num
 		}
 		return s.emitString(num, ptr, n, pos)
 	default:
-		bits, err := s.readSlot(slotAddr, scalarSlotSize(kind))
+		bits, err := s.readSlot(slotAddr, layout.ScalarSlot(kind))
 		if err != nil {
 			return 0, err
 		}
 		s.fsm(1)
-		return s.emitKV(num, kind, sign32(kind, bits), pos)
+		return s.emitKV(num, kind, layout.SlotBits(kind, bits), pos)
 	}
 }
 
 func (s *Serializer) emitKV(num int32, k schema.Kind, bits, pos uint64) (uint64, error) {
-	pos, err := s.writeBack(pos, encodeScalar(k, bits))
+	pos, err := s.writeBack(pos, k.AppendValue(nil, bits))
 	if err != nil {
 		return 0, err
 	}
@@ -404,7 +351,7 @@ func (s *Serializer) serializeRepeated(kind schema.Kind, packed bool, num int32,
 	if n == 0 {
 		return pos, nil
 	}
-	es := scalarSlotSize(kind)
+	es := layout.ScalarSlot(kind)
 	if kind.Class() == schema.ClassBytesLike {
 		for i := n; i > 0; i-- {
 			hdr := buf + (i-1)*layout.StringHeaderSize
@@ -431,7 +378,7 @@ func (s *Serializer) serializeRepeated(kind schema.Kind, packed bool, num int32,
 				return 0, err
 			}
 			s.fsm(1)
-			pos, err = s.writeBack(pos, encodeScalar(kind, sign32(kind, bits)))
+			pos, err = s.writeBack(pos, kind.AppendValue(nil, layout.SlotBits(kind, bits)))
 			if err != nil {
 				return 0, err
 			}
@@ -449,7 +396,7 @@ func (s *Serializer) serializeRepeated(kind schema.Kind, packed bool, num int32,
 			return 0, err
 		}
 		s.fsm(1)
-		pos, err = s.emitKV(num, kind, sign32(kind, bits), pos)
+		pos, err = s.emitKV(num, kind, layout.SlotBits(kind, bits), pos)
 		if err != nil {
 			return 0, err
 		}

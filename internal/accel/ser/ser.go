@@ -23,6 +23,7 @@ import (
 	"fmt"
 
 	"protoacc/internal/accel/adt"
+	"protoacc/internal/accel/layout"
 	"protoacc/internal/faults"
 	"protoacc/internal/pb/schema"
 	"protoacc/internal/pb/wire"
@@ -518,65 +519,7 @@ func (u *Unit) readSlot(addr, size uint64) (uint64, error) {
 		return 0, err
 	}
 	u.unitLoad(addr, size)
-	switch size {
-	case 1:
-		b, err := u.Mem.Read8(addr)
-		return uint64(b), err
-	case 4:
-		v, err := u.Mem.Read32(addr)
-		return uint64(v), err
-	default:
-		return u.Mem.Read64(addr)
-	}
-}
-
-func scalarSlotSize(k schema.Kind) uint64 {
-	switch k {
-	case schema.KindBool:
-		return 1
-	case schema.KindInt32, schema.KindUint32, schema.KindSint32,
-		schema.KindFixed32, schema.KindSfixed32, schema.KindFloat, schema.KindEnum:
-		return 4
-	default:
-		return 8
-	}
-}
-
-// encodeScalar appends one scalar's wire bytes (value only) to dst.
-// Encoding is single-cycle in hardware regardless of varint width
-// (§5.1.2). Appending into the unit's reusable scratch buffer keeps the
-// per-field path allocation-free.
-func encodeScalar(dst []byte, k schema.Kind, bits uint64) []byte {
-	switch k {
-	case schema.KindFloat, schema.KindFixed32, schema.KindSfixed32:
-		return wire.AppendFixed32(dst, uint32(bits))
-	case schema.KindDouble, schema.KindFixed64, schema.KindSfixed64:
-		return wire.AppendFixed64(dst, bits)
-	case schema.KindSint32:
-		return wire.AppendVarint(dst, wire.EncodeZigZag32(int32(bits)))
-	case schema.KindSint64:
-		return wire.AppendVarint(dst, wire.EncodeZigZag64(int64(bits)))
-	case schema.KindUint32:
-		return wire.AppendVarint(dst, uint64(uint32(bits)))
-	case schema.KindInt32, schema.KindEnum:
-		return wire.AppendVarint(dst, uint64(int64(int32(bits))))
-	case schema.KindBool:
-		if bits != 0 {
-			return append(dst, 1)
-		}
-		return append(dst, 0)
-	default:
-		return wire.AppendVarint(dst, bits)
-	}
-}
-
-// sign32 sign-extends 4-byte slots for kinds stored sign-extended.
-func sign32(k schema.Kind, v uint64) uint64 {
-	switch k {
-	case schema.KindInt32, schema.KindSint32, schema.KindSfixed32, schema.KindEnum:
-		return uint64(int64(int32(v)))
-	}
-	return v
+	return u.Mem.ReadUint(addr, size)
 }
 
 func (u *Unit) serializeField(e adt.Entry, num int32, objAddr, pos uint64, depth int) (uint64, error) {
@@ -604,13 +547,12 @@ func (u *Unit) serializeField(e adt.Entry, num int32, objAddr, pos uint64, depth
 		}
 		return u.emitString(num, ptr, n, pos)
 	default:
-		size := scalarSlotSize(e.Kind)
-		bits, err := u.readSlot(slotAddr, size)
+		bits, err := u.readSlot(slotAddr, layout.ScalarSlot(e.Kind))
 		if err != nil {
 			return 0, err
 		}
 		u.fieldUnit(1) // single-cycle encode
-		return u.emitKV(num, e.Kind, sign32(e.Kind, bits), pos)
+		return u.emitKV(num, e.Kind, layout.SlotBits(e.Kind, bits), pos)
 	}
 }
 
@@ -618,10 +560,13 @@ func (u *Unit) serializeField(e adt.Entry, num int32, objAddr, pos uint64, depth
 // value are staged together in the scratch buffer and retired by a single
 // memwriter transaction — the hardware's output sequencer drains the
 // whole chunk at once (§4.5.5), and charging the port once per chunk
-// instead of once per component halves the hot path's port walks.
+// instead of once per component halves the hot path's port walks. Value
+// encoding is single-cycle in hardware regardless of varint width
+// (§5.1.2); appending into the reusable scratch buffer keeps the
+// per-field path allocation-free.
 func (u *Unit) emitKV(num int32, k schema.Kind, bits uint64, pos uint64) (uint64, error) {
 	u.scratch = wire.AppendTag(u.scratch[:0], num, k.WireType())
-	u.scratch = encodeScalar(u.scratch, k, bits)
+	u.scratch = k.AppendValue(u.scratch, bits)
 	u.fieldUnit(1) // key construction
 	// Round-robin output sequencing of the chunk (§4.5.5): select + drain.
 	u.stats.MemwriterCycles += 2
@@ -742,7 +687,7 @@ func (u *Unit) serializeRepeated(e adt.Entry, num int32, slotAddr, pos uint64, d
 		}
 		return pos, nil
 	case e.Packed:
-		es := scalarSlotSize(e.Kind)
+		es := layout.ScalarSlot(e.Kind)
 		body := pos
 		for i := n; i > 0; i-- {
 			bits, err := u.readSlot(buf+(i-1)*es, es)
@@ -750,7 +695,7 @@ func (u *Unit) serializeRepeated(e adt.Entry, num int32, slotAddr, pos uint64, d
 				return 0, err
 			}
 			u.fieldUnit(1)
-			u.scratch = encodeScalar(u.scratch[:0], e.Kind, sign32(e.Kind, bits))
+			u.scratch = e.Kind.AppendValue(u.scratch[:0], layout.SlotBits(e.Kind, bits))
 			pos, err = u.writeBack(pos, u.scratch)
 			if err != nil {
 				return 0, err
@@ -762,14 +707,14 @@ func (u *Unit) serializeRepeated(e adt.Entry, num int32, slotAddr, pos uint64, d
 		u.scratch = wire.AppendVarint(u.scratch, length)
 		return u.writeBack(pos, u.scratch)
 	default:
-		es := scalarSlotSize(e.Kind)
+		es := layout.ScalarSlot(e.Kind)
 		for i := n; i > 0; i-- {
 			bits, err := u.readSlot(buf+(i-1)*es, es)
 			if err != nil {
 				return 0, err
 			}
 			u.fieldUnit(1)
-			pos, err = u.emitKV(num, e.Kind, sign32(e.Kind, bits), pos)
+			pos, err = u.emitKV(num, e.Kind, layout.SlotBits(e.Kind, bits), pos)
 			if err != nil {
 				return 0, err
 			}

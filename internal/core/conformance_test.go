@@ -12,11 +12,17 @@ import (
 )
 
 // The conformance schema exercises every wire type, the zig-zag kinds,
-// packed and unpacked repeated fields, nesting, recursion, and wide field
-// numbers (multi-byte tags).
+// an enum with a negative value, packed and unpacked repeated fields,
+// nesting, recursion, and wide field numbers (multi-byte tags).
 const conformanceProto = `
 syntax = "proto2";
 package conformance;
+
+enum Sign {
+  MINUS = -1;
+  ZERO  = 0;
+  PLUS  = 1;
+}
 
 message Inner {
   optional int32  a = 1;
@@ -45,6 +51,8 @@ message All {
   repeated int64    rp   = 18 [packed=true];
   repeated string   rs   = 19;
   repeated Inner    rm   = 20;
+  optional Sign     en   = 21;
+  repeated Sign     ren  = 22 [packed=true];
   optional int32    wide = 2000; // wide field number: 2-byte tag
 }
 `
@@ -83,6 +91,9 @@ var conformanceVectors = []struct {
 	{"interleaved repeated reopen", "880101" + "0802" + "880103"},
 	{"overwrite scalar last wins", "08010802"},
 	{"non-canonical varint field value", "088001"}, // 128 as 2 bytes is canonical; 0x80 0x01
+	{"enum minus one ten-byte", "a801ffffffffffffffffff01"},
+	{"packed enum run with minus one", "b2010b01ffffffffffffffffff01"},
+	{"uint32 wider than 32 bits truncated", "18ffffffffff0f"},
 }
 
 func conformanceSystems(t *testing.T) (*schema.Message, *System, *System) {

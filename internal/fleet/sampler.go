@@ -164,31 +164,11 @@ func (s *Sampler) sampleMessage(m *dynamic.Message, depth int) {
 
 // scalarEncSize returns the encoded value size, recording varint sizes.
 func (s *Sampler) scalarEncSize(f *schema.Field, bits uint64) uint64 {
-	switch f.Kind {
-	case schema.KindFloat, schema.KindFixed32, schema.KindSfixed32:
-		return 4
-	case schema.KindDouble, schema.KindFixed64, schema.KindSfixed64:
-		return 8
-	default:
-		var v uint64
-		switch f.Kind {
-		case schema.KindSint32:
-			v = wire.EncodeZigZag32(int32(bits))
-		case schema.KindSint64:
-			v = wire.EncodeZigZag64(int64(bits))
-		case schema.KindInt32, schema.KindEnum:
-			v = uint64(int64(int32(bits)))
-		case schema.KindUint32:
-			v = uint64(uint32(bits))
-		case schema.KindBool:
-			v = bits & 1
-		default:
-			v = bits
-		}
-		n := uint64(wire.SizeVarint(v))
+	n := uint64(f.Kind.ValueSize(bits))
+	if f.Kind.IsVarint() {
 		s.VarintSizeBytes[n-1] += n
-		return n
 	}
+	return n
 }
 
 // MessageSizeShares returns the sampled Figure 3 distribution (by count).

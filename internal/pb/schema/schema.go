@@ -115,6 +115,94 @@ func (k Kind) FixedWireSize() int {
 	}
 }
 
+// The scalar value rules below are shared by every model that decodes or
+// encodes values: the accelerator units and the CPU baselines. Package
+// codec keeps its own copy as the independent reference the models are
+// checked against.
+//
+// A value is held as its stored bits: the 64-bit pattern a dynamic message
+// and an object slot hold. Signed 32-bit kinds (int32, sint32, sfixed32,
+// enum) are stored sign-extended, float and double as IEEE-754 bits, bool
+// as 0 or 1.
+
+// AcceptsWireType reports whether a field of this kind decodes a value
+// that arrives with wire type wt: its own wire type, or, for a repeated
+// scalar field, the packed (length-delimited) form as well.
+func (k Kind) AcceptsWireType(wt wire.Type, repeated bool) bool {
+	natural := k.WireType()
+	if wt == natural {
+		return true
+	}
+	return repeated && natural != wire.TypeBytes && wt == wire.TypeBytes
+}
+
+// Stored returns the stored bits of a value of this kind from its wire
+// value: the varint as read, or the fixed32 or fixed64 word.
+func (k Kind) Stored(v uint64) uint64 {
+	switch k {
+	case KindSint32:
+		return uint64(int64(wire.DecodeZigZag32(v)))
+	case KindSint64:
+		return uint64(wire.DecodeZigZag64(v))
+	case KindInt32, KindEnum, KindSfixed32:
+		return uint64(int64(int32(v)))
+	case KindUint32:
+		return uint64(uint32(v))
+	case KindBool:
+		if v != 0 {
+			return 1
+		}
+		return 0
+	default:
+		return v
+	}
+}
+
+// VarintValue returns the varint that encodes a value of this varint kind
+// with the given stored bits: zig-zagged for sint32 and sint64, a negative
+// int32 or enum sign-extended to ten bytes, uint32 truncated, bool 0 or 1.
+// Fixed-width kinds are encoded by AppendValue without one.
+func (k Kind) VarintValue(bits uint64) uint64 {
+	switch k {
+	case KindSint32:
+		return wire.EncodeZigZag32(int32(bits))
+	case KindSint64:
+		return wire.EncodeZigZag64(int64(bits))
+	case KindInt32, KindEnum:
+		return uint64(int64(int32(bits)))
+	case KindUint32:
+		return uint64(uint32(bits))
+	case KindBool:
+		if bits != 0 {
+			return 1
+		}
+		return 0
+	default:
+		return bits
+	}
+}
+
+// AppendValue appends the wire bytes of a value of this scalar kind (the
+// value only, no tag) to b.
+func (k Kind) AppendValue(b []byte, bits uint64) []byte {
+	switch k.WireType() {
+	case wire.TypeFixed32:
+		return wire.AppendFixed32(b, uint32(bits))
+	case wire.TypeFixed64:
+		return wire.AppendFixed64(b, bits)
+	default:
+		return wire.AppendVarint(b, k.VarintValue(bits))
+	}
+}
+
+// ValueSize returns the number of bytes AppendValue appends.
+func (k Kind) ValueSize(bits uint64) int {
+	if n := k.FixedWireSize(); n > 0 {
+		return n
+	}
+	return wire.SizeVarint(k.VarintValue(bits))
+}
+
 // PerfClass is the paper's Table 1 classification of field types into
 // performance-similar groups.
 type PerfClass uint8

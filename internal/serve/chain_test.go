@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -274,6 +275,33 @@ func TestServeElementsBreakerTripAndRecover(t *testing.T) {
 	}
 	if v, _ := snap.Get("serve/elements/breaker/reroutes"); v == 0 {
 		t.Error("serve/elements/breaker/reroutes = 0: the router never steered around the open tile")
+	}
+}
+
+// A NaN trip rate (flag parses "NaN") falls back to the default, so
+// /statusz still encodes: encoding/json rejects a NaN trip_rate, and the
+// handler then answers 200 with an empty body.
+func TestStatuszNaNTripRate(t *testing.T) {
+	opts := testOptions()
+	opts.Tiles = 2
+	opts.Elements = elements.Config{Breaker: true, TripRate: math.NaN()}
+	srv, err := NewServer(opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer srv.Close()
+	ts := httptest.NewServer(NewAdminHandler(srv, AdminOptions{}))
+	defer ts.Close()
+	var doc Statusz
+	body := adminGet(t, ts, "/statusz")
+	if err := json.Unmarshal(body, &doc); err != nil {
+		t.Fatalf("/statusz decode: %v: %q", err, body)
+	}
+	if doc.Elements == nil || doc.Elements.Breaker == nil {
+		t.Fatal("/statusz has no elements.breaker section with the breaker enabled")
+	}
+	if got := doc.Elements.Breaker.TripRate; got != elements.DefaultTripRate {
+		t.Errorf("/statusz trip_rate = %v, want the default %v", got, elements.DefaultTripRate)
 	}
 }
 

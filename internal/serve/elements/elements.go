@@ -92,7 +92,9 @@ const (
 
 func (c Config) withDefaults() Config {
 	// `!(x > 0)` instead of `x <= 0`: the comparison must also catch NaN,
-	// which `<= 0` lets through into the admission refill arithmetic.
+	// which `<= 0` lets through into the admission refill arithmetic and
+	// the breaker's trip test. An infinite rate is rejected too; neither
+	// encodes as JSON, so either would also empty /statusz.
 	if !(c.FillRate > 0) || math.IsInf(c.FillRate, 0) {
 		c.FillRate = DefaultFillRate
 	}
@@ -102,7 +104,7 @@ func (c Config) withDefaults() Config {
 	if c.Window <= 0 {
 		c.Window = DefaultWindow
 	}
-	if c.TripRate <= 0 {
+	if !(c.TripRate > 0) || math.IsInf(c.TripRate, 0) {
 		c.TripRate = DefaultTripRate
 	}
 	if c.MinVolume <= 0 {

@@ -228,6 +228,18 @@ func TestConfigWithDefaultsNaNSafe(t *testing.T) {
 	if ch.Admission.FillRate() != DefaultFillRate {
 		t.Fatalf("chain admission built with NaN fill rate: %v", ch.Admission.FillRate())
 	}
+	// A NaN or infinite trip rate must not turn the breaker off: a window
+	// where every request failed still trips it.
+	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
+		if got := (Config{Breaker: true, TripRate: rate}).withDefaults().TripRate; got != DefaultTripRate {
+			t.Errorf("withDefaults kept trip rate %v as %v", rate, got)
+		}
+		ch := New(Config{Breaker: true, TripRate: rate, MinVolume: 1}, 2)
+		ch.Breaker.Observe(1, 100, 100, ch.Breaker.start)
+		if got := ch.Breaker.StateOf(1); got != StateOpen {
+			t.Errorf("trip rate %v: tile 1 is %v after 100 of 100 requests failed, want open", rate, got)
+		}
+	}
 }
 
 // Circuit transitions step by step, on a fabricated clock, with a 10ms

@@ -278,48 +278,14 @@ func (c *CPU) hasbit(objAddr uint64, l *layout.Layout, num int32) (bool, error) 
 	return w>>(idx%64)&1 == 1, nil
 }
 
-// scalarWireBytes returns the wire size of a scalar with the given stored
-// bits, charging varint size computation.
-func (c *CPU) scalarWireBytes(f *schema.Field, bits uint64) uint64 {
-	switch f.Kind {
-	case schema.KindFloat, schema.KindFixed32, schema.KindSfixed32:
-		return 4
-	case schema.KindDouble, schema.KindFixed64, schema.KindSfixed64:
-		return 8
-	case schema.KindBool:
-		return 1
-	case schema.KindSint32:
-		return uint64(wire.SizeVarint(wire.EncodeZigZag32(int32(bits))))
-	case schema.KindSint64:
-		return uint64(wire.SizeVarint(wire.EncodeZigZag64(int64(bits))))
-	case schema.KindUint32:
-		return uint64(wire.SizeVarint(uint64(uint32(bits))))
-	case schema.KindInt32, schema.KindEnum:
-		return uint64(wire.SizeVarint(uint64(int64(int32(bits)))))
-	default:
-		return uint64(wire.SizeVarint(bits))
-	}
-}
-
+// readSlot loads a scalar of kind k from its slot of the given width.
 func (c *CPU) readSlot(addr, slot uint64, k schema.Kind) (uint64, error) {
 	c.access(addr, slot)
-	switch slot {
-	case 1:
-		b, err := c.Mem.Read8(addr)
-		return uint64(b), err
-	case 4:
-		v, err := c.Mem.Read32(addr)
-		if err != nil {
-			return 0, err
-		}
-		switch k {
-		case schema.KindInt32, schema.KindSint32, schema.KindSfixed32, schema.KindEnum:
-			return uint64(int64(int32(v))), nil
-		}
-		return uint64(v), nil
-	default:
-		return c.Mem.Read64(addr)
+	v, err := c.Mem.ReadUint(addr, slot)
+	if err != nil {
+		return 0, err
 	}
+	return layout.SlotBits(k, v), nil
 }
 
 func (c *CPU) fieldSize(objAddr uint64, l *layout.Layout, fl layout.FieldLayout, sizes map[uint64]uint64) (uint64, error) {
@@ -355,7 +321,7 @@ func (c *CPU) fieldSize(objAddr uint64, l *layout.Layout, fl layout.FieldLayout,
 		if err != nil {
 			return 0, err
 		}
-		return tag + c.scalarWireBytes(f, bits), nil
+		return tag + uint64(f.Kind.ValueSize(bits)), nil
 	}
 }
 
@@ -369,7 +335,7 @@ func (c *CPU) repeatedSize(slotAddr uint64, f *schema.Field, tag uint64, sizes m
 	if err != nil {
 		return 0, err
 	}
-	es := layout.ElemSize(f)
+	es := layout.ElemSize(f.Kind)
 	var body uint64
 	switch {
 	case f.Kind == schema.KindMessage:
@@ -404,7 +370,7 @@ func (c *CPU) repeatedSize(slotAddr uint64, f *schema.Field, tag uint64, sizes m
 				return 0, err
 			}
 			c.charge(1) // per-element size loop
-			body += c.scalarWireBytes(f, bits)
+			body += uint64(f.Kind.ValueSize(bits))
 		}
 		if f.Packed {
 			return tag + uint64(wire.SizeVarint(body)) + body, nil
@@ -465,45 +431,27 @@ func (c *CPU) writeTagLoop(out uint64, num int32, wt wire.Type) (uint64, error) 
 }
 
 func (c *CPU) serializeScalarValue(out uint64, f *schema.Field, bits uint64) (uint64, error) {
-	switch f.Kind {
-	case schema.KindFloat, schema.KindFixed32, schema.KindSfixed32:
+	k := f.Kind
+	if n := uint64(k.FixedWireSize()); n > 0 {
 		c.charge(c.P.FixedLoadStore)
-		c.stream(out, 4)
-		if err := c.Mem.Write32(out, uint32(bits)); err != nil {
+		c.stream(out, n)
+		if err := c.Mem.WriteUint(out, n, bits); err != nil {
 			return 0, err
 		}
-		return out + 4, nil
-	case schema.KindDouble, schema.KindFixed64, schema.KindSfixed64:
-		c.charge(c.P.FixedLoadStore)
-		c.stream(out, 8)
-		if err := c.Mem.Write64(out, bits); err != nil {
-			return 0, err
-		}
-		return out + 8, nil
-	case schema.KindSint32:
-		c.charge(c.P.ZigZag)
-		return c.writeVarint(out, wire.EncodeZigZag32(int32(bits)))
-	case schema.KindSint64:
-		c.charge(c.P.ZigZag)
-		return c.writeVarint(out, wire.EncodeZigZag64(int64(bits)))
-	case schema.KindUint32:
-		return c.writeVarint(out, uint64(uint32(bits)))
-	case schema.KindInt32, schema.KindEnum:
-		return c.writeVarint(out, uint64(int64(int32(bits))))
+		return out + n, nil
+	}
+	switch k {
 	case schema.KindBool:
 		c.charge(1)
 		c.stream(out, 1)
-		var b byte
-		if bits != 0 {
-			b = 1
-		}
-		if err := c.Mem.Write8(out, b); err != nil {
+		if err := c.Mem.Write8(out, byte(k.VarintValue(bits))); err != nil {
 			return 0, err
 		}
 		return out + 1, nil
-	default:
-		return c.writeVarint(out, bits)
+	case schema.KindSint32, schema.KindSint64:
+		c.charge(c.P.ZigZag)
 	}
+	return c.writeVarint(out, k.VarintValue(bits))
 }
 
 // copyBytes copies n bytes of payload from src to dst, charging both the
@@ -594,7 +542,7 @@ func (c *CPU) serializeRepeated(slotAddr, out uint64, f *schema.Field, sizes map
 	if n == 0 {
 		return out, nil
 	}
-	es := layout.ElemSize(f)
+	es := layout.ElemSize(f.Kind)
 	switch {
 	case f.Kind == schema.KindMessage:
 		for i := uint64(0); i < n; i++ {
@@ -651,7 +599,7 @@ func (c *CPU) serializeRepeated(slotAddr, out uint64, f *schema.Field, sizes map
 			if err != nil {
 				return 0, err
 			}
-			body += c.scalarWireBytes(f, bits)
+			body += uint64(f.Kind.ValueSize(bits))
 		}
 		out, err = c.writeTag(out, f.Number, wire.TypeBytes)
 		if err != nil {

@@ -94,7 +94,7 @@ func (c *CPU) parseMessage(ctx *deserCtx, t *schema.Message, bufAddr, bufLen, ob
 		}
 		fi := t.FieldIndex(num)
 		c.charge(c.P.FieldDispatch)
-		if fi < 0 || !compatible(t.Fields[fi], wt) {
+		if fi < 0 || !t.Fields[fi].Kind.AcceptsWireType(wt, t.Fields[fi].Repeated()) {
 			pos, err = c.skipValue(pos, end, num, wt)
 			if err != nil {
 				return err
@@ -126,17 +126,6 @@ func (c *CPU) parseMessage(ctx *deserCtx, t *schema.Message, bufAddr, bufLen, ob
 	return nil
 }
 
-func compatible(f *schema.Field, wt wire.Type) bool {
-	natural := f.Kind.WireType()
-	if wt == natural {
-		return true
-	}
-	if f.Repeated() && f.Kind != schema.KindMessage && f.Kind.Class() != schema.ClassBytesLike {
-		return wt == wire.TypeBytes
-	}
-	return false
-}
-
 func (c *CPU) skipValue(pos, end uint64, num int32, wt wire.Type) (uint64, error) {
 	switch wt {
 	case wire.TypeVarint:
@@ -166,71 +155,36 @@ func (c *CPU) skipValue(pos, end uint64, num int32, wt wire.Type) (uint64, error
 	}
 }
 
-// decodeScalarAt decodes one scalar value of kind k at pos, returning the
-// stored bit pattern (sign-extended where the layout expects it).
+// decodeScalarAt decodes one scalar value of field f at pos, returning
+// its stored bit pattern.
 func (c *CPU) decodeScalarAt(f *schema.Field, pos, end uint64) (bits uint64, n uint64, err error) {
-	switch f.Kind.WireType() {
-	case wire.TypeFixed32:
-		if pos+4 > end {
+	if n := uint64(f.Kind.FixedWireSize()); n > 0 {
+		if pos+n > end {
 			return 0, 0, ErrMalformed
 		}
-		c.stream(pos, 4)
+		c.stream(pos, n)
 		c.charge(c.P.FixedLoadStore)
-		v, err := c.Mem.Read32(pos)
+		v, err := c.Mem.ReadUint(pos, n)
 		if err != nil {
 			return 0, 0, err
 		}
-		if f.Kind == schema.KindSfixed32 {
-			return uint64(int64(int32(v))), 4, nil
-		}
-		return uint64(v), 4, nil
-	case wire.TypeFixed64:
-		if pos+8 > end {
-			return 0, 0, ErrMalformed
-		}
-		c.stream(pos, 8)
-		c.charge(c.P.FixedLoadStore)
-		v, err := c.Mem.Read64(pos)
-		return v, 8, err
-	default:
-		v, vn, err := c.readVarintAt(pos, end)
-		if err != nil {
-			return 0, 0, err
-		}
-		switch f.Kind {
-		case schema.KindSint32:
-			c.charge(c.P.ZigZag)
-			return uint64(int64(wire.DecodeZigZag32(v))), vn, nil
-		case schema.KindSint64:
-			c.charge(c.P.ZigZag)
-			return uint64(wire.DecodeZigZag64(v)), vn, nil
-		case schema.KindInt32, schema.KindEnum:
-			return uint64(int64(int32(v))), vn, nil
-		case schema.KindUint32:
-			return uint64(uint32(v)), vn, nil
-		case schema.KindBool:
-			if v != 0 {
-				return 1, vn, nil
-			}
-			return 0, vn, nil
-		default:
-			return v, vn, nil
-		}
+		return f.Kind.Stored(v), n, nil
 	}
+	v, vn, err := c.readVarintAt(pos, end)
+	if err != nil {
+		return 0, 0, err
+	}
+	if f.Kind.IsZigZag() {
+		c.charge(c.P.ZigZag)
+	}
+	return f.Kind.Stored(v), vn, nil
 }
 
 // writeSlot stores bits into a slot of the given width, charging the
 // store.
 func (c *CPU) writeSlot(addr, slot, bits uint64) error {
 	c.access(addr, slot)
-	switch slot {
-	case 1:
-		return c.Mem.Write8(addr, byte(bits))
-	case 4:
-		return c.Mem.Write32(addr, uint32(bits))
-	default:
-		return c.Mem.Write64(addr, bits)
-	}
+	return c.Mem.WriteUint(addr, slot, bits)
 }
 
 // allocString allocates a payload of n bytes, charging string
@@ -281,7 +235,7 @@ func (c *CPU) allocObject(sub *schema.Message) (uint64, error) {
 func (c *CPU) appendRepeated(ctx *deserCtx, objAddr, slotAddr uint64, f *schema.Field) (uint64, error) {
 	key := repKey{objAddr, f.Number}
 	rs, ok := ctx.reps[key]
-	es := layout.ElemSize(f)
+	es := layout.ElemSize(f.Kind)
 	if !ok {
 		// Adopt any existing buffer (merge-into semantics).
 		c.access(slotAddr, 24)
@@ -435,7 +389,7 @@ func (c *CPU) parseField(ctx *deserCtx, f *schema.Field, fl *layout.FieldLayout,
 			if err != nil {
 				return 0, err
 			}
-			if err := c.writeSlot(elemAddr, layout.ElemSize(f), bits); err != nil {
+			if err := c.writeSlot(elemAddr, layout.ElemSize(f.Kind), bits); err != nil {
 				return 0, err
 			}
 		}
@@ -450,7 +404,7 @@ func (c *CPU) parseField(ctx *deserCtx, f *schema.Field, fl *layout.FieldLayout,
 		if err != nil {
 			return 0, err
 		}
-		if err := c.writeSlot(elemAddr, layout.ElemSize(f), bits); err != nil {
+		if err := c.writeSlot(elemAddr, layout.ElemSize(f.Kind), bits); err != nil {
 			return 0, err
 		}
 		return pos + sn, nil

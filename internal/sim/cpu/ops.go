@@ -194,7 +194,7 @@ func (c *CPU) mergeRepeated(f *schema.Field, dstSlot, srcSlot uint64, dstHad boo
 			return err
 		}
 	}
-	es := layout.ElemSize(f)
+	es := layout.ElemSize(f.Kind)
 	c.charge(c.P.ReallocSetup)
 	newBuf, err := c.Heap.Alloc((dstN+srcN)*es, 8)
 	if err != nil {

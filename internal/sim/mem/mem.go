@@ -271,6 +271,34 @@ func (m *Memory) Write64(addr uint64, v uint64) error {
 	return nil
 }
 
+// ReadUint reads a little-endian value of width 1, 4 or 8 bytes (any other
+// width reads 8), zero-extended: the load of an object slot that wide.
+func (m *Memory) ReadUint(addr, width uint64) (uint64, error) {
+	switch width {
+	case 1:
+		b, err := m.Read8(addr)
+		return uint64(b), err
+	case 4:
+		v, err := m.Read32(addr)
+		return uint64(v), err
+	default:
+		return m.Read64(addr)
+	}
+}
+
+// WriteUint writes the low width bytes of v little-endian, for a width of
+// 1, 4 or 8 (any other width writes 8): the store to an object slot.
+func (m *Memory) WriteUint(addr, width, v uint64) error {
+	switch width {
+	case 1:
+		return m.Write8(addr, byte(v))
+	case 4:
+		return m.Write32(addr, uint32(v))
+	default:
+		return m.Write64(addr, v)
+	}
+}
+
 // Allocator is a bump allocator over a region: the mechanism behind both
 // accelerator arenas (§4.3) and the simulated program heap. Allocation is
 // a pointer increment, exactly as the paper describes.
