@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet race bench fuzz-smoke chaos-smoke serve-smoke serve-tiles-smoke obs-smoke elements-smoke workloads-smoke cluster-smoke figures results-check examples clean
+.PHONY: all build test vet race bench fuzz-smoke chaos-smoke serve-smoke serve-tiles-smoke daemon-smoke figures results-check examples clean
 
 all: build vet test
 
@@ -59,131 +59,14 @@ serve-tiles-smoke:
 	go run ./cmd/loadgen -tiles 4 -routing rr -duration 500ms -concurrency 8 -schema mixed -check
 	go run ./cmd/loadgen -tiles 4 -duration 500ms -concurrency 8 -schema string -check -faults 0.02 -fault-seed 7 -fault-tiles 1
 
-# End-to-end observability smoke: a real daemon with the admin plane up,
-# driven over TCP while loadgen scrapes /statusz + /metrics at ~10Hz
-# (every tick re-validates the Prometheus exposition; the run fails on
-# any exposition error or if no scrape landed). Then checks from the
-# daemon's /metrics that requests were queued and executed (the stage
-# histogram counts, summed over tiles, are nonzero), exercises the
-# SIGUSR1 mid-run stats flush, and checks the span trace is non-empty
-# JSON.
-obs-smoke:
-	go build -o /tmp/protoaccd-smoke ./cmd/protoaccd
-	rm -f /tmp/obs_smoke_stats.json /tmp/obs_smoke_spans.json
-	/tmp/protoaccd-smoke -listen 127.0.0.1:7419 -admin 127.0.0.1:7420 \
-	  -tiles 2 -span-sample-n 16 -stats-out /tmp/obs_smoke_stats.json & \
-	pid=$$!; \
-	ok=0; for i in $$(seq 50); do \
-	  curl -sf http://127.0.0.1:7420/healthz >/dev/null && { ok=1; break; }; sleep 0.1; \
-	done; \
-	[ $$ok -eq 1 ] || { echo "obs-smoke: admin endpoint never came up"; kill $$pid; exit 1; }; \
-	go run ./cmd/loadgen -addr 127.0.0.1:7419 -admin-url http://127.0.0.1:7420 \
-	  -duration 500ms -concurrency 8 -schema mixed -check \
-	  -trace-out /tmp/obs_smoke_spans.json \
-	  || { kill $$pid; exit 1; }; \
-	curl -s http://127.0.0.1:7420/metrics | \
-	  awk '/^protoacc_serve_stage_execute_ns_count[{ ]/ {e += $$2} \
-	    /^protoacc_serve_stage_queue_wait_ns_count[{ ]/ {q += $$2} \
-	    END {exit !(e > 0 && q > 0)}' \
-	  || { echo "obs-smoke: no executed or queued requests in the stage histograms"; kill $$pid; exit 1; }; \
-	kill -USR1 $$pid; sleep 0.3; \
-	[ -s /tmp/obs_smoke_stats.json ] || { echo "obs-smoke: SIGUSR1 flushed no stats"; kill $$pid; exit 1; }; \
-	kill $$pid; wait $$pid
-	grep -q traceEvents /tmp/obs_smoke_spans.json
-
-# End-to-end element-chain smoke: a real daemon with the full chain on
-# and a fast breaker, driven with hot-key-skewed verified traffic, then a
-# breaker drill over the admin plane — /faultz poisons tile 1, the trip
-# is asserted from /metrics, injection stops, and a recovery pass must
-# re-close the breaker (live state gauge back to 0). Also asserts the
-# skewed pass produced nonzero cache hits.
-elements-smoke:
-	go build -o /tmp/protoaccd-elements ./cmd/protoaccd
-	/tmp/protoaccd-elements -listen 127.0.0.1:7423 -admin 127.0.0.1:7424 \
-	  -tiles 4 -elements all \
-	  -breaker-window 200ms -breaker-trip-rate 0.3 -breaker-min-volume 8 \
-	  -breaker-open-for 100ms -breaker-probes 4 & \
-	pid=$$!; \
-	ok=0; for i in $$(seq 50); do \
-	  curl -sf http://127.0.0.1:7424/healthz >/dev/null && { ok=1; break; }; sleep 0.1; \
-	done; \
-	[ $$ok -eq 1 ] || { echo "elements-smoke: admin endpoint never came up"; kill $$pid; exit 1; }; \
-	go run ./cmd/loadgen -addr 127.0.0.1:7423 \
-	  -duration 1s -concurrency 8 -schema varint -skew 1.2 -check \
-	  || { kill $$pid; exit 1; }; \
-	curl -s http://127.0.0.1:7424/metrics | \
-	  awk '/^protoacc_serve_elements_cache_hits /{found=1; exit !($$2>0)} END{exit !found}' \
-	  || { echo "elements-smoke: no cache hits under skewed traffic"; kill $$pid; exit 1; }; \
-	curl -sf "http://127.0.0.1:7424/faultz?tile=1&faults=0.9" >/dev/null \
-	  || { echo "elements-smoke: /faultz injection failed"; kill $$pid; exit 1; }; \
-	go run ./cmd/loadgen -addr 127.0.0.1:7423 \
-	  -duration 1s -concurrency 8 -schema varint -check \
-	  || { kill $$pid; exit 1; }; \
-	curl -s http://127.0.0.1:7424/metrics | \
-	  awk '/^protoacc_serve_elements_breaker_trips /{found=1; exit !($$2>0)} END{exit !found}' \
-	  || { echo "elements-smoke: breaker never tripped on the faulted tile"; kill $$pid; exit 1; }; \
-	curl -sf "http://127.0.0.1:7424/faultz?tile=1&faults=off" >/dev/null \
-	  || { echo "elements-smoke: /faultz clear failed"; kill $$pid; exit 1; }; \
-	go run ./cmd/loadgen -addr 127.0.0.1:7423 \
-	  -duration 1s -concurrency 8 -schema varint -check \
-	  || { kill $$pid; exit 1; }; \
-	curl -s http://127.0.0.1:7424/metrics | \
-	  awk '/^protoacc_serve_elements_breaker_closes /{found=1; exit !($$2>0)} END{exit !found}' \
-	  || { echo "elements-smoke: breaker never re-closed after injection stopped"; kill $$pid; exit 1; }; \
-	curl -s http://127.0.0.1:7424/metrics | \
-	  grep -q 'protoacc_serve_live_breaker_state{tile="1"} 0' \
-	  || { echo "elements-smoke: tile 1 breaker not closed at end of drill"; kill $$pid; exit 1; }; \
-	kill $$pid; wait $$pid 2>/dev/null; true
-
-# End-to-end fleet-shaped workloads smoke: a real daemon, a short seeded
-# trace replayed byte-verified, then a 2-hop service chain (frontend→kv,
-# kv→backend) — every hop's serialize/deserialize on the accelerated
-# serving path. Asserts the trace group and both hop groups recorded
-# traffic and the run held -check throughout.
-workloads-smoke:
-	go build -o /tmp/protoaccd-workloads ./cmd/protoaccd
-	/tmp/protoaccd-workloads -listen 127.0.0.1:7425 -admin 127.0.0.1:7426 -tiles 2 & \
-	pid=$$!; \
-	ok=0; for i in $$(seq 50); do \
-	  curl -sf http://127.0.0.1:7426/healthz >/dev/null && { ok=1; break; }; sleep 0.1; \
-	done; \
-	[ $$ok -eq 1 ] || { echo "workloads-smoke: admin endpoint never came up"; kill $$pid; exit 1; }; \
-	go run ./cmd/loadgen -addr 127.0.0.1:7425 -workload all \
-	  -trace-seed 1 -trace-len 512 -hops 2 -concurrency 4 -check \
-	  > /tmp/workloads_smoke.out 2>&1 \
-	  || { cat /tmp/workloads_smoke.out; kill $$pid; exit 1; }; \
-	cat /tmp/workloads_smoke.out; \
-	for g in trace hop0 hop1; do \
-	  awk -v want="serve/workload/$$g/requests" \
-	    '$$1==want {found=1; exit !($$2>0)} END{exit !found}' /tmp/workloads_smoke.out \
-	    || { echo "workloads-smoke: no traffic recorded for $$g"; kill $$pid; exit 1; }; \
-	done; \
-	kill $$pid; wait $$pid 2>/dev/null; true
-
-# Disaggregated-pool smoke: the cluster balancer under the race detector
-# (routing, hedging, failover, /healthz ejection and recovery against the
-# real admin handler, 1-vs-2-node determinism), then the -cluster flag
-# path: two live daemons driven through the balancer with hedging and
-# health polling on, serve/cluster counters asserted nonzero.
-cluster-smoke:
-	go test -race -count=1 ./internal/serve/cluster
-	go build -o /tmp/protoaccd-cluster ./cmd/protoaccd
-	/tmp/protoaccd-cluster -listen 127.0.0.1:7427 -admin 127.0.0.1:7428 & pid1=$$!; \
-	/tmp/protoaccd-cluster -listen 127.0.0.1:7429 -admin 127.0.0.1:7430 & pid2=$$!; \
-	ok=0; for i in $$(seq 50); do \
-	  curl -sf http://127.0.0.1:7428/healthz >/dev/null && \
-	  curl -sf http://127.0.0.1:7430/healthz >/dev/null && { ok=1; break; }; sleep 0.1; \
-	done; \
-	[ $$ok -eq 1 ] || { echo "cluster-smoke: daemons never came up"; kill $$pid1 $$pid2; exit 1; }; \
-	go run ./cmd/loadgen -cluster 127.0.0.1:7427,127.0.0.1:7429 \
-	  -cluster-admin 127.0.0.1:7428,127.0.0.1:7430 -hedge \
-	  -duration 1s -concurrency 8 -schema varint -check \
-	  > /tmp/cluster_smoke.out 2>&1 \
-	  || { cat /tmp/cluster_smoke.out; kill $$pid1 $$pid2; exit 1; }; \
-	cat /tmp/cluster_smoke.out; \
-	grep -Eq 'cluster: 2 nodes  requests=[1-9]' /tmp/cluster_smoke.out \
-	  || { echo "cluster-smoke: no serve/cluster accounting in output"; kill $$pid1 $$pid2; exit 1; }; \
-	kill $$pid1 $$pid2; wait $$pid1 $$pid2 2>/dev/null; true
+# Live daemons end to end (TestSmoke in cmd/protoaccd): build protoaccd
+# and loadgen, start daemons on ephemeral loopback ports, drive them with
+# loadgen and check their admin planes: the observability plane under
+# load, the element chain's cache and breaker drill, trace replay and a
+# service chain, and a hedged two-daemon cluster. Every daemon must
+# drain on SIGTERM and exit 0.
+daemon-smoke:
+	go test -count=1 -v -run TestSmoke ./cmd/protoaccd -smoke
 
 build:
 	go build ./...

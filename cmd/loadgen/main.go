@@ -9,7 +9,7 @@
 //
 // Usage:
 //
-//	loadgen [-addr host:port] [-admin-url url] [-schema name]
+//	loadgen [-addr host:port] [-schema name]
 //	        [-op deser|ser|both]
 //	        [-duration d] [-concurrency n] [-rate rps] [-skew s] [-timeout d]
 //	        [-check] [-trace-out file]
@@ -50,11 +50,9 @@
 // (serve.Options.RegisterFlags) and -stats-out configure that in-process
 // server.
 //
-// -admin-url names the -addr daemon's admin endpoint, which loadgen
-// scrapes at ~10Hz for the whole run; each tick decodes /statusz and
-// validates that the /metrics Prometheus exposition parses. -trace-out
-// saves the sampled lifecycle spans as Perfetto trace JSON (in-process
-// with -span-sample-n, or fetched from -admin-url).
+// -trace-out saves the in-process server's sampled lifecycle spans
+// (enable -span-sample-n) as Perfetto trace JSON; a daemon serves its
+// own on its admin /spans endpoint.
 //
 // -check verifies every OK response is byte-identical to its request
 // payload (sample payloads are canonical, so the serving contract makes
@@ -66,11 +64,9 @@
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"io"
-	"net/http"
 	"os"
 	"sort"
 	"strings"
@@ -92,8 +88,7 @@ var (
 	skew        = flag.Float64("skew", 0, "Zipf skew s over the schema's sample payloads (>1 = hot-key traffic; 0 = uniform walk)")
 	timeout     = flag.Duration("timeout", 0, "per-request deadline (0 = server default)")
 	check       = flag.Bool("check", true, "verify each OK response is byte-identical to its payload")
-	adminURL    = flag.String("admin-url", "", "admin endpoint base URL of the -addr daemon (e.g. http://127.0.0.1:7412); scraped at ~10Hz during passes")
-	traceOut    = flag.String("trace-out", "", "write sampled lifecycle spans as Perfetto trace JSON to this file (in-process: enable -span-sample-n; with -addr: fetched from -admin-url /spans)")
+	traceOut    = flag.String("trace-out", "", "in-process server: write sampled lifecycle spans as Perfetto trace JSON to this file (enable -span-sample-n)")
 
 	workload  = flag.String("workload", "", "fleet-shaped workload mode: trace (replay a synthesized trace), chain (1–3 hop service chain), or all")
 	traceSeed = flag.Int64("trace-seed", 1, "seed of the synthesized workload trace (same seed = same trace)")
@@ -132,8 +127,8 @@ var (
 	clusterOnly  = []string{"cluster-admin", "cluster-routing", "hedge", "hedge-quantile"}
 	workloadOnly = []string{"trace-seed", "trace-len", "hops"}
 	// passOnly shape the per-(schema, op) passes. -workload replaces
-	// them: it replays its whole trace closed-loop and scrapes nothing.
-	passOnly = []string{"schema", "op", "duration", "rate", "skew", "trace-out", "admin-url"}
+	// them: it replays its whole trace closed-loop.
+	passOnly = []string{"schema", "op", "duration", "rate", "skew", "trace-out"}
 )
 
 // checkFlags applies loadgen's rules on which flags combine to the set
@@ -165,16 +160,14 @@ func checkFlags(given map[string]bool) error {
 		return fmt.Errorf("loadgen: cluster flags need -cluster: %s", dashed(among(clusterOnly)))
 	case given["cluster"] && (given["addr"] || len(server) > 0):
 		return fmt.Errorf("loadgen: -cluster replaces the single -addr target and does not combine with -addr or the in-process server flags")
-	case given["cluster"] && (given["workload"] || given["trace-out"] || given["admin-url"]):
-		return fmt.Errorf("loadgen: -cluster does not combine with -workload, -trace-out, or -admin-url")
+	case given["cluster"] && (given["workload"] || given["trace-out"]):
+		return fmt.Errorf("loadgen: -cluster does not combine with -workload or -trace-out")
 	case !given["workload"] && len(among(workloadOnly)) > 0:
 		return fmt.Errorf("loadgen: workload flags need -workload: %s", dashed(among(workloadOnly)))
 	case given["workload"] && len(among(passOnly)) > 0:
 		return fmt.Errorf("loadgen: -workload replays its whole trace closed-loop and ignores %s", dashed(among(passOnly)))
-	case given["admin-url"] && !given["addr"]:
-		return fmt.Errorf("loadgen: -admin-url names a remote daemon's admin endpoint and needs -addr")
-	case given["addr"] && given["trace-out"] && !given["admin-url"]:
-		return fmt.Errorf("loadgen: -trace-out against a remote daemon needs -admin-url")
+	case given["addr"] && given["trace-out"]:
+		return fmt.Errorf("loadgen: -trace-out saves the in-process server's spans; a daemon serves its own on its admin /spans endpoint")
 	case *duration <= 0:
 		return fmt.Errorf("loadgen: -duration %v must be positive", *duration)
 	case *concurrency < 1:
@@ -297,11 +290,6 @@ func main() {
 
 	fmt.Printf("loadgen: target %s, %s, concurrency %d, %v per pass\n", target, mode, *concurrency, *duration)
 
-	var sc *scraper
-	if *adminURL != "" {
-		sc = startScraper(*adminURL)
-	}
-
 	base.Duration, base.RatePerSec = *duration, *rate
 	total, err := runPasses(base, schemas, ops, *skew)
 	if err != nil {
@@ -310,15 +298,6 @@ func main() {
 	}
 	failed := total.CheckFailures > 0 || total.Errors > 0
 
-	if sc != nil {
-		sc.stop()
-		fmt.Printf("loadgen: admin scrape: %d ticks, %d scrape errors, %d exposition errors\n",
-			sc.scrapes, sc.failures, sc.invalid)
-		if sc.invalid > 0 || sc.scrapes == 0 {
-			failed = true
-		}
-	}
-
 	if bal != nil {
 		printClusterStats(os.Stdout, bal)
 		bal.Close()
@@ -326,14 +305,14 @@ func main() {
 	closeServer()
 
 	if *traceOut != "" {
-		if err := writeTrace(*traceOut, srv, *adminURL); err != nil {
+		if err := writeTrace(*traceOut, srv); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
 		fmt.Printf("span trace written to %s\n", *traceOut)
 	}
 	if failed {
-		fmt.Fprintln(os.Stderr, "loadgen: FAILED (check failures, transport errors, or admin scrape errors)")
+		fmt.Fprintln(os.Stderr, "loadgen: FAILED (check failures or transport errors)")
 		os.Exit(1)
 	}
 }
@@ -357,96 +336,15 @@ func runPasses(base workloads.LoadOptions, schemas []string, ops []serve.Op, ske
 	return total, nil
 }
 
-// scraper polls a daemon's admin endpoint at ~10Hz for the whole run:
-// each tick decodes /statusz and validates the /metrics Prometheus
-// exposition parses — exercising the scrape path concurrently with
-// serving traffic is exactly the condition the observability plane's
-// determinism guard covers.
-type scraper struct {
-	base   string
-	stopCh chan struct{}
-	doneCh chan struct{}
-
-	scrapes  int // successful /statusz captures
-	failures int // transport/decode errors
-	invalid  int // /metrics expositions that failed validation
-}
-
-func startScraper(base string) *scraper {
-	sc := &scraper{base: strings.TrimSuffix(base, "/"), stopCh: make(chan struct{}), doneCh: make(chan struct{})}
-	client := &http.Client{Timeout: 2 * time.Second}
-	go func() {
-		defer close(sc.doneCh)
-		tick := time.NewTicker(100 * time.Millisecond)
-		defer tick.Stop()
-		for {
-			sc.tick(client)
-			select {
-			case <-sc.stopCh:
-				return
-			case <-tick.C:
-			}
-		}
-	}()
-	return sc
-}
-
-func (sc *scraper) tick(client *http.Client) {
-	resp, err := client.Get(sc.base + "/statusz")
-	if err != nil {
-		sc.failures++
-		return
-	}
-	var doc serve.Statusz
-	err = json.NewDecoder(resp.Body).Decode(&doc)
-	resp.Body.Close()
-	if err != nil {
-		sc.failures++
-		return
-	}
-	sc.scrapes++
-
-	mresp, err := client.Get(sc.base + "/metrics")
-	if err != nil {
-		sc.failures++
-		return
-	}
-	err = telemetry.ValidatePrometheus(mresp.Body)
-	mresp.Body.Close()
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "loadgen: /metrics exposition invalid:", err)
-		sc.invalid++
-	}
-}
-
-// stop ends the polling loop and waits for the in-flight tick.
-func (sc *scraper) stop() {
-	close(sc.stopCh)
-	<-sc.doneCh
-}
-
-// writeTrace saves the sampled lifecycle spans as Perfetto trace JSON,
-// from the in-process server or the remote daemon's /spans endpoint.
-func writeTrace(path string, srv *serve.Server, adminURL string) error {
+// writeTrace saves the in-process server's sampled lifecycle spans as
+// Perfetto trace JSON.
+func writeTrace(path string, srv *serve.Server) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	if srv != nil {
-		return telemetry.WritePerfetto(f, srv.SpanEvents())
-	}
-	client := &http.Client{Timeout: 5 * time.Second}
-	resp, err := client.Get(strings.TrimSuffix(adminURL, "/") + "/spans")
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("loadgen: /spans returned %s", resp.Status)
-	}
-	_, err = io.Copy(f, resp.Body)
-	return err
+	return telemetry.WritePerfetto(f, srv.SpanEvents())
 }
 
 // printTally prints one stream's summary line pair: OK throughput over

@@ -15,7 +15,7 @@ func TestCheckFlags(t *testing.T) {
 	}{
 		{nil, ""},
 		{[]string{"tiles", "elements", "stats-out", "schema", "op", "rate", "skew", "trace-out", "span-sample-n"}, ""},
-		{[]string{"addr", "admin-url", "trace-out", "duration", "concurrency", "check"}, ""},
+		{[]string{"addr", "duration", "concurrency", "check"}, ""},
 		{[]string{"cluster", "cluster-admin", "cluster-routing", "hedge", "hedge-quantile", "schema", "duration"}, ""},
 		{[]string{"workload", "trace-seed", "trace-len", "hops", "concurrency", "timeout", "check", "tiles", "stats-out"}, ""},
 		{[]string{"addr", "workload", "trace-len"}, ""},
@@ -31,9 +31,8 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"trace-len"}, "workload flags need -workload: -trace-len"},
 		{[]string{"workload", "rate", "duration", "skew", "schema"}, "-workload replays its whole trace closed-loop and ignores -schema -duration -rate -skew"},
 		{[]string{"workload", "op"}, "ignores -op"},
-		{[]string{"addr", "workload", "trace-out", "admin-url"}, "ignores -trace-out -admin-url"},
-		{[]string{"admin-url"}, "-admin-url names a remote daemon's admin endpoint and needs -addr"},
-		{[]string{"addr", "trace-out"}, "-trace-out against a remote daemon needs -admin-url"},
+		{[]string{"addr", "workload", "trace-out"}, "ignores -trace-out"},
+		{[]string{"addr", "trace-out"}, "a daemon serves its own on its admin /spans endpoint"},
 		{[]string{"duration=0s"}, "-duration 0s must be positive"},
 		{[]string{"concurrency=0"}, "-concurrency 0 must be at least 1"},
 		{[]string{"workload", "concurrency=-3"}, "-concurrency -3 must be at least 1"},

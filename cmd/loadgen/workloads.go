@@ -11,8 +11,8 @@ import (
 
 // runWorkloads synthesizes the fleet-shaped trace, replays it and/or
 // drives the hops-long service chain with it under the base options,
-// and prints the serve/workload/... counter groups (the smoke target
-// greps these lines). target names the dialed server for the banner.
+// and prints the serve/workload/... counter groups. target names the
+// dialed server for the banner.
 func runWorkloads(base workloads.LoadOptions, mode string, seed int64, records, hops int, target string) error {
 	switch mode {
 	case "trace", "chain", "all":
@@ -77,8 +77,8 @@ func runWorkloads(base workloads.LoadOptions, mode string, seed int64, records, 
 		failed = rep.Records == 0
 	}
 
-	// The counter groups, named exactly as server-side telemetry names
-	// things — workloads-smoke asserts on these lines.
+	// The counter groups, one "name value" line each, named as
+	// server-side telemetry names things.
 	for _, s := range reg.Snapshot().Samples() {
 		fmt.Printf("%s %.0f\n", s.Name, s.Value)
 	}

@@ -38,13 +38,17 @@
 // -span-sample-n N samples every N'th admitted request with a lifecycle
 // span (admit → queue → coalesce → execute → respond) for /spans.
 //
+// Once both listeners are bound, the first stdout line is "protoaccd
+// listening on ADDR (...)" and, with -admin, the second is "protoaccd
+// admin on http://ADDR (...)", so -listen and -admin may name port 0.
+//
 // On SIGINT/SIGTERM — or a fatal listener accept error — the daemon
-// drains in-flight work, then (with -stats-out) writes the merged
-// telemetry counters — the serving group (queue, batching,
-// shed/fallback, per-tile serve/tile<i>/ breakdowns) plus every
-// accelerator unit's counters aggregated across batches — as JSON, or
-// Prometheus text with a .prom suffix. SIGUSR1 writes the same artifact
-// mid-run without draining.
+// drains in-flight work, prints "protoaccd: drained in D", then (with
+// -stats-out) writes the merged telemetry counters — the serving group
+// (queue, batching, shed/fallback, per-tile serve/tile<i>/ breakdowns)
+// plus every accelerator unit's counters aggregated across batches — as
+// JSON, or Prometheus text with a .prom suffix. /statusz?write=1 writes
+// the same artifact mid-run without draining.
 package main
 
 import (
@@ -102,11 +106,18 @@ func main() {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(1)
 	}
+	var adminLn net.Listener
+	if *admin != "" {
+		if adminLn, err = net.Listen("tcp", *admin); err != nil {
+			fmt.Fprintln(os.Stderr, err)
+			os.Exit(1)
+		}
+	}
 	fmt.Printf("protoaccd listening on %s (schemas: %s; tiles=%d routing=%s workers=%d elements=%s)\n",
 		ln.Addr(), strings.Join(srv.Catalog().Names(), ","), srv.Tiles(), srv.Routing(), srv.Workers(), opts.Elements.Spec())
 
-	// flushStats serializes mid-run stats writes (SIGUSR1 and
-	// /statusz?write=1 may race) against the shutdown write.
+	// flushStats serializes mid-run stats writes (concurrent
+	// /statusz?write=1 requests may race) against the shutdown write.
 	var statsMu sync.Mutex
 	flushStats := func() (string, error) {
 		statsMu.Lock()
@@ -117,13 +128,7 @@ func main() {
 		return *statsOut, nil
 	}
 
-	var adminLn net.Listener
-	if *admin != "" {
-		adminLn, err = net.Listen("tcp", *admin)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
+	if adminLn != nil {
 		adminOpts := serve.AdminOptions{Manifest: manifest}
 		if *statsOut != "" {
 			adminOpts.FlushStats = flushStats
@@ -135,33 +140,16 @@ func main() {
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)
-	usr1 := make(chan os.Signal, 1)
-	signal.Notify(usr1, syscall.SIGUSR1)
 	done := make(chan error, 1)
 	go func() { done <- srv.Serve(ln) }()
-run:
-	for {
-		select {
-		case s := <-sig:
-			fmt.Printf("protoaccd: %v, draining\n", s)
-			break run
-		case <-usr1:
-			if *statsOut == "" {
-				fmt.Fprintln(os.Stderr, "protoaccd: SIGUSR1 ignored (no -stats-out)")
-				continue
-			}
-			if path, err := flushStats(); err != nil {
-				fmt.Fprintln(os.Stderr, "protoaccd: SIGUSR1 stats flush:", err)
-			} else {
-				fmt.Printf("telemetry counters written to %s (SIGUSR1)\n", path)
-			}
-		case err := <-done:
-			// A fatal accept error ends serving; fall through to the same
-			// drain + stats path a signal takes, so -stats-out still fires.
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "protoaccd: listener failed, draining:", err)
-			}
-			break run
+	select {
+	case s := <-sig:
+		fmt.Printf("protoaccd: %v, draining\n", s)
+	case err := <-done:
+		// A fatal accept error ends serving; fall through to the same
+		// drain + stats path a signal takes, so -stats-out still fires.
+		if err != nil {
+			fmt.Fprintln(os.Stderr, "protoaccd: listener failed, draining:", err)
 		}
 	}
 	start := time.Now()

@@ -39,7 +39,7 @@ var scalarKinds = []schema.Kind{
 	schema.KindDouble, schema.KindFloat, schema.KindInt32, schema.KindInt64,
 	schema.KindUint32, schema.KindUint64, schema.KindSint32, schema.KindSint64,
 	schema.KindFixed32, schema.KindFixed64, schema.KindSfixed32, schema.KindSfixed64,
-	schema.KindBool, schema.KindString, schema.KindBytes,
+	schema.KindBool, schema.KindEnum, schema.KindString, schema.KindBytes,
 }
 
 // RandomSchema generates a random message type.

@@ -176,9 +176,11 @@ func newBreaker(cfg Config, tiles int) *Breaker {
 	return b
 }
 
-// epochAt maps a wall time onto the rolling window's bucket epoch.
+// epochAt maps a wall time onto the rolling window's bucket epoch. A
+// time before the breaker was built counts as epoch 0, so the ring index
+// epoch % windowBuckets never goes negative.
 func (b *Breaker) epochAt(now time.Time) int64 {
-	return int64(now.Sub(b.start) / b.bucketDur)
+	return max(0, int64(now.Sub(b.start)/b.bucketDur))
 }
 
 // record appends a transition event to the bounded timeline ring.

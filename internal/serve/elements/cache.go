@@ -49,13 +49,12 @@ func (e *centry) size() int64 {
 
 // Cache is the canonical-bytes response cache element: bounded memory,
 // LRU eviction, keyed on (schema, op, payload hash) with stored-payload
-// verification. It is correct by construction — invalidation-free —
-// because a response in this server is a pure function of the key
-// material: every OK response is the canonical codec.Marshal of the
-// parsed request payload, for both operations, on every path (accel,
-// retried, functional). The cache only ever stores non-fallback OK
-// responses, so a hit returns exactly the bytes a fresh execution would
-// produce. There is no state a write could invalidate.
+// verification. It stores only OK responses that did not fall back to
+// software, and an accelerated answer is a function of the key material
+// alone (a retried fault included), so a hit returns exactly the bytes
+// a fresh accelerated run returns. There is no state a write could
+// invalidate. Fallback answers are not stored: for a payload with
+// unknown fields they can differ from the accelerated one.
 type Cache struct {
 	maxBytes int64
 

@@ -444,6 +444,20 @@ func TestBreakerWindowExpiry(t *testing.T) {
 	}
 }
 
+func TestBreakerObserveBeforeStart(t *testing.T) {
+	b, start := drillBreaker(1)
+	// Times before the breaker was built land in its first bucket.
+	b.Observe(0, 3, 3, start.Add(-15*time.Millisecond))
+	b.Observe(0, 1, 1, start.Add(-25*time.Millisecond))
+	if got := b.StateOf(0); got != StateOpen {
+		t.Fatalf("state after 4/4 failures = %v, want open", got)
+	}
+	st := b.TileStates(start)[0]
+	if st.WindowRequests != 4 || st.WindowFailures != 4 {
+		t.Fatalf("window = %d/%d, want 4/4", st.WindowFailures, st.WindowRequests)
+	}
+}
+
 func TestBreakerEvents(t *testing.T) {
 	b, now := drillBreaker(1)
 	b.Observe(0, 8, 8, now)

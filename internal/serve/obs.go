@@ -267,7 +267,7 @@ func spanEvents(spans []*Span) []telemetry.Event {
 		if sp.ExecEndAt != 0 {
 			stage("respond_write", sp.ExecEndAt, sp.DoneAt)
 		} else if sp.BatchAt != 0 {
-			stage("respond_write", sp.BatchAt, sp.DoneAt) // functional / degraded batch
+			stage("respond_write", sp.BatchAt, sp.DoneAt) // degraded batch: answered in software
 		}
 	}
 	return out
