@@ -27,7 +27,7 @@ func parseAddrList(flagName, s string) ([]string, error) {
 
 // clusterOptions assembles the balancer configuration from the -cluster
 // flag family. Health polling turns on iff -cluster-admin is given.
-func clusterOptions(addrs, admins string, routing serve.Routing, hedge bool, quantile float64) (cluster.Options, error) {
+func clusterOptions(addrs, admins string, routing serve.Routing) (cluster.Options, error) {
 	list, err := parseAddrList("-cluster", addrs)
 	if err != nil {
 		return cluster.Options{}, err
@@ -37,8 +37,7 @@ func clusterOptions(addrs, admins string, routing serve.Routing, hedge bool, qua
 		Routing: routing,
 		// A bounded wait keeps a wedged daemon from pinning loadgen
 		// workers forever; the balancer fails over on the timeout.
-		Dial:  serve.DialOptions{Timeout: 10 * time.Second},
-		Hedge: cluster.HedgeOptions{Enabled: hedge, Quantile: quantile},
+		Dial: serve.DialOptions{Timeout: 10 * time.Second},
 	}
 	if admins != "" {
 		alist, err := parseAddrList("-cluster-admin", admins)
@@ -55,18 +54,17 @@ func clusterOptions(addrs, admins string, routing serve.Routing, hedge bool, qua
 }
 
 // printClusterStats prints the balancer's view of the run: pool-level
-// hedging/ejection accounting, then each node's share.
+// failover/ejection accounting, then each node's share.
 func printClusterStats(w io.Writer, b *cluster.Balancer) {
 	c := b.Counters()
-	fmt.Fprintf(w, "cluster: %d nodes  requests=%.0f hedges=%.0f hedge-wins=%.0f hedge-losses=%.0f retries=%.0f ejections=%.0f recoveries=%.0f\n",
-		b.Nodes(), c["serve/cluster/requests"], c["serve/cluster/hedges"], c["serve/cluster/hedge_wins"],
-		c["serve/cluster/hedge_losses"], c["serve/cluster/retries"], c["serve/cluster/ejections"], c["serve/cluster/recoveries"])
+	fmt.Fprintf(w, "cluster: %d nodes  requests=%.0f retries=%.0f ejections=%.0f recoveries=%.0f\n",
+		b.Nodes(), c["serve/cluster/requests"], c["serve/cluster/retries"], c["serve/cluster/ejections"], c["serve/cluster/recoveries"])
 	for i, n := range b.NodeStats() {
 		state := ""
 		if n.Ejected {
 			state = "  [ejected]"
 		}
-		fmt.Fprintf(w, "  node%d %s: req=%d ok=%d err=%d fellback=%d hedges=%d hedge-wins=%d ejections=%d redials=%d%s\n",
-			i, n.Addr, n.Requests, n.OKs, n.Errors, n.Fallbacks, n.Hedges, n.HedgeWins, n.Ejections, n.Redials, state)
+		fmt.Fprintf(w, "  node%d %s: req=%d ok=%d err=%d fellback=%d ejections=%d redials=%d%s\n",
+			i, n.Addr, n.Requests, n.OKs, n.Errors, n.Fallbacks, n.Ejections, n.Redials, state)
 	}
 }

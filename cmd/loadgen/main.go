@@ -17,7 +17,7 @@
 //	        [-elements all|off|admission,breaker,cache]
 //	        [-workload trace|chain|all] [-trace-seed n] [-trace-len n] [-hops n]
 //	        [-cluster host:port,host:port] [-cluster-admin host:port,...]
-//	        [-cluster-routing p2c|rr] [-hedge] [-hedge-quantile q]
+//	        [-cluster-routing p2c|rr]
 //	        [-workers n] [-max-batch n] [-batch-window d] [-queue-depth n]
 //	        [-faults rate[@site,...]] [-fault-seed n] [-fault-tiles 0,2]
 //	        [-stats-out file] [-span-sample-n n]
@@ -40,9 +40,9 @@
 //
 // -cluster drives a pool of already-running protoaccd daemons through
 // the client-side balancer (internal/serve/cluster): p2c or rr node
-// placement over live in-flight/latency estimates, optional straggler
-// hedging (-hedge), and — with -cluster-admin — /healthz-driven node
-// ejection and recovery.
+// placement over live in-flight/latency estimates, failover to another
+// node on a transport error, and — with -cluster-admin —
+// /healthz-driven node ejection and recovery.
 //
 // With -addr it dials an already-running daemon over TCP (one connection
 // per worker). Without -addr it starts an in-process server and drives it
@@ -95,10 +95,8 @@ var (
 	traceLen  = flag.Int("trace-len", 0, "records in the synthesized workload trace (0 = default 4096)")
 	hops      = flag.Int("hops", 2, "service-chain length in edges for -workload chain (1..3: frontend→kv→backend→store)")
 
-	clusterAddrs  = flag.String("cluster", "", "comma-separated protoaccd data addresses; drives the pool through the client-side balancer")
-	clusterAdmin  = flag.String("cluster-admin", "", "comma-separated admin addresses parallel to -cluster; enables /healthz polling and node ejection")
-	hedge         = flag.Bool("hedge", false, "hedge straggler requests against a second node after an adaptive quantile delay (needs ≥2 cluster nodes)")
-	hedgeQuantile = flag.Float64("hedge-quantile", 0.95, "OK-latency quantile the hedge delay adapts to")
+	clusterAddrs = flag.String("cluster", "", "comma-separated protoaccd data addresses; drives the pool through the client-side balancer")
+	clusterAdmin = flag.String("cluster-admin", "", "comma-separated admin addresses parallel to -cluster; enables /healthz polling and node ejection")
 
 	statsOut   = flag.String("stats-out", "", "in-process server: write merged telemetry counters on exit")
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run (loadgen + in-process server) to this file")
@@ -124,7 +122,7 @@ func bindServerFlags(o *serve.Options) *flag.FlagSet {
 
 // Flags that only one mode reads.
 var (
-	clusterOnly  = []string{"cluster-admin", "cluster-routing", "hedge", "hedge-quantile"}
+	clusterOnly  = []string{"cluster-admin", "cluster-routing"}
 	workloadOnly = []string{"trace-seed", "trace-len", "hops"}
 	// passOnly shape the per-(schema, op) passes. -workload replaces
 	// them: it replays its whole trace closed-loop.
@@ -230,7 +228,7 @@ func main() {
 	target := *addr
 	switch {
 	case *clusterAddrs != "":
-		copts, err := clusterOptions(*clusterAddrs, *clusterAdmin, clusterRouting, *hedge, *hedgeQuantile)
+		copts, err := clusterOptions(*clusterAddrs, *clusterAdmin, clusterRouting)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -241,7 +239,7 @@ func main() {
 			os.Exit(1)
 		}
 		dial = func() (serve.Doer, error) { return bal.Client(), nil }
-		target = fmt.Sprintf("cluster of %d nodes (routing=%s hedge=%v)", bal.Nodes(), clusterRouting, *hedge)
+		target = fmt.Sprintf("cluster of %d nodes (routing=%s)", bal.Nodes(), clusterRouting)
 	case *addr == "":
 		srv, err = serve.NewServer(opts)
 		if err != nil {

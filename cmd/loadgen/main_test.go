@@ -16,7 +16,7 @@ func TestCheckFlags(t *testing.T) {
 		{nil, ""},
 		{[]string{"tiles", "elements", "stats-out", "schema", "op", "rate", "skew", "trace-out", "span-sample-n"}, ""},
 		{[]string{"addr", "duration", "concurrency", "check"}, ""},
-		{[]string{"cluster", "cluster-admin", "cluster-routing", "hedge", "hedge-quantile", "schema", "duration"}, ""},
+		{[]string{"cluster", "cluster-admin", "cluster-routing", "schema", "duration"}, ""},
 		{[]string{"workload", "trace-seed", "trace-len", "hops", "concurrency", "timeout", "check", "tiles", "stats-out"}, ""},
 		{[]string{"addr", "workload", "trace-len"}, ""},
 		{[]string{"workload", "hops=1", "concurrency=1"}, ""},
@@ -24,7 +24,7 @@ func TestCheckFlags(t *testing.T) {
 
 		{[]string{"addr", "tiles"}, "in-process server flags conflict with -addr: -tiles"},
 		{[]string{"addr", "stats-out", "faults"}, "conflict with -addr: -faults -stats-out"},
-		{[]string{"hedge"}, "cluster flags need -cluster: -hedge"},
+		{[]string{"cluster-admin"}, "cluster flags need -cluster: -cluster-admin"},
 		{[]string{"cluster", "addr"}, "-cluster replaces the single -addr target"},
 		{[]string{"cluster", "workers"}, "-cluster replaces the single -addr target"},
 		{[]string{"cluster", "workload"}, "-cluster does not combine"},

@@ -156,11 +156,11 @@ func smokeWorkloads(t *testing.T, r rig, ds []*daemon) {
 	}
 }
 
-// smokeCluster drives two daemons through the balancer with hedging and
-// health polling on; the pool and each node must serve requests.
+// smokeCluster drives two daemons through the balancer with health
+// polling on; the pool and each node must serve requests.
 func smokeCluster(t *testing.T, r rig, ds []*daemon) {
 	a, b := ds[0], ds[1]
-	out := r.loadgen(t, "-cluster", a.addr+","+b.addr, "-cluster-admin", a.admin+","+b.admin, "-hedge",
+	out := r.loadgen(t, "-cluster", a.addr+","+b.addr, "-cluster-admin", a.admin+","+b.admin,
 		"-duration", "1s", "-concurrency", "8", "-schema", "varint", "-check")
 	if m := regexp.MustCompile(`(?m)^cluster: 2 nodes  requests=(\d+) `).FindStringSubmatch(out); m == nil || m[1] == "0" {
 		t.Errorf("loadgen output has no \"cluster: 2 nodes  requests=N\" line with N > 0")

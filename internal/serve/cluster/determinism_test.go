@@ -17,9 +17,8 @@ type observed struct {
 }
 
 // replayCluster replays the trace through a pool of the given size in
-// the deterministic configuration — round-robin routing, hedging off,
-// health off, one replay worker — and returns every response in record
-// order.
+// the deterministic configuration — round-robin routing, health off,
+// one replay worker — and returns every response in record order.
 func replayCluster(t *testing.T, nodes int, trace *workloads.Trace) []observed {
 	t.Helper()
 	addrs := make([]string, nodes)
@@ -56,9 +55,9 @@ func replayCluster(t *testing.T, nodes int, trace *workloads.Trace) []observed {
 		t.Fatalf("%d-node replay: %d transport errors", nodes, n)
 	}
 	c := b.Counters()
-	if c["serve/cluster/hedges"] != 0 || c["serve/cluster/retries"] != 0 || c["serve/cluster/ejections"] != 0 {
-		t.Fatalf("deterministic replay was not clean: hedges=%v retries=%v ejections=%v",
-			c["serve/cluster/hedges"], c["serve/cluster/retries"], c["serve/cluster/ejections"])
+	if c["serve/cluster/retries"] != 0 || c["serve/cluster/ejections"] != 0 {
+		t.Fatalf("deterministic replay was not clean: retries=%v ejections=%v",
+			c["serve/cluster/retries"], c["serve/cluster/ejections"])
 	}
 	if c["serve/cluster/requests"] != float64(len(trace.Records)) {
 		t.Fatalf("replayed %v cluster requests, want %d", c["serve/cluster/requests"], len(trace.Records))
@@ -66,8 +65,8 @@ func replayCluster(t *testing.T, nodes int, trace *workloads.Trace) []observed {
 	return got
 }
 
-// The cluster determinism contract: with round-robin routing and hedging
-// off, a 1-node and a 2-node pool replaying the identical trace produce
+// The cluster determinism contract: with round-robin routing, a 1-node
+// and a 2-node pool replaying the identical trace produce
 // byte-identical responses record for record — the multi-node analogue
 // of the 1-tile-vs-N-tile equivalence the tile router pins.
 func TestClusterDeterminism1v2(t *testing.T) {
