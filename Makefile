@@ -14,9 +14,9 @@ race:
 # differentially checked against the reference codec, including a System
 # running under an injected-fault schedule; the reference codec's own
 # round trip (Size, re-parse, re-encode, Clone and Merge); then the serving
-# wire protocol — message framing and chunk trains, request bodies and
-# response bodies — where nothing may panic and every accepted message
-# must read back equal once encoded again.
+# wire protocol — one length-prefixed frame per message, request bodies
+# and response bodies — where nothing may panic and every accepted
+# message must read back equal once encoded again.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzSerializeRoundTrip -fuzztime 30s ./internal/core

@@ -22,14 +22,15 @@
 // -elements enables the composable data-plane element chain every request
 // traverses before the tile router: per-client token-bucket admission
 // control (over-rate clients get StatusThrottled), a per-tile circuit
-// breaker the router treats like quarantine, and a canonical-bytes
-// response cache with LRU eviction. Each element is independently
-// selectable and byte-transparent: chain on or off, every response's
-// bytes are identical. Telemetry lands under serve/elements/<name>/.
+// breaker whose open state is the only thing that makes the router skip
+// a tile, and a canonical-bytes response cache with LRU eviction. Each
+// element is independently selectable and byte-transparent: chain on or
+// off, every response's bytes are identical. Telemetry lands under
+// serve/elements/<name>/.
 //
 // -admin serves the live observability plane on a second listener:
 // /metrics (Prometheus text: counters, gauges, per-tile stage
-// histograms), /healthz (per-tile quarantine/breaker state), /statusz
+// histograms), /healthz (per-tile degradation and breaker state), /statusz
 // (JSON snapshot; ?write=1 flushes -stats-out mid-run), /spans (sampled
 // lifecycle spans as Perfetto trace JSON), and /debug/pprof. All admin
 // handlers are read-passive: scraping them perturbs neither responses

@@ -33,10 +33,11 @@ type AdminOptions struct {
 }
 
 // TileHealth is one tile's entry in the /healthz report. A tile is
-// degraded when its configuration quarantines it behind a fault schedule,
-// when its pool has dropped poisoned Systems, when its admission queue
-// is saturated (the shed breaker: new arrivals routed here are shed), or
-// when its circuit breaker is not closed.
+// degraded when a fault schedule is injected into it, when its pool has
+// dropped poisoned Systems, when its admission queue is saturated (new
+// arrivals routed here are shed), or when its circuit breaker is not
+// closed. Degraded is a report, not a routing decision: only an open
+// breaker makes the router skip a tile.
 type TileHealth struct {
 	Tile            int    `json:"tile"`
 	QueueDepth      int    `json:"queue_depth"`
@@ -58,7 +59,7 @@ type TileHealth struct {
 	WindowFailures   uint64  `json:"breaker_window_failures,omitempty"`
 }
 
-// Health reports per-tile quarantine/breaker state.
+// Health reports per-tile degradation and breaker state.
 func (s *Server) Health() []TileHealth {
 	var brStates []elements.TileBreaker
 	if br := s.breaker(); br != nil {
@@ -293,7 +294,7 @@ func (s *Server) StatuszSnapshot(manifest *telemetry.Manifest) *Statusz {
 //
 //	/metrics      Prometheus text exposition: counters, live gauges, and
 //	              per-tile stage histograms (tile-labeled families)
-//	/healthz      per-tile quarantine/breaker state; 503 once closing
+//	/healthz      per-tile degradation and breaker state; 503 once closing
 //	/statusz      JSON snapshot (build/config manifest, counters, gauges,
 //	              stage summaries, span stats, tile health); ?write=1
 //	              flushes the -stats-out artifact mid-run

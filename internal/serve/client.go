@@ -202,7 +202,7 @@ func (c *Conn) readLoop() {
 	defer close(c.readGone)
 	r := bufio.NewReaderSize(c.conn, connBufSize)
 	for {
-		body, _, err := readMessage(r, maxFrame)
+		body, err := readFrame(r, maxFrame)
 		if err == nil {
 			var resp Response
 			resp, err = parseResponse(body)
@@ -270,7 +270,9 @@ func (c *Conn) waitBudget(req *Request) time.Duration {
 // waitBudget; on expiry the caller gets ErrTimeout and the connection
 // stays usable (a late response to the abandoned id is dropped by the
 // read loop). A request too large to frame is rejected before any byte
-// of it is written, and the connection stays usable.
+// of it is written, and the connection stays usable. A failed write
+// returns its error, unless Close tore the transport down under it:
+// then Do fails with ErrClosed, like every other waiter.
 func (c *Conn) Do(req Request) (Response, error) {
 	if c.Broken() {
 		return Response{}, c.brokenErr()
@@ -284,7 +286,7 @@ func (c *Conn) Do(req Request) (Response, error) {
 	}
 	req.ID = c.nextID + 1
 	b, mark := beginMessage(c.wbuf)
-	b, _, err := endMessage(appendRequest(b, &req), mark)
+	b, err := endMessage(appendRequest(b, &req), mark)
 	c.wbuf = b
 	if err != nil {
 		c.writeMu.Unlock()
@@ -297,6 +299,12 @@ func (c *Conn) Do(req Request) (Response, error) {
 	if c.flushing {
 		c.writeMu.Unlock() // the flushing caller writes our request in its next round
 	} else if err := c.flush(); err != nil {
+		c.mu.Lock()
+		closed := c.closed
+		c.mu.Unlock()
+		if closed { // Close tore the transport down under the write
+			return Response{}, ErrClosed
+		}
 		return Response{}, fmt.Errorf("serve: request write failed: %w", err)
 	}
 

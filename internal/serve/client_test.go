@@ -36,7 +36,7 @@ func fakeDaemon(t *testing.T, handle func(net.Conn)) string {
 // a daemon that accepted the request and then hung.
 func readAndHold(nc net.Conn) {
 	for {
-		if _, _, err := readMessage(nc, maxFrame); err != nil {
+		if _, err := readFrame(nc, maxFrame); err != nil {
 			nc.Close()
 			return
 		}
@@ -107,7 +107,7 @@ func TestConnDoTimeoutFromRequestBudget(t *testing.T) {
 func TestConnDaemonDiesMidFlight(t *testing.T) {
 	addr := fakeDaemon(t, func(nc net.Conn) {
 		// Accept the request, then die without answering.
-		readMessage(nc, maxFrame)
+		readFrame(nc, maxFrame)
 		nc.Close()
 	})
 	conn, err := Dial(addr)
@@ -245,7 +245,7 @@ func TestConnWriteStallFailsFast(t *testing.T) {
 // connection, not a hang or a misrouted response.
 func TestConnGarbageResponse(t *testing.T) {
 	addr := fakeDaemon(t, func(nc net.Conn) {
-		if _, _, err := readMessage(nc, maxFrame); err != nil {
+		if _, err := readFrame(nc, maxFrame); err != nil {
 			nc.Close()
 			return
 		}
@@ -378,18 +378,18 @@ func waitPending(t *testing.T, conn *Conn, n int) {
 
 // Requests issued while a flush is on the socket must leave together in
 // exactly one more Write, byte-identical to framing each alone and in
-// the order they were issued — chunk trains included.
+// the order they were issued — a 128 KiB one included.
 func TestConnCoalescesWrites(t *testing.T) {
 	reqs := []Request{
 		{Op: OpDeserialize, Schema: "varint", Payload: []byte{8, 1}},
 		{Op: OpSerialize, Schema: "string", Payload: bytes.Repeat([]byte{'s'}, 300)},
-		{Op: OpDeserialize, Schema: "big", Timeout: time.Minute, Payload: bytes.Repeat([]byte{'b'}, 2*chunkBody+5)},
+		{Op: OpDeserialize, Schema: "big", Timeout: time.Minute, Payload: bytes.Repeat([]byte{'b'}, 128<<10+5)},
 		{Op: OpSerialize, Schema: "mixed"},
 	}
 	got := make(chan struct{}, len(reqs))
 	addr := fakeDaemon(t, func(nc net.Conn) {
 		for {
-			if _, _, err := readMessage(nc, maxFrame); err != nil {
+			if _, err := readFrame(nc, maxFrame); err != nil {
 				nc.Close()
 				return
 			}
@@ -428,7 +428,7 @@ func TestConnCoalescesWrites(t *testing.T) {
 	var want [][]byte
 	for i, req := range reqs {
 		req.ID = uint64(i + 1)
-		msg := legacyMessage(appendRequest(nil, &req))
+		msg := frame(appendRequest(nil, &req))
 		if i < 2 {
 			want = append(want, msg)
 		} else {
@@ -441,7 +441,38 @@ func TestConnCoalescesWrites(t *testing.T) {
 	}
 	for i := range want {
 		if !bytes.Equal(writes[i], want[i]) {
-			t.Errorf("Write %d: %d bytes diverge from the reference framing (%d bytes)", i, len(writes[i]), len(want[i]))
+			t.Errorf("Write %d: %d bytes diverge from the frames of its requests (%d bytes)", i, len(writes[i]), len(want[i]))
 		}
+	}
+}
+
+// Regression: when Close landed while a caller was inside flush writing
+// its round, that caller got the raw write error ("use of closed network
+// connection") although the Conn's owner had closed it. It must get
+// ErrClosed like every other waiter.
+func TestConnCloseDuringFlush(t *testing.T) {
+	nc, err := net.Dial("tcp", fakeDaemon(t, readAndHold))
+	if err != nil {
+		t.Fatal(err)
+	}
+	gc := newGatedConn(nc)
+	conn := newConn(gc, DialOptions{})
+	done := make(chan error, 1)
+	go func() {
+		_, err := conn.Do(Request{Op: OpDeserialize, Schema: "varint"})
+		done <- err
+	}()
+	gc.waitEntered(t)
+	if err := conn.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	close(gc.release)
+	select {
+	case err := <-done:
+		if !errors.Is(err, ErrClosed) {
+			t.Errorf("Do whose write Close cut short: err = %v, want ErrClosed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("Do blocked after Close")
 	}
 }

@@ -311,7 +311,7 @@ func (n *node) score() uint64 {
 // budget if it is half-open: every route result is sent.
 func (b *Balancer) route(failed []*node) *node {
 	now := time.Now()
-	i, _ := b.opts.Routing.Pick(len(b.nodes), &b.seq, -1,
+	i, _ := b.opts.Routing.Pick(len(b.nodes), &b.seq,
 		func(i int) bool { return !slices.Contains(failed, b.nodes[i]) && b.nodes[i].routable(now) },
 		func(i int) uint64 { return b.nodes[i].score() })
 	n := b.nodes[i]

@@ -7,6 +7,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -616,6 +617,34 @@ func TestClusterHealthKeepsPartlyDegradedNode(t *testing.T) {
 func TestClusterHealthEjectsNodeWithoutBreaker(t *testing.T) {
 	if st := pollPartlyDegraded(t, false); !st.Ejected || st.Requests != 0 {
 		t.Errorf("node 0 after ten polls: ejected=%v requests=%d, want it ejected", st.Ejected, st.Requests)
+	}
+}
+
+// A /healthz body past maxHealthBody fails the poll instead of being
+// decoded whole: fetching a 64 MiB status string must return an error
+// and allocate a small fraction of it.
+func TestClusterHealthBodyBounded(t *testing.T) {
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		io.WriteString(w, `{"status":"`)
+		chunk := bytes.Repeat([]byte{'a'}, 64<<10)
+		for i := 0; i < 1024; i++ {
+			if _, err := w.Write(chunk); err != nil {
+				return
+			}
+		}
+		io.WriteString(w, `"}`)
+	}))
+	t.Cleanup(hs.Close)
+	p := &healthPoller{client: &http.Client{Timeout: healthTimeout}}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := p.fetch(strings.TrimPrefix(hs.URL, "http://"))
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Error("fetch decoded a 64 MiB /healthz body")
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 16<<20 {
+		t.Errorf("fetch allocated %d MiB, want under 16", grew>>20)
 	}
 }
 

@@ -3,6 +3,7 @@ package cluster
 import (
 	"encoding/json"
 	"fmt"
+	"io"
 	"net/http"
 	"sync"
 	"time"
@@ -22,11 +23,14 @@ type healthDoc struct {
 	} `json:"tiles"`
 }
 
-// Fixed /healthz polling parameters: one request's timeout, the
-// consecutive sick reports that eject a node, and the consecutive clean
-// reports that restore an ejected one.
+// Fixed /healthz polling parameters: one request's timeout, the most
+// body bytes a poll decodes, the consecutive sick reports that eject a
+// node, and the consecutive clean reports that restore an ejected one.
+// A real report is small (19 KB for 64 tiles with the breaker on), so a
+// body past maxHealthBody fails its poll, which counts as sick.
 const (
 	healthTimeout = time.Second
+	maxHealthBody = 1 << 20
 	sickPolls     = 2
 	healthyPolls  = 2
 )
@@ -111,7 +115,7 @@ func (p *healthPoller) fetch(adminAddr string) (*healthDoc, error) {
 		return nil, fmt.Errorf("cluster: healthz status %d", resp.StatusCode)
 	}
 	var doc healthDoc
-	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
+	if err := json.NewDecoder(io.LimitReader(resp.Body, maxHealthBody)).Decode(&doc); err != nil {
 		return nil, err
 	}
 	return &doc, nil

@@ -11,9 +11,9 @@
 //   - Breaker: a circuit breaker per tile, driven by the same
 //     fallback/retry/deadline events the serve/tile<i>/ counters record.
 //     A tile whose recent failure rate crosses the trip threshold opens
-//     (the router treats it like a quarantined tile), dwells, then
-//     half-opens a bounded probe stream; probe success re-closes it
-//     without operator action.
+//     (the router sends it no work; nothing else makes a tile
+//     unroutable), dwells, then half-opens a bounded probe stream;
+//     probe success re-closes it without operator action.
 //   - Cache: a canonical-bytes response cache keyed on
 //     (schema, op, payload FNV-1a) with bounded memory and LRU
 //     eviction, so hot-key skewed traffic short-circuits the

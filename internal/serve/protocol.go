@@ -10,49 +10,22 @@ import (
 	"protoacc/internal/pb/wire"
 )
 
-// The wire protocol is deliberately minimal: every message is one or more
-// frames — a 4-byte big-endian length followed by that many body bytes —
-// and the bodies reuse the repo's own varint encoder. Requests and
-// responses carry a correlation id, so a connection may pipeline:
-// responses come back in completion order, not submission order (batching
-// reorders).
+// The wire protocol is deliberately minimal: every message is one frame
+// — a 4-byte big-endian length followed by that many body bytes — and
+// the bodies reuse the repo's own varint encoder. Requests and responses
+// carry a correlation id, so a connection may pipeline: responses come
+// back in completion order, not submission order (batching reorders).
 //
 //	request body:  version(1) op(1) id(uvarint) schema(uvarint len + bytes)
 //	               timeout_us(uvarint) payload(rest)
 //	response body: version(1) status(1) flags(1) id(uvarint)
 //	               cycles(8, fixed64 float bits) payload(rest)
-//
-// Messages whose body exceeds one frame's capacity (chunkBody) are
-// chunked HGum-style: a small header frame announces the total body
-// length, then the body streams as fixed-capacity continuation frames.
-// Each message is framed whole into its connection's write buffer, so a
-// chunk train is contiguous on the wire and the reader can validate
-// every continuation frame against the announced total before trusting
-// it.
-//
-//	chunk header frame: chunkMagic(1) total_len(uvarint)
-//	continuation frame: raw body bytes (chunkBody per frame, last short)
-//
-// A single-frame message is byte-identical to the pre-chunking protocol;
-// the chunk header is distinguishable because every message body begins
-// with protocolVersion (1), which chunkMagic (2) can never collide with.
 const (
 	// protocolVersion guards against skew between daemon and clients.
 	protocolVersion = 1
 
-	// chunkMagic is the first byte of a chunk header frame. Message
-	// bodies always start with protocolVersion, so the two namespaces
-	// cannot collide.
-	chunkMagic = 2
-
-	// chunkBody is one frame's body capacity: messages up to this size
-	// travel as a single frame (bit-identical to the pre-chunking
-	// protocol), larger ones are chunked.
-	chunkBody = 64 << 10
-
-	// maxFrame bounds any message body, single-frame or reassembled; a
-	// peer announcing more is treated as malformed rather than trusted
-	// with the allocation.
+	// maxFrame bounds any message body; a peer announcing more is
+	// treated as malformed rather than trusted with the allocation.
 	maxFrame = 64 << 20
 
 	// allocStep caps how much memory a length prefix can commit before
@@ -89,48 +62,25 @@ func beginMessage(b []byte) (out []byte, mark int) {
 }
 
 // endMessage frames the body appended to b since beginMessage returned
-// mark. A body of at most chunkBody bytes gets its length prefix
-// back-patched; a larger one is spread in place into a chunk train. A
-// body over maxFrame is cut off — b is returned as it was before
-// beginMessage, so nothing of the message reaches the wire — and
-// reported as an error. Returns whether the message was chunked (for
-// telemetry).
-func endMessage(b []byte, mark int) (out []byte, chunked bool, err error) {
+// mark by back-patching its length prefix. A body over maxFrame is cut
+// off — b is returned as it was before beginMessage, so nothing of the
+// message reaches the wire — and reported as an error.
+func endMessage(b []byte, mark int) ([]byte, error) {
 	n := len(b) - mark - 4
 	if n > maxFrame {
-		return b[:mark], false, fmt.Errorf("%w: %d bytes, limit %d", ErrTooLarge, n, maxFrame)
+		return b[:mark], fmt.Errorf("%w: %d bytes, limit %d", ErrTooLarge, n, maxFrame)
 	}
-	if n <= chunkBody {
-		binary.BigEndian.PutUint32(b[mark:], uint32(n))
-		return b, false, nil
-	}
-	// Header frame: prefix, chunkMagic, varint total; then one prefix per
-	// chunk. Growing by the difference and moving chunks back to front
-	// never overwrites a chunk before it has moved, because every chunk
-	// moves toward the end.
-	var hdr [1 + binary.MaxVarintLen64]byte
-	hdr[0] = chunkMagic
-	h := len(wire.AppendVarint(hdr[:1], uint64(n)))
-	chunks := (n + chunkBody - 1) / chunkBody
-	body := mark + 4
-	b = append(b, make([]byte, h+4*chunks)...)
-	for i := chunks - 1; i >= 0; i-- {
-		from := body + i*chunkBody
-		size := min(chunkBody, n-i*chunkBody)
-		at := mark + 4 + h + i*(4+chunkBody)
-		copy(b[at+4:], b[from:from+size])
-		binary.BigEndian.PutUint32(b[at:], uint32(size))
-	}
-	binary.BigEndian.PutUint32(b[mark:], uint32(h))
-	copy(b[mark+4:], hdr[:h])
-	return b, true, nil
+	binary.BigEndian.PutUint32(b[mark:], uint32(n))
+	return b, nil
 }
 
-// readFrame reads one length-prefixed frame body of at most limit bytes.
-// The allocation is committed incrementally (allocStep at a time) as body
-// bytes actually arrive, so a corrupt length prefix produces a clean
-// error — never an unbounded (or even limit-sized) up-front allocation.
+// readFrame reads one message body of at most min(limit, maxFrame)
+// bytes. The allocation is committed incrementally (allocStep at a time)
+// as body bytes actually arrive, so a corrupt length prefix produces a
+// clean error — never an unbounded (or even limit-sized) up-front
+// allocation.
 func readFrame(r io.Reader, limit int) ([]byte, error) {
+	limit = min(limit, maxFrame)
 	var hdr [4]byte
 	if _, err := io.ReadFull(r, hdr[:]); err != nil {
 		return nil, err
@@ -139,79 +89,15 @@ func readFrame(r io.Reader, limit int) ([]byte, error) {
 	if n > limit {
 		return nil, fmt.Errorf("serve: peer announced %d-byte frame (limit %d)", n, limit)
 	}
-	step := n
-	if step > allocStep {
-		step = allocStep
-	}
-	body := make([]byte, 0, step)
+	body := make([]byte, 0, min(n, allocStep))
 	for len(body) < n {
-		want := n - len(body)
-		if want > allocStep {
-			want = allocStep
-		}
 		off := len(body)
-		body = append(body, make([]byte, want)...)
+		body = append(body, make([]byte, min(n-off, allocStep))...)
 		if _, err := io.ReadFull(r, body[off:]); err != nil {
 			return nil, err
 		}
 	}
 	return body, nil
-}
-
-// readMessage reads one protocol message of at most limit body bytes,
-// reassembling chunk trains. Every continuation frame is validated
-// against the announced total — wrong-sized continuations, totals at or
-// under the single-frame threshold, and totals over the limit are all
-// clean protocol errors.
-func readMessage(r io.Reader, limit int) (body []byte, chunked bool, err error) {
-	if limit > maxFrame {
-		limit = maxFrame
-	}
-	frame, err := readFrame(r, limit)
-	if err != nil {
-		return nil, false, err
-	}
-	if len(frame) == 0 || frame[0] != chunkMagic {
-		return frame, false, nil
-	}
-	total64, n, err := wire.ReadVarint(frame[1:])
-	if err != nil {
-		return nil, true, fmt.Errorf("serve: bad chunk header length: %w", err)
-	}
-	if 1+n != len(frame) {
-		return nil, true, fmt.Errorf("serve: chunk header carries %d trailing bytes", len(frame)-1-n)
-	}
-	if total64 > uint64(limit) {
-		return nil, true, fmt.Errorf("serve: peer announced %d-byte chunked message (limit %d)", total64, limit)
-	}
-	total := int(total64)
-	if total <= chunkBody {
-		return nil, true, fmt.Errorf("serve: chunked message of %d bytes fits one frame (threshold %d)", total, chunkBody)
-	}
-	body = make([]byte, 0, allocStepOf(total))
-	for len(body) < total {
-		want := total - len(body)
-		if want > chunkBody {
-			want = chunkBody
-		}
-		cont, err := readFrame(r, chunkBody)
-		if err != nil {
-			return nil, true, err
-		}
-		if len(cont) != want {
-			return nil, true, fmt.Errorf("serve: chunk continuation of %d bytes, want %d", len(cont), want)
-		}
-		body = append(body, cont...)
-	}
-	return body, true, nil
-}
-
-// allocStepOf bounds an initial buffer allocation to allocStep.
-func allocStepOf(n int) int {
-	if n > allocStep {
-		return allocStep
-	}
-	return n
 }
 
 // appendRequest encodes req onto b. A negative Timeout is sent as 0,

@@ -21,16 +21,16 @@ func responseBody(req *Request) []byte {
 }
 
 // wireSeeds returns the inputs of hostileMessages, then each of
-// sampleRequests framed with encode, then one chunk train.
+// sampleRequests and one 64 KiB request, framed with encode.
 func wireSeeds(f *testing.F, encode func(*Request) []byte) [][]byte {
 	var seeds [][]byte
 	for _, h := range hostileMessages() {
 		seeds = append(seeds, h.input)
 	}
 	reqs := sampleRequests(DefaultCatalog(), 2)
-	reqs = append(reqs, Request{ID: 9, Op: OpSerialize, Schema: "string", Payload: make([]byte, chunkBody)})
+	reqs = append(reqs, Request{ID: 9, Op: OpSerialize, Schema: "string", Payload: make([]byte, 64<<10)})
 	for i := range reqs {
-		framed, _, err := appendFramed(nil, encode(&reqs[i]))
+		framed, err := appendFramed(nil, encode(&reqs[i]))
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -39,18 +39,18 @@ func wireSeeds(f *testing.F, encode func(*Request) []byte) [][]byte {
 	return seeds
 }
 
-// eachMessage calls fn with every body readMessage accepts from data under
+// eachMessage calls fn with every body readFrame accepts from data under
 // limit, failing t if one is longer than the limit.
 func eachMessage(t *testing.T, data []byte, limit int, fn func(body []byte)) {
 	t.Helper()
 	r := bufio.NewReaderSize(bytes.NewReader(data), 16) // refills mid-frame, as the transports' readers do
 	for {
-		body, _, err := readMessage(r, limit)
+		body, err := readFrame(r, limit)
 		if err != nil {
 			return
 		}
 		if len(body) > limit || len(body) > maxFrame {
-			t.Fatalf("readMessage returned %d bytes under limit %d", len(body), limit)
+			t.Fatalf("readFrame returned %d bytes under limit %d", len(body), limit)
 		}
 		fn(body)
 	}
@@ -74,11 +74,11 @@ func FuzzReadMessage(f *testing.F) {
 	}
 	f.Fuzz(func(t *testing.T, data []byte, limit uint32) {
 		eachMessage(t, data, int(limit), func(body []byte) {
-			framed, _, err := appendFramed(nil, body)
+			framed, err := appendFramed(nil, body)
 			if err != nil {
 				t.Fatalf("framing an accepted %d-byte body: %v", len(body), err)
 			}
-			again, _, err := readMessage(bytes.NewReader(framed), int(limit))
+			again, err := readFrame(bytes.NewReader(framed), int(limit))
 			if err != nil || !bytes.Equal(again, body) {
 				t.Fatalf("a reframed %d-byte body read back as %d bytes, err %v", len(body), len(again), err)
 			}

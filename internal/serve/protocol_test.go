@@ -26,22 +26,8 @@ func frame(body []byte) []byte {
 	return append(hdr[:], body...)
 }
 
-// legacyMessage is the reference encoding of one message, built from the
-// format description: a single frame up to chunkBody, else a chunk header
-// frame followed by chunkBody-sized continuation frames, the last short.
-func legacyMessage(body []byte) []byte {
-	if len(body) <= chunkBody {
-		return frame(body)
-	}
-	out := frame(wire.AppendVarint([]byte{chunkMagic}, uint64(len(body))))
-	for off := 0; off < len(body); off += chunkBody {
-		out = append(out, frame(body[off:min(off+chunkBody, len(body))])...)
-	}
-	return out
-}
-
 // appendFramed frames body in place onto b, as the transports do.
-func appendFramed(b, body []byte) ([]byte, bool, error) {
+func appendFramed(b, body []byte) ([]byte, error) {
 	b, mark := beginMessage(b)
 	return endMessage(append(b, body...), mark)
 }
@@ -53,7 +39,7 @@ func rawFrame(announce uint32, body []byte) []byte {
 	return append(hdr[:], body...)
 }
 
-// hostileMessage is one input readMessage must reject, or read exactly.
+// hostileMessage is one input readFrame must reject, or read exactly.
 type hostileMessage struct {
 	name    string
 	input   []byte
@@ -61,12 +47,30 @@ type hostileMessage struct {
 	want    []byte
 }
 
+// oldChunkMagic opened the header frame of a chunk train, the framing
+// the protocol once used for bodies over 64 KiB. An old peer may still
+// send one; it reads as a plain frame, which parseRequest and
+// parseResponse then reject for its version byte.
+const oldChunkMagic = 2
+
+// oldChunkHeader is a chunk-header body announcing total bytes.
+func oldChunkHeader(total uint64) []byte {
+	return wire.AppendVarint([]byte{oldChunkMagic}, total)
+}
+
 // hostileMessages are the corrupt and hostile streams of
 // TestReadMessageHostileInput, which also seed the wire fuzz targets.
 func hostileMessages() []hostileMessage {
-	chunkHeader := func(total uint64) []byte {
-		return frame(wire.AppendVarint([]byte{chunkMagic}, total))
+	// oldChunk is a stream that opens with the frame hdr: it must read as
+	// hdr alone, whatever total hdr announces and whatever follows it.
+	oldChunk := func(name string, hdr []byte, rest ...[]byte) hostileMessage {
+		input := frame(hdr)
+		for _, r := range rest {
+			input = append(input, r...)
+		}
+		return hostileMessage{name: name, input: input, want: hdr}
 	}
+	const oldChunkBody = 64 << 10
 	return []hostileMessage{
 		{name: "empty frame", input: frame(nil), want: []byte{}},
 		{name: "plain frame", input: frame([]byte{protocolVersion, 9, 9}), want: []byte{protocolVersion, 9, 9}},
@@ -74,31 +78,28 @@ func hostileMessages() []hostileMessage {
 		{name: "truncated body", input: rawFrame(10, []byte("abc")), wantErr: true},
 		{name: "announce 4GiB", input: rawFrame(0xffffffff, nil), wantErr: true},
 		{name: "announce over limit", input: rawFrame(maxFrame+1, nil), wantErr: true},
-		{name: "chunk header truncated varint", input: frame([]byte{chunkMagic, 0x80}), wantErr: true},
-		{name: "chunk header trailing bytes", input: frame(append(wire.AppendVarint([]byte{chunkMagic}, chunkBody+1), 0xee)), wantErr: true},
-		{name: "chunk total over limit", input: chunkHeader(maxFrame + 1), wantErr: true},
-		{name: "chunk total absurd", input: chunkHeader(1 << 60), wantErr: true},
-		{name: "chunk total fits one frame", input: chunkHeader(chunkBody), wantErr: true},
-		{name: "chunk total zero", input: chunkHeader(0), wantErr: true},
-		{name: "chunk continuation truncated", input: append(chunkHeader(chunkBody+1), rawFrame(chunkBody, []byte("short"))...), wantErr: true},
-		{
-			name: "chunk continuation wrong size",
-			input: append(chunkHeader(chunkBody+10),
-				append(frame(make([]byte, 100)), frame(make([]byte, chunkBody))...)...),
-			wantErr: true,
-		},
+		oldChunk("chunk header truncated varint", []byte{oldChunkMagic, 0x80}),
+		oldChunk("chunk header trailing bytes", append(oldChunkHeader(oldChunkBody+1), 0xee)),
+		oldChunk("chunk total over limit", oldChunkHeader(maxFrame+1)),
+		oldChunk("chunk total absurd", oldChunkHeader(1<<60)),
+		oldChunk("chunk total fits one frame", oldChunkHeader(oldChunkBody)),
+		oldChunk("chunk total zero", oldChunkHeader(0)),
+		oldChunk("chunk continuation truncated", oldChunkHeader(oldChunkBody+1), rawFrame(oldChunkBody, []byte("short"))),
+		oldChunk("chunk continuation wrong size", oldChunkHeader(oldChunkBody+10),
+			frame(make([]byte, 100)), frame(make([]byte, oldChunkBody))),
 	}
 }
 
-// A corrupt or hostile stream must produce a clean error from readMessage
-// — never a hang, a huge trusted allocation, or a silently wrong body.
+// A corrupt or hostile stream must produce a clean error from readFrame,
+// or exactly its first frame's body — never a hang, a huge trusted
+// allocation, or a silently wrong body.
 func TestReadMessageHostileInput(t *testing.T) {
 	for _, tc := range hostileMessages() {
 		t.Run(tc.name, func(t *testing.T) {
 			// Plain and buffered readers (the transports read through a
 			// bufio.Reader; 16 bytes forces refills mid-frame).
 			for _, r := range []io.Reader{bytes.NewReader(tc.input), bufio.NewReaderSize(bytes.NewReader(tc.input), 16)} {
-				body, _, err := readMessage(r, maxFrame)
+				body, err := readFrame(r, maxFrame)
 				if tc.wantErr {
 					if err == nil {
 						t.Fatalf("%T accepted hostile input, body %d bytes", r, len(body))
@@ -116,59 +117,47 @@ func TestReadMessageHostileInput(t *testing.T) {
 	}
 }
 
-// The caller-supplied limit must bound single frames and reassembled chunk
-// trains alike, below the protocol-wide maxFrame.
+// The caller-supplied limit must bound a frame below the protocol-wide
+// maxFrame, and a limit past maxFrame is cut to it.
 func TestReadMessageCallerLimit(t *testing.T) {
 	const limit = 1 << 10
-	if _, _, err := readMessage(bytes.NewReader(frame(make([]byte, limit+1))), limit); err == nil {
-		t.Error("single frame over the caller limit accepted")
+	if _, err := readFrame(bytes.NewReader(frame(make([]byte, limit+1))), limit); err == nil {
+		t.Error("frame over the caller limit accepted")
 	}
-	hdr := frame(wire.AppendVarint([]byte{chunkMagic}, limit+chunkBody))
-	if _, _, err := readMessage(bytes.NewReader(hdr), limit); err == nil {
-		t.Error("chunk total over the caller limit accepted")
+	body, err := readFrame(bytes.NewReader(frame(make([]byte, limit))), limit)
+	if err != nil || len(body) != limit {
+		t.Errorf("at-limit frame rejected: %d bytes, err=%v", len(body), err)
 	}
-	body, chunked, err := readMessage(bytes.NewReader(frame(make([]byte, limit))), limit)
-	if err != nil || chunked || len(body) != limit {
-		t.Errorf("at-limit frame rejected: %d bytes, chunked=%v, err=%v", len(body), chunked, err)
+	if _, err := readFrame(bytes.NewReader(rawFrame(maxFrame+1, nil)), 2*maxFrame); err == nil {
+		t.Error("frame over maxFrame accepted under a larger caller limit")
 	}
 }
 
-// The in-place framer and readMessage must round-trip every size class:
-// empty, single-frame, the exact chunking boundary, and multi-chunk
-// trains — each byte-identical to the reference framing, alone and with
-// every size class coalesced into one buffer, read plain and buffered.
+// The in-place framer and readFrame must round-trip every size from
+// empty to several times 64 KiB, each as exactly one frame, alone and
+// with every size coalesced into one buffer, read plain and buffered.
 func TestMessageRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var bodies [][]byte
 	var coalesced, want []byte
-	for _, n := range []int{0, 1, chunkBody - 1, chunkBody, chunkBody + 1, 2 * chunkBody, 3*chunkBody + 17} {
+	for _, n := range []int{0, 1, 64<<10 - 1, 64 << 10, 64<<10 + 1, 128 << 10, 192<<10 + 17} {
 		body := make([]byte, n)
 		rng.Read(body)
 		if n > 0 {
 			body[0] = protocolVersion // real messages always start with the version byte
 		}
 		bodies = append(bodies, body)
-		buf, wroteChunked, err := appendFramed(nil, body)
+		buf, err := appendFramed(nil, body)
 		if err != nil {
 			t.Fatalf("size %d: %v", n, err)
 		}
-		if wantChunked := n > chunkBody; wroteChunked != wantChunked {
-			t.Errorf("size %d: chunked=%v, want %v", n, wroteChunked, wantChunked)
-		}
-		if !wroteChunked && !bytes.Equal(buf, frame(body)) {
-			// Single-frame messages are the legacy format, bit for bit.
-			t.Errorf("size %d: single-frame encoding diverges from legacy framing", n)
-		}
-		if !bytes.Equal(buf, legacyMessage(body)) {
-			t.Errorf("size %d: encoding diverges from the reference framing", n)
+		if !bytes.Equal(buf, frame(body)) {
+			t.Errorf("size %d: encoding diverges from one length-prefixed frame", n)
 		}
 		for _, r := range []io.Reader{bytes.NewReader(buf), bufio.NewReader(bytes.NewReader(buf))} {
-			got, readChunked, err := readMessage(r, maxFrame)
+			got, err := readFrame(r, maxFrame)
 			if err != nil {
 				t.Fatalf("size %d: %v", n, err)
-			}
-			if readChunked != wroteChunked {
-				t.Errorf("size %d: reader chunked=%v, writer chunked=%v", n, readChunked, wroteChunked)
 			}
 			if !bytes.Equal(got, body) {
 				t.Errorf("size %d: body corrupted in transit", n)
@@ -177,17 +166,17 @@ func TestMessageRoundTrip(t *testing.T) {
 				t.Errorf("size %d: trailing bytes after message", n)
 			}
 		}
-		if coalesced, _, err = appendFramed(coalesced, body); err != nil {
+		if coalesced, err = appendFramed(coalesced, body); err != nil {
 			t.Fatalf("size %d coalesced: %v", n, err)
 		}
-		want = append(want, legacyMessage(body)...)
+		want = append(want, frame(body)...)
 	}
 	if !bytes.Equal(coalesced, want) {
-		t.Fatal("coalesced buffer diverges from the reference framing of its messages")
+		t.Fatal("coalesced buffer diverges from the frames of its messages")
 	}
 	for _, r := range []io.Reader{bytes.NewReader(coalesced), bufio.NewReader(bytes.NewReader(coalesced))} {
 		for i, body := range bodies {
-			got, _, err := readMessage(r, maxFrame)
+			got, err := readFrame(r, maxFrame)
 			if err != nil {
 				t.Fatalf("%T coalesced message %d: %v", r, i, err)
 			}
@@ -292,7 +281,8 @@ func TestServeTCPHostileFrames(t *testing.T) {
 		rawFrame(0xffffffff, nil),                       // 4GiB announcement
 		rawFrame(uint32(srv.readLimit()+1), nil),        // just past the server's limit
 		frame([]byte("this is not a protocol message")), // fails parseRequest
-		frame(nil), // empty body
+		frame(nil),                       // empty body
+		frame(oldChunkHeader(200 << 10)), // an old peer's chunk header: version byte 2
 	}
 	for i, raw := range hostile {
 		nc := dialRaw(t, addr)
@@ -322,8 +312,8 @@ func TestServeTCPHostileFrames(t *testing.T) {
 	}
 }
 
-// bigCatalog hosts one schema whose sample payload exceeds chunkBody, so
-// requests and responses must both cross the wire as chunk trains.
+// bigCatalog hosts one schema whose sample payload is a string of
+// payloadLen printable bytes plus its field header.
 func bigCatalog(t *testing.T, payloadLen int) *Catalog {
 	t.Helper()
 	bigT := mustType("ServeBigString",
@@ -339,9 +329,6 @@ func bigCatalog(t *testing.T, payloadLen int) *Catalog {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(payload) <= chunkBody {
-		t.Fatalf("sample payload %d bytes does not exceed chunkBody %d", len(payload), chunkBody)
-	}
 	cat, err := NewCatalog(&Entry{Name: "big", Type: bigT, payloads: [][]byte{payload}})
 	if err != nil {
 		t.Fatal(err)
@@ -349,9 +336,9 @@ func bigCatalog(t *testing.T, payloadLen int) *Catalog {
 	return cat
 }
 
-// Messages larger than one frame must survive the wire chunked — byte
-// verified end to end, with the chunk counters accounting both directions.
-func TestServeTCPChunkedMessages(t *testing.T) {
+// Messages of several times 64 KiB must survive the wire in both
+// directions as single frames, byte verified end to end.
+func TestServeTCPLargeMessages(t *testing.T) {
 	opts := testOptions()
 	opts.MaxPayload = 512 << 10
 	opts.Catalog = bigCatalog(t, 200<<10)
@@ -364,7 +351,7 @@ func TestServeTCPChunkedMessages(t *testing.T) {
 	}
 	defer conn.Close()
 	payload := srv.Catalog().Lookup("big").SamplePayload(0)
-	for i, op := range []Op{OpDeserialize, OpSerialize} {
+	for _, op := range []Op{OpDeserialize, OpSerialize} {
 		resp, err := conn.Do(Request{Op: op, Schema: "big", Payload: payload})
 		if err != nil {
 			t.Fatalf("op %v: %v", op, err)
@@ -373,13 +360,11 @@ func TestServeTCPChunkedMessages(t *testing.T) {
 			t.Fatalf("op %v: status %v: %s", op, resp.Status, truncate(resp.Payload))
 		}
 		if !bytes.Equal(resp.Payload, payload) {
-			t.Errorf("op %v: chunked response diverges from canonical payload", op)
+			t.Errorf("op %v: large response diverges from canonical payload", op)
 		}
-		waitCounter(t, srv, "serve/protocol/chunked_in", float64(i+1))
-		waitCounter(t, srv, "serve/protocol/chunked_out", float64(i+1))
 	}
 	if n := srv.AggregatedCounters()["serve/protocol/errors"]; n != 0 {
-		t.Errorf("chunked traffic counted %v protocol errors", n)
+		t.Errorf("large messages counted %v protocol errors", n)
 	}
 }
 
@@ -413,7 +398,7 @@ func TestServeConnCoalescesResponses(t *testing.T) {
 	got := make(chan []byte, n)
 	go func() {
 		for {
-			body, _, err := readMessage(cli, maxFrame)
+			body, err := readFrame(cli, maxFrame)
 			if err != nil {
 				return
 			}
@@ -423,7 +408,7 @@ func TestServeConnCoalescesResponses(t *testing.T) {
 	e := srv.Catalog().Lookup("varint")
 	send := func(id uint64) {
 		req := Request{ID: id, Op: OpDeserialize, Schema: "varint", Payload: e.SamplePayload(int(id))}
-		b, _, err := appendFramed(nil, appendRequest(nil, &req))
+		b, err := appendFramed(nil, appendRequest(nil, &req))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -455,7 +440,7 @@ func TestServeConnCoalescesResponses(t *testing.T) {
 	var want []byte
 	r := bytes.NewReader(writes[1])
 	for id := uint64(2); id <= n; id++ {
-		body, _, err := readMessage(r, maxFrame)
+		body, err := readFrame(r, maxFrame)
 		if err != nil {
 			t.Fatalf("second Write, response %d: %v", id, err)
 		}
@@ -466,10 +451,10 @@ func TestServeConnCoalescesResponses(t *testing.T) {
 		if resp.ID != id || resp.Status != StatusOK || !bytes.Equal(resp.Payload, e.SamplePayload(int(id))) {
 			t.Fatalf("second Write: response %d (status %v), want %d OK with its canonical payload", resp.ID, resp.Status, id)
 		}
-		want = append(want, legacyMessage(appendResponse(nil, &resp))...)
+		want = append(want, frame(appendResponse(nil, &resp))...)
 	}
 	if !bytes.Equal(writes[1], want) {
-		t.Error("second Write diverges from the reference framing of its responses")
+		t.Error("second Write diverges from the frames of its responses")
 	}
 }
 
@@ -486,7 +471,7 @@ func TestServeConnFlushesAfterHalfClose(t *testing.T) {
 	var out []byte
 	for id := uint64(1); id <= n; id++ {
 		req := Request{ID: id, Op: OpSerialize, Schema: "string", Payload: e.SamplePayload(int(id))}
-		out, _, _ = appendFramed(out, appendRequest(nil, &req))
+		out, _ = appendFramed(out, appendRequest(nil, &req))
 	}
 	if _, err := nc.Write(out); err != nil {
 		t.Fatal(err)
@@ -498,7 +483,7 @@ func TestServeConnFlushesAfterHalfClose(t *testing.T) {
 	r := bufio.NewReader(nc)
 	seen := make(map[uint64]bool)
 	for i := 0; i < n; i++ {
-		body, _, err := readMessage(r, maxFrame)
+		body, err := readFrame(r, maxFrame)
 		if err != nil {
 			t.Fatalf("response %d of %d: %v", i+1, n, err)
 		}
@@ -514,7 +499,7 @@ func TestServeConnFlushesAfterHalfClose(t *testing.T) {
 	if len(seen) != n {
 		t.Errorf("%d distinct ids answered, want %d", len(seen), n)
 	}
-	if _, _, err := readMessage(r, maxFrame); err != io.EOF {
+	if _, err := readFrame(r, maxFrame); err != io.EOF {
 		t.Errorf("after the last response: err = %v, want EOF", err)
 	}
 }
@@ -544,7 +529,7 @@ func startNonReader(t *testing.T, srv *Server, addr string) (net.Conn, *connWrit
 	payload := srv.Catalog().Lookup("big").SamplePayload(0)
 	go func() { // blocks once the server stops reading; exits when nc closes
 		for id := uint64(1); ; id++ {
-			b, _, _ := appendFramed(nil, appendRequest(nil, &Request{ID: id, Op: OpDeserialize, Schema: "big", Payload: payload}))
+			b, _ := appendFramed(nil, appendRequest(nil, &Request{ID: id, Op: OpDeserialize, Schema: "big", Payload: payload}))
 			if _, err := nc.Write(b); err != nil {
 				return
 			}
@@ -598,7 +583,7 @@ func TestServeConnNonReadingClientBounded(t *testing.T) {
 	// Past the cap the only growth left is the responses to requests
 	// already admitted: at most a full queue plus one batch per executor.
 	payload := srv.Catalog().Lookup("big").SamplePayload(0)
-	respLen := len(legacyMessage(appendResponse(nil, &Response{ID: 1 << 62, Payload: payload})))
+	respLen := len(frame(appendResponse(nil, &Response{ID: 1 << 62, Payload: payload})))
 	bound := maxUnflushed + (opts.QueueDepth+opts.MaxBatch*(opts.Workers+1)+1)*respLen
 	for i := 0; i < 5; i++ {
 		time.Sleep(50 * time.Millisecond)

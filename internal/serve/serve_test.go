@@ -339,7 +339,7 @@ func TestProtocolRoundTrip(t *testing.T) {
 		t.Error("truncated response accepted")
 	}
 
-	buf, _, err := appendFramed(nil, []byte("hello"))
+	buf, err := appendFramed(nil, []byte("hello"))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -63,36 +63,27 @@ func (r *Routing) Set(s string) error {
 // Pick is the one placement decision behind both routing levels: jobs
 // onto tiles (Server.pick) and requests onto cluster nodes
 // (cluster.Balancer). It chooses one of n candidates, advancing seq, the
-// caller's routing sequence, once per call. Candidate exclude (-1 for
-// none) is never picked while another exists. routable reports whether
-// a candidate may take work now; score ranks two routable p2c
-// candidates, lower wins.
+// caller's routing sequence, once per call. routable reports whether a
+// candidate may take work now; score ranks two routable p2c candidates,
+// lower wins.
 //
 // Round-robin takes the first routable candidate at or after
 // (seq-1) mod n. P2c hashes seq into two candidates and takes the
 // routable one with the lower score, ties to the lower index; if
 // neither is routable it scans forward from the hash. When nothing is
-// routable the policy's own choice among the non-excluded candidates
-// serves anyway: a pool that is all down must degrade to "try", not
-// "refuse". rerouted reports that routability moved the pick off that
-// choice. With one candidate Pick returns 0 without advancing seq or
-// querying it.
-func (r Routing) Pick(n int, seq *atomic.Uint64, exclude int, routable func(int) bool, score func(int) uint64) (pick int, rerouted bool) {
+// routable the policy's own choice serves anyway: a pool that is all
+// down must degrade to "try", not "refuse". rerouted reports that
+// routability moved the pick off that choice. With one candidate Pick
+// returns 0 without advancing seq or querying it.
+func (r Routing) Pick(n int, seq *atomic.Uint64, routable func(int) bool, score func(int) uint64) (pick int, rerouted bool) {
 	if n == 1 {
 		return 0, false
 	}
 	s, un := seq.Add(1), uint64(n)
 	if r == RouteRoundRobin {
-		own := -1
+		own := int((s - 1) % un)
 		for off := uint64(0); off < un; off++ {
-			c := int((s - 1 + off) % un)
-			if c == exclude {
-				continue
-			}
-			if own < 0 {
-				own = c
-			}
-			if routable(c) {
+			if c := int((s - 1 + off) % un); routable(c) {
 				return c, c != own
 			}
 		}
@@ -103,31 +94,24 @@ func (r Routing) Pick(n int, seq *atomic.Uint64, exclude int, routable func(int)
 	if a > b {
 		a, b = b, a
 	}
-	ea, eb := a != exclude, b != a && b != exclude
-	ra, rb := ea && routable(a), eb && routable(b)
+	ra, rb := routable(a), b != a && routable(b)
 	switch {
 	case ra && rb:
 		return lowerScore(a, b, score), false
 	case ra:
-		return a, eb
+		return a, b != a
 	case rb:
-		return b, ea
+		return b, true
 	}
 	for off := uint64(1); off <= un; off++ {
-		c := int((h + off) % un)
-		if c != exclude && routable(c) {
+		if c := int((h + off) % un); routable(c) {
 			return c, true
 		}
 	}
-	switch {
-	case ea && eb:
+	if b != a {
 		return lowerScore(a, b, score), false
-	case ea:
-		return a, false
-	case eb:
-		return b, false
 	}
-	return (a + 1) % n, false // a is excluded and b is a
+	return a, false
 }
 
 // lowerScore is the p2c comparison: b wins only on a strictly lower
@@ -336,11 +320,10 @@ type Server struct {
 	// server-wide lock to count. All are integral-valued, so the order
 	// concurrent requests add in cannot perturb the totals — a serial run
 	// and a parallel run of the same batches snapshot identically.
-	reqDeser, reqSer      atomic.Uint64
-	responses             [numStatuses]atomic.Uint64 // by Status
-	bytesIn, bytesOut     atomic.Uint64
-	protoErrs             atomic.Uint64 // malformed frames/bodies that terminated a connection
-	chunkedIn, chunkedOut atomic.Uint64 // messages that crossed the wire as chunk trains
+	reqDeser, reqSer  atomic.Uint64
+	responses         [numStatuses]atomic.Uint64 // by Status
+	bytesIn, bytesOut atomic.Uint64
+	protoErrs         atomic.Uint64 // malformed frames/bodies that terminated a connection
 }
 
 // NewServer builds and starts a Server: one router plus Options.Tiles
@@ -459,13 +442,14 @@ func (s *Server) ConfigFingerprint() string {
 
 // pick routes one job to a tile through Routing.Pick, scoring tiles by
 // admission queue depth. With the breaker element on, a tile whose
-// breaker is not routable is skipped like a quarantined one and the
-// reroute is counted; with every breaker closed, and always with the
-// chain off, placement is a pure function of the routing sequence and
+// breaker is not routable is skipped and the reroute is counted; nothing
+// else makes a tile unroutable, so a fault-injected tile keeps its
+// share. With every breaker closed, and always with the chain off,
+// placement is a pure function of the routing sequence and
 // queue state, which is what keeps the rr determinism contract intact.
 func (s *Server) pick() *tile {
 	br := s.breaker()
-	i, rerouted := s.opts.Routing.Pick(len(s.tiles), &s.routeSeq, -1,
+	i, rerouted := s.opts.Routing.Pick(len(s.tiles), &s.routeSeq,
 		func(i int) bool { return br == nil || br.Routable(i, time.Now()) },
 		func(i int) uint64 { return uint64(len(s.tiles[i].queue)) })
 	if rerouted {
@@ -666,8 +650,6 @@ func (s *Server) CollectTelemetry(emit func(name string, value float64)) {
 	emit("bytes/in", float64(s.bytesIn.Load()))
 	emit("bytes/out", float64(s.bytesOut.Load()))
 	emit("protocol/errors", float64(s.protoErrs.Load()))
-	emit("protocol/chunked_in", float64(s.chunkedIn.Load()))
-	emit("protocol/chunked_out", float64(s.chunkedOut.Load()))
 	// Span-sampling provenance: how many requests carried a lifecycle
 	// span, how many spans completed, and how many the bounded ring
 	// overwrote. All zero with SpanSampleN=0, so the pre-existing
@@ -824,13 +806,10 @@ func (s *Server) serveConn(w *connWriter) {
 	client := conn.RemoteAddr().String()
 	r := bufio.NewReaderSize(conn, connBufSize)
 	for {
-		body, chunked, err := readMessage(r, s.readLimit())
+		body, err := readFrame(r, s.readLimit())
 		if err != nil {
 			s.noteProtocolError(err)
 			return
-		}
-		if chunked {
-			s.chunkedIn.Add(1)
 		}
 		req, err := parseRequest(body)
 		if err != nil {
@@ -944,13 +923,11 @@ func (w *connWriter) expect() bool {
 
 // send frames resp for the next flush; after a failure it is dropped.
 func (w *connWriter) send(resp *Response) {
-	chunked := false
 	w.mu.Lock()
 	w.outstanding--
 	if w.err == nil {
 		b, mark := beginMessage(w.buf)
-		var err error
-		b, chunked, err = endMessage(appendResponse(b, resp), mark)
+		b, err := endMessage(appendResponse(b, resp), mark)
 		w.buf = b
 		if err != nil {
 			w.fail(err)
@@ -958,9 +935,6 @@ func (w *connWriter) send(resp *Response) {
 	}
 	w.ready.Signal()
 	w.mu.Unlock()
-	if chunked {
-		w.s.chunkedOut.Add(1)
-	}
 }
 
 // closeRead tells run the reader has exited: it writes the responses

@@ -27,30 +27,24 @@ func TestRoutingPick(t *testing.T) {
 		policy   Routing
 		n        int
 		seq      uint64
-		exclude  int
 		down     []int
 		score    []uint64
 		want     int
 		rerouted bool
 	}{
-		{name: "rr in order", policy: RouteRoundRobin, n: 3, seq: 1, exclude: -1, want: 1},
-		{name: "rr wraps", policy: RouteRoundRobin, n: 3, seq: 3, exclude: -1, want: 0},
-		{name: "rr skips down", policy: RouteRoundRobin, n: 3, seq: 0, exclude: -1, down: []int{0}, want: 1, rerouted: true},
-		{name: "rr skip wraps", policy: RouteRoundRobin, n: 3, seq: 2, exclude: -1, down: []int{2}, want: 0, rerouted: true},
-		{name: "rr exclude is not a reroute", policy: RouteRoundRobin, n: 3, seq: 0, exclude: 0, want: 1},
-		{name: "rr all down", policy: RouteRoundRobin, n: 3, seq: 1, exclude: -1, down: []int{0, 1, 2}, want: 1},
-		{name: "rr all down own excluded", policy: RouteRoundRobin, n: 3, seq: 1, exclude: 1, down: []int{0, 1, 2}, want: 2},
-		{name: "p2c lower score", n: 4, seq: 4, exclude: -1, score: []uint64{5, 0, 3, 0}, want: 2},
-		{name: "p2c tie to lower index", n: 4, seq: 4, exclude: -1, score: []uint64{3, 0, 3, 0}, want: 0},
-		{name: "p2c one down", n: 4, seq: 4, exclude: -1, down: []int{2}, score: []uint64{9, 0, 1, 0}, want: 0, rerouted: true},
-		{name: "p2c other down", n: 4, seq: 4, exclude: -1, down: []int{0}, want: 2, rerouted: true},
-		{name: "p2c exclude is not a reroute", n: 4, seq: 4, exclude: 0, score: []uint64{0, 0, 9, 0}, want: 2},
-		{name: "p2c both down scans", n: 4, seq: 4, exclude: -1, down: []int{0, 2}, want: 3, rerouted: true},
-		{name: "p2c scan skips exclude", n: 4, seq: 4, exclude: 3, down: []int{0, 2}, want: 1, rerouted: true},
-		{name: "p2c all down own choice", n: 4, seq: 4, exclude: -1, down: []int{0, 1, 2, 3}, score: []uint64{5, 0, 3, 0}, want: 2},
-		{name: "p2c all down never exclude", n: 4, seq: 4, exclude: 2, down: []int{0, 1, 2, 3}, score: []uint64{5, 0, 3, 0}, want: 0},
-		{name: "p2c same candidate", n: 4, seq: 1, exclude: -1, want: 2},
-		{name: "p2c all down pair excluded", n: 4, seq: 1, exclude: 2, down: []int{0, 1, 2, 3}, want: 3},
+		{name: "rr in order", policy: RouteRoundRobin, n: 3, seq: 1, want: 1},
+		{name: "rr wraps", policy: RouteRoundRobin, n: 3, seq: 3, want: 0},
+		{name: "rr skips down", policy: RouteRoundRobin, n: 3, seq: 0, down: []int{0}, want: 1, rerouted: true},
+		{name: "rr skip wraps", policy: RouteRoundRobin, n: 3, seq: 2, down: []int{2}, want: 0, rerouted: true},
+		{name: "rr all down", policy: RouteRoundRobin, n: 3, seq: 1, down: []int{0, 1, 2}, want: 1},
+		{name: "p2c lower score", n: 4, seq: 4, score: []uint64{5, 0, 3, 0}, want: 2},
+		{name: "p2c tie to lower index", n: 4, seq: 4, score: []uint64{3, 0, 3, 0}, want: 0},
+		{name: "p2c one down", n: 4, seq: 4, down: []int{2}, score: []uint64{9, 0, 1, 0}, want: 0, rerouted: true},
+		{name: "p2c other down", n: 4, seq: 4, down: []int{0}, want: 2, rerouted: true},
+		{name: "p2c both down scans", n: 4, seq: 4, down: []int{0, 2}, want: 3, rerouted: true},
+		{name: "p2c all down own choice", n: 4, seq: 4, down: []int{0, 1, 2, 3}, score: []uint64{5, 0, 3, 0}, want: 2},
+		{name: "p2c same candidate", n: 4, seq: 1, want: 2},
+		{name: "p2c same candidate all down", n: 4, seq: 1, down: []int{0, 1, 2, 3}, want: 2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -66,7 +60,7 @@ func TestRoutingPick(t *testing.T) {
 			}
 			var seq atomic.Uint64
 			seq.Store(tc.seq)
-			got, rerouted := tc.policy.Pick(tc.n, &seq, tc.exclude, func(i int) bool { return !down[i] }, score)
+			got, rerouted := tc.policy.Pick(tc.n, &seq, func(i int) bool { return !down[i] }, score)
 			if got != tc.want || rerouted != tc.rerouted {
 				t.Errorf("Pick = %d, rerouted %v; want %d, %v", got, rerouted, tc.want, tc.rerouted)
 			}
@@ -76,13 +70,13 @@ func TestRoutingPick(t *testing.T) {
 		})
 	}
 
-	// One candidate: returned at once, routable or not and excluded or
-	// not, without advancing the sequence or asking anything.
+	// One candidate: returned at once, routable or not, without
+	// advancing the sequence or asking anything.
 	for _, policy := range []Routing{RoutePowerOfTwo, RouteRoundRobin} {
 		var seq atomic.Uint64
 		asked := false
 		ask := func(int) bool { asked = true; return false }
-		got, rerouted := policy.Pick(1, &seq, 0, ask, func(int) uint64 { asked = true; return 0 })
+		got, rerouted := policy.Pick(1, &seq, ask, func(int) uint64 { asked = true; return 0 })
 		if got != 0 || rerouted || asked || seq.Load() != 0 {
 			t.Errorf("%v n=1: Pick = %d, rerouted %v, asked %v, seq %d", policy, got, rerouted, asked, seq.Load())
 		}
