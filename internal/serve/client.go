@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"runtime"
 	"sync"
 	"time"
 )
@@ -146,8 +147,9 @@ func (o DialOptions) withDefaults() DialOptions {
 // they complete (the server reorders freely across batches).
 //
 // Requests are coalesced: Do frames its request into a shared buffer,
-// and whichever caller finds no flush in progress writes the buffer —
-// plus everything other callers frame meanwhile — one Write per round
+// and whichever caller finds no flush in progress yields once, so the
+// callers woken by the same read frame theirs too, then writes the buffer
+// — plus everything other callers frame meanwhile — one Write per round
 // until it is empty. A failed flush kills the Conn, failing every waiter.
 type Conn struct {
 	conn net.Conn
@@ -346,9 +348,16 @@ func (c *Conn) Do(req Request) (Response, error) {
 // with it released. On a failed write — a partial frame desynchronizes
 // the stream — the transport is closed before writeMu is released, so no
 // later round can write after the partial frame, and flush returns once
-// the read loop has failed every waiter.
+// the read loop has failed every waiter. The first round waits out one
+// runtime.Gosched: Go runs the first caller a read woke before the rest,
+// so without the yield it writes alone; with it, the callers already
+// runnable frame into this round. The server's writer needs none: its
+// producers frame many responses before they block.
 func (c *Conn) flush() error {
 	c.flushing = true
+	c.writeMu.Unlock()
+	runtime.Gosched()
+	c.writeMu.Lock()
 	for len(c.wbuf) > 0 {
 		out := c.wbuf
 		c.wbuf = c.spare[:0]

@@ -1,11 +1,14 @@
 package serve
 
 import (
+	"bufio"
 	"bytes"
 	"errors"
 	"io"
 	"net"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -443,6 +446,84 @@ func TestConnCoalescesWrites(t *testing.T) {
 		if !bytes.Equal(writes[i], want[i]) {
 			t.Errorf("Write %d: %d bytes diverge from the frames of its requests (%d bytes)", i, len(writes[i]), len(want[i]))
 		}
+	}
+}
+
+// countingConn wraps a net.Conn and counts its Writes into n.
+type countingConn struct {
+	net.Conn
+	n *atomic.Int64
+}
+
+func (c countingConn) Write(b []byte) (int, error) {
+	c.n.Add(1)
+	return c.Conn.Write(b)
+}
+
+// Regression: a read that routes a burst of responses wakes many callers,
+// but the first one woken used to find no flush in progress and write its
+// next request alone, and so did the next, so a closed loop of pipelined
+// callers paid about one Write per request. The callers one burst wakes
+// must share Writes. One P makes the wake-up order Go's own: the caller
+// readied last by the read loop runs first.
+func TestConnBurstSharesWrites(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const callers, rounds = 32, 8
+	var writes atomic.Int64
+	firstRound := make(chan int64, 1) // Writes the first round took
+	addr := fakeDaemon(t, func(nc net.Conn) {
+		defer nc.Close()
+		r := bufio.NewReader(nc)
+		for round := 1; ; round++ {
+			// Each caller has one request in flight, so a round is one
+			// request from every caller; answer them all in one Write.
+			var out []byte
+			for range callers {
+				body, err := readFrame(r, maxFrame)
+				if err != nil {
+					return
+				}
+				req, err := parseRequest(body)
+				if err != nil {
+					return
+				}
+				b, mark := beginMessage(out)
+				out, _ = endMessage(appendResponse(b, &Response{Status: StatusOK, ID: req.ID}), mark)
+			}
+			if round == 1 {
+				firstRound <- writes.Load()
+			}
+			if _, err := nc.Write(out); err != nil {
+				return
+			}
+		}
+	})
+	nc, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	conn := newConn(countingConn{Conn: nc, n: &writes}, DialOptions{Timeout: 10 * time.Second})
+	defer conn.Close()
+	var wg sync.WaitGroup
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for range rounds {
+				if resp, err := conn.Do(Request{Op: OpDeserialize, Schema: "varint"}); err != nil || resp.Status != StatusOK {
+					t.Errorf("Do: %v, status %v", err, resp.Status)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	reqs := callers * (rounds - 1)
+	if got := writes.Load() - <-firstRound; got > int64(reqs/4) {
+		t.Errorf("rounds 2–%d took %d Writes for %d requests, want at most %d", rounds, got, reqs, reqs/4)
 	}
 }
 

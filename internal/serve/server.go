@@ -569,7 +569,7 @@ func (s *Server) admit(client string, req Request, out *connWriter) (p *pending,
 	// and the accelerator — a hit implies a previously-served identical
 	// payload, so well-formedness is already established.
 	if s.elems != nil {
-		if a := s.elems.Admission; a != nil && !a.Allow(client, time.Now()) {
+		if a := s.elems.Admission; a != nil && !a.Allow(client, p.admitAt) {
 			s.respond(p, Response{Status: StatusThrottled, Payload: []byte("client over admission rate")})
 			return p, false
 		}
