@@ -9,15 +9,17 @@ all: build vet test
 race:
 	go test -race ./...
 
-# Short live-fuzzing pass over the native targets (seed corpora alone run
-# in `make test`): the deserializers and the serialize round trip, each
-# differentially checked against the reference codec, including a System
-# running under an injected-fault schedule; the reference codec's own
-# round trip (Size, re-parse, re-encode, Clone and Merge); then the serving
-# wire protocol — one length-prefixed frame per message, request bodies
-# and response bodies — where nothing may panic and every accepted
-# message must read back equal once encoded again.
+# Short live-fuzzing pass over every native target (seed corpora alone run
+# in `make test`): the deserializers, twice (BOOM and the accelerator,
+# then also a System running under an injected-fault schedule), and the
+# serialize round trip, each differentially checked against the
+# reference codec; the reference codec's own round trip (Size, re-parse,
+# re-encode, Clone and Merge); then the serving wire protocol — one
+# length-prefixed frame per message, request bodies and response bodies —
+# where nothing may panic and every accepted message must read back equal
+# once encoded again.
 fuzz-smoke:
+	go test -run '^$$' -fuzz FuzzDifferentialDeserialize -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzSerializeRoundTrip -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzUnmarshalRoundTrip -fuzztime 30s ./internal/pb/codec

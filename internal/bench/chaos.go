@@ -54,9 +54,10 @@ func chaosConfig(base core.Config, w Workload) core.Config {
 // RunChaos runs workload w on a fresh accelerated System under the given
 // fault schedule and differentially verifies every operation: each
 // deserialization must reproduce w.Messages[i] exactly and each
-// serialization must reproduce w.Wire[i] byte-for-byte. Both the per-op
-// and the batch entry points are exercised (a fault inside a batch must
-// roll back and recover the batch as a unit). Returns the recovery
+// serialization must reproduce w.Wire[i] byte-for-byte. Phase 1 runs
+// one operation per input, each a batch of one; phase 2 runs the whole
+// workload as one batch per direction (a fault inside a batch must roll
+// back and recover the batch as a unit). Returns the recovery
 // statistics; any divergence is an error.
 func RunChaos(w Workload, fcfg faults.Config, opts Options) (ChaosReport, error) {
 	var rep ChaosReport
@@ -83,7 +84,8 @@ func RunChaos(w Workload, fcfg faults.Config, opts Options) (ChaosReport, error)
 		objs[i] = a
 	}
 
-	// Phase 1: per-op deserialization and serialization.
+	// Phase 1: per-op deserialization and serialization, each a batch of
+	// one.
 	for i, r := range refs {
 		res, err := sys.Deserialize(w.Type, r.Addr, r.Len)
 		if err != nil {

@@ -322,123 +322,26 @@ func (s *System) AllocTopLevel(t *schema.Message) (uint64, error) {
 	return heapMat.AllocObject(t)
 }
 
-// deserializeSoftware runs one deserialization on the host core's
-// software codec (the CPU path of software systems, and the fallback path
-// of faulted accelerator systems).
-func (s *System) deserializeSoftware(t *schema.Message, bufAddr, bufLen uint64) (Result, error) {
-	objAddr, err := s.AllocTopLevel(t)
-	if err != nil {
-		return Result{}, err
-	}
-	start := s.CPU.Cycles()
-	if err := s.CPU.Deserialize(t, bufAddr, bufLen, objAddr); err != nil {
-		return Result{}, err
-	}
-	cy := s.CPU.Cycles() - start
-	return Result{
-		Cycles:  cy,
-		Seconds: s.CPU.Seconds(cy),
-		Bytes:   bufLen,
-		ObjAddr: objAddr,
-	}, nil
-}
-
 // Deserialize runs the timed deserialization of bufLen bytes at bufAddr
-// into a fresh top-level object.
+// into a fresh top-level object: a batch of one.
 func (s *System) Deserialize(t *schema.Message, bufAddr, bufLen uint64) (Result, error) {
-	if s.Accel != nil {
-		if s.adts == nil || s.adts.Addr(t) == 0 {
-			return Result{}, fmt.Errorf("core: type %s not loaded", t.Name)
-		}
-		adtAddr := s.adts.Addr(t)
-		var heapMark, arenaMark mem.Mark
-		return s.resilient("deser", accelAttempt{
-			attempt: func() (Result, error) {
-				heapMark, arenaMark = s.Heap.Mark(), s.Arena.Mark()
-				objAddr, err := s.AllocTopLevel(t)
-				if err != nil {
-					return Result{}, err
-				}
-				busy, err := s.Accel.DeserializeOp(adtAddr, objAddr, bufAddr, bufLen)
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{
-					Cycles:  busy,
-					Seconds: s.accelSeconds(busy),
-					Bytes:   bufLen,
-					ObjAddr: objAddr,
-				}, nil
-			},
-			abort: func() (float64, error) {
-				s.Heap.Truncate(heapMark)
-				s.Arena.Truncate(arenaMark)
-				return s.Accel.Deser.Abort(), nil
-			},
-			fallback: func() (Result, error) {
-				return s.deserializeSoftware(t, bufAddr, bufLen)
-			},
-		})
-	}
-	return s.deserializeSoftware(t, bufAddr, bufLen)
-}
-
-// serializeSoftware runs one serialization on the host core's software
-// codec.
-func (s *System) serializeSoftware(t *schema.Message, objAddr uint64) (Result, error) {
-	start := s.CPU.Cycles()
-	addr, n, err := s.CPU.Serialize(t, objAddr, s.Out)
+	res, objs, err := s.DeserializeBatch(t, []WireRef{{Addr: bufAddr, Len: bufLen}})
 	if err != nil {
 		return Result{}, err
 	}
-	cy := s.CPU.Cycles() - start
-	return Result{
-		Cycles:   cy,
-		Seconds:  s.CPU.Seconds(cy),
-		Bytes:    n,
-		WireAddr: addr,
-	}, nil
+	res.ObjAddr = objs[0]
+	return res, nil
 }
 
-// Serialize runs the timed serialization of the object at objAddr.
+// Serialize runs the timed serialization of the object at objAddr: a
+// batch of one.
 func (s *System) Serialize(t *schema.Message, objAddr uint64) (Result, error) {
-	if s.Accel != nil {
-		if s.adts == nil || s.adts.Addr(t) == 0 {
-			return Result{}, fmt.Errorf("core: type %s not loaded", t.Name)
-		}
-		adtAddr := s.adts.Addr(t)
-		var outMark ser.OutMark
-		return s.resilient("ser", accelAttempt{
-			attempt: func() (Result, error) {
-				outMark = s.Accel.Ser.Mark()
-				busy, stats, err := s.Accel.SerializeOp(adtAddr, objAddr)
-				if err != nil {
-					return Result{}, err
-				}
-				addr, n, err := s.Accel.Ser.Output(s.Accel.Ser.Outputs() - 1)
-				if err != nil {
-					return Result{}, err
-				}
-				if n != stats.BytesProduced {
-					return Result{}, errors.New("core: serializer length bookkeeping mismatch")
-				}
-				return Result{
-					Cycles:   busy,
-					Seconds:  s.accelSeconds(busy),
-					Bytes:    n,
-					WireAddr: addr,
-				}, nil
-			},
-			abort: func() (float64, error) {
-				cy := s.Accel.Ser.Abort()
-				return cy, s.Accel.Ser.Rewind(outMark)
-			},
-			fallback: func() (Result, error) {
-				return s.serializeSoftware(t, objAddr)
-			},
-		})
+	res, refs, err := s.SerializeBatch(t, []uint64{objAddr})
+	if err != nil {
+		return Result{}, err
 	}
-	return s.serializeSoftware(t, objAddr)
+	res.WireAddr = refs[0].Addr
+	return res, nil
 }
 
 // WireRef locates one serialized buffer in simulated memory.
@@ -452,37 +355,12 @@ type WireRef struct {
 // (total cycles and bytes) and the destination object addresses.
 func (s *System) DeserializeBatch(t *schema.Message, refs []WireRef) (Result, []uint64, error) {
 	objs := make([]uint64, len(refs))
-	var total Result
-	wantAttr := s.tel.AttributionEnabled()
-	if s.Accel == nil {
-		for i, r := range refs {
-			res, err := s.Deserialize(t, r.Addr, r.Len)
-			if err != nil {
-				return Result{}, nil, err
-			}
-			objs[i] = res.ObjAddr
-			total.Cycles += res.Cycles
-			total.Bytes += res.Bytes
-		}
-		total.Seconds = s.CPU.Seconds(total.Cycles)
-		if wantAttr {
-			total.Telemetry = &telemetry.OpTelemetry{
-				Attribution: telemetry.NewAttribution(total.Cycles, 0, 0, 0),
-			}
-		}
-		return total, objs, nil
-	}
-	if s.adts == nil || s.adts.Addr(t) == 0 {
-		return Result{}, nil, fmt.Errorf("core: type %s not loaded", t.Name)
-	}
-	before := s.Accel.Deser.Stats()
-	adtAddr := s.adts.Addr(t)
 	// A fault anywhere in the batch aborts and rolls back the whole batch
 	// (the completion barrier is what commits it), then the batch retries
 	// or falls back as a unit.
 	var heapMark, arenaMark mem.Mark
-	total, err := s.resilient("deser_batch", accelAttempt{
-		attempt: func() (Result, error) {
+	total, err := s.runBatch("deser", t, accelAttempt{
+		attempt: func(adtAddr uint64) (Result, error) {
 			heapMark, arenaMark = s.Heap.Mark(), s.Arena.Mark()
 			var batch Result
 			for i, r := range refs {
@@ -515,13 +393,17 @@ func (s *System) DeserializeBatch(t *schema.Message, refs []WireRef) (Result, []
 		fallback: func() (Result, error) {
 			var batch Result
 			for i, r := range refs {
-				res, err := s.deserializeSoftware(t, r.Addr, r.Len)
+				obj, err := s.AllocTopLevel(t)
 				if err != nil {
 					return Result{}, err
 				}
-				objs[i] = res.ObjAddr
-				batch.Cycles += res.Cycles
-				batch.Bytes += res.Bytes
+				start := s.CPU.Cycles()
+				if err := s.CPU.Deserialize(t, r.Addr, r.Len, obj); err != nil {
+					return Result{}, err
+				}
+				batch.Cycles += s.CPU.Cycles() - start
+				objs[i] = obj
+				batch.Bytes += r.Len
 			}
 			batch.Seconds = s.CPU.Seconds(batch.Cycles)
 			return batch, nil
@@ -530,17 +412,6 @@ func (s *System) DeserializeBatch(t *schema.Message, refs []WireRef) (Result, []
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if wantAttr {
-		attr := telemetry.NewAttribution(total.Cycles, 0, 0, 0)
-		if total.Fault == nil || !total.Fault.FellBack {
-			after := s.Accel.Deser.Stats()
-			attr = telemetry.NewAttribution(total.Cycles,
-				after.SupplyBoundCycles-before.SupplyBoundCycles,
-				after.SpillCycles-before.SpillCycles,
-				after.ADTStallCycles-before.ADTStallCycles)
-		}
-		total.Telemetry = &telemetry.OpTelemetry{Attribution: attr}
-	}
 	return total, objs, nil
 }
 
@@ -548,39 +419,13 @@ func (s *System) DeserializeBatch(t *schema.Message, refs []WireRef) (Result, []
 // at the end, returning the batch Result and per-object output locations.
 func (s *System) SerializeBatch(t *schema.Message, objAddrs []uint64) (Result, []WireRef, error) {
 	refs := make([]WireRef, len(objAddrs))
-	var total Result
-	wantAttr := s.tel.AttributionEnabled()
-	if s.Accel == nil {
-		for i, obj := range objAddrs {
-			res, err := s.Serialize(t, obj)
-			if err != nil {
-				return Result{}, nil, err
-			}
-			refs[i] = WireRef{Addr: res.WireAddr, Len: res.Bytes}
-			total.Cycles += res.Cycles
-			total.Bytes += res.Bytes
-		}
-		total.Seconds = s.CPU.Seconds(total.Cycles)
-		if wantAttr {
-			total.Telemetry = &telemetry.OpTelemetry{
-				Attribution: telemetry.NewAttribution(total.Cycles, 0, 0, 0),
-			}
-		}
-		return total, refs, nil
-	}
-	if s.adts == nil || s.adts.Addr(t) == 0 {
-		return Result{}, nil, fmt.Errorf("core: type %s not loaded", t.Name)
-	}
-	before := s.Accel.Ser.Stats()
-	adtAddr := s.adts.Addr(t)
 	// As with DeserializeBatch, a fault anywhere rolls back and retries
 	// (or falls back) the whole batch as a unit.
 	var outMark ser.OutMark
-	total, err := s.resilient("ser_batch", accelAttempt{
-		attempt: func() (Result, error) {
+	total, err := s.runBatch("ser", t, accelAttempt{
+		attempt: func(adtAddr uint64) (Result, error) {
 			outMark = s.Accel.Ser.Mark()
-			firstOut := s.Accel.Ser.Outputs()
-			var batch Result
+			firstOut, firstOp := s.Accel.Ser.Outputs(), len(s.Accel.SerOps)
 			for _, obj := range objAddrs {
 				if _, err := s.Accel.Issue(rocc.Command{Op: rocc.OpSerInfo}); err != nil {
 					return Result{}, err
@@ -593,16 +438,20 @@ func (s *System) SerializeBatch(t *schema.Message, objAddrs []uint64) (Result, [
 			if err != nil {
 				return Result{}, err
 			}
+			batch := Result{Cycles: busy, Seconds: s.accelSeconds(busy)}
 			for i := range objAddrs {
 				addr, n, err := s.Accel.Ser.Output(firstOut + uint64(i))
 				if err != nil {
 					return Result{}, err
 				}
+				// The completion record must agree with the unit's own
+				// count of the bytes it wrote.
+				if n != s.Accel.SerOps[firstOp+i].BytesProduced {
+					return Result{}, errors.New("core: serializer length bookkeeping mismatch")
+				}
 				refs[i] = WireRef{Addr: addr, Len: n}
 				batch.Bytes += n
 			}
-			batch.Cycles = busy
-			batch.Seconds = s.accelSeconds(busy)
 			return batch, nil
 		},
 		abort: func() (float64, error) {
@@ -612,13 +461,14 @@ func (s *System) SerializeBatch(t *schema.Message, objAddrs []uint64) (Result, [
 		fallback: func() (Result, error) {
 			var batch Result
 			for i, obj := range objAddrs {
-				res, err := s.serializeSoftware(t, obj)
+				start := s.CPU.Cycles()
+				addr, n, err := s.CPU.Serialize(t, obj, s.Out)
 				if err != nil {
 					return Result{}, err
 				}
-				refs[i] = WireRef{Addr: res.WireAddr, Len: res.Bytes}
-				batch.Cycles += res.Cycles
-				batch.Bytes += res.Bytes
+				batch.Cycles += s.CPU.Cycles() - start
+				refs[i] = WireRef{Addr: addr, Len: n}
+				batch.Bytes += n
 			}
 			batch.Seconds = s.CPU.Seconds(batch.Cycles)
 			return batch, nil
@@ -627,134 +477,133 @@ func (s *System) SerializeBatch(t *schema.Message, objAddrs []uint64) (Result, [
 	if err != nil {
 		return Result{}, nil, err
 	}
-	if wantAttr {
-		attr := telemetry.NewAttribution(total.Cycles, 0, 0, 0)
-		if total.Fault == nil || !total.Fault.FellBack {
-			after := s.Accel.Ser.Stats()
-			attr = telemetry.NewAttribution(total.Cycles, 0,
-				after.SpillCycles-before.SpillCycles,
-				after.ADTStallCycles-before.ADTStallCycles)
-		}
-		total.Telemetry = &telemetry.OpTelemetry{Attribution: attr}
-	}
 	return total, refs, nil
+}
+
+// runBatch runs one batch operation through resilient and, while
+// attribution is enabled, attaches the batch's cycle attribution. The
+// unit's stall cycles count only when the accelerator completed the
+// batch; a batch the host core ran is all FSM cycles.
+func (s *System) runBatch(op string, t *schema.Message, a accelAttempt) (Result, error) {
+	before := s.stalls(op)
+	res, err := s.resilient(op, t, a)
+	if err != nil || !s.tel.AttributionEnabled() {
+		return res, err
+	}
+	var d [3]float64
+	if res.Fault == nil || !res.Fault.FellBack {
+		after := s.stalls(op)
+		for i := range d {
+			d[i] = after[i] - before[i]
+		}
+	}
+	res.Telemetry = &telemetry.OpTelemetry{Attribution: telemetry.NewAttribution(res.Cycles, d[0], d[1], d[2])}
+	return res, nil
+}
+
+// stalls reads the cumulative stall counters of op's accelerator unit:
+// supply-bound (deserializer only), spill and ADT-load stall cycles. A
+// software System has no such unit and reads zeros.
+func (s *System) stalls(op string) [3]float64 {
+	switch {
+	case s.Accel == nil:
+		return [3]float64{}
+	case op == "deser":
+		st := s.Accel.Deser.Stats()
+		return [3]float64{st.SupplyBoundCycles, st.SpillCycles, st.ADTStallCycles}
+	default:
+		st := s.Accel.Ser.Stats()
+		return [3]float64{0, st.SpillCycles, st.ADTStallCycles}
+	}
 }
 
 // Clear resets all presence state of the object at objAddr (the §7
 // clear operator).
 func (s *System) Clear(t *schema.Message, objAddr uint64) (Result, error) {
-	if s.Accel != nil {
-		adtAddr := s.adts.Addr(t)
-		return s.resilient("clear", accelAttempt{
-			attempt: func() (Result, error) {
-				busy, err := s.Accel.ClearOp(adtAddr, objAddr)
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Cycles: busy, Seconds: s.accelSeconds(busy), ObjAddr: objAddr}, nil
-			},
-			abort: func() (float64, error) {
-				// Clear is idempotent: a partially-cleared object needs no
-				// rollback — the retry or the software fallback re-clears
-				// from the start and converges on the same result.
-				return s.Accel.Mops.Abort(), nil
-			},
-			fallback: func() (Result, error) {
-				start := s.CPU.Cycles()
-				if err := s.CPU.ClearObject(t, objAddr); err != nil {
-					return Result{}, err
-				}
-				cy := s.CPU.Cycles() - start
-				return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: objAddr}, nil
-			},
-		})
-	}
-	start := s.CPU.Cycles()
-	if err := s.CPU.ClearObject(t, objAddr); err != nil {
-		return Result{}, err
-	}
-	cy := s.CPU.Cycles() - start
-	return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: objAddr}, nil
+	return s.resilient("clear", t, accelAttempt{
+		attempt: func(adtAddr uint64) (Result, error) {
+			busy, err := s.Accel.ClearOp(adtAddr, objAddr)
+			if err != nil {
+				return Result{}, err
+			}
+			return Result{Cycles: busy, Seconds: s.accelSeconds(busy), ObjAddr: objAddr}, nil
+		},
+		abort: func() (float64, error) {
+			// Clear is idempotent: a partially-cleared object needs no
+			// rollback — the retry or the software fallback re-clears
+			// from the start and converges on the same result.
+			return s.Accel.Mops.Abort(), nil
+		},
+		fallback: func() (Result, error) {
+			start := s.CPU.Cycles()
+			if err := s.CPU.ClearObject(t, objAddr); err != nil {
+				return Result{}, err
+			}
+			cy := s.CPU.Cycles() - start
+			return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: objAddr}, nil
+		},
+	})
 }
 
 // Copy deep-copies the object at srcObj, returning the new object (the §7
 // copy operator).
 func (s *System) Copy(t *schema.Message, srcObj uint64) (Result, error) {
-	if s.Accel != nil {
-		adtAddr := s.adts.Addr(t)
-		var arenaMark mem.Mark
-		return s.resilient("copy", accelAttempt{
-			attempt: func() (Result, error) {
-				arenaMark = s.Arena.Mark()
-				busy, dst, err := s.Accel.CopyOp(adtAddr, srcObj)
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Cycles: busy, Seconds: s.accelSeconds(busy), ObjAddr: dst}, nil
-			},
-			abort: func() (float64, error) {
-				// Copy writes only freshly-allocated arena memory, so
-				// truncating the arena reverts it completely.
-				s.Arena.Truncate(arenaMark)
-				return s.Accel.Mops.Abort(), nil
-			},
-			fallback: func() (Result, error) {
-				start := s.CPU.Cycles()
-				dst, err := s.CPU.CopyObject(t, srcObj)
-				if err != nil {
-					return Result{}, err
-				}
-				cy := s.CPU.Cycles() - start
-				return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dst}, nil
-			},
-		})
-	}
-	start := s.CPU.Cycles()
-	dst, err := s.CPU.CopyObject(t, srcObj)
-	if err != nil {
-		return Result{}, err
-	}
-	cy := s.CPU.Cycles() - start
-	return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dst}, nil
+	var arenaMark mem.Mark
+	return s.resilient("copy", t, accelAttempt{
+		attempt: func(adtAddr uint64) (Result, error) {
+			arenaMark = s.Arena.Mark()
+			busy, dst, err := s.Accel.CopyOp(adtAddr, srcObj)
+			if err != nil {
+				return Result{}, err
+			}
+			return Result{Cycles: busy, Seconds: s.accelSeconds(busy), ObjAddr: dst}, nil
+		},
+		abort: func() (float64, error) {
+			// Copy writes only freshly-allocated arena memory, so
+			// truncating the arena reverts it completely.
+			s.Arena.Truncate(arenaMark)
+			return s.Accel.Mops.Abort(), nil
+		},
+		fallback: func() (Result, error) {
+			start := s.CPU.Cycles()
+			dst, err := s.CPU.CopyObject(t, srcObj)
+			if err != nil {
+				return Result{}, err
+			}
+			cy := s.CPU.Cycles() - start
+			return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dst}, nil
+		},
+	})
 }
 
 // Merge merges srcObj into dstObj with proto2 semantics (the §7 merge
 // operator).
 func (s *System) Merge(t *schema.Message, dstObj, srcObj uint64) (Result, error) {
-	if s.Accel != nil {
-		adtAddr := s.adts.Addr(t)
-		return s.resilient("merge", accelAttempt{
-			attempt: func() (Result, error) {
-				busy, err := s.Accel.MergeOp(adtAddr, dstObj, srcObj)
-				if err != nil {
-					return Result{}, err
-				}
-				return Result{Cycles: busy, Seconds: s.accelSeconds(busy), ObjAddr: dstObj}, nil
-			},
-			abort: func() (float64, error) {
-				// Merge's validation pre-pass hosts every fault trial before
-				// the first mutating write (see mops.Merge), so an aborted
-				// merge left the destination untouched — nothing to roll
-				// back. A failure after mutation began wraps ErrPoisoned and
-				// never reaches here.
-				return s.Accel.Mops.Abort(), nil
-			},
-			fallback: func() (Result, error) {
-				start := s.CPU.Cycles()
-				if err := s.CPU.MergeObjects(t, dstObj, srcObj); err != nil {
-					return Result{}, err
-				}
-				cy := s.CPU.Cycles() - start
-				return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dstObj}, nil
-			},
-		})
-	}
-	start := s.CPU.Cycles()
-	if err := s.CPU.MergeObjects(t, dstObj, srcObj); err != nil {
-		return Result{}, err
-	}
-	cy := s.CPU.Cycles() - start
-	return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dstObj}, nil
+	return s.resilient("merge", t, accelAttempt{
+		attempt: func(adtAddr uint64) (Result, error) {
+			busy, err := s.Accel.MergeOp(adtAddr, dstObj, srcObj)
+			if err != nil {
+				return Result{}, err
+			}
+			return Result{Cycles: busy, Seconds: s.accelSeconds(busy), ObjAddr: dstObj}, nil
+		},
+		abort: func() (float64, error) {
+			// Merge's validation pre-pass hosts every fault trial before
+			// the first mutating write (see mops.Merge), so an aborted
+			// merge left the destination untouched — nothing to roll
+			// back. A failure after mutation began wraps ErrPoisoned and
+			// never reaches here.
+			return s.Accel.Mops.Abort(), nil
+		},
+		fallback: func() (Result, error) {
+			start := s.CPU.Cycles()
+			if err := s.CPU.MergeObjects(t, dstObj, srcObj); err != nil {
+				return Result{}, err
+			}
+			cy := s.CPU.Cycles() - start
+			return Result{Cycles: cy, Seconds: s.CPU.Seconds(cy), ObjAddr: dstObj}, nil
+		},
+	})
 }
 
 // ResetWork rewinds the resettable allocators (heap, accelerator arena,
@@ -771,38 +620,20 @@ func (s *System) ResetWork() {
 	}
 }
 
-// ResetAll returns the System to the state New left it in, without
-// remapping or re-zeroing whole regions: allocators rewind, only the
-// dirty span of each region is zeroed (mem.Region's [lo, hi) tracking),
-// the cache/TLB hierarchy and all cycle accumulators reset, and the
-// layout registry restarts type-id assignment. After ResetAll the System
-// is bitwise-indistinguishable — addresses, latencies, cycle counts —
-// from a freshly constructed one with the same Config, which is what lets
-// the Pool recycle Systems without perturbing measurements.
+// ResetAll returns the System to the state New left it in: ResetBatch,
+// then the loaded schema is forgotten — the ADT allocator rewinds and its
+// region's dirty span is zeroed, and the layout registry restarts type-id
+// assignment. After ResetAll the System is bitwise-indistinguishable —
+// addresses, latencies, cycle counts — from a freshly constructed one
+// with the same Config, which is what lets the Pool recycle Systems
+// without perturbing measurements.
 func (s *System) ResetAll() {
+	s.ResetBatch()
 	s.adtAlloc.Reset()
-	s.Static.Reset()
-	s.Heap.Reset()
-	s.Out.Reset()
-	if s.Arena != nil {
-		s.Arena.Reset()
-	}
-	s.Mem.ResetDirty()
-	s.MemSys.Reset()
+	s.adtAlloc.Region().ResetDirty()
 	s.Reg.Reset()
 	s.schemaRoots = nil
 	s.adts = nil
-	if s.CPU != nil {
-		s.CPU.ResetCycles()
-	}
-	if s.Accel != nil {
-		s.Accel.Reset()
-		s.Accel.Ser.AssignArena(s.serData, s.serPtrs)
-	}
-	s.Inj.Reset()
-	s.res = resilienceStats{}
-	s.poisoned = false
-	s.tel.Reset()
 }
 
 // ResetBatch returns a System to the state a `ResetAll` followed by a

@@ -3,6 +3,7 @@ package core
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 
 	"protoacc/internal/pb/codec"
@@ -235,11 +236,46 @@ func TestRandomizedCrossSystemEquivalence(t *testing.T) {
 	}
 }
 
+// On an accelerated System, every operation on a type whose ADT is not
+// loaded fails with the not-loaded error, whether no schema or another
+// one is loaded. A software System needs no ADT.
 func TestUnloadedTypeError(t *testing.T) {
 	typ := testType()
-	sys := New(smallConfig(KindAccel))
-	if _, err := sys.Deserialize(typ, 0x10000, 0); err == nil {
-		t.Error("expected unloaded-type error")
+	for _, c := range []struct {
+		kind  Kind
+		other bool // another schema is loaded
+	}{{KindAccel, false}, {KindAccel, true}, {KindBOOM, false}} {
+		sys := New(smallConfig(c.kind))
+		if c.other {
+			other := mustMessage("Other", &schema.Field{Name: "x", Number: 1, Kind: schema.KindInt32})
+			if err := sys.LoadSchema(other); err != nil {
+				t.Fatal(err)
+			}
+		}
+		obj, err := sys.MaterializeInput(populate(typ))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ops := []struct {
+			name string
+			run  func() (Result, error)
+		}{
+			{"deserialize", func() (Result, error) { return sys.Deserialize(typ, 0x10000, 0) }},
+			{"clear", func() (Result, error) { return sys.Clear(typ, obj) }},
+			{"copy", func() (Result, error) { return sys.Copy(typ, obj) }},
+			{"merge", func() (Result, error) { return sys.Merge(typ, obj, obj) }},
+		}
+		for _, op := range ops {
+			_, err := op.run()
+			switch {
+			case c.kind != KindAccel:
+				if err != nil {
+					t.Errorf("%v: %s without a loaded schema: %v", c.kind, op.name, err)
+				}
+			case err == nil || !strings.Contains(err.Error(), "core: type T not loaded"):
+				t.Errorf("%s (another schema loaded: %v): err = %v, want the not-loaded error", op.name, c.other, err)
+			}
+		}
 	}
 }
 

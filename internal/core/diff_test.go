@@ -9,21 +9,23 @@ import (
 	"protoacc/internal/pb/dynamic"
 	"protoacc/internal/pb/pbtest"
 	"protoacc/internal/pb/schema"
+	"protoacc/internal/pb/wire"
 )
 
-// diffCheck feeds one input to the reference codec and to the BOOM and
-// accelerated systems, asserting agreement:
+// diffCheck feeds one input to the reference codec and to the given
+// systems, asserting agreement:
 //   - no path may panic or corrupt simulated memory (faults surface as
 //     errors);
-//   - when the reference accepts an input with no unknown fields, both
-//     systems must accept it and produce an equal message;
-//   - when the reference rejects an input, neither system may silently
-//     produce a *different* message than the codec semantics allow (the
-//     systems may reject too).
+//   - when the reference accepts an input, every system must decode it
+//     to the reference message stripped of unknown bytes at every depth
+//     (the models skip unknown fields without preserving them), unless
+//     those bytes hold a group: the models do not skip groups, so every
+//     system must reject it with the group error;
+//   - when the reference rejects an input, the systems may reject too.
 func diffCheck(t *testing.T, typ *schema.Message, input []byte, systems ...*System) {
 	t.Helper()
 	ref, refErr := codec.Unmarshal(typ, input)
-
+	group := refErr == nil && stripUnknown(ref)
 	for _, sys := range systems {
 		sys.ResetWork()
 		// Inputs are transient here (unlike benchmark workloads): recycle
@@ -34,16 +36,16 @@ func diffCheck(t *testing.T, typ *schema.Message, input []byte, systems ...*Syst
 			t.Fatal(err)
 		}
 		res, err := sys.Deserialize(typ, bufAddr, uint64(len(input)))
-		if refErr == nil && !hasUnknown(ref) {
-			if err != nil {
-				// One acceptable divergence: deprecated group wire types
-				// inside otherwise-valid input are rejected by the
-				// hardware paths but skipped by the reference codec.
-				if strings.Contains(err.Error(), "group") {
-					continue
-				}
-				t.Fatalf("%s rejected input the reference accepts: %v\ninput: %x", sys.Name(), err, input)
+		switch {
+		case refErr != nil:
+			// The reference rejected: the systems may reject too.
+		case group:
+			if err == nil || !strings.Contains(err.Error(), "group") {
+				t.Fatalf("%s did not reject a group with the group error: %v\ninput: %x", sys.Name(), err, input)
 			}
+		case err != nil:
+			t.Fatalf("%s rejected input the reference accepts: %v\ninput: %x", sys.Name(), err, input)
+		default:
 			got, err := sys.ReadMessage(typ, res.ObjAddr)
 			if err != nil {
 				t.Fatal(err)
@@ -51,37 +53,40 @@ func diffCheck(t *testing.T, typ *schema.Message, input []byte, systems ...*Syst
 			if !ref.Equal(got) {
 				t.Fatalf("%s decoded differently from the reference\ninput: %x", sys.Name(), input)
 			}
-			continue
 		}
-		// Unknown fields present or reference rejected: if the system
-		// accepted, its view of the known fields must still be consistent
-		// with re-parsing (self-agreement between the two systems is
-		// checked below by the caller when both succeed).
-		_ = err
 	}
 }
 
-// hasUnknown reports whether any message in the tree carries preserved
-// unknown-field bytes (which the hardware paths intentionally drop).
-func hasUnknown(m *dynamic.Message) bool {
-	if len(m.Unknown) != 0 {
-		return true
+// stripUnknown deletes the unknown bytes of m and of every message in
+// it, reporting whether any of them held a group: a start-group tag at
+// the top level of some message's unknown bytes.
+func stripUnknown(m *dynamic.Message) (group bool) {
+	for b := m.Unknown; len(b) > 0; {
+		num, wt, n, err := wire.ReadTag(b)
+		if err != nil {
+			break
+		}
+		group = group || wt == wire.TypeStartGroup
+		vn, err := wire.SkipValue(b[n:], num, wt)
+		if err != nil {
+			break
+		}
+		b = b[n+vn:]
 	}
+	m.Unknown = nil
 	for _, f := range m.Type().Fields {
 		if f.Kind != schema.KindMessage || !m.Has(f.Number) {
 			continue
 		}
 		if f.Repeated() {
-			for _, s := range m.RepeatedMessages(f.Number) {
-				if hasUnknown(s) {
-					return true
-				}
+			for _, sub := range m.RepeatedMessages(f.Number) {
+				group = stripUnknown(sub) || group
 			}
-		} else if s := m.GetMessage(f.Number); s != nil && hasUnknown(s) {
-			return true
+		} else if sub := m.GetMessage(f.Number); sub != nil {
+			group = stripUnknown(sub) || group
 		}
 	}
-	return false
+	return group
 }
 
 func TestDifferentialMutatedInputs(t *testing.T) {

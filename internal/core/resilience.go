@@ -14,14 +14,18 @@
 // exhausted retries fall back to the software codec on the host core. The
 // caller observes a successful Result either way — augmented with a
 // FaultReport and the penalty cycles — or the original error when the
-// failure is a genuine model error rather than an injected fault.
+// failure is a genuine model error rather than an injected fault. A
+// software System has no accelerator: it runs the fallback directly, and
+// nothing is counted.
 package core
 
 import (
 	"errors"
+	"fmt"
 
 	"protoacc/internal/accel/mops"
 	"protoacc/internal/faults"
+	"protoacc/internal/pb/schema"
 	"protoacc/internal/telemetry"
 )
 
@@ -68,15 +72,16 @@ func (r *resilienceStats) CollectTelemetry(emit func(name string, value float64)
 // accelAttempt describes one accelerator-backed operation to the resilient
 // runner.
 type accelAttempt struct {
-	// attempt runs the operation once on the accelerator, capturing its
-	// rollback marks before issuing any command.
-	attempt func() (Result, error)
+	// attempt runs the operation once on the accelerator against the
+	// type's ADT, capturing its rollback marks before issuing any command.
+	attempt func(adtAddr uint64) (Result, error)
 	// abort undoes the failed attempt's memory effects (allocator
 	// truncation, output rewind) and returns the cycles the aborted
 	// attempt consumed on its unit. The runner adds the RoCC router's own
 	// drain cost separately.
 	abort func() (float64, error)
-	// fallback runs the operation on the host core's software codec.
+	// fallback runs the operation on the host core's software codec: a
+	// software System's only path, and a faulted accelerator's way out.
 	fallback func() (Result, error)
 }
 
@@ -95,21 +100,30 @@ func (s *System) traceResilience(name, op string) {
 	}
 }
 
-// resilient runs an accelerator operation transactionally. Fault-free
-// operations pass through with no extra accounting. On an injected fault
-// the attempt is aborted and rolled back; transients are retried with
-// cycle-charged backoff, permanents (and exhausted retries) fall back to
-// software. The penalty cycles of failed attempts and backoff are charged
-// to the returned Result in the accelerator's clock domain — on fallback,
-// Result.Cycles therefore mixes clock domains and Result.Seconds is the
-// authoritative wall-clock total. Genuine (non-injected) errors propagate
-// unchanged; an error wrapping mops.ErrPoisoned additionally poisons the
-// System so the Pool refuses to recycle it.
-func (s *System) resilient(op string, a accelAttempt) (Result, error) {
+// resilient runs an operation on type t: on a software System, its
+// fallback; otherwise on the accelerator, transactionally, which needs
+// t's ADT loaded. Fault-free accelerator operations pass through with no
+// extra accounting. On an injected fault the attempt is aborted and
+// rolled back; transients are retried with cycle-charged backoff,
+// permanents (and exhausted retries) fall back to software. The penalty
+// cycles of failed attempts and backoff are charged to the returned
+// Result in the accelerator's clock domain — on fallback, Result.Cycles
+// therefore mixes clock domains and Result.Seconds is the authoritative
+// wall-clock total. Genuine (non-injected) errors propagate unchanged; an
+// error wrapping mops.ErrPoisoned additionally poisons the System so the
+// Pool refuses to recycle it.
+func (s *System) resilient(op string, t *schema.Message, a accelAttempt) (Result, error) {
+	if s.Accel == nil {
+		return a.fallback()
+	}
+	if s.adts == nil || s.adts.Addr(t) == 0 {
+		return Result{}, fmt.Errorf("core: type %s not loaded", t.Name)
+	}
+	adtAddr := s.adts.Addr(t)
 	var rep FaultReport
 	var penalty float64 // accel-clock cycles consumed by failed attempts
 	for n := 1; ; n++ {
-		res, err := a.attempt()
+		res, err := a.attempt(adtAddr)
 		if err == nil {
 			if rep.Attempts > 0 {
 				rep.Attempts = n

@@ -19,13 +19,17 @@
 //     eviction, so hot-key skewed traffic short-circuits the
 //     accelerator entirely.
 //
-// Every element is byte-transparent by construction. Responses in this
-// server are canonical codec.Marshal bytes — a pure function of
-// (schema, op, payload) — so a cache hit returns exactly the bytes a
-// fresh execution would produce, a breaker reroute lands on a tile that
-// produces the same bytes, and admission only ever substitutes a
-// throttled status for work not done. The chaos tests assert the chain
-// on/off response streams are bitwise identical.
+// Every element is byte-transparent for payloads with no unknown fields.
+// Responses in this server are canonical codec.Marshal bytes, a function
+// of (schema, op, payload) and, for a payload with unknown fields, of the
+// path that answered it: an accelerated answer drops those fields and a
+// degraded batch's software answer keeps them (ROADMAP.md item 1). The
+// cache stores only accelerated answers, so a hit returns exactly the
+// bytes a fresh accelerated execution would produce; a breaker reroute
+// lands on a tile that produces the same bytes; and admission only ever
+// substitutes a throttled status for work not done. The chaos tests
+// assert the chain on/off response streams are bitwise identical over
+// catalog payloads, which carry no unknown fields.
 //
 // The package deliberately depends on nothing in internal/serve (serve
 // imports it): elements speak primitive types, and their

@@ -24,9 +24,14 @@
 //     software fallback) never reach this layer; they only show up in
 //     the resilience counters and the per-response fault flag.
 //
-// Functional responses are byte-identical to the pure-software codec in
-// every case — fault-free, retried, fallen back — which the chaos tests
-// assert request by request.
+// Functional responses are canonical codec.Marshal bytes. For a payload
+// with no unknown fields they are byte-identical to the pure-software
+// codec's on every path — fault-free, retried, fallen back — which the
+// chaos tests assert request by request. A payload with unknown fields
+// gets an answer that depends on its path (ROADMAP.md item 1): an answer
+// read back from a simulated object drops them, because the models skip
+// unknown fields and the materializer writes none, while a degraded
+// batch's software answer keeps them.
 package serve
 
 import "time"

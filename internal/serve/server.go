@@ -603,9 +603,10 @@ func (s *Server) admit(client string, req Request, out *connWriter) (p *pending,
 
 // respond answers a pending exactly once and records the outcome. This
 // is also where the response cache fills: only clean accelerator-path OK
-// responses are stored (no fallbacks — their bytes are identical anyway,
-// but a fallback marks a degraded tile, and caching under degradation
-// would mask it), and never re-stored from a cache hit.
+// responses are stored (no fallbacks — a fallback marks a degraded tile,
+// and caching under degradation would mask it; a degraded answer also
+// keeps a payload's unknown fields, which the accelerator path drops,
+// ROADMAP.md item 1), and never re-stored from a cache hit.
 func (s *Server) respond(p *pending, resp Response) {
 	resp.ID = p.req.ID
 	if resp.Status == StatusOK && !resp.FellBack && !p.fromCache {

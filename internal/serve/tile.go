@@ -483,10 +483,12 @@ func (t *tile) annotateSpans(live []*pending, res core.Result) {
 }
 
 // degrade completes every live request of a failed batch on the host's
-// software codec. Responses stay byte-identical to the accelerator path —
-// for both operations the answer is the canonical serialization of the
-// request's pre-parsed message — so callers cannot observe which path ran
-// except through the FellBack flag. Degradation is a per-tile event: only
+// software codec: for both operations the answer is the canonical
+// serialization of the request's pre-parsed message. For a payload with
+// no unknown fields that equals the accelerator path's answer, so callers
+// see which path ran only through the FellBack flag. A payload's unknown
+// fields are kept here, though the accelerator path drops them
+// (ROADMAP.md item 1). Degradation is a per-tile event: only
 // this tile's fallback counter moves, and only this tile's pool can hold
 // the poisoned System that caused it.
 func (t *tile) degrade(live []*pending) {

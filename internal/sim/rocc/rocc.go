@@ -387,34 +387,6 @@ func (a *Accelerator) AssignArenas(deserArena *mem.Allocator, serData, serPtrs *
 	}
 }
 
-// DeserializeOp is the convenience pair (deser_info, do_proto_deser)
-// followed by a completion barrier; returns total busy cycles.
-func (a *Accelerator) DeserializeOp(adtAddr, objAddr, bufAddr, bufLen uint64) (float64, error) {
-	if _, err := a.Issue(Command{Op: OpDeserInfo, RS1: adtAddr, RS2: objAddr}); err != nil {
-		return 0, err
-	}
-	if _, err := a.Issue(Command{Op: OpDoProtoDeser, RS1: bufAddr, RS2: bufLen}); err != nil {
-		return 0, err
-	}
-	return a.Issue(Command{Op: OpBlockForDeserCompletion})
-}
-
-// SerializeOp is the convenience pair (ser_info, do_proto_ser) followed by
-// a completion barrier; returns total busy cycles.
-func (a *Accelerator) SerializeOp(adtAddr, objAddr uint64) (float64, ser.Stats, error) {
-	if _, err := a.Issue(Command{Op: OpSerInfo}); err != nil {
-		return 0, ser.Stats{}, err
-	}
-	if _, err := a.Issue(Command{Op: OpDoProtoSer, RS1: adtAddr, RS2: objAddr}); err != nil {
-		return 0, ser.Stats{}, err
-	}
-	busy, err := a.Issue(Command{Op: OpBlockForSerCompletion})
-	if err != nil {
-		return 0, ser.Stats{}, err
-	}
-	return busy, a.SerOps[len(a.SerOps)-1], nil
-}
-
 // ClearOp is the convenience (mops_info, do_proto_clear, barrier) triple.
 func (a *Accelerator) ClearOp(adtAddr, objAddr uint64) (float64, error) {
 	if _, err := a.Issue(Command{Op: OpMopsInfo, RS1: adtAddr}); err != nil {

@@ -106,11 +106,17 @@ func TestSerializeOpRoundTrip(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	busy, st, err := a.SerializeOp(set.Addr(typ), obj)
+	if _, err := a.Issue(Command{Op: OpSerInfo}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := a.Issue(Command{Op: OpDoProtoSer, RS1: set.Addr(typ), RS2: obj}); err != nil {
+		t.Fatal(err)
+	}
+	busy, err := a.Issue(Command{Op: OpBlockForSerCompletion})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if busy < st.Cycles {
+	if busy < a.SerOps[0].Cycles {
 		t.Error("busy should include dispatch and fence")
 	}
 	addr, n, err := a.Ser.Output(0)
@@ -226,8 +232,14 @@ func TestErrorDropsInfoLatches(t *testing.T) {
 		t.Fatalf("stale deser_info survived an error: err = %v, want ErrNoInfo", err)
 	}
 	// A fresh well-formed sequence works and produces the right object.
-	if _, err := a.DeserializeOp(set.Addr(typ), obj, in.Base, uint64(len(wire))); err != nil {
-		t.Fatalf("recovery sequence rejected: %v", err)
+	for _, cmd := range []Command{
+		{Op: OpDeserInfo, RS1: set.Addr(typ), RS2: obj},
+		{Op: OpDoProtoDeser, RS1: in.Base, RS2: uint64(len(wire))},
+		{Op: OpBlockForDeserCompletion},
+	} {
+		if _, err := a.Issue(cmd); err != nil {
+			t.Fatalf("recovery sequence rejected at %v: %v", cmd.Op, err)
+		}
 	}
 	got, err := mat.Read(typ, obj)
 	if err != nil || !msg.Equal(got) {
@@ -259,8 +271,14 @@ func TestErrorDropsInfoLatches(t *testing.T) {
 		t.Fatalf("ser_info latch survived a unit failure: err = %v, want ErrNoInfo", err)
 	}
 	// And the full serialize sequence recovers, matching the codec.
-	if _, _, err := a.SerializeOp(set.Addr(typ), obj); err != nil {
-		t.Fatalf("serialize recovery sequence rejected: %v", err)
+	for _, cmd := range []Command{
+		{Op: OpSerInfo},
+		{Op: OpDoProtoSer, RS1: set.Addr(typ), RS2: obj},
+		{Op: OpBlockForSerCompletion},
+	} {
+		if _, err := a.Issue(cmd); err != nil {
+			t.Fatalf("serialize recovery sequence rejected at %v: %v", cmd.Op, err)
+		}
 	}
 	addr, n, err := a.Ser.Output(0)
 	if err != nil {
