@@ -17,7 +17,8 @@ race:
 # re-encode, Clone and Merge); then the serving wire protocol — one
 # length-prefixed frame per message, request bodies and response bodies —
 # where nothing may panic and every accepted message must read back equal
-# once encoded again.
+# once encoded again; last, the /faultz admin request, which must answer
+# 200 or 400 and, on a 200, set the schedule the -faults grammar parses.
 fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzDifferentialDeserialize -fuzztime 30s ./internal/core
 	go test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/core
@@ -26,6 +27,7 @@ fuzz-smoke:
 	go test -run '^$$' -fuzz FuzzReadMessage -fuzztime 15s ./internal/serve
 	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 15s ./internal/serve
 	go test -run '^$$' -fuzz FuzzParseResponse -fuzztime 15s ./internal/serve
+	go test -run '^$$' -fuzz FuzzFaultz -fuzztime 15s ./internal/serve
 
 # The differential chaos harness under the race detector: faulted runs
 # must produce byte-identical output to pure software, and fault-disabled
@@ -56,20 +58,19 @@ serve-smoke:
 	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema mixed -check -faults 0.02 -fault-seed 7
 	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema mixed -check -faults 0.005 -fault-seed 7
 
-# Short verified multi-tile passes: the p2c router, then deterministic
-# round-robin — every response checked byte-identical to its canonical
-# payload — plus a faulted run where the schedule is quarantined to one
-# tile.
+# Short verified multi-tile passes over the round-robin tile router —
+# every response checked byte-identical to its canonical payload — plus
+# a faulted run where the schedule is quarantined to one tile.
 serve-tiles-smoke:
 	go run ./cmd/loadgen -tiles 4 -duration 500ms -concurrency 8 -schema varint -check
-	go run ./cmd/loadgen -tiles 4 -routing rr -duration 500ms -concurrency 8 -schema mixed -check
+	go run ./cmd/loadgen -tiles 4 -duration 500ms -concurrency 8 -schema mixed -check
 	go run ./cmd/loadgen -tiles 4 -duration 500ms -concurrency 8 -schema string -check -faults 0.02 -fault-seed 7 -fault-tiles 1
 
 # Live daemons end to end (TestSmoke in cmd/protoaccd): build protoaccd
 # and loadgen, start daemons on ephemeral loopback ports, drive them with
 # loadgen and check their admin planes: the observability plane under
-# load, the element chain's cache and breaker drill, trace replay and a
-# service chain, and a health-polled two-daemon cluster. Every daemon
+# load, the element chain's cache and breaker drill, trace replay, and a
+# health-polled two-daemon cluster. Every daemon
 # must drain on SIGTERM and exit 0.
 daemon-smoke:
 	go test -count=1 -v -run TestSmoke ./cmd/protoaccd -smoke

@@ -13,9 +13,9 @@
 //	        [-op deser|ser|both]
 //	        [-duration d] [-concurrency n] [-rate rps] [-skew s] [-timeout d]
 //	        [-check] [-trace-out file]
-//	        [-tiles n] [-routing p2c|rr]
+//	        [-tiles n]
 //	        [-elements all|off|admission,breaker,cache]
-//	        [-workload trace|chain|all] [-trace-seed n] [-trace-len n] [-hops n]
+//	        [-workload] [-trace-seed n] [-trace-len n]
 //	        [-cluster host:port,host:port] [-cluster-admin host:port,...]
 //	        [-cluster-routing p2c|rr]
 //	        [-workers n] [-max-batch n] [-batch-window d] [-queue-depth n]
@@ -27,16 +27,13 @@
 // the daemon's response-cache element exists for (s must exceed 1; larger
 // is more skewed).
 //
-// -workload replaces the per-(schema, op) passes with fleet-shaped
-// workloads from internal/workloads: "trace" replays a seeded,
-// deterministic key/size/op trace (schema mix and payload sizes shaped
-// by the fleet study, Zipf-ranked key popularity), "chain" drives a
-// 1–3 hop service chain (frontend → kv → backend [→ store]) where every
-// hop's serialize and deserialize runs on the accelerated serving path,
-// and "all" does both. -trace-seed, -trace-len, and -hops tune it; both
-// modes work against an in-process server or a live daemon via -addr.
-// A transport error is counted and the run goes on, in every mode;
-// loadgen then exits 1.
+// -workload replaces the per-(schema, op) passes with a fleet-shaped
+// trace from internal/workloads: it replays a seeded, deterministic
+// key/size/op trace (schema mix and payload sizes shaped by the fleet
+// study, Zipf-ranked key popularity), sending each record once.
+// -trace-seed and -trace-len tune it; it works against an in-process
+// server or a live daemon via -addr. A transport error is counted and
+// the run goes on, in every mode; loadgen then exits 1.
 //
 // -cluster drives a pool of already-running protoaccd daemons through
 // the client-side balancer (internal/serve/cluster): p2c or rr node
@@ -59,8 +56,8 @@
 // response == request for both operations, even under -faults).
 //
 // A flag the chosen mode would ignore is an error, even at its default
-// value, and so is a -duration, -concurrency or -hops out of range;
-// checkFlags holds the rules.
+// value, and so is a -duration or -concurrency out of range or an
+// argument that is not a flag; checkFlags holds the rules.
 package main
 
 import (
@@ -90,10 +87,9 @@ var (
 	check       = flag.Bool("check", true, "verify each OK response is byte-identical to its payload")
 	traceOut    = flag.String("trace-out", "", "in-process server: write sampled lifecycle spans as Perfetto trace JSON to this file (enable -span-sample-n)")
 
-	workload  = flag.String("workload", "", "fleet-shaped workload mode: trace (replay a synthesized trace), chain (1–3 hop service chain), or all")
+	workload  = flag.Bool("workload", false, "replay a synthesized fleet-shaped trace instead of the per-(schema, op) passes")
 	traceSeed = flag.Int64("trace-seed", 1, "seed of the synthesized workload trace (same seed = same trace)")
 	traceLen  = flag.Int("trace-len", 0, "records in the synthesized workload trace (0 = default 4096)")
-	hops      = flag.Int("hops", 2, "service-chain length in edges for -workload chain (1..3: frontend→kv→backend→store)")
 
 	clusterAddrs = flag.String("cluster", "", "comma-separated protoaccd data addresses; drives the pool through the client-side balancer")
 	clusterAdmin = flag.String("cluster-admin", "", "comma-separated admin addresses parallel to -cluster; enables /healthz polling and node ejection")
@@ -123,16 +119,18 @@ func bindServerFlags(o *serve.Options) *flag.FlagSet {
 // Flags that only one mode reads.
 var (
 	clusterOnly  = []string{"cluster-admin", "cluster-routing"}
-	workloadOnly = []string{"trace-seed", "trace-len", "hops"}
+	workloadOnly = []string{"trace-seed", "trace-len"}
 	// passOnly shape the per-(schema, op) passes. -workload replaces
 	// them: it replays its whole trace closed-loop.
 	passOnly = []string{"schema", "op", "duration", "rate", "skew", "trace-out"}
 )
 
 // checkFlags applies loadgen's rules on which flags combine to the set
-// of flags given on the command line, by name, and range-checks the
-// values that size the run.
-func checkFlags(given map[string]bool) error {
+// of flags given on the command line, by name, range-checks the values
+// that size the run, and rejects args, the command line's arguments
+// that are not flags: flag parsing stops at the first of them, so every
+// flag after it would be silently dropped.
+func checkFlags(given map[string]bool, args []string) error {
 	var server []string
 	for name := range given {
 		if name == "stats-out" || serverFlags.Lookup(name) != nil {
@@ -152,6 +150,8 @@ func checkFlags(given map[string]bool) error {
 	dashed := func(names []string) string { return "-" + strings.Join(names, " -") }
 
 	switch {
+	case len(args) > 0:
+		return fmt.Errorf("loadgen: unexpected argument %q", args[0])
 	case given["addr"] && len(server) > 0:
 		return fmt.Errorf("loadgen: in-process server flags conflict with -addr: %s", dashed(server))
 	case !given["cluster"] && len(among(clusterOnly)) > 0:
@@ -170,8 +170,6 @@ func checkFlags(given map[string]bool) error {
 		return fmt.Errorf("loadgen: -duration %v must be positive", *duration)
 	case *concurrency < 1:
 		return fmt.Errorf("loadgen: -concurrency %d must be at least 1", *concurrency)
-	case *hops < 1 || *hops > workloads.MaxHops:
-		return fmt.Errorf("loadgen: -hops %d out of range [1, %d]", *hops, workloads.MaxHops)
 	}
 	return nil
 }
@@ -180,7 +178,7 @@ func main() {
 	flag.Parse()
 	given := map[string]bool{}
 	flag.Visit(func(f *flag.Flag) { given[f.Name] = true })
-	if err := checkFlags(given); err != nil {
+	if err := checkFlags(given, flag.Args()); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		os.Exit(2)
 	}
@@ -247,7 +245,7 @@ func main() {
 			os.Exit(1)
 		}
 		dial = func() (serve.Doer, error) { return srv.InProc(), nil }
-		target = fmt.Sprintf("in-process (tiles=%d routing=%s workers=%d)", srv.Tiles(), srv.Routing(), srv.Workers())
+		target = fmt.Sprintf("in-process (tiles=%d workers=%d)", srv.Tiles(), srv.Workers())
 	default:
 		dial = func() (serve.Doer, error) { return serve.Dial(*addr) }
 	}
@@ -276,8 +274,8 @@ func main() {
 		Timeout: *timeout,
 		Check:   *check,
 	}
-	if *workload != "" {
-		err := runWorkloads(base, *workload, *traceSeed, *traceLen, *hops, target)
+	if *workload {
+		err := runWorkloads(base, *traceSeed, *traceLen, target)
 		closeServer()
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
@@ -327,8 +325,8 @@ func runPasses(base workloads.LoadOptions, schemas []string, ops []serve.Op, ske
 			if err != nil {
 				return nil, err
 			}
-			printTally(os.Stdout, fmt.Sprintf("%-8s %-5s", name, op), rep.Streams[0], rep.Elapsed)
-			total.Merge(rep.Streams[0])
+			printTally(os.Stdout, fmt.Sprintf("%-8s %-5s", name, op), &rep.Tally, rep.Elapsed)
+			total.Merge(&rep.Tally)
 		}
 	}
 	return total, nil

@@ -7,7 +7,8 @@ import (
 )
 
 // One row per rule in checkFlags, plus command lines that must pass. A
-// "name=value" entry also sets the flag's value for its row.
+// "name=value" entry also sets the flag's value for its row, and an
+// "args=..." entry lists the arguments left after the flags.
 func TestCheckFlags(t *testing.T) {
 	cases := []struct {
 		given []string
@@ -17,10 +18,8 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"tiles", "elements", "stats-out", "schema", "op", "rate", "skew", "trace-out", "span-sample-n"}, ""},
 		{[]string{"addr", "duration", "concurrency", "check"}, ""},
 		{[]string{"cluster", "cluster-admin", "cluster-routing", "schema", "duration"}, ""},
-		{[]string{"workload", "trace-seed", "trace-len", "hops", "concurrency", "timeout", "check", "tiles", "stats-out"}, ""},
+		{[]string{"workload", "trace-seed", "trace-len", "concurrency", "timeout", "check", "tiles", "stats-out"}, ""},
 		{[]string{"addr", "workload", "trace-len"}, ""},
-		{[]string{"workload", "hops=1", "concurrency=1"}, ""},
-		{[]string{"workload", "hops=3"}, ""},
 
 		{[]string{"addr", "tiles"}, "in-process server flags conflict with -addr: -tiles"},
 		{[]string{"addr", "stats-out", "faults"}, "conflict with -addr: -faults -stats-out"},
@@ -36,14 +35,19 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"duration=0s"}, "-duration 0s must be positive"},
 		{[]string{"concurrency=0"}, "-concurrency 0 must be at least 1"},
 		{[]string{"workload", "concurrency=-3"}, "-concurrency -3 must be at least 1"},
-		{[]string{"workload", "hops=0"}, "-hops 0 out of range [1, 3]"},
-		{[]string{"workload", "hops=4"}, "-hops 4 out of range [1, 3]"},
+		// `-check false -duration 100ms`: flag parsing stops at "false".
+		{[]string{"check", "args=false -duration 100ms"}, `unexpected argument "false"`},
 	}
 	for _, c := range cases {
 		given := map[string]bool{}
 		var set []*flag.Flag
+		var args []string
 		for _, arg := range c.given {
 			name, value, hasValue := strings.Cut(arg, "=")
+			if name == "args" {
+				args = strings.Fields(value)
+				continue
+			}
 			f := flag.Lookup(name)
 			if f == nil {
 				t.Fatalf("%v: loadgen has no flag -%s", c.given, name)
@@ -56,7 +60,7 @@ func TestCheckFlags(t *testing.T) {
 			}
 			given[name] = true
 		}
-		err := checkFlags(given)
+		err := checkFlags(given, args)
 		for _, f := range set {
 			f.Value.Set(f.DefValue)
 		}

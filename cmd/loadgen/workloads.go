@@ -9,16 +9,10 @@ import (
 	"protoacc/internal/workloads"
 )
 
-// runWorkloads synthesizes the fleet-shaped trace, replays it and/or
-// drives the hops-long service chain with it under the base options,
-// and prints the serve/workload/... counter groups. target names the
-// dialed server for the banner.
-func runWorkloads(base workloads.LoadOptions, mode string, seed int64, records, hops int, target string) error {
-	switch mode {
-	case "trace", "chain", "all":
-	default:
-		return fmt.Errorf("loadgen: unknown -workload %q (want trace, chain, or all)", mode)
-	}
+// runWorkloads synthesizes the fleet-shaped trace, replays it under the
+// base options, and prints the serve/workload/trace/ counter group.
+// target names the dialed server for the banner.
+func runWorkloads(base workloads.LoadOptions, seed int64, records int, target string) error {
 	trace, err := workloads.Synthesize(workloads.SynthOptions{
 		Seed:    seed,
 		Records: records,
@@ -40,55 +34,25 @@ func runWorkloads(base workloads.LoadOptions, mode string, seed int64, records, 
 	}
 	base.Source = trace.Source(base.Catalog)
 
-	fmt.Printf("loadgen: workload %s, target %s, trace seed=%d records=%d (%d deser / %d ser), workers %d\n",
-		mode, target, trace.Seed, len(trace.Records), deser, ser, base.Workers)
+	fmt.Printf("loadgen: workload trace, target %s, trace seed=%d records=%d (%d deser / %d ser), workers %d\n",
+		target, trace.Seed, len(trace.Records), deser, ser, base.Workers)
 
-	reg := &telemetry.Registry{}
-	var streams []*workloads.Tally
-	failed := false
-	if mode == "trace" || mode == "all" {
-		rep, err := workloads.Run(base)
-		if err != nil {
-			return err
-		}
-		st := rep.Streams[0]
-		printTally(os.Stdout, fmt.Sprintf("%-8s %-15s", "replay", "trace"), st, rep.Elapsed)
-		reg.Register("serve/workload/trace", st)
-		streams = append(streams, st)
+	rep, err := workloads.Run(base)
+	if err != nil {
+		return err
 	}
-	if mode == "chain" || mode == "all" {
-		base.Hops = hops
-		rep, err := workloads.Run(base)
-		if err != nil {
-			return err
-		}
-		for i, st := range rep.Streams {
-			printTally(os.Stdout, fmt.Sprintf("%-8s %-15s", "chain", st.Name), st, rep.Elapsed)
-			reg.Register(fmt.Sprintf("serve/workload/hop%d", i), st)
-		}
-		streams = append(streams, rep.Streams...)
-		var cps float64
-		if rep.Elapsed > 0 {
-			cps = float64(rep.Records) / rep.Elapsed.Seconds()
-		}
-		fmt.Printf("chain    e2e             %7.0f chains/s  completed=%d\n  latency p50=%v p99=%v p999=%v mean=%v\n",
-			cps, rep.Records,
-			rep.E2E.Quantile(0.50), rep.E2E.Quantile(0.99), rep.E2E.Quantile(0.999), rep.E2E.Mean())
-		failed = rep.Records == 0
-	}
+	st := &rep.Tally
+	printTally(os.Stdout, fmt.Sprintf("%-8s %-15s", "replay", "trace"), st, rep.Elapsed)
 
-	// The counter groups, one "name value" line each, named as
+	// The counter group, one "name value" line each, named as
 	// server-side telemetry names things.
+	reg := &telemetry.Registry{}
+	reg.Register("serve/workload/trace", st)
 	for _, s := range reg.Snapshot().Samples() {
 		fmt.Printf("%s %.0f\n", s.Name, s.Value)
 	}
 
-	for _, st := range streams {
-		if st.Errors > 0 || st.CheckFailures > 0 || st.OK == 0 {
-			failed = true
-		}
-	}
-	if failed {
+	if st.Errors > 0 || st.CheckFailures > 0 || st.OK == 0 {
 		return fmt.Errorf("loadgen: workload FAILED (errors, check failures, or zero completions)")
 	}
 	return nil

@@ -7,7 +7,7 @@
 //
 // Usage:
 //
-//	protoaccd [-listen addr] [-admin addr] [-tiles n] [-routing p2c|rr]
+//	protoaccd [-listen addr] [-admin addr] [-tiles n]
 //	          [-workers n] [-max-batch n] [-batch-window d] [-queue-depth n]
 //	          [-max-payload n] [-deadline d]
 //	          [-span-sample-n n]
@@ -88,6 +88,11 @@ func main() {
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the serving run to this file (stopped at drain)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file after drain")
 	flag.Parse()
+	// Parsing stops at a stray argument, dropping every flag after it.
+	if flag.NArg() > 0 {
+		fmt.Fprintf(os.Stderr, "protoaccd: unexpected argument %q\n", flag.Arg(0))
+		os.Exit(2)
+	}
 
 	stopProfiles, err := telemetry.StartProfiles(*cpuprofile, *memprofile)
 	if err != nil {
@@ -114,8 +119,8 @@ func main() {
 			os.Exit(1)
 		}
 	}
-	fmt.Printf("protoaccd listening on %s (schemas: %s; tiles=%d routing=%s workers=%d elements=%s)\n",
-		ln.Addr(), strings.Join(srv.Catalog().Names(), ","), srv.Tiles(), srv.Routing(), srv.Workers(), opts.Elements.Spec())
+	fmt.Printf("protoaccd listening on %s (schemas: %s; tiles=%d workers=%d elements=%s)\n",
+		ln.Addr(), strings.Join(srv.Catalog().Names(), ","), srv.Tiles(), srv.Workers(), opts.Elements.Spec())
 
 	// flushStats serializes mid-run stats writes (concurrent
 	// /statusz?write=1 requests may race) against the shutdown write.

@@ -125,10 +125,13 @@ type Unit struct {
 	stats Stats
 
 	// openRegions buffers unpacked-repeated open-allocation regions
-	// (§4.4.8) per (object, field) until close-out.
+	// (§4.4.8) per (object, field) until close-out; New makes the one
+	// map, and each operation clears it.
 	openRegions map[regionKey]*openRegion
-	// current open region key (hardware tracks exactly one open tag).
-	open *regionKey
+	// current open region key, valid while isOpen (hardware tracks
+	// exactly one open tag).
+	open   regionKey
+	isOpen bool
 }
 
 type regionKey struct {
@@ -146,7 +149,7 @@ type openRegion struct {
 
 // New creates a deserializer unit.
 func New(m *mem.Memory, port *memmodel.Port, arena *mem.Allocator, cfg Config) *Unit {
-	return &Unit{Mem: m, Port: port, Arena: arena, Cfg: cfg}
+	return &Unit{Mem: m, Port: port, Arena: arena, Cfg: cfg, openRegions: make(map[regionKey]*openRegion)}
 }
 
 // Stats returns cumulative statistics.
@@ -172,8 +175,8 @@ func (u *Unit) CollectTelemetry(emit func(name string, value float64)) {
 // returning the unit to its post-construction state.
 func (u *Unit) ResetStats() {
 	u.stats = Stats{}
-	u.openRegions = nil
-	u.open = nil
+	clear(u.openRegions)
+	u.isOpen = false
 }
 
 // Abort discards the in-progress operation's parse state after a fault
@@ -186,8 +189,8 @@ func (u *Unit) ResetStats() {
 func (u *Unit) Abort() float64 {
 	attempt := u.stats.FSMCycles - u.stats.Cycles
 	u.stats.Cycles = u.stats.FSMCycles
-	u.openRegions = nil
-	u.open = nil
+	clear(u.openRegions)
+	u.isOpen = false
 	return attempt
 }
 
@@ -237,8 +240,8 @@ func (u *Unit) overlapped(addr, size uint64) {
 // delta reflects this call.
 func (u *Unit) Deserialize(adtAddr, objAddr, bufAddr, bufLen uint64) (Stats, error) {
 	before := u.stats
-	u.openRegions = make(map[regionKey]*openRegion)
-	u.open = nil
+	clear(u.openRegions)
+	u.isOpen = false
 
 	// Command dispatch and frontend setup.
 	u.fsm(8)
@@ -384,7 +387,7 @@ func (u *Unit) parseMessage(adtAddr, objAddr, bufAddr, bufLen uint64, depth int)
 		u.overlapped(hbAddr, 8)
 
 		// Close the open unpacked-repeated region if this field differs.
-		if u.open != nil && (u.open.obj != objAddr || u.open.num != num) {
+		if u.isOpen && u.open != (regionKey{objAddr, num}) {
 			if err := u.closeOpenRegion(); err != nil {
 				return err
 			}
@@ -399,7 +402,7 @@ func (u *Unit) parseMessage(adtAddr, objAddr, bufAddr, bufLen uint64, depth int)
 		return fmt.Errorf("%w: field overruns message bounds", ErrMalformed)
 	}
 	// End of message closes any open region (§4.4.8).
-	if u.open != nil && u.open.obj == objAddr {
+	if u.isOpen && u.open.obj == objAddr {
 		if err := u.closeOpenRegion(); err != nil {
 			return err
 		}
@@ -637,7 +640,7 @@ func (u *Unit) appendNone(obj uint64, num int32, slot, elemSize uint64) {
 	if _, ok := u.openRegions[key]; !ok {
 		u.openRegions[key] = &openRegion{elemSize: elemSize, slot: slot}
 	}
-	u.open = &key
+	u.open, u.isOpen = key, true
 }
 
 // parseSubMessage implements the sub-message handling states (§4.4.9).
@@ -746,7 +749,7 @@ func (u *Unit) appendOpen(obj uint64, num int32, slot, elemSize, value uint64) {
 		u.openRegions[key] = r
 	}
 	r.elems = append(r.elems, value)
-	u.open = &key
+	u.open, u.isOpen = key, true
 }
 
 // appendOpen2 appends a two-word element (a string header).
@@ -758,15 +761,15 @@ func (u *Unit) appendOpen2(obj uint64, num int32, slot, w0, w1 uint64) {
 		u.openRegions[key] = r
 	}
 	r.elems = append(r.elems, w0, w1)
-	u.open = &key
+	u.open, u.isOpen = key, true
 }
 
 // closeOpenRegion writes out the current open allocation region: the
 // element data into a fresh arena buffer and the final header into the
 // repeated-field slot (§4.4.8).
 func (u *Unit) closeOpenRegion() error {
-	key := *u.open
-	u.open = nil
+	key := u.open
+	u.isOpen = false
 	r := u.openRegions[key]
 	if u.Tracer.Enabled() {
 		u.trace("closeOut", 0, key.num, 0, fmt.Sprintf("%d elems", len(r.elems)))

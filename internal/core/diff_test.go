@@ -91,6 +91,9 @@ func stripUnknown(m *dynamic.Message) (group bool) {
 
 func TestDifferentialMutatedInputs(t *testing.T) {
 	rng := rand.New(rand.NewSource(31415))
+	// The unknown-field insertions draw from their own stream, so the
+	// mutations below see the same draws with or without them.
+	ins := rand.New(rand.NewSource(16180))
 	for trial := 0; trial < 15; trial++ {
 		typ := pbtest.RandomSchema(rng, pbtest.DefaultSchemaConfig())
 		boom := New(smallConfig(KindBOOM))
@@ -136,8 +139,52 @@ func TestDifferentialMutatedInputs(t *testing.T) {
 				}
 				diffCheck(t, typ, mut, boom, accel)
 			}
+			for m := 0; m < 10; m++ {
+				diffCheck(t, typ, insertUnknown(ins, typ, seed), boom, accel)
+			}
 		}
 	}
+}
+
+// insertUnknown returns a copy of seed with one unknown field inserted at
+// a random top-level field boundary: a field number typ does not define,
+// with a value of a random wire type — varint, fixed32, fixed64, bytes,
+// or an empty group.
+func insertUnknown(rng *rand.Rand, typ *schema.Message, seed []byte) []byte {
+	bounds := []int{0}
+	for b := seed; len(b) > 0; {
+		num, wt, n, err := wire.ReadTag(b)
+		if err != nil {
+			break
+		}
+		vn, err := wire.SkipValue(b[n:], num, wt)
+		if err != nil {
+			break
+		}
+		b = b[n+vn:]
+		bounds = append(bounds, len(seed)-len(b))
+	}
+	at := bounds[rng.Intn(len(bounds))]
+	num := 1 + rng.Int31n(typ.MaxFieldNumber()+8)
+	for typ.FieldByNumber(num) != nil {
+		num++
+	}
+	var f []byte
+	switch rng.Intn(5) {
+	case 0:
+		f = wire.AppendVarint(wire.AppendTag(f, num, wire.TypeVarint), rng.Uint64()>>rng.Intn(64))
+	case 1:
+		f = wire.AppendFixed32(wire.AppendTag(f, num, wire.TypeFixed32), rng.Uint32())
+	case 2:
+		f = wire.AppendFixed64(wire.AppendTag(f, num, wire.TypeFixed64), rng.Uint64())
+	case 3:
+		v := make([]byte, rng.Intn(9))
+		rng.Read(v)
+		f = wire.AppendBytes(wire.AppendTag(f, num, wire.TypeBytes), v)
+	case 4:
+		f = wire.AppendTag(wire.AppendTag(f, num, wire.TypeStartGroup), num, wire.TypeEndGroup)
+	}
+	return append(append(append([]byte(nil), seed[:at]...), f...), seed[at:]...)
 }
 
 // TestDifferentialPureRandom throws fully random bytes at the decoders:

@@ -120,16 +120,16 @@ func (s *System) resilient(op string, t *schema.Message, a accelAttempt) (Result
 		return Result{}, fmt.Errorf("core: type %s not loaded", t.Name)
 	}
 	adtAddr := s.adts.Addr(t)
-	var rep FaultReport
-	var penalty float64 // accel-clock cycles consumed by failed attempts
+	var rep *FaultReport // allocated by the first fault only
+	var penalty float64  // accel-clock cycles consumed by failed attempts
 	for n := 1; ; n++ {
 		res, err := a.attempt(adtAddr)
 		if err == nil {
-			if rep.Attempts > 0 {
+			if rep != nil {
 				rep.Attempts = n
 				res.Cycles += penalty
 				res.Seconds += s.accelSeconds(penalty)
-				res.Fault = &rep
+				res.Fault = rep
 			}
 			return res, nil
 		}
@@ -140,6 +140,9 @@ func (s *System) resilient(op string, t *schema.Message, a accelAttempt) (Result
 		f := faults.AsFault(err)
 		if f == nil {
 			return Result{}, err
+		}
+		if rep == nil {
+			rep = new(FaultReport)
 		}
 		rep.Attempts = n
 		rep.Err = f
@@ -173,7 +176,7 @@ func (s *System) resilient(op string, t *schema.Message, a accelAttempt) (Result
 		}
 		res.Cycles += penalty
 		res.Seconds += s.accelSeconds(penalty)
-		res.Fault = &rep
+		res.Fault = rep
 		return res, nil
 	}
 }

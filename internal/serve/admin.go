@@ -137,7 +137,6 @@ type SpanStats struct {
 // StatuszConfig echoes the serving configuration in /statusz.
 type StatuszConfig struct {
 	Tiles         int    `json:"tiles"`
-	Routing       string `json:"routing"`
 	Workers       int    `json:"workers"`
 	MaxBatch      int    `json:"max_batch"`
 	BatchWindowNS int64  `json:"batch_window_ns"`
@@ -268,7 +267,6 @@ func (s *Server) StatuszSnapshot(manifest *telemetry.Manifest) *Statusz {
 		Build:  manifest,
 		Config: StatuszConfig{
 			Tiles:         len(s.tiles),
-			Routing:       s.opts.Routing.String(),
 			Workers:       s.Workers(),
 			MaxBatch:      s.opts.MaxBatch,
 			BatchWindowNS: int64(s.opts.BatchWindow),

@@ -35,7 +35,6 @@ func TestServeElementsByteTransparency(t *testing.T) {
 	reqs := sampleRequests(DefaultCatalog(), 12)
 	base := testOptions()
 	base.Tiles = 4
-	base.Routing = RouteRoundRobin
 	base.Workers = 4
 	base.Faults = faults.Config{Enabled: true, Seed: 1234, Rate: 0.2}
 	base.FaultTiles = []int{1}
@@ -148,7 +147,6 @@ func TestServeElementsBreakerTripAndRecover(t *testing.T) {
 	const faultTile = 1
 	opts := testOptions()
 	opts.Tiles = 4
-	opts.Routing = RouteRoundRobin
 	opts.Workers = 4
 	opts.Faults = faults.Config{Enabled: true, Seed: 1234, Rate: 0.9}
 	opts.FaultTiles = []int{faultTile}
@@ -311,7 +309,6 @@ func TestStatuszNaNTripRate(t *testing.T) {
 func TestShedRequestKeepsHalfOpenProbe(t *testing.T) {
 	opts := testOptions()
 	opts.Tiles = 2
-	opts.Routing = RouteRoundRobin
 	opts.Elements = elements.Config{Breaker: true, MinVolume: 1, Probes: 1}
 	// Two tiles with full queues and no dispatcher, so every job is shed.
 	s := &Server{opts: opts.withDefaults()}
@@ -386,7 +383,7 @@ var elementCounterNames = []string{
 }
 
 // Tile-count determinism must survive the element chain: a 1-tile and a
-// 4-tile round-robin server with the full chain enabled produce bitwise
+// 4-tile server with the full chain enabled produce bitwise
 // identical responses and identical aggregated counters — including the
 // serve/elements/ groups — for the same two-round workload (round one all
 // cache misses, round two, the same requests again, all hits).
@@ -395,7 +392,6 @@ func TestServeTileDeterminismWithElements(t *testing.T) {
 	run := func(tiles int) ([]Response, map[string]float64) {
 		opts := testOptions()
 		opts.Tiles = tiles
-		opts.Routing = RouteRoundRobin
 		opts.Workers = tiles
 		opts.Elements = allElements()
 		srv, err := NewServer(opts)

@@ -1,7 +1,7 @@
 // Package cluster is the client side of a disaggregated accelerator
 // pool: a balancer holding one TCP connection per protoaccd daemon,
 // routing each request with power-of-two-choices over live in-flight and
-// latency estimates (serve.Routing.Pick, the tile router's policy),
+// latency estimates (serve.Routing.Pick, which places tiles too),
 // failing a request over to another node on a transport error, and
 // ejecting sick nodes based on transport errors and each daemon's
 // /healthz admin surface — RPCAcc's "accelerator as a network-attached

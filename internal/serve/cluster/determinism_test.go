@@ -39,7 +39,7 @@ func replayCluster(t *testing.T, nodes int, trace *workloads.Trace) []observed {
 		Source:  trace.Source(cat),
 		Workers: 1,
 		Check:   true,
-		Observe: func(worker, hop int, rec workloads.Record, resp serve.Response) {
+		Observe: func(worker int, rec workloads.Record, resp serve.Response) {
 			got = append(got, observed{
 				status:   resp.Status,
 				fellBack: resp.FellBack,
@@ -51,7 +51,7 @@ func replayCluster(t *testing.T, nodes int, trace *workloads.Trace) []observed {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if n := rep.Streams[0].Errors; n != 0 {
+	if n := rep.Tally.Errors; n != 0 {
 		t.Fatalf("%d-node replay: %d transport errors", nodes, n)
 	}
 	c := b.Counters()

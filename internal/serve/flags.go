@@ -15,7 +15,6 @@ import (
 // -fault-seed defaults to 1.
 func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 	fs.IntVar(&o.Tiles, "tiles", 0, "independent accelerator tiles behind the router (0 = default 1)")
-	fs.Var(&o.Routing, "routing", `tile placement policy: p2c (power-of-two-choices) or rr (deterministic round-robin) (default "p2c")`)
 	fs.IntVar(&o.Workers, "workers", 0, "total batch executors, split across tiles (0 = GOMAXPROCS)")
 	fs.IntVar(&o.MaxBatch, "max-batch", 0, "max requests per accelerator batch (0 = default 16)")
 	fs.DurationVar(&o.BatchWindow, "batch-window", 0, "longest an under-full batch waits for partners; a key arriving further apart than this flushes at once (0 = default 200µs)")

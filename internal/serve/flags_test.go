@@ -23,11 +23,11 @@ func TestOptionsRegisterFlags(t *testing.T) {
 	}{
 		{args: "", want: Options{Faults: faults.Config{Seed: 1}}},
 		{
-			args: "-tiles 4 -routing rr -workers 3 -max-batch 8 -batch-window 50us -queue-depth 32" +
+			args: "-tiles 4 -workers 3 -max-batch 8 -batch-window 50us -queue-depth 32" +
 				" -span-sample-n 16 -elements admission,cache" +
 				" -faults 0.1@arena -fault-seed 9 -fault-tiles 0,2",
 			want: Options{
-				Tiles: 4, Routing: RouteRoundRobin, Workers: 3, MaxBatch: 8,
+				Tiles: 4, Workers: 3, MaxBatch: 8,
 				BatchWindow: 50 * time.Microsecond, QueueDepth: 32,
 				SpanSampleN: 16,
 				Elements:    elements.Config{Admission: true, Cache: true},
@@ -47,7 +47,6 @@ func TestOptionsRegisterFlags(t *testing.T) {
 			},
 		},
 
-		{args: "-routing x", wantErr: true},
 		// Every batch runs the cycle model; no flag turns it off.
 		{args: "-cycle-mode sampled", wantErr: true},
 		{args: "-cycle-sample-n 8", wantErr: true},

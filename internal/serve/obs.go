@@ -326,9 +326,9 @@ func (s *Server) StageSummaries() []StageSummary {
 }
 
 // BatchSizeBuckets returns the batch-size histogram merged across tiles.
-// Under round-robin routing with preformed batches this snapshot is a
-// pure function of the request list — the tile-count determinism test
-// compares it between 1-tile and N-tile servers.
+// With preformed batches this snapshot is a pure function of the
+// request list — the tile-count determinism test compares it between
+// 1-tile and N-tile servers.
 func (s *Server) BatchSizeBuckets() telemetry.HistogramSnapshot {
 	var sizes telemetry.Histogram
 	for _, to := range s.obs.tiles {

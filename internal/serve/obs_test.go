@@ -49,17 +49,15 @@ func TestServeStageHistogramsPopulated(t *testing.T) {
 	}
 }
 
-// Under deterministic round-robin routing with preformed batches, batch
-// composition is a pure function of the request list — so the aggregated
-// batch-size histogram (the one deterministic histogram: it counts
-// requests, not wall time) must be bucket-identical between a 1-tile and
-// an N-tile server.
+// With preformed batches, batch composition is a pure function of the
+// request list — so the aggregated batch-size histogram (the one
+// deterministic histogram: it counts requests, not wall time) must be
+// bucket-identical between a 1-tile and an N-tile server.
 func TestServeBatchSizeHistogramDeterminism(t *testing.T) {
 	reqs := sampleRequests(DefaultCatalog(), 8)
 	run := func(tiles int) telemetry.HistogramSnapshot {
 		opts := testOptions()
 		opts.Tiles = tiles
-		opts.Routing = RouteRoundRobin
 		if tiles > 1 {
 			opts.Workers = tiles
 		}
@@ -346,7 +344,6 @@ func TestAdminScrapeDeterminism(t *testing.T) {
 	const rounds = 10
 	run := func(scrape bool) ([]Response, map[string]float64) {
 		opts := testOptions()
-		opts.Routing = RouteRoundRobin
 		srv, err := NewServer(opts)
 		if err != nil {
 			t.Fatal(err)
@@ -430,7 +427,6 @@ func TestAdminScrapeDeterminism(t *testing.T) {
 func TestHealthReportsQuarantinedTile(t *testing.T) {
 	opts := testOptions()
 	opts.Tiles = 2
-	opts.Routing = RouteRoundRobin
 	opts.Workers = 2
 	opts.Faults = faults.Config{Enabled: true, Seed: 9, Rate: 0.5}
 	opts.FaultTiles = []int{1}

@@ -21,21 +21,21 @@ import (
 	"protoacc/internal/telemetry"
 )
 
-// Routing selects how the Server places admitted jobs onto tiles.
+// Routing selects how the cluster balancer places requests onto nodes.
+// Tiles are always placed round-robin (Server.pick).
 type Routing uint8
 
 // Routing policies.
 const (
-	// RoutePowerOfTwo (default) picks two candidate tiles from a hashed
-	// routing sequence and enqueues on the one with the shallower
-	// admission queue — the classic load-balancing sweet spot between a
-	// global queue and blind round-robin.
+	// RoutePowerOfTwo (default) picks two candidate nodes from a hashed
+	// routing sequence and sends to the one with the lower score — the
+	// classic load-balancing sweet spot between a global queue and blind
+	// round-robin.
 	RoutePowerOfTwo Routing = iota
-	// RouteRoundRobin places jobs strictly in submission order, so
-	// batch→tile placement is a pure function of the request sequence.
-	// This is the determinism mode the equivalence tests run in: a 1-tile
-	// and an N-tile server produce bitwise-identical responses and
-	// aggregated counters.
+	// RouteRoundRobin places requests strictly in submission order, so
+	// placement is a pure function of the request sequence: the
+	// determinism mode of the cluster equivalence tests, and the only
+	// tile placement.
 	RouteRoundRobin
 )
 
@@ -46,8 +46,8 @@ func (r Routing) String() string {
 	return "p2c"
 }
 
-// Set parses a -routing flag value ("p2c" or "rr"), making Routing a
-// flag.Value.
+// Set parses a -cluster-routing flag value ("p2c" or "rr"), making
+// Routing a flag.Value.
 func (r *Routing) Set(s string) error {
 	switch s {
 	case "", "p2c":
@@ -61,11 +61,12 @@ func (r *Routing) Set(s string) error {
 }
 
 // Pick is the one placement decision behind both routing levels: jobs
-// onto tiles (Server.pick) and requests onto cluster nodes
-// (cluster.Balancer). It chooses one of n candidates, advancing seq, the
-// caller's routing sequence, once per call. routable reports whether a
-// candidate may take work now; score ranks two routable p2c candidates,
-// lower wins.
+// onto tiles (Server.pick, always round-robin) and requests onto cluster
+// nodes (cluster.Balancer, either policy). It chooses one of n
+// candidates, advancing seq, the caller's routing sequence, once per
+// call. routable reports whether a candidate may take work now; score
+// ranks two routable p2c candidates, lower wins (round-robin never calls
+// it).
 //
 // Round-robin takes the first routable candidate at or after
 // (seq-1) mod n. P2c hashes seq into two candidates and takes the
@@ -142,12 +143,8 @@ type Options struct {
 
 	// Tiles is the number of independent accelerator tiles — each with
 	// its own System pool, admission queue, dispatcher, and executors —
-	// behind the router (default 1).
+	// behind the round-robin router (default 1).
 	Tiles int
-
-	// Routing places admitted jobs onto tiles (default RoutePowerOfTwo;
-	// RouteRoundRobin is the deterministic mode).
-	Routing Routing
 
 	// FaultTiles restricts the fault-injection schedule to the listed
 	// tile ids; nil applies Faults to every tile. The chaos tests use
@@ -302,7 +299,7 @@ type Server struct {
 	elems *elements.Chain // data-plane element chain; nil when every element is off
 
 	tiles     []*tile
-	routeSeq  atomic.Uint64 // routing sequence: RR cursor / p2c hash input
+	routeSeq  atomic.Uint64 // round-robin cursor over the tiles
 	inprocSeq atomic.Uint64 // in-process client identities for admission control
 
 	admitMu sync.RWMutex
@@ -365,9 +362,6 @@ func (s *Server) Workers() int {
 
 // Tiles returns the number of tiles.
 func (s *Server) Tiles() int { return len(s.tiles) }
-
-// Routing returns the active routing policy.
-func (s *Server) Routing() Routing { return s.opts.Routing }
 
 // Elements returns the server's data-plane element chain; nil when the
 // chain is off.
@@ -440,18 +434,17 @@ func (s *Server) ConfigFingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// pick routes one job to a tile through Routing.Pick, scoring tiles by
-// admission queue depth. With the breaker element on, a tile whose
-// breaker is not routable is skipped and the reroute is counted; nothing
-// else makes a tile unroutable, so a fault-injected tile keeps its
-// share. With every breaker closed, and always with the chain off,
-// placement is a pure function of the routing sequence and
-// queue state, which is what keeps the rr determinism contract intact.
+// pick routes one job to a tile round-robin through Routing.Pick. With
+// the breaker element on, a tile whose breaker is not routable is
+// skipped and the reroute is counted; nothing else makes a tile
+// unroutable, so a fault-injected tile keeps its share. With every
+// breaker closed, and always with the chain off, placement is a pure
+// function of the job sequence, which is what keeps the 1-tile vs
+// N-tile determinism contract intact.
 func (s *Server) pick() *tile {
 	br := s.breaker()
-	i, rerouted := s.opts.Routing.Pick(len(s.tiles), &s.routeSeq,
-		func(i int) bool { return br == nil || br.Routable(i, time.Now()) },
-		func(i int) uint64 { return uint64(len(s.tiles[i].queue)) })
+	i, rerouted := RouteRoundRobin.Pick(len(s.tiles), &s.routeSeq,
+		func(i int) bool { return br == nil || br.Routable(i, time.Now()) }, nil)
 	if rerouted {
 		br.NoteReroute(1)
 	}
@@ -669,9 +662,9 @@ func (s *Server) CollectTelemetry(emit func(name string, value float64)) {
 // the aggregation sums the tiles' execution counters into the serve/
 // totals (the float cycles/* totals in a fixed order). At quiescence (no
 // requests in flight) the result is deterministic for a given request set
-// — the basis of the serial-vs-parallel equivalence tests — and, under
-// round-robin routing, the serve/ aggregate is bitwise-identical between
-// a 1-tile and an N-tile server.
+// — the basis of the serial-vs-parallel equivalence tests — and the
+// serve/ aggregate is bitwise-identical between a 1-tile and an N-tile
+// server.
 func (s *Server) TelemetrySnapshot() telemetry.Snapshot {
 	var reg telemetry.Registry
 	reg.Register("serve", s)

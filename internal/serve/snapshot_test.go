@@ -38,7 +38,6 @@ func TestServeSnapshotGolden(t *testing.T) {
 	var buf bytes.Buffer
 	for _, c := range cases {
 		opts := testOptions()
-		opts.Routing = RouteRoundRobin
 		c.set(&opts)
 		srv, err := NewServer(opts)
 		if err != nil {

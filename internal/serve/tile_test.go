@@ -101,22 +101,19 @@ func runBatchedCounters(t *testing.T, opts Options, reqs []Request) ([]Response,
 	return resps, srv.AggregatedCounters()
 }
 
-// A 1-tile server and an N-tile server in deterministic round-robin mode
-// must produce bitwise-identical responses and identical aggregated
-// serve/ counters for the same preformed batches: sharding is a capacity
-// knob, not an observable. (Responses are tile-independent under any
-// routing; the aggregated counters are compared in round-robin mode,
-// where batch→tile placement is a pure function of submission order.)
+// A 1-tile server and an N-tile server must produce bitwise-identical
+// responses and identical aggregated serve/ counters for the same
+// preformed batches: sharding is a capacity knob, not an observable.
+// Tiles are placed round-robin, so batch→tile placement is a pure
+// function of submission order.
 func TestServeTileDeterminism(t *testing.T) {
 	reqs := sampleRequests(DefaultCatalog(), 8)
 
 	one := testOptions()
 	one.Tiles = 1
-	one.Routing = RouteRoundRobin
 
 	four := testOptions()
 	four.Tiles = 4
-	four.Routing = RouteRoundRobin
 	four.Workers = 4
 
 	ra, ca := runBatchedCounters(t, one, reqs)
@@ -153,12 +150,11 @@ func TestServeTileDeterminism(t *testing.T) {
 
 // The per-tile groups must partition the aggregate: summing each
 // execution counter across serve/tile<i>/ groups must reproduce the
-// serve/ total, and with round-robin routing every tile must have run
+// serve/ total, and round-robin placement must have given every tile
 // batches.
 func TestServeTileCountersPartitionAggregate(t *testing.T) {
 	opts := testOptions()
 	opts.Tiles = 4
-	opts.Routing = RouteRoundRobin
 	opts.Workers = 4
 	srv, err := NewServer(opts)
 	if err != nil {
@@ -194,6 +190,53 @@ func TestServeTileCountersPartitionAggregate(t *testing.T) {
 	}
 }
 
+// With the default options, healthy tiles each answer exactly their
+// share of concurrent single requests: placement is round-robin over the
+// job sequence, whatever the clients' interleaving. A policy that scored
+// tiles by admission queue depth would skew this toward low tile ids,
+// because the dispatcher drains its queue at once, so candidates tie at
+// an empty queue.
+func TestServeTileEvenPlacement(t *testing.T) {
+	const tiles, clients, each = 4, 8, 50
+	srv, err := NewServer(Options{Tiles: tiles})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reqs := sampleRequests(DefaultCatalog(), 2)
+	errs := make(chan error, clients)
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			client := srv.InProc()
+			for i := 0; i < each; i++ {
+				resp, err := client.Do(reqs[(c+i)%len(reqs)])
+				if err == nil && resp.Status != StatusOK {
+					err = fmt.Errorf("status %v", resp.Status)
+				}
+				if err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	srv.Close()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	snap := srv.TelemetrySnapshot()
+	for i := 0; i < tiles; i++ {
+		name := fmt.Sprintf("serve/tile%d/batch_requests", i)
+		if got, _ := snap.Get(name); got != clients*each/tiles {
+			t.Errorf("%s = %v, want %d", name, got, clients*each/tiles)
+		}
+	}
+}
+
 // With the fault schedule confined to one tile, that tile must degrade
 // alone: its neighbours keep serving on the accelerator path with zero
 // fault activity (no injections in their System aggregates, no fallbacks
@@ -203,7 +246,6 @@ func TestServeTileFaultQuarantine(t *testing.T) {
 	const faultTile = 1
 	opts := testOptions()
 	opts.Tiles = 4
-	opts.Routing = RouteRoundRobin
 	opts.Workers = 4
 	opts.Faults = faults.Config{Enabled: true, Seed: 1234, Rate: 0.2}
 	opts.FaultTiles = []int{faultTile}

@@ -20,7 +20,6 @@ type respRecord struct {
 func deterministicOptions(tiles int) serve.Options {
 	o := testServerOptions()
 	o.Tiles = tiles
-	o.Routing = serve.RouteRoundRobin
 	o.Workers = tiles
 	// Chain on: the full element set must not perturb tile-count
 	// independence (admission and cache sit before the router; the
@@ -30,11 +29,11 @@ func deterministicOptions(tiles int) serve.Options {
 	return o
 }
 
-// runOnce runs tr over hops hops (0: a replay) on a fresh server and
-// returns the ordered response stream plus the tile-count-independent
-// aggregated counters. No stream may count a transport error: an error
-// is counted and skipped, so it would drop a response from the stream.
-func runOnce(t *testing.T, tiles, hops int, tr *Trace) ([]respRecord, map[string]float64) {
+// runOnce replays tr on a fresh server and returns the ordered response
+// stream plus the tile-count-independent aggregated counters. The run
+// may count no transport error: an error is counted and skipped, so it
+// would drop a response from the stream.
+func runOnce(t *testing.T, tiles int, tr *Trace) ([]respRecord, map[string]float64) {
 	t.Helper()
 	srv, err := serve.NewServer(deterministicOptions(tiles))
 	if err != nil {
@@ -45,13 +44,12 @@ func runOnce(t *testing.T, tiles, hops int, tr *Trace) ([]respRecord, map[string
 		Dial:    func() (serve.Doer, error) { return srv.InProc(), nil },
 		Catalog: srv.Catalog(),
 		Source:  tr.Source(srv.Catalog()),
-		Hops:    hops,
 		// One worker: the trace replays strictly in record order, so the
-		// request stream — and under rr routing the batch→tile placement —
-		// is a pure function of the trace.
+		// request stream — and with it the batch→tile placement — is a
+		// pure function of the trace.
 		Workers: 1,
 		Check:   true,
-		Observe: func(w, h int, rec Record, resp serve.Response) {
+		Observe: func(w int, rec Record, resp serve.Response) {
 			seen = append(seen, respRecord{resp.Status, resp.FellBack, resp.Cycles, resp.Payload})
 		},
 	})
@@ -59,10 +57,8 @@ func runOnce(t *testing.T, tiles, hops int, tr *Trace) ([]respRecord, map[string
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, st := range rep.Streams {
-		if st.Errors != 0 {
-			t.Fatalf("%d-tile run, stream %q: %d transport errors", tiles, st.Name, st.Errors)
-		}
+	if n := rep.Tally.Errors; n != 0 {
+		t.Fatalf("%d-tile run: %d transport errors", tiles, n)
 	}
 	return seen, srv.AggregatedCounters()
 }
@@ -99,28 +95,15 @@ func compareRuns(t *testing.T, label string, ra, rb []respRecord, ca, cb map[str
 }
 
 // Trace-replay determinism (the serving layer's tile contract extended
-// to workloads): the same seeded trace replayed with one worker in
-// round-robin mode — element chain on — must produce bitwise-identical
-// responses and identical aggregated serve/ counters on a 1-tile and a
-// 4-tile server.
+// to workloads): the same seeded trace replayed with one worker —
+// element chain on — must produce bitwise-identical responses and
+// identical aggregated serve/ counters on a 1-tile and a 4-tile server.
 func TestTraceReplayTileDeterminism(t *testing.T) {
 	tr, err := Synthesize(SynthOptions{Seed: 42, Records: 200, Keys: 32})
 	if err != nil {
 		t.Fatal(err)
 	}
-	ra, ca := runOnce(t, 1, 0, tr)
-	rb, cb := runOnce(t, 4, 0, tr)
+	ra, ca := runOnce(t, 1, tr)
+	rb, cb := runOnce(t, 4, tr)
 	compareRuns(t, "replay", ra, rb, ca, cb)
-}
-
-// The same contract for the service chain: hop traffic is still one
-// deterministic request stream.
-func TestChainTileDeterminism(t *testing.T) {
-	tr, err := Synthesize(SynthOptions{Seed: 43, Records: 80, Keys: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	ra, ca := runOnce(t, 1, 2, tr)
-	rb, cb := runOnce(t, 4, 2, tr)
-	compareRuns(t, "chain", ra, rb, ca, cb)
 }

@@ -3,10 +3,9 @@
 // per-(schema, op) passes, it synthesizes and replays
 // application-shaped traces — fleet-shaped message sizes, fleet-shaped
 // schema and operation mixes, Zipf popularity skew over a stable key
-// space — and models a small service chain (frontend → kv → backend)
-// where every hop's serialize and deserialize runs on the accelerated
-// serving path. It also holds the one load driver every one of those
-// runs, loadgen's passes included, goes through.
+// space — on the accelerated serving path. It also holds the one load
+// driver every one of those runs, loadgen's passes included, goes
+// through.
 //
 // Three pieces:
 //
@@ -22,20 +21,18 @@
 //     trace sharded contiguously over workers (Trace.Source).
 //   - One driver (Run) and one tally (Tally): Run drives a serve.Doer —
 //     the in-process client or a live protoaccd connection — with the
-//     source's records, closed-loop or paced, byte-verifying responses
-//     and attributing accelerator cycles per request. A record is sent
-//     once with its own op, or crosses a 1–3 hop service chain: a hop is
-//     one service-to-service edge whose sender serializes and receiver
-//     deserializes on the accelerated path. Each stream (the whole run,
-//     or one hop) is one Tally: outcome counters, latency, and
-//     accelerator-vs-software cycle savings against a Xeon
-//     software-codec calibration (CostTable), exported as its own
-//     serve/workload/trace/ or serve/workload/hop<i>/ telemetry group.
+//     source's records, closed-loop or paced, sending each record once
+//     with its own op, byte-verifying responses and attributing
+//     accelerator cycles per request. The run's Tally holds outcome
+//     counters, latency, and accelerator-vs-software cycle savings
+//     against a Xeon software-codec calibration (CostTable); loadgen
+//     exports a trace replay's Tally as the serve/workload/trace/
+//     telemetry group.
 //
-// Determinism mirrors the serving layer's contracts: with one worker and
-// round-robin routing, a trace replay or chain run produces
-// bitwise-identical responses and identical aggregated serve/ counters
-// on a 1-tile and an N-tile server (see the package tests).
+// Determinism mirrors the serving layer's contracts: with one worker, a
+// trace replay produces bitwise-identical responses and identical
+// aggregated serve/ counters on a 1-tile and an N-tile server (see the
+// package tests).
 package workloads
 
 import (
@@ -49,30 +46,11 @@ import (
 	"protoacc/internal/telemetry"
 )
 
-// serviceNames are the chain's service roles in order; a chain of H hops
-// crosses services[0..H] (frontend → kv → backend → store).
-var serviceNames = []string{"frontend", "kv", "backend", "store"}
-
-// MaxHops bounds the chain length to the named topology.
-const MaxHops = 3
-
-// HopName labels hop i (0-based) as "frontend→kv" etc.
-func HopName(i int) string {
-	if i < 0 || i >= MaxHops {
-		return fmt.Sprintf("hop%d", i)
-	}
-	return serviceNames[i] + "→" + serviceNames[i+1]
-}
-
-// Tally counts one stream's outcomes: a whole run that sends each record
-// once, or one hop of a chain. It structurally satisfies
-// telemetry.Collector, so each stream registers as its own
-// serve/workload/trace/ or serve/workload/hop<i>/ counter group. A Tally
-// takes no lock: each worker owns its own, and Run merges them once the
-// workers are done.
+// Tally counts one run's outcomes. It structurally satisfies
+// telemetry.Collector, so a run registers as its own counter group
+// (loadgen's serve/workload/trace/). A Tally takes no lock: each worker
+// owns its own, and Run merges them once the workers are done.
 type Tally struct {
-	Name string // hop label, e.g. "frontend→kv"; empty for a one-stream run
-
 	Requests      uint64 // serving calls issued
 	OK            uint64
 	Shed          uint64
@@ -89,9 +67,8 @@ type Tally struct {
 	SoftCycles  float64 // Xeon software-codec cycles for the same work (calibrated)
 	SoftReqs    uint64  // requests with a software calibration entry
 
-	// Latency is the stream's latency distribution over records that were
-	// OK on it: per request for a one-stream run, the ser+deser pair for a
-	// chain hop.
+	// Latency is the run's per-request latency distribution over OK
+	// responses.
 	Latency telemetry.Histogram
 }
 
@@ -161,7 +138,7 @@ func (t *Tally) Merge(o *Tally) {
 // past their deadline, or bad.
 func (t *Tally) Rejected() uint64 { return t.Shed + t.Throttled + t.Deadline + t.Bad }
 
-// Savings returns the stream's accelerator-vs-software cycle savings as
+// Savings returns the run's accelerator-vs-software cycle savings as
 // a time ratio: calibrated Xeon software cycles (normalized to the
 // accelerator clock) divided by the accelerator cycles spent on the same
 // requests. 0 means no calibrated accelerator-path requests completed.
@@ -172,8 +149,8 @@ func (t *Tally) Savings() float64 {
 	return t.SoftCycles / t.AccelCycles
 }
 
-// CollectTelemetry emits the stream's counter group (structurally a
-// telemetry.Collector; registered as serve/workload/hop<i>/ or
+// CollectTelemetry emits the run's counter group (structurally a
+// telemetry.Collector; loadgen registers a trace replay's as
 // serve/workload/trace/).
 func (t *Tally) CollectTelemetry(emit func(name string, value float64)) {
 	emit("requests", float64(t.Requests))
@@ -243,8 +220,8 @@ func (t *Trace) Source(cat *serve.Catalog) Source {
 
 // LoadOptions configures one Run.
 type LoadOptions struct {
-	// Dial builds one client per worker and hop (TCP Conn, in-process
-	// client, or cluster balancer).
+	// Dial builds one client per worker (TCP Conn, in-process client, or
+	// cluster balancer).
 	Dial func() (serve.Doer, error)
 
 	// Catalog resolves each record's (schema, sample) to payload bytes.
@@ -257,11 +234,6 @@ type LoadOptions struct {
 
 	// Workers is the number of concurrent workers (default 1).
 	Workers int
-
-	// Hops is 0 to send each record once with its own op, or the chain
-	// length in edges, 1..MaxHops: 2 = frontend→kv→backend, 3 adds
-	// backend→store.
-	Hops int
 
 	// Duration bounds the run; 0 runs until every worker's source ends.
 	Duration time.Duration
@@ -286,37 +258,25 @@ type LoadOptions struct {
 	// Observe, when non-nil, sees every response in send order within a
 	// worker, on that worker's goroutine (test hook for determinism
 	// checks). Transport errors have no response and skip it.
-	Observe func(worker, hop int, rec Record, resp serve.Response)
+	Observe func(worker int, rec Record, resp serve.Response)
 }
 
 // LoadReport is one Run's outcome.
 type LoadReport struct {
-	Streams []*Tally            // one per hop in chain order; one when Hops is 0
-	E2E     telemetry.Histogram // per-record latency over all hops, for records OK on every hop
+	Tally   Tally // merged over the workers
 	Elapsed time.Duration
-	Records uint64 // records that were OK on every hop
 }
 
 // Run drives the source's records through the serving path with
 // opts.Workers workers and returns the merged report. Each worker owns
-// one client per hop. A transport error is counted under Errors and the
-// worker goes on; only bad options, a source error or a failed dial fail
-// the run.
-//
-// With Hops ≥ 1, each record crosses the chain: on each hop the sending
-// service serializes the record's object through the accelerated path
-// and the receiving service deserializes the resulting bytes — both
-// directions of one RPC edge on the accelerator, the end-to-end shape
-// RPCAcc evaluates. Responses are canonical bytes, so each hop's output
-// equals its input and the whole chain stays byte-verifiable.
+// one client and sends each of its records once, with the record's own
+// op. A transport error is counted under Errors and the worker goes on;
+// only bad options, a source error or a failed dial fail the run.
 func Run(o LoadOptions) (*LoadReport, error) {
 	if o.Dial == nil || o.Catalog == nil || o.Source == nil {
 		return nil, errors.New("workloads: Run needs Dial, Catalog and Source")
 	}
-	if o.Hops < 0 || o.Hops > MaxHops {
-		return nil, fmt.Errorf("workloads: hops %d out of range [0, %d]", o.Hops, MaxHops)
-	}
-	workers, lanes := max(1, o.Workers), max(1, o.Hops)
+	workers := max(1, o.Workers)
 	nexts := make([]func(int) (Record, bool), workers)
 	for w := range nexts {
 		var err error
@@ -324,24 +284,21 @@ func Run(o LoadOptions) (*LoadReport, error) {
 			return nil, err
 		}
 	}
-	// One client per (worker, hop): each hop edge keeps its own
-	// connection and admission identity, like distinct services would.
 	var clients []serve.Doer
 	defer func() {
 		for _, c := range clients {
 			c.Close()
 		}
 	}()
-	for i := 0; i < workers*lanes; i++ {
+	for w := 0; w < workers; w++ {
 		c, err := o.Dial()
 		if err != nil {
-			return nil, fmt.Errorf("workloads: dial client %d: %w", i, err)
+			return nil, fmt.Errorf("workloads: dial client %d: %w", w, err)
 		}
 		clients = append(clients, c)
 	}
 
-	tallies := make([][]Tally, workers) // [worker][stream], merged after Wait
-	e2e := make([]telemetry.Histogram, workers)
+	tallies := make([]*Tally, workers) // one per worker, merged after Wait
 	var interval time.Duration
 	if o.RatePerSec > 0 {
 		interval = time.Duration(float64(workers) / o.RatePerSec * float64(time.Second))
@@ -349,24 +306,11 @@ func Run(o LoadOptions) (*LoadReport, error) {
 	var wg sync.WaitGroup
 	start := time.Now()
 	for w := range tallies {
-		tallies[w] = make([]Tally, lanes)
+		st, c := &Tally{}, clients[w]
+		tallies[w] = st
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			st, cs := tallies[w], clients[w*lanes:(w+1)*lanes]
-			// send issues one request on hop h and tallies it; ok reports
-			// an OK response.
-			send := func(h int, rec Record, op serve.Op, payload []byte) (resp serve.Response, ok bool) {
-				resp, err := cs[h].Do(serve.Request{Op: op, Schema: rec.Schema, Timeout: o.Timeout, Payload: payload})
-				st[h].note(resp, err, payload, o.Costs.Cycles(rec.Schema, rec.Sample, op), o.Check)
-				if err != nil {
-					return resp, false
-				}
-				if o.Observe != nil {
-					o.Observe(w, h, rec, resp)
-				}
-				return resp, resp.Status == serve.StatusOK
-			}
 			// Paced workers start staggered across one interval.
 			next := start.Add(time.Duration(w) * interval / time.Duration(workers))
 			for i := 0; ; i++ {
@@ -392,34 +336,16 @@ func Run(o LoadOptions) (*LoadReport, error) {
 					}
 					t0, next = next, next.Add(interval)
 				}
-				allOK, hopStart := true, t0
-				for h := range st {
-					if h > 0 {
-						hopStart = time.Now()
-					}
-					var ok bool
-					if o.Hops == 0 {
-						_, ok = send(h, rec, rec.Op, payload)
-					} else {
-						// The receiver deserializes the bytes that
-						// arrived: the serializer's output, or the
-						// record's payload if the serialize failed.
-						resp, serOK := send(h, rec, serve.OpSerialize, payload)
-						wire := payload
-						if serOK {
-							wire = resp.Payload
-						}
-						_, ok = send(h, rec, serve.OpDeserialize, wire)
-						ok = ok && serOK
-					}
-					if ok {
-						st[h].Latency.Record(time.Since(hopStart))
-					} else {
-						allOK = false
-					}
+				resp, err := c.Do(serve.Request{Op: rec.Op, Schema: rec.Schema, Timeout: o.Timeout, Payload: payload})
+				st.note(resp, err, payload, o.Costs.Cycles(rec.Schema, rec.Sample, rec.Op), o.Check)
+				if err != nil {
+					continue
 				}
-				if allOK {
-					e2e[w].Record(time.Since(t0))
+				if resp.Status == serve.StatusOK {
+					st.Latency.Record(time.Since(t0))
+				}
+				if o.Observe != nil {
+					o.Observe(w, rec, resp)
 				}
 			}
 		}()
@@ -427,19 +353,8 @@ func Run(o LoadOptions) (*LoadReport, error) {
 	wg.Wait()
 
 	rep := &LoadReport{Elapsed: time.Since(start)}
-	for h := 0; h < lanes; h++ {
-		t := &Tally{}
-		if o.Hops > 0 {
-			t.Name = HopName(h)
-		}
-		for w := range tallies {
-			t.Merge(&tallies[w][h])
-		}
-		rep.Streams = append(rep.Streams, t)
+	for _, t := range tallies {
+		rep.Tally.Merge(t)
 	}
-	for w := range e2e {
-		rep.E2E.Merge(&e2e[w])
-	}
-	rep.Records = rep.E2E.Count()
 	return rep, nil
 }

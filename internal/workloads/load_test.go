@@ -52,7 +52,7 @@ func TestLoadgenOpenLoopCoordinatedOmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := rep.Streams[0]
+	st := &rep.Tally
 	if st.OK < 10 {
 		t.Fatalf("only %d requests completed; test cannot observe queueing delay", st.OK)
 	}
@@ -79,7 +79,7 @@ func TestLoadgenClosedLoopLatencyUnchanged(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := rep.Streams[0]
+	st := &rep.Tally
 	if st.OK == 0 {
 		t.Fatal("no requests completed")
 	}
@@ -139,9 +139,8 @@ type sent struct {
 }
 
 // recordingDoer logs every request with the index of the client that
-// sent it. It echoes a deserialize and answers a serialize with the
-// payload plus a marker byte, so a test can tell which bytes a later
-// request carried. Not safe for concurrent use: one worker only.
+// sent it and echoes its payload. Not safe for concurrent use: one
+// worker only.
 type recordingDoer struct {
 	client int
 	log    *[]sent
@@ -149,18 +148,14 @@ type recordingDoer struct {
 
 func (d recordingDoer) Do(req serve.Request) (serve.Response, error) {
 	*d.log = append(*d.log, sent{d.client, req.Op, req.Schema, req.Payload})
-	out := req.Payload
-	if req.Op == serve.OpSerialize {
-		out = append(append([]byte(nil), req.Payload...), 0xEE)
-	}
-	return serve.Response{Status: serve.StatusOK, Payload: out}, nil
+	return serve.Response{Status: serve.StatusOK, Payload: req.Payload}, nil
 }
 
 func (d recordingDoer) Close() error { return nil }
 
-// recordRun runs tr with one worker over hops hops against recording
-// clients and returns every request in send order.
-func recordRun(t *testing.T, tr *Trace, hops int) []sent {
+// recordRun runs tr with one worker against recording clients and
+// returns every request in send order.
+func recordRun(t *testing.T, tr *Trace) []sent {
 	t.Helper()
 	cat := serve.DefaultCatalog()
 	var log []sent
@@ -170,7 +165,7 @@ func recordRun(t *testing.T, tr *Trace, hops int) []sent {
 			dialed++
 			return recordingDoer{client: dialed - 1, log: &log}, nil
 		},
-		Catalog: cat, Source: tr.Source(cat), Workers: 1, Hops: hops,
+		Catalog: cat, Source: tr.Source(cat), Workers: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -179,9 +174,7 @@ func recordRun(t *testing.T, tr *Trace, hops int) []sent {
 }
 
 // With one worker, a replay sends the trace's (op, schema, payload) in
-// record order, and a chain sends, for each record and hop, a serialize
-// on that hop's client and then a deserialize of the serializer's bytes
-// on the same client.
+// record order.
 func TestRunRequestOrder(t *testing.T) {
 	tr, err := Synthesize(SynthOptions{Seed: 9, Records: 24, Keys: 8})
 	if err != nil {
@@ -194,22 +187,8 @@ func TestRunRequestOrder(t *testing.T) {
 	for _, r := range tr.Records {
 		want = append(want, sent{0, r.Op, r.Schema, payload(r)})
 	}
-	if got := recordRun(t, tr, 0); !reflect.DeepEqual(got, want) {
+	if got := recordRun(t, tr); !reflect.DeepEqual(got, want) {
 		t.Errorf("replay sent %d requests out of trace order:\n got %v\nwant %v", len(got), got, want)
-	}
-
-	const hops = 2
-	want = want[:0]
-	for _, r := range tr.Records {
-		for h := 0; h < hops; h++ {
-			ser := payload(r)
-			want = append(want,
-				sent{h, serve.OpSerialize, r.Schema, ser},
-				sent{h, serve.OpDeserialize, r.Schema, append(append([]byte(nil), ser...), 0xEE)})
-		}
-	}
-	if got := recordRun(t, tr, hops); !reflect.DeepEqual(got, want) {
-		t.Errorf("chain sent %d requests out of order:\n got %v\nwant %v", len(got), got, want)
 	}
 }
 
@@ -230,8 +209,8 @@ func (d flakyDoer) Do(req serve.Request) (serve.Response, error) {
 func (d flakyDoer) Close() error { return nil }
 
 // A transport error is counted and the worker goes on, in a catalog
-// pass, a replay and a chain alike: Errors counts every failed call,
-// Requests counts every call, and Run itself succeeds.
+// pass and a replay alike: Errors counts every failed call, Requests
+// counts every call, and Run itself succeeds.
 func TestRunCountsTransportErrors(t *testing.T) {
 	tr, err := Synthesize(SynthOptions{Seed: 10, Records: 60, Keys: 8})
 	if err != nil {
@@ -241,18 +220,16 @@ func TestRunCountsTransportErrors(t *testing.T) {
 	for _, tc := range []struct {
 		name  string
 		src   Source
-		hops  int
 		calls uint64 // 0: a timed pass, any count
 	}{
-		{"pass", CatalogSource(cat, "mixed", serve.OpSerialize, 0), 0, 0},
-		{"replay", tr.Source(cat), 0, 60},
-		{"chain", tr.Source(cat), 2, 60 * 2 * 2},
+		{"pass", CatalogSource(cat, "mixed", serve.OpSerialize, 0), 0},
+		{"replay", tr.Source(cat), 60},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var calls, failed atomic.Uint64
 			o := LoadOptions{
 				Dial:    func() (serve.Doer, error) { return flakyDoer{&calls, &failed}, nil },
-				Catalog: cat, Source: tc.src, Workers: 2, Hops: tc.hops, Check: true,
+				Catalog: cat, Source: tc.src, Workers: 2, Check: true,
 			}
 			if tc.calls == 0 {
 				o.Duration = 20 * time.Millisecond
@@ -261,10 +238,7 @@ func TestRunCountsTransportErrors(t *testing.T) {
 			if err != nil {
 				t.Fatalf("Run failed on a transport error: %v", err)
 			}
-			var sum Tally
-			for _, st := range rep.Streams {
-				sum.Merge(st)
-			}
+			sum := &rep.Tally
 			if tc.calls != 0 && calls.Load() != tc.calls {
 				t.Errorf("%d calls, want %d (a failed call must not stop its worker)", calls.Load(), tc.calls)
 			}

@@ -1,14 +1,12 @@
 package workloads
 
 import (
-	"fmt"
 	"reflect"
 	"testing"
 	"time"
 
 	"protoacc/internal/fleet"
 	"protoacc/internal/serve"
-	"protoacc/internal/telemetry"
 )
 
 func testServerOptions() serve.Options {
@@ -169,7 +167,7 @@ func TestReplayInProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st := rep.Streams[0]
+	st := &rep.Tally
 	if st.Requests != uint64(len(tr.Records)) {
 		t.Fatalf("replayed %d of %d records", st.Requests, len(tr.Records))
 	}
@@ -217,85 +215,4 @@ func batchedStats(t *testing.T, srv *serve.Server, tr *Trace, costs *CostTable, 
 		t.Fatalf("batched pass: %d of %d OK, %d byte-verification failures", st.OK, st.Requests, st.CheckFailures)
 	}
 	return st
-}
-
-// A 2-hop chain run: per-hop counters filled, hop latency and e2e
-// histograms populated, telemetry groups emitted under
-// serve/workload/hop<i>/.
-func TestRunChainInProcess(t *testing.T) {
-	tr, err := Synthesize(SynthOptions{Seed: 6, Records: 96, Keys: 16})
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv, err := serve.NewServer(testServerOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	rep, err := Run(LoadOptions{
-		Dial:    func() (serve.Doer, error) { return srv.InProc(), nil },
-		Catalog: srv.Catalog(), Source: tr.Source(srv.Catalog()), Hops: 2, Workers: 2, Check: true,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(rep.Streams) != 2 {
-		t.Fatalf("got %d hops, want 2", len(rep.Streams))
-	}
-	if rep.Records != uint64(len(tr.Records)) {
-		t.Fatalf("%d of %d records completed the chain", rep.Records, len(tr.Records))
-	}
-	if rep.E2E.Count() != rep.Records {
-		t.Errorf("e2e samples %d != completed records %d", rep.E2E.Count(), rep.Records)
-	}
-	for i, h := range rep.Streams {
-		// Each hop runs one serialize + one deserialize per record.
-		if want := uint64(2 * len(tr.Records)); h.Requests != want {
-			t.Errorf("hop %d: %d requests, want %d", i, h.Requests, want)
-		}
-		if h.OK != h.Requests || h.CheckFailures != 0 {
-			t.Errorf("hop %d: ok=%d/%d checkfail=%d", i, h.OK, h.Requests, h.CheckFailures)
-		}
-		if h.Latency.Count() == 0 {
-			t.Errorf("hop %d: empty latency histogram", i)
-		}
-		if h.Name != HopName(i) {
-			t.Errorf("hop %d named %q, want %q", i, h.Name, HopName(i))
-		}
-	}
-	reg := &telemetry.Registry{}
-	for i, h := range rep.Streams {
-		reg.Register(fmt.Sprintf("serve/workload/hop%d", i), h)
-	}
-	snap := reg.Snapshot()
-	for i := range rep.Streams {
-		name := "serve/workload/hop" + string(rune('0'+i)) + "/requests"
-		v, ok := snap.Get(name)
-		if !ok || v == 0 {
-			t.Errorf("counter %s missing or zero (got %v, present=%v)", name, v, ok)
-		}
-	}
-}
-
-// HopName labels the fixed topology.
-func TestHopNames(t *testing.T) {
-	want := []string{"frontend→kv", "kv→backend", "backend→store"}
-	for i, w := range want {
-		if got := HopName(i); got != w {
-			t.Errorf("HopName(%d) = %q, want %q", i, got, w)
-		}
-	}
-}
-
-// Run rejects out-of-range hop counts.
-func TestRunChainRejectsBadHops(t *testing.T) {
-	cat := serve.DefaultCatalog()
-	tr := &Trace{Records: []Record{{Schema: "varint", Op: serve.OpDeserialize}}}
-	_, err := Run(LoadOptions{
-		Dial:    func() (serve.Doer, error) { return nil, nil },
-		Catalog: cat, Source: tr.Source(cat), Hops: MaxHops + 1,
-	})
-	if err == nil {
-		t.Fatal("Run accepted hops beyond the topology")
-	}
 }
