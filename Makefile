@@ -19,15 +19,17 @@ race:
 # where nothing may panic and every accepted message must read back equal
 # once encoded again; last, the /faultz admin request, which must answer
 # 200 or 400 and, on a 200, set the schedule the -faults grammar parses.
+# -fuzzminimizetime 1s: at the default 60s, minimizing each new
+# interesting input took most of every line's budget.
 fuzz-smoke:
-	go test -run '^$$' -fuzz FuzzDifferentialDeserialize -fuzztime 30s ./internal/core
-	go test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s ./internal/core
-	go test -run '^$$' -fuzz FuzzSerializeRoundTrip -fuzztime 30s ./internal/core
-	go test -run '^$$' -fuzz FuzzUnmarshalRoundTrip -fuzztime 30s ./internal/pb/codec
-	go test -run '^$$' -fuzz FuzzReadMessage -fuzztime 15s ./internal/serve
-	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 15s ./internal/serve
-	go test -run '^$$' -fuzz FuzzParseResponse -fuzztime 15s ./internal/serve
-	go test -run '^$$' -fuzz FuzzFaultz -fuzztime 15s ./internal/serve
+	go test -run '^$$' -fuzz FuzzDifferentialDeserialize -fuzztime 30s -fuzzminimizetime 1s ./internal/core
+	go test -run '^$$' -fuzz FuzzDeserialize -fuzztime 30s -fuzzminimizetime 1s ./internal/core
+	go test -run '^$$' -fuzz FuzzSerializeRoundTrip -fuzztime 30s -fuzzminimizetime 1s ./internal/core
+	go test -run '^$$' -fuzz FuzzUnmarshalRoundTrip -fuzztime 30s -fuzzminimizetime 1s ./internal/pb/codec
+	go test -run '^$$' -fuzz FuzzReadMessage -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
+	go test -run '^$$' -fuzz FuzzParseRequest -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
+	go test -run '^$$' -fuzz FuzzParseResponse -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
+	go test -run '^$$' -fuzz FuzzFaultz -fuzztime 15s -fuzzminimizetime 1s ./internal/serve
 
 # The differential chaos harness under the race detector: faulted runs
 # must produce byte-identical output to pure software, and fault-disabled

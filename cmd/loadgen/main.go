@@ -56,14 +56,15 @@
 // response == request for both operations, even under -faults).
 //
 // A flag the chosen mode would ignore is an error, even at its default
-// value, and so is a -duration or -concurrency out of range or an
-// argument that is not a flag; checkFlags holds the rules.
+// value, and so is a -duration, -concurrency or -rate out of range or
+// an argument that is not a flag; checkFlags holds the rules.
 package main
 
 import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"sort"
 	"strings"
@@ -170,6 +171,8 @@ func checkFlags(given map[string]bool, args []string) error {
 		return fmt.Errorf("loadgen: -duration %v must be positive", *duration)
 	case *concurrency < 1:
 		return fmt.Errorf("loadgen: -concurrency %d must be at least 1", *concurrency)
+	case !(*rate >= 0) || math.IsInf(*rate, 0):
+		return fmt.Errorf("loadgen: -rate %g must be 0 (closed loop) or a finite positive rate", *rate)
 	}
 	return nil
 }

@@ -35,6 +35,11 @@ func TestCheckFlags(t *testing.T) {
 		{[]string{"duration=0s"}, "-duration 0s must be positive"},
 		{[]string{"concurrency=0"}, "-concurrency 0 must be at least 1"},
 		{[]string{"workload", "concurrency=-3"}, "-concurrency -3 must be at least 1"},
+		{[]string{"rate=-50"}, "-rate -50 must be 0 (closed loop) or a finite positive rate"},
+		{[]string{"rate=NaN"}, "-rate NaN must be"},
+		{[]string{"rate=Inf"}, "-rate +Inf must be"},
+		{[]string{"rate=-Inf"}, "-rate -Inf must be"},
+		{[]string{"rate=1e-9"}, ""},
 		// `-check false -duration 100ms`: flag parsing stops at "false".
 		{[]string{"check", "args=false -duration 100ms"}, `unexpected argument "false"`},
 	}

@@ -12,10 +12,7 @@
 //	          [-max-payload n] [-deadline d]
 //	          [-span-sample-n n]
 //	          [-elements all|off|admission,breaker,cache]
-//	          [-admit-rate r] [-admit-burst b]
-//	          [-breaker-window d] [-breaker-trip-rate r]
-//	          [-breaker-min-volume n] [-breaker-open-for d] [-breaker-probes n]
-//	          [-cache-bytes n]
+//	          [-admit-rate r]
 //	          [-faults rate[@site,...]] [-fault-seed n] [-fault-tiles 0,2]
 //	          [-stats-out file] [-cpuprofile file] [-memprofile file]
 //
@@ -26,7 +23,9 @@
 // a tile, and a canonical-bytes response cache with LRU eviction. Each
 // element is independently selectable and byte-transparent: chain on or
 // off, every response's bytes are identical. Telemetry lands under
-// serve/elements/<name>/.
+// serve/elements/<name>/. -admit-rate sets each client's fill rate, and
+// its bucket holds 2 s of it; the breaker's and the cache's tunings are
+// constants of internal/serve/elements.
 //
 // -admin serves the live observability plane on a second listener:
 // /metrics (Prometheus text: counters, gauges, per-tile stage
@@ -75,15 +74,7 @@ func main() {
 	admin := flag.String("admin", "", "HTTP admin listen address (/metrics, /healthz, /statusz, /spans, /debug/pprof); empty disables")
 	flag.IntVar(&opts.MaxPayload, "max-payload", 0, "request payload size limit in bytes (0 = default 64KiB)")
 	flag.DurationVar(&opts.Deadline, "deadline", 0, "default per-request budget (0 = default 1s)")
-	elem := &opts.Elements
-	flag.Float64Var(&elem.FillRate, "admit-rate", 0, "admission element: token-bucket fill rate per client, req/s (0 = default 2000)")
-	flag.Float64Var(&elem.Burst, "admit-burst", 0, "admission element: token-bucket burst capacity (0 = default 2x fill rate)")
-	flag.DurationVar(&elem.Window, "breaker-window", 0, "breaker element: rolling failure-rate window (0 = default 1s)")
-	flag.Float64Var(&elem.TripRate, "breaker-trip-rate", 0, "breaker element: failure-rate threshold that opens a tile's breaker (0 = default 0.5)")
-	flag.IntVar(&elem.MinVolume, "breaker-min-volume", 0, "breaker element: minimum requests in the window before the trip rate is evaluated (0 = default 16)")
-	flag.DurationVar(&elem.OpenFor, "breaker-open-for", 0, "breaker element: open-state dwell before half-open probing (0 = default 500ms)")
-	flag.IntVar(&elem.Probes, "breaker-probes", 0, "breaker element: successful half-open probes required to re-close (0 = default 8)")
-	flag.Int64Var(&elem.CacheBytes, "cache-bytes", 0, "cache element: response-cache byte budget (0 = default 16MiB)")
+	flag.Float64Var(&opts.Elements.FillRate, "admit-rate", 0, "admission element: token-bucket fill rate per client, req/s; a bucket holds 2s of it (0 = default 2000)")
 	statsOut := flag.String("stats-out", "", "write merged telemetry counters to this file on shutdown (JSON, or Prometheus text with a .prom suffix)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile of the serving run to this file (stopped at drain)")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file after drain")

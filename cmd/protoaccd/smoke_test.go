@@ -47,9 +47,7 @@ func TestSmoke(t *testing.T) {
 		run     func(t *testing.T, r rig, ds []*daemon)
 	}{
 		{"obs", [][]string{{"-tiles", "2", "-span-sample-n", "16", "-stats-out", "stats.json"}}, smokeObs},
-		{"elements", [][]string{{"-tiles", "4", "-elements", "all",
-			"-breaker-window", "200ms", "-breaker-trip-rate", "0.3", "-breaker-min-volume", "8",
-			"-breaker-open-for", "100ms", "-breaker-probes", "4"}}, smokeElements},
+		{"elements", [][]string{{"-tiles", "4", "-elements", "all"}}, smokeElements},
 		{"workloads", [][]string{{"-tiles", "2"}}, smokeWorkloads},
 		{"cluster", [][]string{nil, nil}, smokeCluster},
 	}

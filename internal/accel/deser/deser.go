@@ -124,10 +124,12 @@ type Unit struct {
 
 	stats Stats
 
-	// openRegions buffers unpacked-repeated open-allocation regions
-	// (§4.4.8) per (object, field) until close-out; New makes the one
-	// map, and each operation clears it.
-	openRegions map[regionKey]*openRegion
+	// regions buffers unpacked-repeated open-allocation regions
+	// (§4.4.8) until close-out, and regionOf indexes them by (object,
+	// field). Each operation truncates regions rather than freeing it, so
+	// the records and their elems capacity serve the next operation.
+	regions  []openRegion
+	regionOf map[regionKey]int
 	// current open region key, valid while isOpen (hardware tracks
 	// exactly one open tag).
 	open   regionKey
@@ -149,7 +151,14 @@ type openRegion struct {
 
 // New creates a deserializer unit.
 func New(m *mem.Memory, port *memmodel.Port, arena *mem.Allocator, cfg Config) *Unit {
-	return &Unit{Mem: m, Port: port, Arena: arena, Cfg: cfg, openRegions: make(map[regionKey]*openRegion)}
+	return &Unit{Mem: m, Port: port, Arena: arena, Cfg: cfg, regionOf: make(map[regionKey]int)}
+}
+
+// dropRegions forgets every buffered region, keeping the storage.
+func (u *Unit) dropRegions() {
+	clear(u.regionOf)
+	u.regions = u.regions[:0]
+	u.isOpen = false
 }
 
 // Stats returns cumulative statistics.
@@ -175,8 +184,7 @@ func (u *Unit) CollectTelemetry(emit func(name string, value float64)) {
 // returning the unit to its post-construction state.
 func (u *Unit) ResetStats() {
 	u.stats = Stats{}
-	clear(u.openRegions)
-	u.isOpen = false
+	u.dropRegions()
 }
 
 // Abort discards the in-progress operation's parse state after a fault
@@ -189,8 +197,7 @@ func (u *Unit) ResetStats() {
 func (u *Unit) Abort() float64 {
 	attempt := u.stats.FSMCycles - u.stats.Cycles
 	u.stats.Cycles = u.stats.FSMCycles
-	clear(u.openRegions)
-	u.isOpen = false
+	u.dropRegions()
 	return attempt
 }
 
@@ -240,8 +247,7 @@ func (u *Unit) overlapped(addr, size uint64) {
 // delta reflects this call.
 func (u *Unit) Deserialize(adtAddr, objAddr, bufAddr, bufLen uint64) (Stats, error) {
 	before := u.stats
-	clear(u.openRegions)
-	u.isOpen = false
+	u.dropRegions()
 
 	// Command dispatch and frontend setup.
 	u.fsm(8)
@@ -628,19 +634,9 @@ func (u *Unit) parsePackedRun(e adt.Entry, num int32, objAddr, pos, end, slotAdd
 	if n == 0 {
 		// An empty packed run still marks the field present with an
 		// empty vector; open the region so close-out writes the header.
-		u.appendNone(objAddr, num, slotAddr, es)
+		u.openRegion(objAddr, num, slotAddr, es)
 	}
 	return pos, nil
-}
-
-// appendNone opens (or re-marks) a region without adding elements, for
-// empty packed runs.
-func (u *Unit) appendNone(obj uint64, num int32, slot, elemSize uint64) {
-	key := regionKey{obj, num}
-	if _, ok := u.openRegions[key]; !ok {
-		u.openRegions[key] = &openRegion{elemSize: elemSize, slot: slot}
-	}
-	u.open, u.isOpen = key, true
 }
 
 // parseSubMessage implements the sub-message handling states (§4.4.9).
@@ -742,26 +738,35 @@ func (u *Unit) parseSubMessage(e adt.Entry, num int32, pos, end, objAddr, slotAd
 // preserving proto2 concatenation semantics at the cost of a dead arena
 // buffer — the same trade hardware would make.
 func (u *Unit) appendOpen(obj uint64, num int32, slot, elemSize, value uint64) {
-	key := regionKey{obj, num}
-	r, ok := u.openRegions[key]
-	if !ok {
-		r = &openRegion{elemSize: elemSize, slot: slot}
-		u.openRegions[key] = r
-	}
+	r := u.openRegion(obj, num, slot, elemSize)
 	r.elems = append(r.elems, value)
-	u.open, u.isOpen = key, true
 }
 
 // appendOpen2 appends a two-word element (a string header).
 func (u *Unit) appendOpen2(obj uint64, num int32, slot, w0, w1 uint64) {
-	key := regionKey{obj, num}
-	r, ok := u.openRegions[key]
-	if !ok {
-		r = &openRegion{elemSize: 16, slot: slot}
-		u.openRegions[key] = r
-	}
+	r := u.openRegion(obj, num, slot, 16)
 	r.elems = append(r.elems, w0, w1)
+}
+
+// openRegion makes (obj, num)'s region the open one. A field with no
+// region yet starts one, reusing the record and elems capacity an
+// earlier operation left past len(regions). The pointer is valid until
+// the next openRegion call.
+func (u *Unit) openRegion(obj uint64, num int32, slot, elemSize uint64) *openRegion {
+	key := regionKey{obj, num}
+	i, ok := u.regionOf[key]
+	if !ok {
+		i = len(u.regions)
+		if i < cap(u.regions) {
+			u.regions = u.regions[:i+1]
+			u.regions[i] = openRegion{elemSize: elemSize, slot: slot, elems: u.regions[i].elems[:0]}
+		} else {
+			u.regions = append(u.regions, openRegion{elemSize: elemSize, slot: slot})
+		}
+		u.regionOf[key] = i
+	}
 	u.open, u.isOpen = key, true
+	return &u.regions[i]
 }
 
 // closeOpenRegion writes out the current open allocation region: the
@@ -770,7 +775,7 @@ func (u *Unit) appendOpen2(obj uint64, num int32, slot, w0, w1 uint64) {
 func (u *Unit) closeOpenRegion() error {
 	key := u.open
 	u.isOpen = false
-	r := u.openRegions[key]
+	r := &u.regions[u.regionOf[key]]
 	if u.Tracer.Enabled() {
 		u.trace("closeOut", 0, key.num, 0, fmt.Sprintf("%d elems", len(r.elems)))
 	}

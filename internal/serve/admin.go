@@ -149,27 +149,20 @@ type StatuszConfig struct {
 // AdmissionStatus summarizes the admission-control element for /statusz.
 type AdmissionStatus struct {
 	FillRate  float64 `json:"fill_rate"`
-	Burst     float64 `json:"burst"`
 	Clients   int     `json:"clients"`
 	Allowed   uint64  `json:"allowed"`
 	Throttled uint64  `json:"throttled"`
 }
 
 // BreakerStatus summarizes the circuit-breaker element for /statusz:
-// config echo, per-tile state, and the transition-event timeline.
+// per-tile state and the transition-event timeline.
 type BreakerStatus struct {
-	WindowNS  int64                  `json:"window_ns"`
-	TripRate  float64                `json:"trip_rate"`
-	MinVolume int                    `json:"min_volume"`
-	OpenForNS int64                  `json:"open_for_ns"`
-	Probes    int                    `json:"probes"`
-	Tiles     []elements.TileBreaker `json:"tiles"`
-	Events    []elements.Event       `json:"events"`
+	Tiles  []elements.TileBreaker `json:"tiles"`
+	Events []elements.Event       `json:"events"`
 }
 
 // CacheStatus summarizes the response-cache element for /statusz.
 type CacheStatus struct {
-	MaxBytes   int64  `json:"max_bytes"`
 	Bytes      int64  `json:"bytes"`
 	Entries    int    `json:"entries"`
 	Lookups    uint64 `json:"lookups"`
@@ -200,26 +193,15 @@ func (s *Server) elementsStatus() *ElementsStatus {
 	es := &ElementsStatus{Spec: cfg.Spec(), Enabled: cfg.Names()}
 	if a := s.elems.Admission; a != nil {
 		allowed, throttled := a.Totals()
-		es.Admission = &AdmissionStatus{
-			FillRate: a.FillRate(), Burst: a.Burst(),
-			Clients: a.Clients(), Allowed: allowed, Throttled: throttled,
-		}
+		es.Admission = &AdmissionStatus{FillRate: a.FillRate(), Clients: a.Clients(), Allowed: allowed, Throttled: throttled}
 	}
 	if b := s.elems.Breaker; b != nil {
-		es.Breaker = &BreakerStatus{
-			WindowNS:  int64(cfg.Window),
-			TripRate:  cfg.TripRate,
-			MinVolume: cfg.MinVolume,
-			OpenForNS: int64(cfg.OpenFor),
-			Probes:    cfg.Probes,
-			Tiles:     b.TileStates(time.Now()),
-			Events:    b.Events(),
-		}
+		es.Breaker = &BreakerStatus{Tiles: b.TileStates(time.Now()), Events: b.Events()}
 	}
 	if c := s.elems.Cache; c != nil {
 		lookups, hits, misses, inserts, evictions, collisions := c.Stats()
 		es.Cache = &CacheStatus{
-			MaxBytes: c.MaxBytes(), Bytes: c.Bytes(), Entries: c.Len(),
+			Bytes: c.Bytes(), Entries: c.Len(),
 			Lookups: lookups, Hits: hits, Misses: misses,
 			Inserts: inserts, Evictions: evictions, Collisions: collisions,
 		}

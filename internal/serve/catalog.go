@@ -3,6 +3,7 @@ package serve
 import (
 	"fmt"
 	"hash/fnv"
+	"math"
 	"math/rand"
 	"sort"
 
@@ -67,19 +68,20 @@ func (e *Entry) SamplePayload(i int) []byte {
 func (e *Entry) NumSamples() int { return len(e.payloads) }
 
 // SampleOrder returns load worker w's sequence of sample indices. With
-// zipfS 0 or below it walks the samples from w*7919. With zipfS > 1 it
+// zipfS 0 it walks the samples from w*7919. With a finite zipfS > 1 it
 // draws Zipf(zipfS)-skewed indices — hot-key traffic, where a handful of
 // payloads dominate (the distribution the response cache exists for) —
 // from a source seeded with w+1, so runs are reproducible for a given
 // worker count; rank 0, the hottest, is sample 0 on every worker, so the
 // workers' hot sets overlap. A single sample needs no draw. An entry
 // with no samples has no sequence (the walk's modulo, and the Zipf imax
-// NumSamples-1, would break), and a zipfS in (0, 1] is no Zipf.
+// NumSamples-1, would break), and any other zipfS is an error: one in
+// (0, 1] is no Zipf, and an infinite one never draws.
 func (e *Entry) SampleOrder(w int, zipfS float64) (func(i int) int, error) {
 	n := len(e.payloads)
 	switch {
-	case zipfS > 0 && zipfS <= 1:
-		return nil, fmt.Errorf("serve: skew %g invalid (Zipf needs s > 1, or 0 for uniform)", zipfS)
+	case zipfS != 0 && !(zipfS > 1) || math.IsInf(zipfS, 0):
+		return nil, fmt.Errorf("serve: skew %g invalid (Zipf needs a finite s > 1, or 0 for uniform)", zipfS)
 	case n == 0:
 		return nil, fmt.Errorf("serve: schema %q has no sample payloads", e.Name)
 	case zipfS > 1 && n > 1:

@@ -1,6 +1,7 @@
 package serve
 
 import (
+	"math"
 	"testing"
 
 	"protoacc/internal/pb/codec"
@@ -72,7 +73,10 @@ func TestCatalogCodecAllocs(t *testing.T) {
 // source on a distribution with one outcome. Zero samples must be
 // rejected up front; one and many must give each of two workers indices
 // of the entry's own samples in both modes: the uniform walk from
-// w*7919, and a skewed order whose hottest sample is sample 0.
+// w*7919, and a skewed order whose hottest sample is sample 0. A skew
+// that is neither 0 nor a finite s > 1 must be rejected too: a negative
+// or NaN one used to run the uniform walk, and an infinite one hung the
+// first draw.
 func TestLoadgenSampleCountEdgeCases(t *testing.T) {
 	payloadsOf := func(e *Entry, n int) [][]byte {
 		var out [][]byte
@@ -94,6 +98,11 @@ func TestLoadgenSampleCountEdgeCases(t *testing.T) {
 		{"one-skewed", 1, 1.2, false},
 		{"many-uniform", 8, 0, false},
 		{"many-skewed", 8, 1.2, false},
+		{"skew-one", 8, 1, true},
+		{"skew-negative", 8, -3, true},
+		{"skew-nan", 8, math.NaN(), true},
+		{"skew-inf", 8, math.Inf(1), true},
+		{"skew-minus-inf", 8, math.Inf(-1), true},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -102,7 +111,7 @@ func TestLoadgenSampleCountEdgeCases(t *testing.T) {
 				order, err := e.SampleOrder(w, tc.skew)
 				if tc.wantErr {
 					if err == nil {
-						t.Fatalf("%d samples accepted; want an error, not a worker panic", tc.samples)
+						t.Fatalf("%d samples at skew %v accepted; want an error, not a worker panic or hang", tc.samples, tc.skew)
 					}
 					continue
 				}

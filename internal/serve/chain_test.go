@@ -5,7 +5,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -150,11 +149,7 @@ func TestServeElementsBreakerTripAndRecover(t *testing.T) {
 	opts.Workers = 4
 	opts.Faults = faults.Config{Enabled: true, Seed: 1234, Rate: 0.9}
 	opts.FaultTiles = []int{faultTile}
-	opts.Elements = elements.Config{
-		Breaker: true,
-		Window:  200 * time.Millisecond, TripRate: 0.3, MinVolume: 8,
-		OpenFor: 100 * time.Millisecond, Probes: 4,
-	}
+	opts.Elements = elements.Config{Breaker: true}
 	srv, err := NewServer(opts)
 	if err != nil {
 		t.Fatal(err)
@@ -276,40 +271,13 @@ func TestServeElementsBreakerTripAndRecover(t *testing.T) {
 	}
 }
 
-// A NaN trip rate (flag parses "NaN") falls back to the default, so
-// /statusz still encodes: encoding/json rejects a NaN trip_rate, and the
-// handler then answers 200 with an empty body.
-func TestStatuszNaNTripRate(t *testing.T) {
-	opts := testOptions()
-	opts.Tiles = 2
-	opts.Elements = elements.Config{Breaker: true, TripRate: math.NaN()}
-	srv, err := NewServer(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer srv.Close()
-	ts := httptest.NewServer(NewAdminHandler(srv, AdminOptions{}))
-	defer ts.Close()
-	var doc Statusz
-	body := adminGet(t, ts, "/statusz")
-	if err := json.Unmarshal(body, &doc); err != nil {
-		t.Fatalf("/statusz decode: %v: %q", err, body)
-	}
-	if doc.Elements == nil || doc.Elements.Breaker == nil {
-		t.Fatal("/statusz has no elements.breaker section with the breaker enabled")
-	}
-	if got := doc.Elements.Breaker.TripRate; got != elements.DefaultTripRate {
-		t.Errorf("/statusz trip_rate = %v, want the default %v", got, elements.DefaultTripRate)
-	}
-}
-
 // A request shed at a full queue never runs, so no outcome grades it: it
 // must not spend the probe budget of the half-open tile it was routed
 // to, or that tile stays unroutable while any other tile is routable.
 func TestShedRequestKeepsHalfOpenProbe(t *testing.T) {
 	opts := testOptions()
 	opts.Tiles = 2
-	opts.Elements = elements.Config{Breaker: true, MinVolume: 1, Probes: 1}
+	opts.Elements = elements.Config{Breaker: true}
 	// Two tiles with full queues and no dispatcher, so every job is shed.
 	s := &Server{opts: opts.withDefaults()}
 	s.elems = elements.New(s.opts.Elements, s.opts.Tiles)
@@ -319,20 +287,24 @@ func TestShedRequestKeepsHalfOpenProbe(t *testing.T) {
 		s.tiles = append(s.tiles, &tile{id: id, srv: s, queue: q})
 	}
 	br := s.breaker()
-	br.Observe(1, 1, 1, time.Now())
+	br.Observe(1, 100, 100, time.Now())
 	if !br.Routable(1, time.Now().Add(time.Hour)) || br.StateOf(1) != elements.StateHalfOpen {
-		t.Fatalf("tile 1 breaker %v after a failure and a dwell, want half-open", br.StateOf(1))
+		t.Fatalf("tile 1 breaker %v after 100 failures and a dwell, want half-open", br.StateOf(1))
 	}
 
 	// Round robin routes the first job to tile 0 and the second to tile
-	// 1, which takes it as its one probe.
-	for i := 0; i < 2; i++ {
-		if s.enqueue(batchJob{pendings: []*pending{{}}}) {
+	// 1, which takes its 8 pendings as the whole probe budget.
+	for i, n := range []int{1, 8} {
+		var job batchJob
+		for range n {
+			job.pendings = append(job.pendings, &pending{})
+		}
+		if s.enqueue(job) {
 			t.Fatalf("job %d queued on a full tile", i)
 		}
 	}
 	if !br.Routable(1, time.Now()) {
-		t.Error("tile 1 is unroutable: the shed job spent its probe")
+		t.Error("tile 1 is unroutable: the shed job spent its probes")
 	}
 	var probes float64
 	br.CollectTelemetry(func(name string, v float64) {

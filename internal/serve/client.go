@@ -111,36 +111,27 @@ var (
 	ErrTooLarge = errors.New("serve: message exceeds the frame limit")
 )
 
-// DialOptions tunes a Conn. The zero value of any field selects the
-// default noted on it.
+// DialOptions tunes a Conn.
 type DialOptions struct {
 	// Timeout bounds every Do call end to end. Zero defers to the
-	// per-request budget: Request.Timeout (plus Grace for the round
-	// trip) when set, otherwise the wait is unbounded — the legacy
+	// per-request budget: Request.Timeout (plus requestGrace for the
+	// round trip) when set, otherwise the wait is unbounded — the legacy
 	// behavior, for callers who manage their own deadlines.
 	Timeout time.Duration
+}
 
-	// Grace is added to Request.Timeout when it (and not Timeout) bounds
-	// the wait, covering queueing and the wire round trip beyond the
-	// server-side budget (default 1s).
-	Grace time.Duration
+const (
+	// requestGrace is added to Request.Timeout when it (and not
+	// DialOptions.Timeout) bounds the wait, covering queueing and the
+	// wire round trip beyond the server-side budget.
+	requestGrace = time.Second
 
-	// WriteTimeout bounds each request write on the socket (default 10s).
-	// A stalled write — a SIGSTOPped daemon with full TCP buffers — would
+	// clientWriteTimeout bounds each request write on the socket. A
+	// stalled write — a SIGSTOPped daemon with full TCP buffers — would
 	// otherwise hold the write lock forever and wedge every other Do on
 	// the connection; on expiry the Conn is failed, waking all waiters.
-	WriteTimeout time.Duration
-}
-
-func (o DialOptions) withDefaults() DialOptions {
-	if o.Grace <= 0 {
-		o.Grace = time.Second
-	}
-	if o.WriteTimeout <= 0 {
-		o.WriteTimeout = 10 * time.Second
-	}
-	return o
-}
+	clientWriteTimeout = 10 * time.Second
+)
 
 // Conn is a TCP client connection. It multiplexes: many goroutines may Do
 // concurrently, and responses are matched to callers by correlation id as
@@ -152,8 +143,11 @@ func (o DialOptions) withDefaults() DialOptions {
 // — plus everything other callers frame meanwhile — one Write per round
 // until it is empty. A failed flush kills the Conn, failing every waiter.
 type Conn struct {
-	conn net.Conn
-	opts DialOptions
+	conn    net.Conn
+	timeout time.Duration // DialOptions.Timeout
+	// grace and writeTimeout are requestGrace and clientWriteTimeout;
+	// tests shorten them.
+	grace, writeTimeout time.Duration
 
 	writeMu  sync.Mutex
 	nextID   uint64
@@ -187,11 +181,13 @@ func DialWith(addr string, opts DialOptions) (*Conn, error) {
 // newConn starts a Conn over an established transport.
 func newConn(nc net.Conn, opts DialOptions) *Conn {
 	c := &Conn{
-		conn:     nc,
-		opts:     opts.withDefaults(),
-		pend:     make(map[uint64]chan Response),
-		done:     make(chan struct{}),
-		readGone: make(chan struct{}),
+		conn:         nc,
+		timeout:      opts.Timeout,
+		grace:        requestGrace,
+		writeTimeout: clientWriteTimeout,
+		pend:         make(map[uint64]chan Response),
+		done:         make(chan struct{}),
+		readGone:     make(chan struct{}),
 	}
 	go c.readLoop()
 	return c
@@ -256,14 +252,14 @@ func (c *Conn) brokenErr() error {
 }
 
 // waitBudget returns the wait bound for one request: the dial-time
-// Timeout if set, else the request's own budget plus Grace, else zero
-// (unbounded).
+// Timeout if set, else the request's own budget plus the grace, else
+// zero (unbounded).
 func (c *Conn) waitBudget(req *Request) time.Duration {
-	if c.opts.Timeout > 0 {
-		return c.opts.Timeout
+	if c.timeout > 0 {
+		return c.timeout
 	}
 	if req.Timeout > 0 {
-		return req.Timeout + c.opts.Grace
+		return req.Timeout + c.grace
 	}
 	return 0
 }
@@ -362,7 +358,7 @@ func (c *Conn) flush() error {
 		out := c.wbuf
 		c.wbuf = c.spare[:0]
 		c.writeMu.Unlock()
-		c.conn.SetWriteDeadline(time.Now().Add(c.opts.WriteTimeout))
+		c.conn.SetWriteDeadline(time.Now().Add(c.writeTimeout))
 		_, err := c.conn.Write(out)
 		c.writeMu.Lock()
 		c.spare = reusable(out)

@@ -78,15 +78,16 @@ func TestConnDoTimeoutSlowServer(t *testing.T) {
 	}
 }
 
-// The per-request budget (Request.Timeout + Grace) must bound the wait
+// The per-request budget (Request.Timeout + grace) must bound the wait
 // when no dial-level Timeout is set.
 func TestConnDoTimeoutFromRequestBudget(t *testing.T) {
 	addr := fakeDaemon(t, readAndHold)
-	conn, err := DialWith(addr, DialOptions{Grace: 100 * time.Millisecond})
+	conn, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	conn.grace = 100 * time.Millisecond
 	done := make(chan error, 1)
 	go func() {
 		_, err := conn.Do(Request{Op: OpDeserialize, Schema: "varint", Timeout: 50 * time.Millisecond})
@@ -204,11 +205,12 @@ func TestConnWriteStallFailsFast(t *testing.T) {
 	addr := fakeDaemon(t, func(nc net.Conn) {
 		accepted <- nc // hold the conn open but never read from it
 	})
-	conn, err := DialWith(addr, DialOptions{WriteTimeout: 200 * time.Millisecond})
+	conn, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer conn.Close()
+	conn.writeTimeout = 200 * time.Millisecond
 	defer func() {
 		if nc := <-accepted; nc != nil {
 			nc.Close()

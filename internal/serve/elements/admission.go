@@ -1,7 +1,6 @@
 package elements
 
 import (
-	"math"
 	"sync"
 	"time"
 )
@@ -20,9 +19,9 @@ type bucket struct {
 
 // Admission is the per-client token-bucket element. Each client identity
 // (a TCP connection's remote address, or one in-process client) earns
-// fillRate tokens per second up to burst; a request spends one token,
-// and a client with an empty bucket is throttled without the server
-// spending a parse or a batch on it.
+// fillRate tokens per second up to burst, burstSeconds of that rate; a
+// request spends one token, and a client with an empty bucket is
+// throttled without the server spending a parse or a batch on it.
 type Admission struct {
 	fillRate float64
 	burst    float64
@@ -33,31 +32,18 @@ type Admission struct {
 	throttle uint64
 }
 
-func newAdmission(fillRate, burst float64) *Admission {
-	// Clamp, NaN-safely, anything that would poison the refill
-	// arithmetic: `x <= 0` comparisons are false for NaN, so the usual
-	// defaulting idiom lets NaN through, and the sweep's
-	// burst/fillRate*Second then converts Inf/NaN to time.Duration —
-	// implementation-defined (minInt64 on amd64), making the idle sweep
-	// either never fire or drop every bucket.
-	if !(fillRate > 0) || math.IsInf(fillRate, 0) {
-		fillRate = DefaultFillRate
-	}
-	if !(burst > 0) || math.IsInf(burst, 0) {
-		burst = 2 * fillRate
-	}
+// newAdmission builds the element for a fill rate that Config.withDefaults
+// has made positive and finite.
+func newAdmission(fillRate float64) *Admission {
 	return &Admission{
 		fillRate: fillRate,
-		burst:    burst,
+		burst:    burstSeconds * fillRate,
 		clients:  make(map[string]*bucket),
 	}
 }
 
 // FillRate returns the per-client sustained rate (requests/sec).
 func (a *Admission) FillRate() float64 { return a.fillRate }
-
-// Burst returns the per-client bucket capacity.
-func (a *Admission) Burst() float64 { return a.burst }
 
 // Allow spends one token from client's bucket, reporting whether the
 // request may proceed. New clients start with a full bucket.
@@ -87,21 +73,11 @@ func (a *Admission) Allow(client string, now time.Time) bool {
 	return true
 }
 
-// sweepLocked drops buckets idle long enough to have refilled to burst.
+// sweepLocked drops buckets idle long enough to have refilled to burst:
+// burstSeconds, whatever the rate.
 func (a *Admission) sweepLocked(now time.Time) {
-	// Construction clamps the rates, but guard the conversion anyway: a
-	// non-finite or non-positive refill interval through
-	// float64→time.Duration is implementation-defined, and a negative
-	// result would silently drop every bucket. Fall back to a long idle
-	// horizon instead of corrupting the sweep.
-	refill := time.Hour
-	if f := a.burst / a.fillRate * float64(time.Second); f > 0 && !math.IsInf(f, 0) && !math.IsNaN(f) {
-		if f < float64(math.MaxInt64) {
-			refill = time.Duration(f)
-		}
-	}
 	for client, b := range a.clients {
-		if now.Sub(b.lastFill) > refill {
+		if now.Sub(b.lastFill) > burstSeconds*time.Second {
 			delete(a.clients, client)
 		}
 	}

@@ -108,9 +108,12 @@ func (c *Circuit) Close() bool {
 }
 
 // windowBuckets is the rolling window's resolution: failure rates are
-// evaluated over the last Window seconds bucketed this finely, so a trip
-// decision lags a failure burst by at most Window/windowBuckets.
-const windowBuckets = 8
+// evaluated over the last window bucketed this finely, so a trip
+// decision lags a failure burst by at most one bucketDur.
+const (
+	windowBuckets = 8
+	bucketDur     = window / windowBuckets
+)
 
 // eventRingCap bounds the transition-event timeline kept for /statusz;
 // past it the ring overwrites oldest-first.
@@ -145,9 +148,7 @@ type brTile struct {
 // fallback-completed requests, deadline misses, and fault retries, the
 // same events the serve/tile<i>/ counters record.
 type Breaker struct {
-	cfg       Config
-	start     time.Time
-	bucketDur time.Duration
+	start time.Time
 
 	mu     sync.Mutex
 	tiles  []*brTile
@@ -158,20 +159,10 @@ type Breaker struct {
 	probes, reroutes                  uint64
 }
 
-func newBreaker(cfg Config, tiles int) *Breaker {
-	if tiles < 1 {
-		tiles = 1
-	}
-	b := &Breaker{
-		cfg:       cfg,
-		start:     time.Now(),
-		bucketDur: cfg.Window / windowBuckets,
-	}
-	if b.bucketDur <= 0 {
-		b.bucketDur = time.Millisecond
-	}
-	for i := 0; i < tiles; i++ {
-		b.tiles = append(b.tiles, &brTile{c: Circuit{Dwell: cfg.OpenFor, Probes: cfg.Probes}})
+func newBreaker(tiles int) *Breaker {
+	b := &Breaker{start: time.Now()}
+	for i := 0; i < max(1, tiles); i++ {
+		b.tiles = append(b.tiles, &brTile{c: Circuit{Dwell: openFor, Probes: probes}})
 	}
 	return b
 }
@@ -180,7 +171,7 @@ func newBreaker(cfg Config, tiles int) *Breaker {
 // time before the breaker was built counts as epoch 0, so the ring index
 // epoch % windowBuckets never goes negative.
 func (b *Breaker) epochAt(now time.Time) int64 {
-	return max(0, int64(now.Sub(b.start)/b.bucketDur))
+	return max(0, int64(now.Sub(b.start)/bucketDur))
 }
 
 // record appends a transition event to the bounded timeline ring.
@@ -230,7 +221,7 @@ func (b *Breaker) NoteReroute(n int) {
 // Observe feeds one batch outcome on tile into the breaker: reqs
 // requests completed, fails of which were failure events. Closed
 // breakers evaluate the trip condition; half-open breakers grade the
-// probe stream (any failure re-opens, cfg.Probes successes re-close).
+// probe stream (any failure re-opens, probes successes re-close).
 func (b *Breaker) Observe(tile int, reqs, fails uint64, now time.Time) {
 	if reqs == 0 && fails == 0 {
 		return
@@ -256,7 +247,7 @@ func (b *Breaker) Observe(tile int, reqs, fails uint64, now time.Time) {
 				wf += t.fails[i]
 			}
 		}
-		if wr >= uint64(b.cfg.MinVolume) && float64(wf) >= b.cfg.TripRate*float64(wr) {
+		if wr >= minVolume && float64(wf) >= tripRate*float64(wr) {
 			t.c.Open(now)
 			t.lastTrip = now
 			t.trips++

@@ -71,9 +71,6 @@ func newCache(maxBytes int64) *Cache {
 	return &Cache{maxBytes: maxBytes, entries: make(map[Key]*list.Element)}
 }
 
-// MaxBytes returns the configured byte budget.
-func (c *Cache) MaxBytes() int64 { return c.maxBytes }
-
 // Get looks up the cached response for (schema, op, payload). A hash hit
 // whose stored request payload differs byte-for-byte is a collision and
 // reports a miss. The returned slice is shared — callers must not

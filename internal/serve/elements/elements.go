@@ -43,8 +43,8 @@ import (
 	"time"
 )
 
-// Config selects and tunes the element chain. The zero value disables
-// every element; zero tuning fields select the defaults noted on them.
+// Config selects the element chain and its one tuning. The zero value
+// disables every element.
 type Config struct {
 	// Admission enables per-client token-bucket admission control.
 	Admission bool
@@ -54,74 +54,50 @@ type Config struct {
 	Cache bool
 
 	// FillRate is each client's sustained admission rate in requests per
-	// second (default 2000).
+	// second (default 2000). A client's bucket holds burstSeconds of it.
 	FillRate float64
-	// Burst is each client's bucket capacity in requests; bursts up to
-	// this size pass even at zero sustained budget (default 2×FillRate).
-	Burst float64
-
-	// Window is the breaker's rolling failure-rate window (default 1s).
-	Window time.Duration
-	// TripRate is the failure fraction over Window that opens a closed
-	// breaker (default 0.5). Failure events are fallback-completed
-	// requests, deadline misses, and fault retries, so the ratio can
-	// exceed 1 on a badly faulted tile.
-	TripRate float64
-	// MinVolume is the minimum request volume in Window before TripRate
-	// is evaluated — a floor against tripping on tiny samples (default 16).
-	MinVolume int
-	// OpenFor is how long an open breaker dwells before half-opening
-	// (default 500ms).
-	OpenFor time.Duration
-	// Probes is the half-open probe budget: at most this many requests
-	// route to the tile while half-open; any observed failure re-opens,
-	// this many observed successes re-close (default 8).
-	Probes int
-
-	// CacheBytes bounds the cache's payload memory (request + response
-	// bytes per entry); LRU entries evict past it (default 16MiB).
-	CacheBytes int64
 }
 
-// Defaults, exported so flag help and /statusz can echo them.
+// DefaultFillRate is the admission rate a zero FillRate selects.
+const DefaultFillRate = 2000.0
+
+// The chain's fixed tunings. Every workload and deployment runs these
+// values, so none is a setting.
 const (
-	DefaultFillRate   = 2000.0
-	DefaultWindow     = time.Second
-	DefaultTripRate   = 0.5
-	DefaultMinVolume  = 16
-	DefaultOpenFor    = 500 * time.Millisecond
-	DefaultProbes     = 8
-	DefaultCacheBytes = 16 << 20
+	// burstSeconds sizes a client's bucket: it holds this many seconds
+	// of its fill rate, so bursts up to that size pass even at zero
+	// sustained budget.
+	burstSeconds = 2
+
+	// window is the breaker's rolling failure-rate window.
+	window = time.Second
+	// tripRate is the failure fraction over window that opens a closed
+	// breaker. Failure events are fallback-completed requests, deadline
+	// misses, and fault retries, so the ratio can exceed 1 on a badly
+	// faulted tile.
+	tripRate = 0.5
+	// minVolume is the request volume in window below which tripRate is
+	// not evaluated: a floor against tripping on tiny samples.
+	minVolume = 16
+	// openFor is how long an open breaker dwells before half-opening.
+	openFor = 500 * time.Millisecond
+	// probes is the half-open probe budget: at most this many requests
+	// route to the tile while half-open; any observed failure re-opens,
+	// this many observed successes re-close.
+	probes = 8
+
+	// cacheBytes bounds the cache's payload memory (request + response
+	// bytes per entry); LRU entries evict past it.
+	cacheBytes = 16 << 20
 )
 
 func (c Config) withDefaults() Config {
 	// `!(x > 0)` instead of `x <= 0`: the comparison must also catch NaN,
-	// which `<= 0` lets through into the admission refill arithmetic and
-	// the breaker's trip test. An infinite rate is rejected too; neither
-	// encodes as JSON, so either would also empty /statusz.
+	// which `<= 0` lets through into the admission refill arithmetic. An
+	// infinite rate is rejected too; neither encodes as JSON, so either
+	// would also empty /statusz.
 	if !(c.FillRate > 0) || math.IsInf(c.FillRate, 0) {
 		c.FillRate = DefaultFillRate
-	}
-	if !(c.Burst > 0) || math.IsInf(c.Burst, 0) {
-		c.Burst = 2 * c.FillRate
-	}
-	if c.Window <= 0 {
-		c.Window = DefaultWindow
-	}
-	if !(c.TripRate > 0) || math.IsInf(c.TripRate, 0) {
-		c.TripRate = DefaultTripRate
-	}
-	if c.MinVolume <= 0 {
-		c.MinVolume = DefaultMinVolume
-	}
-	if c.OpenFor <= 0 {
-		c.OpenFor = DefaultOpenFor
-	}
-	if c.Probes <= 0 {
-		c.Probes = DefaultProbes
-	}
-	if c.CacheBytes <= 0 {
-		c.CacheBytes = DefaultCacheBytes
 	}
 	return c
 }
@@ -157,7 +133,7 @@ func (c Config) Spec() string {
 
 // ParseSpec parses a -elements flag value: "" or "off" disables the
 // chain, "all" enables every element, otherwise a comma-separated subset
-// of admission, breaker, cache. Tuning fields stay zero (defaults).
+// of admission, breaker, cache. FillRate stays zero (the default).
 func ParseSpec(spec string) (Config, error) {
 	var c Config
 	switch spec {
@@ -208,13 +184,13 @@ func New(cfg Config, tiles int) *Chain {
 	cfg = cfg.withDefaults()
 	ch := &Chain{cfg: cfg}
 	if cfg.Admission {
-		ch.Admission = newAdmission(cfg.FillRate, cfg.Burst)
+		ch.Admission = newAdmission(cfg.FillRate)
 	}
 	if cfg.Breaker {
-		ch.Breaker = newBreaker(cfg, tiles)
+		ch.Breaker = newBreaker(tiles)
 	}
 	if cfg.Cache {
-		ch.Cache = newCache(cfg.CacheBytes)
+		ch.Cache = newCache(cacheBytes)
 	}
 	return ch
 }

@@ -69,24 +69,25 @@ func TestChainNilWhenOff(t *testing.T) {
 
 func TestChainDefaults(t *testing.T) {
 	ch := New(Config{Admission: true, Breaker: true, Cache: true}, 2)
-	cfg := ch.Config()
-	if cfg.FillRate != DefaultFillRate || cfg.Burst != 2*DefaultFillRate {
-		t.Errorf("admission defaults: fill=%g burst=%g", cfg.FillRate, cfg.Burst)
-	}
-	if cfg.Window != DefaultWindow || cfg.TripRate != DefaultTripRate ||
-		cfg.MinVolume != DefaultMinVolume || cfg.OpenFor != DefaultOpenFor || cfg.Probes != DefaultProbes {
-		t.Errorf("breaker defaults: %+v", cfg)
-	}
-	if cfg.CacheBytes != DefaultCacheBytes {
-		t.Errorf("cache default bytes = %d", cfg.CacheBytes)
-	}
 	if ch.Admission == nil || ch.Breaker == nil || ch.Cache == nil {
 		t.Fatalf("all-on chain has nil element: %+v", ch)
+	}
+	if got := ch.Config().FillRate; got != DefaultFillRate {
+		t.Errorf("default fill rate = %g, want %g", got, DefaultFillRate)
+	}
+	if a := ch.Admission; a.fillRate != DefaultFillRate || a.burst != 2*DefaultFillRate {
+		t.Errorf("admission: fill=%g burst=%g, want %g and twice it", a.fillRate, a.burst, DefaultFillRate)
+	}
+	if c := ch.Breaker.tiles[1].c; c.Dwell != 500*time.Millisecond || c.Probes != 8 {
+		t.Errorf("breaker circuit: dwell=%v probes=%d, want 500ms and 8", c.Dwell, c.Probes)
+	}
+	if got := ch.Cache.maxBytes; got != 16<<20 {
+		t.Errorf("cache budget = %d, want 16MiB", got)
 	}
 }
 
 func TestAdmissionBurstThenThrottle(t *testing.T) {
-	a := newAdmission(10, 3) // 10 tokens/s, burst 3
+	a := newAdmission(1.5) // 1.5 tokens/s, burst 3
 	now := time.Unix(1000, 0)
 	for i := 0; i < 3; i++ {
 		if !a.Allow("c", now) {
@@ -103,16 +104,16 @@ func TestAdmissionBurstThenThrottle(t *testing.T) {
 }
 
 func TestAdmissionRefill(t *testing.T) {
-	a := newAdmission(10, 3)
+	a := newAdmission(2) // burst 4
 	now := time.Unix(1000, 0)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		a.Allow("c", now)
 	}
 	if a.Allow("c", now) {
 		t.Fatal("empty bucket allowed")
 	}
-	// 100ms refills one token at 10/s.
-	now = now.Add(100 * time.Millisecond)
+	// 500ms refills one token at 2/s.
+	now = now.Add(500 * time.Millisecond)
 	if !a.Allow("c", now) {
 		t.Fatal("refilled token not granted")
 	}
@@ -121,7 +122,7 @@ func TestAdmissionRefill(t *testing.T) {
 	}
 	// A long idle caps at burst, not unbounded credit.
 	now = now.Add(time.Hour)
-	for i := 0; i < 3; i++ {
+	for i := 0; i < 4; i++ {
 		if !a.Allow("c", now) {
 			t.Fatalf("request %d within refilled burst throttled", i)
 		}
@@ -132,7 +133,7 @@ func TestAdmissionRefill(t *testing.T) {
 }
 
 func TestAdmissionClientsIndependent(t *testing.T) {
-	a := newAdmission(10, 2)
+	a := newAdmission(1) // burst 2
 	now := time.Unix(1000, 0)
 	a.Allow("a", now)
 	a.Allow("a", now)
@@ -148,7 +149,7 @@ func TestAdmissionClientsIndependent(t *testing.T) {
 }
 
 func TestAdmissionSweep(t *testing.T) {
-	a := newAdmission(10, 2) // refill horizon = 200ms
+	a := newAdmission(10) // refill horizon = burstSeconds
 	now := time.Unix(1000, 0)
 	for i := 0; i < maxClients; i++ {
 		a.Allow(fmt.Sprintf("c%d", i), now)
@@ -157,7 +158,7 @@ func TestAdmissionSweep(t *testing.T) {
 		t.Fatalf("Clients() = %d, want %d", a.Clients(), maxClients)
 	}
 	// All existing buckets have fully refilled; a new insert sweeps them.
-	now = now.Add(time.Second)
+	now = now.Add(burstSeconds*time.Second + time.Millisecond)
 	a.Allow("fresh", now)
 	if n := a.Clients(); n != 1 {
 		t.Fatalf("Clients() after sweep = %d, want 1", n)
@@ -169,25 +170,23 @@ func TestAdmissionSweep(t *testing.T) {
 // rate produced an Inf/NaN float whose time.Duration conversion is
 // implementation-defined (minInt64 on amd64 — a negative horizon that
 // drops every bucket; a +Inf-as-maxInt64 horizon never sweeps any).
-// Degenerate rates must be clamped at construction, and the sweep itself
-// must stay sane even with a hand-corrupted rate.
+// Degenerate rates must be clamped when the chain is built, and the
+// sweep must then drop exactly the idle buckets.
 func TestAdmissionSweepDegenerateRates(t *testing.T) {
 	now := time.Unix(1000, 0)
 	for _, tc := range []struct {
-		name             string
-		fillRate, burst  float64
-		wantRate, wantBt float64
+		name               string
+		fillRate, wantRate float64
 	}{
-		{"zero", 0, 0, DefaultFillRate, 2 * DefaultFillRate},
-		{"negative", -5, -10, DefaultFillRate, 2 * DefaultFillRate},
-		{"nan", math.NaN(), math.NaN(), DefaultFillRate, 2 * DefaultFillRate},
-		{"inf", math.Inf(1), math.Inf(1), DefaultFillRate, 2 * DefaultFillRate},
-		{"zero-burst", 10, math.NaN(), 10, 20},
+		{"zero", 0, DefaultFillRate},
+		{"negative", -5, DefaultFillRate},
+		{"nan", math.NaN(), DefaultFillRate},
+		{"inf", math.Inf(1), DefaultFillRate},
+		{"finite", 10, 10},
 	} {
-		a := newAdmission(tc.fillRate, tc.burst)
-		if a.FillRate() != tc.wantRate || a.Burst() != tc.wantBt {
-			t.Errorf("%s: clamped to (rate=%v, burst=%v), want (%v, %v)",
-				tc.name, a.FillRate(), a.Burst(), tc.wantRate, tc.wantBt)
+		a := New(Config{Admission: true, FillRate: tc.fillRate}, 1).Admission
+		if a.FillRate() != tc.wantRate || a.burst != burstSeconds*tc.wantRate {
+			t.Errorf("%s: clamped to (rate=%v, burst=%v), want rate %v", tc.name, a.FillRate(), a.burst, tc.wantRate)
 		}
 		// The sweep must neither drop a just-filled bucket (negative
 		// horizon) nor refuse to drop a long-idle one (infinite horizon).
@@ -198,47 +197,18 @@ func TestAdmissionSweepDegenerateRates(t *testing.T) {
 			t.Errorf("%s: sweep kept %d clients, want 1 (idle dropped, live kept)", tc.name, a.Clients())
 		}
 	}
-
-	// Even if a degenerate rate reaches the sweep directly (bypassing the
-	// construction clamp), the horizon falls back instead of going
-	// negative or non-finite.
-	a := newAdmission(10, 20)
-	a.Allow("live", now)
-	a.fillRate = 0 // burst/0 → +Inf
-	a.sweepLocked(now)
-	if a.Clients() != 1 {
-		t.Fatalf("inf horizon sweep dropped a just-filled bucket (%d clients left)", a.Clients())
-	}
-	a.fillRate = math.NaN()
-	a.sweepLocked(now)
-	if a.Clients() != 1 {
-		t.Fatalf("NaN horizon sweep dropped a just-filled bucket (%d clients left)", a.Clients())
-	}
 }
 
-// The chain's config defaulting must be equally NaN-safe: `<= 0` is
-// false for NaN, so a NaN FillRate used to pass straight through
-// withDefaults into the admission element.
+// The chain's config defaulting must be NaN-safe: `<= 0` is false for
+// NaN, so a NaN FillRate used to pass straight through withDefaults into
+// the admission element, and its burst with it.
 func TestConfigWithDefaultsNaNSafe(t *testing.T) {
-	cfg := Config{Admission: true, FillRate: math.NaN(), Burst: math.Inf(1)}.withDefaults()
-	if cfg.FillRate != DefaultFillRate || cfg.Burst != 2*DefaultFillRate {
-		t.Fatalf("withDefaults kept degenerate rates: fill=%v burst=%v", cfg.FillRate, cfg.Burst)
+	if cfg := (Config{Admission: true, FillRate: math.NaN()}).withDefaults(); cfg.FillRate != DefaultFillRate {
+		t.Fatalf("withDefaults kept a degenerate rate: fill=%v", cfg.FillRate)
 	}
 	ch := New(Config{Admission: true, FillRate: math.NaN()}, 1)
-	if ch.Admission.FillRate() != DefaultFillRate {
-		t.Fatalf("chain admission built with NaN fill rate: %v", ch.Admission.FillRate())
-	}
-	// A NaN or infinite trip rate must not turn the breaker off: a window
-	// where every request failed still trips it.
-	for _, rate := range []float64{math.NaN(), math.Inf(1)} {
-		if got := (Config{Breaker: true, TripRate: rate}).withDefaults().TripRate; got != DefaultTripRate {
-			t.Errorf("withDefaults kept trip rate %v as %v", rate, got)
-		}
-		ch := New(Config{Breaker: true, TripRate: rate, MinVolume: 1}, 2)
-		ch.Breaker.Observe(1, 100, 100, ch.Breaker.start)
-		if got := ch.Breaker.StateOf(1); got != StateOpen {
-			t.Errorf("trip rate %v: tile 1 is %v after 100 of 100 requests failed, want open", rate, got)
-		}
+	if a := ch.Admission; a.FillRate() != DefaultFillRate || a.burst != burstSeconds*DefaultFillRate {
+		t.Fatalf("chain admission built with fill rate %v, burst %v", a.FillRate(), a.burst)
 	}
 }
 
@@ -329,14 +299,12 @@ func TestCircuit(t *testing.T) {
 	}
 }
 
-// drillBreaker builds a breaker with a fast test config: 80ms window
-// (10ms buckets), trip at 50% over ≥4 requests, 50ms open dwell, 2
-// probes.
+// drillBreaker builds a breaker at the fixed tunings (1s window in
+// 125ms buckets, trip at 50% over at least minVolume requests, openFor
+// dwell, probes half-open budget) and returns its start time, which the
+// tests advance by hand.
 func drillBreaker(tiles int) (*Breaker, time.Time) {
-	b := newBreaker(Config{
-		Window: 80 * time.Millisecond, TripRate: 0.5, MinVolume: 4,
-		OpenFor: 50 * time.Millisecond, Probes: 2,
-	}.withDefaults(), tiles)
+	b := newBreaker(tiles)
 	return b, b.start
 }
 
@@ -348,8 +316,8 @@ func TestBreakerTripHalfOpenReclose(t *testing.T) {
 	if got := b.StateOf(0); got != StateClosed {
 		t.Fatalf("healthy tile state = %v", got)
 	}
-	// A failure burst past MinVolume and TripRate trips tile 1 only.
-	b.Observe(1, 8, 8, now)
+	// A failure burst past minVolume and tripRate trips tile 1 only.
+	b.Observe(1, minVolume, minVolume, now)
 	if got := b.StateOf(1); got != StateOpen {
 		t.Fatalf("faulted tile state = %v, want open", got)
 	}
@@ -365,24 +333,22 @@ func TestBreakerTripHalfOpenReclose(t *testing.T) {
 
 	// Dwell expiry: the next Routable transitions to half-open and admits
 	// probes up to the budget.
-	now = now.Add(60 * time.Millisecond)
-	if !b.Routable(1, now) {
-		t.Fatal("expired open tile did not half-open")
+	now = now.Add(openFor)
+	for i := 0; i < probes; i++ {
+		if !b.Routable(1, now) {
+			t.Fatalf("probe %d rejected within budget", i)
+		}
+		if got := b.StateOf(1); got != StateHalfOpen {
+			t.Fatalf("state after dwell = %v, want half-open", got)
+		}
+		b.NoteRouted(1, 1, now)
 	}
-	if got := b.StateOf(1); got != StateHalfOpen {
-		t.Fatalf("state after dwell = %v, want half-open", got)
-	}
-	b.NoteRouted(1, 1, now)
-	if !b.Routable(1, now) {
-		t.Fatal("second probe rejected within budget")
-	}
-	b.NoteRouted(1, 1, now)
 	if b.Routable(1, now) {
-		t.Fatal("probe budget (2) not enforced")
+		t.Fatalf("probe budget (%d) not enforced", probes)
 	}
 
-	// Two clean probes re-close; the window starts fresh.
-	b.Observe(1, 2, 0, now)
+	// Clean probes re-close; the window starts fresh.
+	b.Observe(1, probes, 0, now)
 	if got := b.StateOf(1); got != StateClosed {
 		t.Fatalf("state after clean probes = %v, want closed", got)
 	}
@@ -397,8 +363,8 @@ func TestBreakerTripHalfOpenReclose(t *testing.T) {
 
 func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 	b, now := drillBreaker(1)
-	b.Observe(0, 8, 8, now)
-	now = now.Add(60 * time.Millisecond)
+	b.Observe(0, minVolume, minVolume, now)
+	now = now.Add(openFor)
 	if !b.Routable(0, now) {
 		t.Fatal("did not half-open")
 	}
@@ -408,33 +374,35 @@ func TestBreakerHalfOpenFailureReopens(t *testing.T) {
 		t.Fatalf("state after failed probe = %v, want open", got)
 	}
 	// The re-open restarts the dwell from the probe failure.
-	if b.Routable(0, now.Add(10*time.Millisecond)) {
+	if b.Routable(0, now.Add(openFor-time.Millisecond)) {
 		t.Fatal("re-opened breaker routable before a fresh dwell")
 	}
-	if !b.Routable(0, now.Add(60*time.Millisecond)) {
+	if !b.Routable(0, now.Add(openFor)) {
 		t.Fatal("re-opened breaker did not half-open after a fresh dwell")
 	}
 }
 
 func TestBreakerMinVolume(t *testing.T) {
 	b, now := drillBreaker(1)
-	// 3 failures out of 3 is a 100% failure rate but under MinVolume=4.
-	b.Observe(0, 3, 3, now)
+	// A 100% failure rate under minVolume requests does not trip.
+	b.Observe(0, minVolume-1, minVolume-1, now)
 	if got := b.StateOf(0); got != StateClosed {
-		t.Fatalf("tripped under MinVolume: %v", got)
+		t.Fatalf("tripped under minVolume: %v", got)
 	}
 	b.Observe(0, 1, 1, now)
 	if got := b.StateOf(0); got != StateOpen {
-		t.Fatalf("did not trip at MinVolume: %v", got)
+		t.Fatalf("did not trip at minVolume: %v", got)
 	}
 }
 
 func TestBreakerWindowExpiry(t *testing.T) {
 	b, now := drillBreaker(1)
-	// Failures older than the window must not count toward a trip.
-	b.Observe(0, 3, 3, now)
-	now = now.Add(200 * time.Millisecond) // well past the 80ms window
-	b.Observe(0, 2, 1, now)               // 1/2 failures in-window: volume too low, rate met but stale failures gone
+	// Failures older than the window must not count toward a trip: with
+	// them, the window below would hold minVolume+1 requests, over half
+	// of them failed.
+	b.Observe(0, minVolume-1, minVolume-1, now)
+	now = now.Add(2 * window)
+	b.Observe(0, 2, 1, now)
 	if got := b.StateOf(0); got != StateClosed {
 		t.Fatalf("stale failures tripped the breaker: %v", got)
 	}
@@ -447,24 +415,24 @@ func TestBreakerWindowExpiry(t *testing.T) {
 func TestBreakerObserveBeforeStart(t *testing.T) {
 	b, start := drillBreaker(1)
 	// Times before the breaker was built land in its first bucket.
-	b.Observe(0, 3, 3, start.Add(-15*time.Millisecond))
+	b.Observe(0, minVolume-1, minVolume-1, start.Add(-15*time.Millisecond))
 	b.Observe(0, 1, 1, start.Add(-25*time.Millisecond))
 	if got := b.StateOf(0); got != StateOpen {
-		t.Fatalf("state after 4/4 failures = %v, want open", got)
+		t.Fatalf("state after %d/%d failures = %v, want open", minVolume, minVolume, got)
 	}
 	st := b.TileStates(start)[0]
-	if st.WindowRequests != 4 || st.WindowFailures != 4 {
-		t.Fatalf("window = %d/%d, want 4/4", st.WindowFailures, st.WindowRequests)
+	if st.WindowRequests != minVolume || st.WindowFailures != minVolume {
+		t.Fatalf("window = %d/%d, want %d/%d", st.WindowFailures, st.WindowRequests, minVolume, minVolume)
 	}
 }
 
 func TestBreakerEvents(t *testing.T) {
 	b, now := drillBreaker(1)
-	b.Observe(0, 8, 8, now)
-	now = now.Add(60 * time.Millisecond)
+	b.Observe(0, minVolume, minVolume, now)
+	now = now.Add(openFor)
 	b.Routable(0, now)
-	b.NoteRouted(0, 2, now)
-	b.Observe(0, 2, 0, now)
+	b.NoteRouted(0, probes, now)
+	b.Observe(0, probes, 0, now)
 	evs := b.Events()
 	want := []string{"closed→open", "open→half-open", "half-open→closed"}
 	if len(evs) != len(want) {

@@ -26,7 +26,7 @@ func (o *Options) RegisterFlags(fs *flag.FlagSet) {
 }
 
 // elementsFlag is the -elements flag.Value. It sets only the enable
-// bits, so tuning fields bound to other flags keep their values whatever
+// bits, so the FillRate that -admit-rate binds keeps its value whatever
 // the argument order.
 type elementsFlag elements.Config
 

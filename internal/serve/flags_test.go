@@ -38,11 +38,11 @@ func TestOptionsRegisterFlags(t *testing.T) {
 		{args: "-faults 0.02 -fault-seed 7", want: Options{Faults: fault(0.02, "", 7)}},
 		{args: "-fault-seed 7 -faults 0.02", want: Options{Faults: fault(0.02, "", 7)}},
 		{
-			// -admit-rate and -cache-bytes are bound the way protoaccd binds
-			// them; a later -elements must not reset them.
-			args: "-admit-rate 5 -cache-bytes 1024 -elements all",
+			// -admit-rate is bound the way protoaccd binds it; a later
+			// -elements must not reset it.
+			args: "-admit-rate 5 -elements all",
 			want: Options{
-				Elements: elements.Config{Admission: true, Breaker: true, Cache: true, FillRate: 5, CacheBytes: 1024},
+				Elements: elements.Config{Admission: true, Breaker: true, Cache: true, FillRate: 5},
 				Faults:   faults.Config{Seed: 1},
 			},
 		},
@@ -62,7 +62,6 @@ func TestOptionsRegisterFlags(t *testing.T) {
 		fs.SetOutput(io.Discard)
 		got.RegisterFlags(fs)
 		fs.Float64Var(&got.Elements.FillRate, "admit-rate", 0, "")
-		fs.Int64Var(&got.Elements.CacheBytes, "cache-bytes", 0, "")
 		err := fs.Parse(strings.Fields(c.args))
 		if c.wantErr {
 			if err == nil {

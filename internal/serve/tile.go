@@ -37,7 +37,7 @@ type tile struct {
 	obs  *tileObs // this tile's shard of the observability plane
 
 	queue chan batchJob // admission → dispatcher (bounded, routed by Server)
-	work  chan batchJob // dispatcher → executors (MaxBatch-sized chunks)
+	work  chan batchJob // dispatcher → executors (at most MaxBatch pendings each)
 
 	wg sync.WaitGroup // dispatcher + executors
 
@@ -201,24 +201,15 @@ func (t *tile) dispatch() {
 		}
 		timerC = timer.C
 	}
-	// flush hands the group to the executors in MaxBatch-sized chunks: a
-	// queued job may carry several pendings, so the accumulated group can
-	// exceed MaxBatch even though singles flush exactly at the cap —
-	// submitting it whole would overrun the batch size the Systems were
-	// sized for.
+	// flush hands the group to the executors as one batch. Only submit
+	// queues jobs that are not preformed, each with one pending, and a
+	// group flushes the moment it reaches MaxBatch, so no group exceeds
+	// it.
 	flush := func(k batchKey) {
 		g := groups[k]
 		delete(groups, k)
 		rearmDue = true
-		pendings := g.pendings
-		for len(pendings) > 0 {
-			n := len(pendings)
-			if n > t.srv.opts.MaxBatch {
-				n = t.srv.opts.MaxBatch
-			}
-			t.work <- batchJob{key: k, pendings: pendings[:n:n]}
-			pendings = pendings[n:]
-		}
+		t.work <- batchJob{key: k, pendings: g.pendings}
 	}
 	handle := func(job batchJob) {
 		now := time.Now()

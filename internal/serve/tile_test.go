@@ -416,53 +416,6 @@ func TestTileAbsorbAllocs(t *testing.T) {
 	}
 }
 
-// A queued job carrying more pendings than MaxBatch must be flushed in
-// MaxBatch-sized chunks: submitting the accumulated group whole would
-// produce a batch larger than the Systems were sized for. 9 pendings at
-// MaxBatch 4 must run as ceil(9/4) = 3 batches, not 1.
-func TestDispatchFlushChunksAtMaxBatch(t *testing.T) {
-	opts := testOptions() // MaxBatch 4
-	opts.Workers = 1
-	srv, err := NewServer(opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	entry := srv.Catalog().Lookup("varint")
-	const n = 9
-	var pendings []*pending
-	for i := 0; i < n; i++ {
-		p, ok := srv.admit("test", Request{ID: uint64(i + 1), Op: OpDeserialize, Schema: "varint", Payload: entry.SamplePayload(i)}, nil)
-		if !ok {
-			t.Fatalf("request %d rejected at admission: %+v", i, <-p.resp)
-		}
-		pendings = append(pendings, p)
-	}
-	// A single non-preformed job carrying every pending: the dispatcher
-	// must not hand this to an executor in one piece.
-	srv.tiles[0].queue <- batchJob{key: batchKey{schema: "varint", op: OpDeserialize}, pendings: pendings}
-	for i, p := range pendings {
-		resp := <-p.resp
-		if resp.Status != StatusOK {
-			t.Fatalf("pending %d: status %v: %s", i, resp.Status, resp.Payload)
-		}
-		if !bytes.Equal(resp.Payload, entry.SamplePayload(i)) {
-			t.Errorf("pending %d: payload diverges", i)
-		}
-	}
-	srv.Close()
-	snap := srv.TelemetrySnapshot()
-	batches, _ := snap.Get("serve/batches")
-	batchReqs, _ := snap.Get("serve/batch_requests")
-	if batchReqs != n {
-		t.Errorf("batch_requests = %v, want %d", batchReqs, n)
-	}
-	want := float64((n + opts.MaxBatch - 1) / opts.MaxBatch)
-	if batches != want {
-		t.Errorf("a %d-pending job at MaxBatch %d ran as %v batches, want %v (MaxBatch-sized chunks)",
-			n, opts.MaxBatch, batches, want)
-	}
-}
-
 // The dispatcher's arrival record, fed fabricated take times. With a
 // weight of 1/8, a 2 ms mean gap falls below a 200µs window after 20
 // gaps of 50µs, not 19.

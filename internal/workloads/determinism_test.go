@@ -24,8 +24,7 @@ func deterministicOptions(tiles int) serve.Options {
 	// Chain on: the full element set must not perturb tile-count
 	// independence (admission and cache sit before the router; the
 	// breaker is event-driven off the same deterministic stream).
-	o.Elements = elements.Config{Admission: true, Breaker: true, Cache: true,
-		FillRate: 1e6, Burst: 1e6}
+	o.Elements = elements.Config{Admission: true, Breaker: true, Cache: true, FillRate: 1e6}
 	return o
 }
 
@@ -99,7 +98,7 @@ func compareRuns(t *testing.T, label string, ra, rb []respRecord, ca, cb map[str
 // element chain on — must produce bitwise-identical responses and
 // identical aggregated serve/ counters on a 1-tile and a 4-tile server.
 func TestTraceReplayTileDeterminism(t *testing.T) {
-	tr, err := Synthesize(SynthOptions{Seed: 42, Records: 200, Keys: 32})
+	tr, err := Synthesize(SynthOptions{Seed: 42, Records: 200})
 	if err != nil {
 		t.Fatal(err)
 	}

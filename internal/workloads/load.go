@@ -13,9 +13,9 @@
 //     trace. Each key is assigned a schema and a sample payload once,
 //     with the schema mix weighted by the fleet field-type distribution
 //     (Figure 4a) and the payload size drawn from the fleet message-size
-//     distribution (Figure 3, or a live fleet.Sampler's observed
-//     shares); record keys follow a Zipf popularity ranking, the same
-//     hot-key machinery loadgen's -skew mode uses.
+//     distribution (Figure 3); record keys follow a Zipf(1.2)
+//     popularity ranking over 512 keys, the same hot-key machinery
+//     loadgen's -skew mode uses.
 //   - Request sources (Source): a catalog walk (CatalogSource, uniform
 //     or Zipf-skewed over one schema's samples — a loadgen pass) or a
 //     trace sharded contiguously over workers (Trace.Source).
@@ -263,8 +263,8 @@ type LoadOptions struct {
 
 // LoadReport is one Run's outcome.
 type LoadReport struct {
-	Tally   Tally // merged over the workers
-	Elapsed time.Duration
+	Tally   Tally         // merged over the workers
+	Elapsed time.Duration // at least Duration for a paced run
 }
 
 // Run drives the source's records through the serving path with
@@ -301,7 +301,10 @@ func Run(o LoadOptions) (*LoadReport, error) {
 	tallies := make([]*Tally, workers) // one per worker, merged after Wait
 	var interval time.Duration
 	if o.RatePerSec > 0 {
-		interval = time.Duration(float64(workers) / o.RatePerSec * float64(time.Second))
+		// Capped at a century, so a tiny rate cannot overflow the
+		// conversion to a Duration, nor the stagger below.
+		const century = 100 * 365 * 24 * 3600
+		interval = time.Duration(min(float64(workers)/o.RatePerSec, century) * float64(time.Second))
 	}
 	var wg sync.WaitGroup
 	start := time.Now()
@@ -312,10 +315,12 @@ func Run(o LoadOptions) (*LoadReport, error) {
 		go func() {
 			defer wg.Done()
 			// Paced workers start staggered across one interval.
-			next := start.Add(time.Duration(w) * interval / time.Duration(workers))
+			next := start.Add(interval / time.Duration(workers) * time.Duration(w))
 			for i := 0; ; i++ {
+				// A paced worker stops at a send scheduled at or past the
+				// end of the run, rather than sleeping until it is due.
 				now := time.Now()
-				if o.Duration > 0 && now.Sub(start) >= o.Duration {
+				if o.Duration > 0 && (now.Sub(start) >= o.Duration || interval > 0 && next.Sub(start) >= o.Duration) {
 					return
 				}
 				rec, more := nexts[w](i)
@@ -353,6 +358,11 @@ func Run(o LoadOptions) (*LoadReport, error) {
 	wg.Wait()
 
 	rep := &LoadReport{Elapsed: time.Since(start)}
+	if interval > 0 {
+		// Paced workers stop early rather than overrun, but the run
+		// spans its Duration: that is the window the rate is over.
+		rep.Elapsed = max(rep.Elapsed, o.Duration)
+	}
 	for _, t := range tallies {
 		rep.Tally.Merge(t)
 	}

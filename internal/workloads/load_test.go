@@ -70,6 +70,37 @@ func TestLoadgenOpenLoopCoordinatedOmission(t *testing.T) {
 	}
 }
 
+// A paced worker stops at a send scheduled at or past the end of the
+// run. It used to sleep until that send was due and send it, so 2
+// workers at 1 req/s for 50ms ran for 2s and sent 3 requests; and 10
+// workers at 1e-10 req/s overflowed the pacing interval into a negative
+// Duration and ran closed-loop.
+func TestLoadgenPacedStopsAtDuration(t *testing.T) {
+	for _, tc := range []struct {
+		workers int
+		rate    float64
+	}{{2, 1}, {10, 1e-10}} {
+		o := passOptions(func() (serve.Doer, error) { return slowDoer{}, nil }, 50*time.Millisecond)
+		o.Workers, o.RatePerSec = tc.workers, tc.rate
+		start := time.Now()
+		rep, err := Run(o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if took := time.Since(start); took >= time.Second {
+			t.Errorf("%d workers at %g req/s: a 50ms paced run took %v", tc.workers, tc.rate, took)
+		}
+		if rep.Elapsed != o.Duration {
+			t.Errorf("%d workers at %g req/s: Elapsed = %v, want the run's Duration %v", tc.workers, tc.rate, rep.Elapsed, o.Duration)
+		}
+		// Worker 0 sends at the start; every other send falls due past
+		// the end.
+		if n := rep.Tally.Requests; n != 1 {
+			t.Errorf("%d workers at %g req/s: sent %d requests, want 1", tc.workers, tc.rate, n)
+		}
+	}
+}
+
 // Closed-loop latency is still measured from the send instant: against
 // the same slow server it must stay near the service time (no pacing, no
 // schedule to fall behind).
@@ -176,7 +207,7 @@ func recordRun(t *testing.T, tr *Trace) []sent {
 // With one worker, a replay sends the trace's (op, schema, payload) in
 // record order.
 func TestRunRequestOrder(t *testing.T) {
-	tr, err := Synthesize(SynthOptions{Seed: 9, Records: 24, Keys: 8})
+	tr, err := Synthesize(SynthOptions{Seed: 9, Records: 24})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -212,7 +243,7 @@ func (d flakyDoer) Close() error { return nil }
 // pass and a replay alike: Errors counts every failed call, Requests
 // counts every call, and Run itself succeeds.
 func TestRunCountsTransportErrors(t *testing.T) {
-	tr, err := Synthesize(SynthOptions{Seed: 10, Records: 60, Keys: 8})
+	tr, err := Synthesize(SynthOptions{Seed: 10, Records: 60})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -30,24 +30,19 @@ type Trace struct {
 type SynthOptions struct {
 	Seed    int64 // RNG seed; same seed + options → identical trace
 	Records int   // trace length (default 4096)
-	Keys    int   // distinct keys (default 512)
-
-	// ZipfS is the popularity skew over key ranks — the same hot-key
-	// machinery as loadgen -skew (rank 0 hottest). Must be > 1;
-	// default 1.2. 0 takes the default.
-	ZipfS float64
 
 	// Catalog supplies schemas and sample payloads; nil selects
 	// serve.DefaultCatalog.
 	Catalog *serve.Catalog
-
-	// Sampler optionally shapes the trace from observed fleet statistics
-	// instead of the published §3 aggregates: its message-size and
-	// field-count shares replace Figure 3 / Figure 4a when it has
-	// samples. An empty sampler falls back to the published data (its
-	// share helpers return zeros, never NaNs).
-	Sampler *fleet.Sampler
 }
+
+const (
+	// traceKeys is the number of distinct keys a trace draws from.
+	traceKeys = 512
+	// zipfS is the popularity skew over key ranks — the same hot-key
+	// machinery as loadgen -skew (rank 0 hottest).
+	zipfS = 1.2
+)
 
 // deserShare is the fleet operation mix: the paper's fleet-wide cycle
 // fractions for C++ deserialization vs serialization (§3.2) as a
@@ -84,19 +79,13 @@ func typeKeys(t *schema.Message, depth int) []fleet.TypeKey {
 }
 
 // schemaWeights scores each catalog schema by the summed fleet share of
-// its field-type slices (Figure 4a, or the sampler's observed version),
-// so schemas whose shapes dominate the fleet dominate the trace. A
-// schema whose types carry zero share still gets a small floor so every
-// hosted schema appears.
-func schemaWeights(names []string, c *serve.Catalog, s *fleet.Sampler) []float64 {
+// its field-type slices (Figure 4a), so schemas whose shapes dominate
+// the fleet dominate the trace. A schema whose types carry zero share
+// still gets a small floor so every hosted schema appears.
+func schemaWeights(names []string, c *serve.Catalog) []float64 {
 	shares := make(map[fleet.TypeKey]float64)
-	if s != nil {
-		shares = s.FieldCountShares() // empty map on an empty sampler
-	}
-	if len(shares) == 0 {
-		for _, ft := range fleet.FieldsByType() {
-			shares[fleet.TypeKey{Kind: ft.Kind, Repeated: ft.Repeated}] += ft.Share
-		}
+	for _, ft := range fleet.FieldsByType() {
+		shares[fleet.TypeKey{Kind: ft.Kind, Repeated: ft.Repeated}] += ft.Share
 	}
 	out := make([]float64, len(names))
 	var total float64
@@ -113,19 +102,8 @@ func schemaWeights(names []string, c *serve.Catalog, s *fleet.Sampler) []float64
 	return out
 }
 
-// sizeShares returns the Figure 3 message-size shares, preferring the
-// sampler's observed distribution when it has samples.
-func sizeShares(s *fleet.Sampler) []float64 {
-	if s != nil {
-		obs := s.MessageSizeShares()
-		var total float64
-		for _, v := range obs {
-			total += v
-		}
-		if total > 0 {
-			return obs
-		}
-	}
+// sizeShares returns the Figure 3 message-size shares.
+func sizeShares() []float64 {
 	out := make([]float64, len(fleet.SizeBucketBounds))
 	for i, b := range fleet.MessageSizes() {
 		out[i] = b.Share
@@ -156,15 +134,6 @@ func Synthesize(opts SynthOptions) (*Trace, error) {
 	if opts.Records <= 0 {
 		opts.Records = 4096
 	}
-	if opts.Keys <= 0 {
-		opts.Keys = 512
-	}
-	if opts.ZipfS == 0 {
-		opts.ZipfS = 1.2
-	}
-	if opts.ZipfS <= 1 {
-		return nil, fmt.Errorf("workloads: zipf s %g invalid (needs s > 1)", opts.ZipfS)
-	}
 	if opts.Catalog == nil {
 		opts.Catalog = serve.DefaultCatalog()
 	}
@@ -174,13 +143,10 @@ func Synthesize(opts SynthOptions) (*Trace, error) {
 	}
 
 	rng := rand.New(rand.NewSource(opts.Seed))
-	zipf := rand.NewZipf(rng, opts.ZipfS, 1, uint64(opts.Keys-1))
-	if zipf == nil {
-		return nil, fmt.Errorf("workloads: rand.NewZipf rejected s=%g imax=%d", opts.ZipfS, opts.Keys-1)
-	}
+	zipf := rand.NewZipf(rng, zipfS, 1, traceKeys-1)
 
-	weights := schemaWeights(names, opts.Catalog, opts.Sampler)
-	sizes := sizeShares(opts.Sampler)
+	weights := schemaWeights(names, opts.Catalog)
+	sizes := sizeShares()
 	dShare := deserShare()
 
 	// Precompute, per schema, which sample payloads land in which Figure 3
@@ -200,7 +166,7 @@ func Synthesize(opts SynthOptions) (*Trace, error) {
 		schema string
 		sample int
 	}
-	bound := make(map[uint64]binding, opts.Keys)
+	bound := make(map[uint64]binding, traceKeys)
 
 	tr := &Trace{Seed: opts.Seed, Records: make([]Record, 0, opts.Records)}
 	for n := 0; n < opts.Records; n++ {

@@ -23,18 +23,18 @@ func testServerOptions() serve.Options {
 // Same seed and options must synthesize the identical trace; different
 // seeds must not.
 func TestSynthesizeDeterministic(t *testing.T) {
-	a, err := Synthesize(SynthOptions{Seed: 7, Records: 512, Keys: 64})
+	a, err := Synthesize(SynthOptions{Seed: 7, Records: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Synthesize(SynthOptions{Seed: 7, Records: 512, Keys: 64})
+	b, err := Synthesize(SynthOptions{Seed: 7, Records: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !reflect.DeepEqual(a, b) {
 		t.Fatal("same seed produced different traces")
 	}
-	c, err := Synthesize(SynthOptions{Seed: 8, Records: 512, Keys: 64})
+	c, err := Synthesize(SynthOptions{Seed: 8, Records: 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -50,7 +50,7 @@ func TestSynthesizeDeterministic(t *testing.T) {
 // occurrence of a key.
 func TestSynthesizeFleetShape(t *testing.T) {
 	cat := serve.DefaultCatalog()
-	tr, err := Synthesize(SynthOptions{Seed: 1, Records: 8192, Keys: 128, Catalog: cat})
+	tr, err := Synthesize(SynthOptions{Seed: 1, Records: 8192, Catalog: cat})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,23 +92,6 @@ func TestSynthesizeFleetShape(t *testing.T) {
 	}
 }
 
-// An empty fleet.Sampler must shape exactly like the published data:
-// its share helpers return zeros (never NaNs), and Synthesize falls back
-// to Figures 3/4a.
-func TestSynthesizeEmptySamplerFallsBack(t *testing.T) {
-	base, err := Synthesize(SynthOptions{Seed: 3, Records: 256, Keys: 32})
-	if err != nil {
-		t.Fatal(err)
-	}
-	withEmpty, err := Synthesize(SynthOptions{Seed: 3, Records: 256, Keys: 32, Sampler: fleet.NewSampler()})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(base.Records, withEmpty.Records) {
-		t.Fatal("an empty sampler changed the synthesized trace (zero-sample shares leaked)")
-	}
-}
-
 // The Xeon cost table must cover every (schema, sample, op) with a
 // positive cost, and lookups must wrap sample indices like
 // Entry.SamplePayload.
@@ -147,7 +130,7 @@ func TestCalibrateCosts(t *testing.T) {
 // on preformed batches because the live replay's batches depend on
 // timing: its two closed-loop workers mostly run requests alone.
 func TestReplayInProcess(t *testing.T) {
-	tr, err := Synthesize(SynthOptions{Seed: 5, Records: 160, Keys: 24})
+	tr, err := Synthesize(SynthOptions{Seed: 5, Records: 160})
 	if err != nil {
 		t.Fatal(err)
 	}
