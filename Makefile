@@ -48,14 +48,14 @@ chaos-smoke:
 # fault episode for every batch. At 0.02 every deserialize answer falls
 # back to software; at 0.005 the serialize answers and about half the
 # deserialize answers come from the accelerator, many after a retried
-# fault, so -check byte-checks those too. The cluster balancer's timing
-# drills (Conn timeouts, failover, ejection dwells, half-open probes and
-# /healthz polls, all on the wall clock) run ten times under the race
-# detector too.
+# fault, so -check byte-checks those too. Every cluster balancer test
+# runs ten times under the race detector too: its timing drills (Conn
+# timeouts, failover, ejection dwells, half-open probes and /healthz
+# polls) run on the wall clock.
 serve-smoke:
 	go test -race -count=1 ./internal/serve
 	go test -race -count=10 -run '^Test(Conn|ServeConn|ServeTCP|ProtocolRoundTrip|ReadMessage|MessageRoundTrip)' ./internal/serve
-	go test -race -count=10 -run '^TestCluster(StalledNodeFailsOver|FailoverEjectRecover|FailoverTriesEachNodeOnce|EjectedNodeKeepsProbe|OversizedRequestKeepsProbe|HealthEjection|HealthKeepsPartlyDegradedNode|HealthEjectsNodeWithoutBreaker)$$' ./internal/serve/cluster
+	go test -race -count=10 ./internal/serve/cluster
 	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema all -check
 	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema mixed -check -faults 0.02 -fault-seed 7
 	go run ./cmd/loadgen -duration 500ms -concurrency 8 -schema mixed -check -faults 0.005 -fault-seed 7

@@ -27,14 +27,13 @@ func parseAddrList(flagName, s string) ([]string, error) {
 
 // clusterOptions assembles the balancer configuration from the -cluster
 // flag family. Health polling turns on iff -cluster-admin is given.
-func clusterOptions(addrs, admins string, routing serve.Routing) (cluster.Options, error) {
+func clusterOptions(addrs, admins string) (cluster.Options, error) {
 	list, err := parseAddrList("-cluster", addrs)
 	if err != nil {
 		return cluster.Options{}, err
 	}
 	opts := cluster.Options{
-		Addrs:   list,
-		Routing: routing,
+		Addrs: list,
 		// A bounded wait keeps a wedged daemon from pinning loadgen
 		// workers forever; the balancer fails over on the timeout.
 		Dial: serve.DialOptions{Timeout: 10 * time.Second},

@@ -17,7 +17,6 @@
 //	        [-elements all|off|admission,breaker,cache]
 //	        [-workload] [-trace-seed n] [-trace-len n]
 //	        [-cluster host:port,host:port] [-cluster-admin host:port,...]
-//	        [-cluster-routing p2c|rr]
 //	        [-workers n] [-max-batch n] [-batch-window d] [-queue-depth n]
 //	        [-faults rate[@site,...]] [-fault-seed n] [-fault-tiles 0,2]
 //	        [-stats-out file] [-span-sample-n n]
@@ -36,10 +35,9 @@
 // the run goes on, in every mode; loadgen then exits 1.
 //
 // -cluster drives a pool of already-running protoaccd daemons through
-// the client-side balancer (internal/serve/cluster): p2c or rr node
-// placement over live in-flight/latency estimates, failover to another
-// node on a transport error, and — with -cluster-admin —
-// /healthz-driven node ejection and recovery.
+// the client-side balancer (internal/serve/cluster): round-robin node
+// placement, failover to another node on a transport error, and — with
+// -cluster-admin — /healthz-driven node ejection and recovery.
 //
 // With -addr it dials an already-running daemon over TCP (one connection
 // per worker). Without -addr it starts an in-process server and drives it
@@ -99,16 +97,11 @@ var (
 	cpuprofile = flag.String("cpuprofile", "", "write a CPU profile of the run (loadgen + in-process server) to this file")
 	memprofile = flag.String("memprofile", "", "write a heap profile to this file on exit")
 
-	clusterRouting serve.Routing
 	// opts configures the in-process server. Its flags are the set
 	// protoaccd binds too; serverFlags keeps their names for checkFlags.
 	opts        serve.Options
 	serverFlags = bindServerFlags(&opts)
 )
-
-func init() {
-	flag.Var(&clusterRouting, "cluster-routing", `balancer node placement: p2c (in-flight × latency scoring) or rr (deterministic round-robin) (default "p2c")`)
-}
 
 func bindServerFlags(o *serve.Options) *flag.FlagSet {
 	var fs flag.FlagSet
@@ -119,7 +112,7 @@ func bindServerFlags(o *serve.Options) *flag.FlagSet {
 
 // Flags that only one mode reads.
 var (
-	clusterOnly  = []string{"cluster-admin", "cluster-routing"}
+	clusterOnly  = []string{"cluster-admin"}
 	workloadOnly = []string{"trace-seed", "trace-len"}
 	// passOnly shape the per-(schema, op) passes. -workload replaces
 	// them: it replays its whole trace closed-loop.
@@ -229,7 +222,7 @@ func main() {
 	target := *addr
 	switch {
 	case *clusterAddrs != "":
-		copts, err := clusterOptions(*clusterAddrs, *clusterAdmin, clusterRouting)
+		copts, err := clusterOptions(*clusterAddrs, *clusterAdmin)
 		if err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(2)
@@ -240,7 +233,7 @@ func main() {
 			os.Exit(1)
 		}
 		dial = func() (serve.Doer, error) { return bal.Client(), nil }
-		target = fmt.Sprintf("cluster of %d nodes (routing=%s)", bal.Nodes(), clusterRouting)
+		target = fmt.Sprintf("cluster of %d nodes", bal.Nodes())
 	case *addr == "":
 		srv, err = serve.NewServer(opts)
 		if err != nil {

@@ -17,7 +17,7 @@ func TestCheckFlags(t *testing.T) {
 		{nil, ""},
 		{[]string{"tiles", "elements", "stats-out", "schema", "op", "rate", "skew", "trace-out", "span-sample-n"}, ""},
 		{[]string{"addr", "duration", "concurrency", "check"}, ""},
-		{[]string{"cluster", "cluster-admin", "cluster-routing", "schema", "duration"}, ""},
+		{[]string{"cluster", "cluster-admin", "schema", "duration"}, ""},
 		{[]string{"workload", "trace-seed", "trace-len", "concurrency", "timeout", "check", "tiles", "stats-out"}, ""},
 		{[]string{"addr", "workload", "trace-len"}, ""},
 

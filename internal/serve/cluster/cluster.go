@@ -1,11 +1,12 @@
 // Package cluster is the client side of a disaggregated accelerator
 // pool: a balancer holding one TCP connection per protoaccd daemon,
-// routing each request with power-of-two-choices over live in-flight and
-// latency estimates (serve.Routing.Pick, which places tiles too),
-// failing a request over to another node on a transport error, and
-// ejecting sick nodes based on transport errors and each daemon's
-// /healthz admin surface — RPCAcc's "accelerator as a network-attached
-// resource", built from the serving layer this repo already has.
+// placing requests on nodes round-robin (serve.Pick, the rule that
+// places tiles too, so node choice is a pure function of the request
+// sequence and each node's routability), failing a request over to
+// another node on a transport error, and ejecting sick nodes based on
+// transport errors and each daemon's /healthz admin surface — RPCAcc's
+// "accelerator as a network-attached resource", built from the serving
+// layer this repo already has.
 //
 // The balancer deliberately owns all recovery policy. A serve.Conn never
 // reconnects on its own (see serve.ErrClosed): redial and failover both
@@ -53,12 +54,6 @@ type Options struct {
 	// health polling for the whole pool or that node respectively.
 	AdminAddrs []string
 
-	// Routing picks nodes: serve.RoutePowerOfTwo (default) scores two
-	// candidates by in-flight count × smoothed latency; RouteRoundRobin
-	// is the deterministic mode — node choice is a pure function of the
-	// request sequence, which is what the cluster equivalence tests pin.
-	Routing serve.Routing
-
 	// Dial tunes every per-node connection (deadlines; see
 	// serve.DialOptions).
 	Dial serve.DialOptions
@@ -66,16 +61,12 @@ type Options struct {
 	Health HealthOptions
 }
 
-// node is one daemon: its connection, live routing estimates, health
-// state, and counters.
+// node is one daemon: its connection, health state, and counters.
 type node struct {
 	id        int
 	addr      string
 	adminAddr string
 	b         *Balancer
-
-	inflight atomic.Int64
-	ewmaNs   atomic.Uint64 // smoothed OK latency; 0 = no data yet
 
 	connMu sync.Mutex
 	conn   *serve.Conn
@@ -104,7 +95,7 @@ type node struct {
 type Balancer struct {
 	opts  Options
 	nodes []*node
-	seq   atomic.Uint64 // routing sequence: rr cursor / p2c hash input
+	seq   atomic.Uint64 // round-robin cursor over the nodes
 
 	requests   atomic.Uint64
 	retries    atomic.Uint64
@@ -198,8 +189,8 @@ func (n *node) client() (*serve.Conn, error) {
 	return conn, nil
 }
 
-// do runs one attempt on this node, maintaining the routing estimates
-// and the health state machine.
+// do runs one attempt on this node, maintaining the health state
+// machine.
 func (n *node) do(req serve.Request) (serve.Response, error) {
 	n.requests.Add(1)
 	conn, err := n.client()
@@ -207,13 +198,10 @@ func (n *node) do(req serve.Request) (serve.Response, error) {
 		n.finish(err)
 		return serve.Response{}, err
 	}
-	n.inflight.Add(1)
-	start := time.Now()
 	resp, err := conn.Do(req)
-	n.inflight.Add(-1)
 	switch {
 	case err == nil:
-		n.noteOK(time.Since(start))
+		n.noteOK()
 		if resp.FellBack {
 			n.fallbacks.Add(1)
 		}
@@ -229,23 +217,10 @@ func (n *node) do(req serve.Request) (serve.Response, error) {
 	return resp, err
 }
 
-// ewmaAlpha is the smoothing weight for the per-node latency estimate.
-const ewmaAlpha = 0.2
-
-// noteOK folds a successful attempt into the routing estimate and
-// closes a half-open node's circuit: the probe passed.
-func (n *node) noteOK(lat time.Duration) {
+// noteOK records a successful attempt and closes a half-open node's
+// circuit: the probe passed.
+func (n *node) noteOK() {
 	n.oks.Add(1)
-	for {
-		cur := n.ewmaNs.Load()
-		next := uint64(float64(cur)*(1-ewmaAlpha) + float64(lat.Nanoseconds())*ewmaAlpha)
-		if cur == 0 {
-			next = uint64(lat.Nanoseconds())
-		}
-		if n.ewmaNs.CompareAndSwap(cur, next) {
-			break
-		}
-	}
 	n.mu.Lock()
 	n.consecErrs = 0
 	if n.circuit.Passed(1) {
@@ -297,23 +272,15 @@ func (n *node) routable(now time.Time) bool {
 	return ok
 }
 
-// score is the p2c routing metric: queue pressure times smoothed
-// latency, so a slow node and a busy node both lose ties. An unmeasured
-// node scores minimally and attracts traffic until it has an estimate.
-func (n *node) score() uint64 {
-	return uint64(n.inflight.Load()+1) * (n.ewmaNs.Load() + 1)
-}
-
 // route picks the next node for a request that has already failed on
-// the nodes in failed through serve.Routing.Pick. Those nodes are not
+// the nodes in failed through serve.Pick. Those nodes are not
 // routable; should Pick's all-down fallback still name one of them, the
 // first node not in failed serves instead. route spends the pick's probe
 // budget if it is half-open: every route result is sent.
 func (b *Balancer) route(failed []*node) *node {
 	now := time.Now()
-	i, _ := b.opts.Routing.Pick(len(b.nodes), &b.seq,
-		func(i int) bool { return !slices.Contains(failed, b.nodes[i]) && b.nodes[i].routable(now) },
-		func(i int) uint64 { return b.nodes[i].score() })
+	i, _ := serve.Pick(len(b.nodes), &b.seq,
+		func(i int) bool { return !slices.Contains(failed, b.nodes[i]) && b.nodes[i].routable(now) })
 	n := b.nodes[i]
 	if slices.Contains(failed, n) {
 		for _, m := range b.nodes {

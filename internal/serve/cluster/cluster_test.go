@@ -220,11 +220,10 @@ func TestClusterStalledNodeFailsOver(t *testing.T) {
 	}
 }
 
-// A request fails over to each node at most once. Two refusing nodes
-// score ahead of the healthy one, so p2c routes a request to them first;
-// for every routing sequence start the request must still reach the
-// healthy node, also when that node is ejected and only Pick's all-down
-// fallback can name it.
+// A request fails over to each node at most once. For every routing
+// sequence start the request must still reach the healthy node, also
+// when that node is ejected and only Pick's all-down fallback can name
+// it.
 func TestClusterFailoverTriesEachNodeOnce(t *testing.T) {
 	deadA, _ := startRefuser(t)
 	deadB, _ := startRefuser(t)
@@ -240,9 +239,6 @@ func TestClusterFailoverTriesEachNodeOnce(t *testing.T) {
 				t.Fatal(err)
 			}
 			b.seq.Store(seq)
-			b.nodes[0].ewmaNs.Store(1)
-			b.nodes[1].ewmaNs.Store(1)
-			b.nodes[2].ewmaNs.Store(uint64(time.Second))
 			if ejected {
 				n := b.nodes[2]
 				n.mu.Lock()
@@ -274,9 +270,8 @@ func TestClusterFailoverEjectRecover(t *testing.T) {
 	dead, stopDead := startRefuser(t)
 	srv, healthy := startServer(t, serverOptions())
 	b, err := New(Options{
-		Addrs:   []string{dead, healthy},
-		Routing: serve.RouteRoundRobin,
-		Health:  HealthOptions{EjectDwell: 300 * time.Millisecond},
+		Addrs:  []string{dead, healthy},
+		Health: HealthOptions{EjectDwell: 300 * time.Millisecond},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -345,9 +340,9 @@ func TestClusterFailoverEjectRecover(t *testing.T) {
 	}
 }
 
-// An ejected node that p2c considers after its dwell but passes over on
-// score must keep its probe: with health polling off, that probe is the
-// node's only way back into service.
+// An ejected node is sent a probe once its dwell has passed, and the
+// probe restores it: with health polling off, that probe is the node's
+// only way back into service.
 func TestClusterEjectedNodeKeepsProbe(t *testing.T) {
 	srv, addrA := startServer(t, serverOptions())
 	_, addrB := startServer(t, serverOptions())
@@ -361,11 +356,7 @@ func TestClusterEjectedNodeKeepsProbe(t *testing.T) {
 	}
 	defer b.Close()
 
-	// Node 0 scores worse than node 1, so it loses every p2c comparison
-	// against it; it can only win as the sole candidate of a pair.
 	n0 := b.nodes[0]
-	n0.ewmaNs.Store(uint64(time.Second))
-	b.nodes[1].ewmaNs.Store(uint64(time.Millisecond))
 	n0.mu.Lock()
 	n0.ejectLocked()
 	n0.mu.Unlock()
@@ -427,10 +418,10 @@ func TestClusterOversizedRequestKeepsProbe(t *testing.T) {
 	_, addrA := startServer(t, serverOptions())
 	_, addrB := startServer(t, serverOptions())
 	const dwell = 5 * time.Millisecond
+	// Round-robin sends the first request to node 0.
 	b, err := New(Options{
-		Addrs:   []string{addrA, addrB},
-		Routing: serve.RouteRoundRobin, // the first request goes to node 0
-		Health:  HealthOptions{EjectDwell: dwell},
+		Addrs:  []string{addrA, addrB},
+		Health: HealthOptions{EjectDwell: dwell},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -475,7 +466,6 @@ func TestClusterHealthEjection(t *testing.T) {
 	b, err := New(Options{
 		Addrs:      []string{addrA, addrB},
 		AdminAddrs: []string{adminA, startAdmin(t, srvB)},
-		Routing:    serve.RouteRoundRobin,
 		Health: HealthOptions{
 			Interval:   10 * time.Millisecond,
 			EjectDwell: time.Hour, // recovery must come from polling, not a probe
@@ -576,7 +566,6 @@ func pollPartlyDegraded(t *testing.T, breaker bool) NodeCounters {
 	b, err := New(Options{
 		Addrs:      []string{addrA, addrB},
 		AdminAddrs: []string{strings.TrimPrefix(hs.URL, "http://"), startAdmin(t, srvB)},
-		Routing:    serve.RouteRoundRobin,
 		Health:     HealthOptions{Interval: 10 * time.Millisecond, EjectDwell: time.Hour},
 	})
 	if err != nil {
@@ -657,10 +646,8 @@ func TestClusterChaosIsolation(t *testing.T) {
 	srvFaulty, addrFaulty := startServer(t, faulty)
 	srvClean, addrClean := startServer(t, serverOptions())
 
-	b, err := New(Options{
-		Addrs:   []string{addrFaulty, addrClean},
-		Routing: serve.RouteRoundRobin, // deterministic split across both nodes
-	})
+	// Round-robin splits the requests deterministically across both nodes.
+	b, err := New(Options{Addrs: []string{addrFaulty, addrClean}})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -16,16 +16,16 @@ type observed struct {
 	payload  []byte
 }
 
-// replayCluster replays the trace through a pool of the given size in
-// the deterministic configuration — round-robin routing, health off,
-// one replay worker — and returns every response in record order.
-func replayCluster(t *testing.T, nodes int, trace *workloads.Trace) []observed {
+// replayCluster replays the trace through a pool of the given size with
+// default options (health off) and one replay worker, and returns every
+// response in record order and each node's counters.
+func replayCluster(t *testing.T, nodes int, trace *workloads.Trace) ([]observed, []NodeCounters) {
 	t.Helper()
 	addrs := make([]string, nodes)
 	for i := range addrs {
 		_, addrs[i] = startServer(t, serverOptions())
 	}
-	b, err := New(Options{Addrs: addrs, Routing: serve.RouteRoundRobin})
+	b, err := New(Options{Addrs: addrs})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -62,20 +62,20 @@ func replayCluster(t *testing.T, nodes int, trace *workloads.Trace) []observed {
 	if c["serve/cluster/requests"] != float64(len(trace.Records)) {
 		t.Fatalf("replayed %v cluster requests, want %d", c["serve/cluster/requests"], len(trace.Records))
 	}
-	return got
+	return got, b.NodeStats()
 }
 
-// The cluster determinism contract: with round-robin routing, a 1-node
-// and a 2-node pool replaying the identical trace produce
-// byte-identical responses record for record — the multi-node analogue
-// of the 1-tile-vs-N-tile equivalence the tile router pins.
+// The cluster determinism contract: a 1-node and a 2-node pool
+// replaying the identical trace produce byte-identical responses record
+// for record — the multi-node analogue of the 1-tile-vs-N-tile
+// equivalence the tile router pins.
 func TestClusterDeterminism1v2(t *testing.T) {
 	trace, err := workloads.Synthesize(workloads.SynthOptions{Seed: 1234, Records: 384})
 	if err != nil {
 		t.Fatal(err)
 	}
-	one := replayCluster(t, 1, trace)
-	two := replayCluster(t, 2, trace)
+	one, _ := replayCluster(t, 1, trace)
+	two, _ := replayCluster(t, 2, trace)
 	if len(one) != len(two) {
 		t.Fatalf("response counts differ: 1-node=%d 2-node=%d", len(one), len(two))
 	}
@@ -95,15 +95,24 @@ func TestClusterDeterminism1v2(t *testing.T) {
 }
 
 // Round-robin node placement is a pure function of the request sequence:
-// the same trace through the same 2-node pool twice gives each node the
-// identical request count, and a repeat replay reproduces the responses.
+// the same trace through the same healthy 2-node pool twice gives each
+// node the identical, even request count, and a repeat replay
+// reproduces the responses.
 func TestClusterRRPlacementDeterministic(t *testing.T) {
-	trace, err := workloads.Synthesize(workloads.SynthOptions{Seed: 99, Records: 128})
+	const records = 128
+	trace, err := workloads.Synthesize(workloads.SynthOptions{Seed: 99, Records: records})
 	if err != nil {
 		t.Fatal(err)
 	}
-	first := replayCluster(t, 2, trace)
-	second := replayCluster(t, 2, trace)
+	first, firstNodes := replayCluster(t, 2, trace)
+	second, secondNodes := replayCluster(t, 2, trace)
+	for _, stats := range [][]NodeCounters{firstNodes, secondNodes} {
+		for i, ns := range stats {
+			if ns.Requests != records/2 {
+				t.Errorf("node %d took %d requests, want %d", i, ns.Requests, records/2)
+			}
+		}
+	}
 	for i := range first {
 		if !bytes.Equal(first[i].payload, second[i].payload) || first[i].cycles != second[i].cycles {
 			t.Fatalf("record %d: repeat replay diverged", i)

@@ -1,18 +1,22 @@
 package elements
 
 import (
+	"container/list"
 	"sync"
 	"time"
 )
 
-// maxClients bounds the per-client bucket map. Past it, inserting a new
-// client first sweeps buckets that have been idle long enough to have
-// refilled completely — a full bucket holds no information, so dropping
-// it cannot admit traffic a retained bucket would have throttled.
+// maxClients bounds the per-client bucket map. At it, inserting a new
+// client first drops the buckets idle long enough to have refilled
+// completely — a full bucket holds no information, so dropping it cannot
+// admit traffic a retained bucket would have throttled — and then, if
+// the map is still full, the least recently filled bucket, whose client
+// starts again from a full bucket.
 const maxClients = 4096
 
 // bucket is one client's token bucket.
 type bucket struct {
+	client   string
 	tokens   float64
 	lastFill time.Time
 }
@@ -27,7 +31,8 @@ type Admission struct {
 	burst    float64
 
 	mu       sync.Mutex
-	clients  map[string]*bucket
+	clients  map[string]*list.Element // -> *bucket
+	byFill   list.List                // by lastFill, least recent at the front
 	allowed  uint64
 	throttle uint64
 }
@@ -38,7 +43,7 @@ func newAdmission(fillRate float64) *Admission {
 	return &Admission{
 		fillRate: fillRate,
 		burst:    burstSeconds * fillRate,
-		clients:  make(map[string]*bucket),
+		clients:  make(map[string]*list.Element),
 	}
 }
 
@@ -50,19 +55,22 @@ func (a *Admission) FillRate() float64 { return a.fillRate }
 func (a *Admission) Allow(client string, now time.Time) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	b := a.clients[client]
-	if b == nil {
+	var b *bucket
+	if el := a.clients[client]; el == nil {
 		if len(a.clients) >= maxClients {
 			a.sweepLocked(now)
 		}
-		b = &bucket{tokens: a.burst, lastFill: now}
-		a.clients[client] = b
-	} else if dt := now.Sub(b.lastFill).Seconds(); dt > 0 {
-		b.tokens += dt * a.fillRate
+		b = &bucket{client: client, tokens: a.burst, lastFill: now}
+		el = a.byFill.PushBack(b)
+		a.clients[client] = el
+		a.placeLocked(el)
+	} else if b = el.Value.(*bucket); now.After(b.lastFill) {
+		b.tokens += now.Sub(b.lastFill).Seconds() * a.fillRate
 		if b.tokens > a.burst {
 			b.tokens = a.burst
 		}
 		b.lastFill = now
+		a.placeLocked(el)
 	}
 	if b.tokens < 1 {
 		a.throttle++
@@ -73,13 +81,35 @@ func (a *Admission) Allow(client string, now time.Time) bool {
 	return true
 }
 
-// sweepLocked drops buckets idle long enough to have refilled to burst:
-// burstSeconds, whatever the rate.
+// placeLocked moves el, whose bucket was just filled, to its place in
+// fill order: the back, unless a concurrent caller's clock read is older
+// than a fill recorded since.
+func (a *Admission) placeLocked(el *list.Element) {
+	filled := el.Value.(*bucket).lastFill
+	at := a.byFill.Back()
+	for at != nil && (at == el || at.Value.(*bucket).lastFill.After(filled)) {
+		at = at.Prev()
+	}
+	if at == nil {
+		a.byFill.MoveToFront(el)
+	} else {
+		a.byFill.MoveAfter(el, at)
+	}
+}
+
+// sweepLocked pops buckets off the front of the fill order while they
+// have been idle long enough to have refilled to burst (burstSeconds,
+// whatever the rate), then the front bucket itself while the map is
+// still full. Each bucket is popped once, so an insert costs O(1)
+// amortized.
 func (a *Admission) sweepLocked(now time.Time) {
-	for client, b := range a.clients {
-		if now.Sub(b.lastFill) > burstSeconds*time.Second {
-			delete(a.clients, client)
+	for el := a.byFill.Front(); el != nil; el = a.byFill.Front() {
+		b := el.Value.(*bucket)
+		if now.Sub(b.lastFill) <= burstSeconds*time.Second && len(a.clients) < maxClients {
+			return
 		}
+		a.byFill.Remove(el)
+		delete(a.clients, b.client)
 	}
 }
 

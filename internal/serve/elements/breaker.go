@@ -34,8 +34,10 @@ func (s State) String() string {
 // serializes access under its own lock; Circuit decides when the target
 // may take traffic again. Open sits out Dwell, and the first routing
 // query after that half-opens the target. Half-open admits Probes
-// requests, and only requests actually sent (Routed) spend that budget,
-// so a target the router considers and passes over keeps its probe.
+// requests, and only requests actually sent (Routed) spend that budget:
+// asking whether a target is routable spends none of it, and a request
+// refunded after routing (shed, or too large to send) leaves its probe
+// for the next.
 type Circuit struct {
 	Dwell  time.Duration // how long Open sits out before half-opening
 	Probes int           // half-open budget; this many successes close

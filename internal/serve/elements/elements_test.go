@@ -165,6 +165,32 @@ func TestAdmissionSweep(t *testing.T) {
 	}
 }
 
+// A flood of new clients, faster than any bucket goes idle, stays within
+// maxClients buckets by dropping the least recently filled ones, and a
+// client that keeps sending through it keeps its bucket.
+func TestAdmissionFloodBounded(t *testing.T) {
+	a := newAdmission(100)
+	now := time.Unix(1000, 0)
+	a.Allow("steady", now)
+	steady := a.clients["steady"]
+	for i := 0; i < 10000; i++ {
+		now = now.Add(190 * time.Microsecond) // 10,000 clients in 1.9 s
+		a.Allow(fmt.Sprintf("flood%d", i), now)
+		if i%100 == 0 {
+			a.Allow("steady", now)
+		}
+		if n := a.Clients(); n > maxClients {
+			t.Fatalf("after %d flood clients: %d buckets, want at most %d", i+1, n, maxClients)
+		}
+	}
+	if a.clients["steady"] != steady {
+		t.Error("the steady client lost its bucket to the flood")
+	}
+	if a.byFill.Len() != a.Clients() {
+		t.Errorf("fill order holds %d buckets, map %d", a.byFill.Len(), a.Clients())
+	}
+}
+
 // Regression: sweepLocked computed the refill horizon as
 // burst/fillRate*Second with no guard, so a zero, negative, or NaN fill
 // rate produced an Inf/NaN float whose time.Duration conversion is

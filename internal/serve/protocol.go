@@ -176,6 +176,9 @@ func parseResponse(b []byte) (Response, error) {
 	if b[0] != protocolVersion {
 		return resp, fmt.Errorf("serve: protocol version %d, want %d", b[0], protocolVersion)
 	}
+	if Status(b[1]) >= numStatuses {
+		return resp, fmt.Errorf("serve: unknown status %d", b[1])
+	}
 	resp.Status = Status(b[1])
 	resp.FellBack = b[2]&flagFellBack != 0
 	b = b[3:]

@@ -105,8 +105,8 @@ func FuzzParseRequest(f *testing.F) {
 	})
 }
 
-// An accepted response, encoded again, must parse back equal, Cycles bit
-// for bit.
+// An accepted response carries a defined status and, encoded again, must
+// parse back equal, Cycles bit for bit.
 func FuzzParseResponse(f *testing.F) {
 	for _, s := range wireSeeds(f, responseBody) {
 		f.Add(s)
@@ -116,6 +116,9 @@ func FuzzParseResponse(f *testing.F) {
 			resp, err := parseResponse(body)
 			if err != nil {
 				return
+			}
+			if resp.Status >= numStatuses {
+				t.Fatalf("response with undefined status %d accepted", resp.Status)
 			}
 			again, err := parseResponse(appendResponse(nil, &resp))
 			if err != nil || !sameResponse(again, resp) {

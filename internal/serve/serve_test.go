@@ -338,6 +338,9 @@ func TestProtocolRoundTrip(t *testing.T) {
 	if _, err := parseResponse([]byte{protocolVersion, 0}); err == nil {
 		t.Error("truncated response accepted")
 	}
+	if _, err := parseResponse(appendResponse(nil, &Response{ID: 1, Status: numStatuses})); err == nil {
+		t.Error("unknown status accepted")
+	}
 
 	buf, err := appendFramed(nil, []byte("hello"))
 	if err != nil {

@@ -21,118 +21,28 @@ import (
 	"protoacc/internal/telemetry"
 )
 
-// Routing selects how the cluster balancer places requests onto nodes.
-// Tiles are always placed round-robin (Server.pick).
-type Routing uint8
-
-// Routing policies.
-const (
-	// RoutePowerOfTwo (default) picks two candidate nodes from a hashed
-	// routing sequence and sends to the one with the lower score — the
-	// classic load-balancing sweet spot between a global queue and blind
-	// round-robin.
-	RoutePowerOfTwo Routing = iota
-	// RouteRoundRobin places requests strictly in submission order, so
-	// placement is a pure function of the request sequence: the
-	// determinism mode of the cluster equivalence tests, and the only
-	// tile placement.
-	RouteRoundRobin
-)
-
-func (r Routing) String() string {
-	if r == RouteRoundRobin {
-		return "rr"
-	}
-	return "p2c"
-}
-
-// Set parses a -cluster-routing flag value ("p2c" or "rr"), making
-// Routing a flag.Value.
-func (r *Routing) Set(s string) error {
-	switch s {
-	case "", "p2c":
-		*r = RoutePowerOfTwo
-	case "rr":
-		*r = RouteRoundRobin
-	default:
-		return fmt.Errorf("serve: unknown routing policy %q (want p2c or rr)", s)
-	}
-	return nil
-}
-
-// Pick is the one placement decision behind both routing levels: jobs
-// onto tiles (Server.pick, always round-robin) and requests onto cluster
-// nodes (cluster.Balancer, either policy). It chooses one of n
-// candidates, advancing seq, the caller's routing sequence, once per
-// call. routable reports whether a candidate may take work now; score
-// ranks two routable p2c candidates, lower wins (round-robin never calls
-// it).
-//
-// Round-robin takes the first routable candidate at or after
-// (seq-1) mod n. P2c hashes seq into two candidates and takes the
-// routable one with the lower score, ties to the lower index; if
-// neither is routable it scans forward from the hash. When nothing is
-// routable the policy's own choice serves anyway: a pool that is all
-// down must degrade to "try", not "refuse". rerouted reports that
-// routability moved the pick off that choice. With one candidate Pick
-// returns 0 without advancing seq or querying it.
-func (r Routing) Pick(n int, seq *atomic.Uint64, routable func(int) bool, score func(int) uint64) (pick int, rerouted bool) {
+// Pick is the one placement rule behind both routing levels: jobs onto
+// tiles (Server.pick) and requests onto cluster nodes
+// (cluster.Balancer). It is round-robin over n candidates: it advances
+// seq, the caller's routing sequence, once per call, and its own choice
+// is the sequence's previous value mod n. It takes the first candidate
+// at or after that choice which routable admits; when none is routable
+// its own choice serves anyway, as a pool that is all down must
+// degrade to "try", not "refuse". rerouted reports that routability
+// moved the pick off that choice. With one candidate Pick returns 0
+// without advancing seq or querying it.
+func Pick(n int, seq *atomic.Uint64, routable func(int) bool) (pick int, rerouted bool) {
 	if n == 1 {
 		return 0, false
 	}
-	s, un := seq.Add(1), uint64(n)
-	if r == RouteRoundRobin {
-		own := int((s - 1) % un)
-		for off := uint64(0); off < un; off++ {
-			if c := int((s - 1 + off) % un); routable(c) {
-				return c, c != own
-			}
-		}
-		return own, false
-	}
-	h := splitmix64(s)
-	a, b := int(h%un), int((h>>32)%un)
-	if a > b {
-		a, b = b, a
-	}
-	ra, rb := routable(a), b != a && routable(b)
-	switch {
-	case ra && rb:
-		return lowerScore(a, b, score), false
-	case ra:
-		return a, b != a
-	case rb:
-		return b, true
-	}
-	for off := uint64(1); off <= un; off++ {
-		if c := int((h + off) % un); routable(c) {
-			return c, true
+	s, un := seq.Add(1)-1, uint64(n)
+	own := int(s % un)
+	for off := uint64(0); off < un; off++ {
+		if c := int((s + off) % un); routable(c) {
+			return c, c != own
 		}
 	}
-	if b != a {
-		return lowerScore(a, b, score), false
-	}
-	return a, false
-}
-
-// lowerScore is the p2c comparison: b wins only on a strictly lower
-// score, so ties go to a, the lower index.
-func lowerScore(a, b int, score func(int) uint64) int {
-	if score(b) < score(a) {
-		return b
-	}
-	return a
-}
-
-// splitmix64 is the same mixing function the fault scheduler uses: a
-// cheap, high-quality hash of the routing sequence number, so
-// power-of-two-choices candidate picks are reproducible for a given
-// arrival order without any locked RNG state.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
+	return own, false
 }
 
 // Options configures a Server. The zero value of any field selects the
@@ -434,7 +344,7 @@ func (s *Server) ConfigFingerprint() string {
 	return hex.EncodeToString(h.Sum(nil))[:16]
 }
 
-// pick routes one job to a tile round-robin through Routing.Pick. With
+// pick routes one job to a tile round-robin through Pick. With
 // the breaker element on, a tile whose breaker is not routable is
 // skipped and the reroute is counted; nothing else makes a tile
 // unroutable, so a fault-injected tile keeps its share. With every
@@ -443,8 +353,8 @@ func (s *Server) ConfigFingerprint() string {
 // N-tile determinism contract intact.
 func (s *Server) pick() *tile {
 	br := s.breaker()
-	i, rerouted := RouteRoundRobin.Pick(len(s.tiles), &s.routeSeq,
-		func(i int) bool { return br == nil || br.Routable(i, time.Now()) }, nil)
+	i, rerouted := Pick(len(s.tiles), &s.routeSeq,
+		func(i int) bool { return br == nil || br.Routable(i, time.Now()) })
 	if rerouted {
 		br.NoteReroute(1)
 	}

@@ -18,33 +18,21 @@ import (
 	"protoacc/internal/telemetry"
 )
 
-// Routing.Pick over a fixed candidate set. The p2c cases run at seq 4 →
-// 5, whose hash names candidates 0 and 2 of 4 and scans forward 3, 0, 1,
-// 2; at seq 1 → 2 both candidates are tile 2.
+// Pick over a fixed candidate set.
 func TestRoutingPick(t *testing.T) {
 	cases := []struct {
 		name     string
-		policy   Routing
 		n        int
 		seq      uint64
 		down     []int
-		score    []uint64
 		want     int
 		rerouted bool
 	}{
-		{name: "rr in order", policy: RouteRoundRobin, n: 3, seq: 1, want: 1},
-		{name: "rr wraps", policy: RouteRoundRobin, n: 3, seq: 3, want: 0},
-		{name: "rr skips down", policy: RouteRoundRobin, n: 3, seq: 0, down: []int{0}, want: 1, rerouted: true},
-		{name: "rr skip wraps", policy: RouteRoundRobin, n: 3, seq: 2, down: []int{2}, want: 0, rerouted: true},
-		{name: "rr all down", policy: RouteRoundRobin, n: 3, seq: 1, down: []int{0, 1, 2}, want: 1},
-		{name: "p2c lower score", n: 4, seq: 4, score: []uint64{5, 0, 3, 0}, want: 2},
-		{name: "p2c tie to lower index", n: 4, seq: 4, score: []uint64{3, 0, 3, 0}, want: 0},
-		{name: "p2c one down", n: 4, seq: 4, down: []int{2}, score: []uint64{9, 0, 1, 0}, want: 0, rerouted: true},
-		{name: "p2c other down", n: 4, seq: 4, down: []int{0}, want: 2, rerouted: true},
-		{name: "p2c both down scans", n: 4, seq: 4, down: []int{0, 2}, want: 3, rerouted: true},
-		{name: "p2c all down own choice", n: 4, seq: 4, down: []int{0, 1, 2, 3}, score: []uint64{5, 0, 3, 0}, want: 2},
-		{name: "p2c same candidate", n: 4, seq: 1, want: 2},
-		{name: "p2c same candidate all down", n: 4, seq: 1, down: []int{0, 1, 2, 3}, want: 2},
+		{name: "rr in order", n: 3, seq: 1, want: 1},
+		{name: "rr wraps", n: 3, seq: 3, want: 0},
+		{name: "rr skips down", n: 3, seq: 0, down: []int{0}, want: 1, rerouted: true},
+		{name: "rr skip wraps", n: 3, seq: 2, down: []int{2}, want: 0, rerouted: true},
+		{name: "rr all down", n: 3, seq: 1, down: []int{0, 1, 2}, want: 1},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -52,15 +40,9 @@ func TestRoutingPick(t *testing.T) {
 			for _, i := range tc.down {
 				down[i] = true
 			}
-			score := func(i int) uint64 {
-				if tc.score == nil {
-					return 0
-				}
-				return tc.score[i]
-			}
 			var seq atomic.Uint64
 			seq.Store(tc.seq)
-			got, rerouted := tc.policy.Pick(tc.n, &seq, func(i int) bool { return !down[i] }, score)
+			got, rerouted := Pick(tc.n, &seq, func(i int) bool { return !down[i] })
 			if got != tc.want || rerouted != tc.rerouted {
 				t.Errorf("Pick = %d, rerouted %v; want %d, %v", got, rerouted, tc.want, tc.rerouted)
 			}
@@ -72,14 +54,11 @@ func TestRoutingPick(t *testing.T) {
 
 	// One candidate: returned at once, routable or not, without
 	// advancing the sequence or asking anything.
-	for _, policy := range []Routing{RoutePowerOfTwo, RouteRoundRobin} {
-		var seq atomic.Uint64
-		asked := false
-		ask := func(int) bool { asked = true; return false }
-		got, rerouted := policy.Pick(1, &seq, ask, func(int) uint64 { asked = true; return 0 })
-		if got != 0 || rerouted || asked || seq.Load() != 0 {
-			t.Errorf("%v n=1: Pick = %d, rerouted %v, asked %v, seq %d", policy, got, rerouted, asked, seq.Load())
-		}
+	var seq atomic.Uint64
+	asked := false
+	got, rerouted := Pick(1, &seq, func(int) bool { asked = true; return false })
+	if got != 0 || rerouted || asked || seq.Load() != 0 {
+		t.Errorf("n=1: Pick = %d, rerouted %v, asked %v, seq %d", got, rerouted, asked, seq.Load())
 	}
 }
 
